@@ -1,109 +1,2 @@
-"""Pure-Python ordering search kernel.
-
-Backtracking search for a vertex ordering satisfying the four point
-condition (no ranks i < j < k < l with edges (i,k), (j,l) and non-edge
-(j,k)).  Vertices are 0-indexed here; adjacency comes in as bitmasks.
-This module mirrors the compiled kernel exactly: same traversal order,
-same node accounting, arbitrary n via Python big ints.
-
-Node accounting: one node = one candidate placement that is actually
-processed (the root placement or a prefix extension undergoing the
-violation check).  Candidates skipped by the reversal-symmetry rule are
-not processed and not counted.
-"""
-
-from __future__ import annotations
-
-IS_COMPILED = False
-
-FOUND = 0
-NOT_MEMBER = 1
-EXHAUSTED = 2
-
-
-def search_order(nbr_masks, budget):
-    """Find the lexicographically first ordering passing the four point
-    condition, trying vertices in ascending index at every rank.
-
-    Returns (status, order, nodes) with status FOUND / NOT_MEMBER /
-    EXHAUSTED, order a list of vertex indices (empty unless FOUND) and
-    nodes the number of placements processed.
-
-    Orderings are explored once per {ordering, reversal} pair by requiring
-    order[0] < order[-1]; the condition holds for the lexicographically
-    first passing ordering (its reversal would otherwise be smaller), so
-    the returned ordering matches an unpruned depth-first search.
-    """
-    n = len(nbr_masks)
-    if n == 0:
-        return (FOUND, [], 0)
-
-    order = []
-    rankmask = [0] * n  # rankmask[v]: bit j set iff order[j] is adjacent to v
-    used = 0
-    nodes = 0
-    # resume[m]: next candidate index to try at rank m
-    resume = [0] * (n + 1)
-    m = 0
-
-    while True:
-        w = resume[m]
-        limit = n - 1 if (m == 0 and n > 1) else n
-        placed = False
-        while w < limit:
-            if used >> w & 1:
-                w += 1
-                continue
-            if m == n - 1 and n > 1 and w < order[0]:
-                w += 1
-                continue
-            if nodes >= budget:
-                return (EXHAUSTED, [], nodes)
-            nodes += 1
-            # four point check for the prefix with w appended at rank m:
-            # only quadruples whose last rank is m are new.
-            W = rankmask[w]
-            viol = False
-            if m >= 3 and W:
-                for k in range(2, m):
-                    mv = rankmask[order[k]]
-                    if not mv:
-                        continue
-                    low = (mv & -mv).bit_length() - 1
-                    # ranks j < k adjacent to w, not adjacent to order[k];
-                    # a violation needs some such j with a v-neighbor below it
-                    u = W & ~mv & ((1 << k) - 1)
-                    if u >> (low + 1):
-                        viol = True
-                        break
-            if viol:
-                w += 1
-                continue
-            resume[m] = w + 1
-            order.append(w)
-            used |= 1 << w
-            x = nbr_masks[w]
-            bit = 1 << m
-            while x:
-                v = (x & -x).bit_length() - 1
-                rankmask[v] |= bit
-                x &= x - 1
-            if m == n - 1:
-                return (FOUND, order, nodes)
-            m += 1
-            resume[m] = 0
-            placed = True
-            break
-        if placed:
-            continue
-        if m == 0:
-            return (NOT_MEMBER, [], nodes)
-        m -= 1
-        w = order.pop()
-        used &= ~(1 << w)
-        x = nbr_masks[w]
-        bit = ~(1 << m)
-        while x:
-            v = (x & -x).bit_length() - 1
-            rankmask[v] &= bit
-            x &= x - 1
+# perfbench/run.py imports this module; the kernel is defined in kernels.py.
+from .kernels import EXHAUSTED, FOUND, NOT_MEMBER, search_order  # noqa: F401

@@ -107,7 +107,7 @@ def _cmd_realize(args) -> str:
         r = glue_cycles_on_edge(n, m, shared=tuple(args.shared))
         out = args.output
     else:
-        text = _read_input(args.input)
+        text = fileio._read(args.input)
         kind = fileio.sniff_format(text)
         if kind == "interval":
             r = interval_to_cand1(fileio.loads_interval_model(text, args.input))
@@ -126,11 +126,6 @@ def _cmd_realize(args) -> str:
         out = _out(args, _stem(args.input) + ".real")
     fileio.save_realization(out, r)
     return "yes"
-
-
-def _read_input(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _cmd_verify(args) -> str:

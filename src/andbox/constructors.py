@@ -17,13 +17,9 @@ from fractions import Fraction
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
 from .orders import Ordering, rank_bounds
-from .realization import Realization, is_safe
+from .realization import Realization, _frac, is_safe
 
 HALF = Fraction(1, 2)
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------

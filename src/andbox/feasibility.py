@@ -22,14 +22,10 @@ from fractions import Fraction
 
 from .graphs import Graph
 from .orders import Ordering, four_point_check
-from .realization import Realization
+from .realization import Realization, _frac
 
 DEFAULT_ORDERING_BUDGET = 10**5
 DEFAULT_CASE_BUDGET = 10**6
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)

@@ -1,48 +1,105 @@
-"""Backend selection for the ordering search kernel.
+"""Ordering search kernel.
 
-The compiled kernel (Cython, uint64 masks, n <= 64) is used when it built
-successfully; the pure-Python twin covers missing builds, the environment
-override ANDBOX_PURE_PYTHON=1, and graphs with more than 64 vertices.
-Both implement the same traversal with identical node accounting, so
-results and budgets are backend-independent.
+Backtracking search for a vertex ordering satisfying the four point
+condition (no ranks i < j < k < l with edges (i,k), (j,l) and non-edge
+(j,k)).  Vertices are 0-indexed here; adjacency comes in as bitmasks
+(Python ints, so any n).
+
+Violation test: placed rank k *blocks* rank j < k when order[k] is not
+adjacent to order[j] but has a neighbour ranked before j.  Appending w at
+rank m closes a quadruple iff w is adjacent to a blocked rank, so one AND
+with blocked[m], the ranks blocked by the first m placements, decides
+it.  The ranks a placement blocks are fixed once it is placed, so
+blocked[m + 1] follows from blocked[m] and backtracking needs no undo.
+
+Node accounting: one node = one candidate placement that is actually
+processed (the root placement or a prefix extension undergoing the
+violation check).  Candidates skipped by the reversal-symmetry rule are
+not processed and not counted.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-FOUND = _kernels_py.FOUND
-NOT_MEMBER = _kernels_py.NOT_MEMBER
-EXHAUSTED = _kernels_py.EXHAUSTED
-
-_compiled = None
-if os.environ.get("ANDBOX_PURE_PYTHON") != "1":
-    try:
-        from . import _kernels as _compiled  # type: ignore[attr-defined]
-    except ImportError:  # pragma: no cover - depends on build environment
-        _compiled = None
+FOUND = 0
+NOT_MEMBER = 1
+EXHAUSTED = 2
 
 
 def backend_name() -> str:
-    return "compiled" if _compiled is not None else "pure-python"
+    return "pure-python"
 
 
 def search_order(nbr_masks, budget):
-    """Dispatch to the best available backend.  See _kernels_py."""
-    if _compiled is not None and len(nbr_masks) <= 64:
-        return _compiled.search_order(nbr_masks, budget)
-    return _kernels_py.search_order(nbr_masks, budget)
+    """Find the lexicographically first ordering passing the four point
+    condition, trying vertices in ascending index at every rank.
 
+    Returns (status, order, nodes) with status FOUND / NOT_MEMBER /
+    EXHAUSTED, order a list of vertex indices (empty unless FOUND) and
+    nodes the number of placements processed.
 
-def search_order_pure(nbr_masks, budget):
-    """Always use the pure-Python kernel (benchmarks, equivalence tests)."""
-    return _kernels_py.search_order(nbr_masks, budget)
+    Orderings are explored once per {ordering, reversal} pair by requiring
+    order[0] < order[-1]; the condition holds for the lexicographically
+    first passing ordering (its reversal would otherwise be smaller), so
+    the returned ordering matches an unpruned depth-first search.
+    """
+    n = len(nbr_masks)
+    if n == 0:
+        return (FOUND, [], 0)
 
+    order = []
+    rankmask = [0] * n  # rankmask[v]: bit j set iff order[j] is adjacent to v
+    blocked = [0] * n  # blocked[m]: ranks blocked by order[:m]
+    resume = [0] * n  # resume[m]: next candidate index to try at rank m
+    used = 0
+    nodes = 0
+    m = 0
 
-def search_order_compiled(nbr_masks, budget):
-    """Always use the compiled kernel; None if it is not available."""
-    if _compiled is None:
-        return None
-    return _compiled.search_order(nbr_masks, budget)
+    while True:
+        w = resume[m]
+        limit = n - 1 if (m == 0 and n > 1) else n
+        B = blocked[m]
+        while w < limit:
+            if used >> w & 1 or (m == n - 1 and n > 1 and w < order[0]):
+                w += 1
+                continue
+            if nodes >= budget:
+                return (EXHAUSTED, [], nodes)
+            nodes += 1
+            if rankmask[w] & B:
+                w += 1
+                continue
+            break
+        else:
+            # no candidate left at rank m: backtrack
+            if m == 0:
+                return (NOT_MEMBER, [], nodes)
+            m -= 1
+            w = order.pop()
+            used ^= 1 << w
+            x = nbr_masks[w]
+            bit = ~(1 << m)
+            while x:
+                v = (x & -x).bit_length() - 1
+                rankmask[v] &= bit
+                x &= x - 1
+            continue
+
+        order.append(w)
+        if m == n - 1:
+            return (FOUND, order, nodes)
+        resume[m] = w + 1
+        used |= 1 << w
+        W = rankmask[w]
+        if W:
+            # w blocks the ranks after its lowest neighbour that it misses
+            low = (W & -W).bit_length() - 1
+            B |= ((1 << m) - (2 << low)) & ~W
+        x = nbr_masks[w]
+        bit = 1 << m
+        while x:
+            v = (x & -x).bit_length() - 1
+            rankmask[v] |= bit
+            x &= x - 1
+        m += 1
+        blocked[m] = B
+        resume[m] = 0

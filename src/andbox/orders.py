@@ -187,7 +187,9 @@ def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionRe
     placements across all components; hitting it yields "exhausted".
     Disconnected graphs are handled per component (components can be laid
     out on disjoint stretches of the line, so the graph qualifies iff
-    every component does), concatenating the component orderings.
+    every component does), concatenating the component orderings.  A
+    found ordering is re-checked with four_point_check before it is
+    returned; a failing one raises FourPointViolationError.
     """
     if budget < 0:
         raise OrderingError("budget must be nonnegative")
@@ -204,7 +206,9 @@ def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionRe
         if status == kernels.NOT_MEMBER:
             return RecognitionResult("not_member", None, nodes)
         merged.extend(back[i + 1] for i in order0)
-    return RecognitionResult("found", Ordering(tuple(merged)), nodes)
+    ordering = Ordering(tuple(merged))
+    _require_pass(g, ordering)
+    return RecognitionResult("found", ordering, nodes)
 
 
 @dataclass(frozen=True)

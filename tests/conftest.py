@@ -80,6 +80,61 @@ def naive_four_point_scan(g: Graph, order):
     return None
 
 
+def reference_search_order(g: Graph, budget):
+    """Direct-scan twin of the kernel's traversal, for node-for-node checks.
+
+    Same contract as andbox.kernels.search_order on a graph with vertices
+    1..n: returns (status, order, nodes) with status "found",
+    "not_member" or "exhausted" and order 0-indexed.  Candidates go in
+    ascending index, only orderings with order[0] < order[-1] are
+    explored (a largest vertex is never tried first, a last vertex below
+    order[0] never tried) and every other candidate placement costs one
+    node.  A placement at rank m is checked by scanning the quadruples
+    whose last rank is m.
+    """
+    n = g.n
+    adj = [frozenset(u - 1 for u in g.neighbors(v)) for v in g.vertices()]
+    order = []
+    nodes = 0
+
+    def closes_quadruple(w):
+        m = len(order)
+        for j in range(1, m):
+            if order[j] not in adj[w]:
+                continue
+            for k in range(j + 1, m):
+                if order[k] in adj[order[j]]:
+                    continue
+                if any(order[i] in adj[order[k]] for i in range(j)):
+                    return True
+        return False
+
+    def extend():
+        nonlocal nodes
+        m = len(order)
+        if m == n:
+            return "found"
+        for w in range(n):
+            if w in order:
+                continue
+            if n > 1 and ((m == 0 and w == n - 1) or (m == n - 1 and w < order[0])):
+                continue
+            if nodes >= budget:
+                return "exhausted"
+            nodes += 1
+            if closes_quadruple(w):
+                continue
+            order.append(w)
+            status = extend()
+            if status != "not_member":
+                return status
+            order.pop()
+        return "not_member"
+
+    status = extend()
+    return (status, order if status == "found" else [], nodes)
+
+
 def naive_accepts_some_ordering(g: Graph) -> bool:
     """Does any vertex ordering pass the exhaustive quadruple scan?
 

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import edge_set
-from andbox import fileio
+from andbox import fileio, kernels
 from andbox.boxes import to_corner_boxes, to_semisquares
 from andbox.cli import main
 from andbox.constructors import (
@@ -336,6 +336,14 @@ class TestRecognizeAnd1:
         assert out.startswith("verdict=exhausted ")
         assert not (tmp_path / "oct.witness").exists()
         assert not (tmp_path / "oct.order").exists()
+
+    def test_violating_kernel_ordering_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(kernels, "search_order", lambda masks, budget: (kernels.FOUND, [0, 1, 3, 2], 1))
+        gp = write_graph(tmp_path / "sq.and", cycle_graph(4))
+        code, out, err = run(capsys, "recognize-and1", gp)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert not (tmp_path / "sq.order").exists()
 
 
 class TestRecognizeCand1:

@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from andbox import kernels
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph, path_graph
 from andbox.orders import (
     FourPointViolationError,
@@ -206,6 +207,12 @@ class TestRecognizer:
         assert res.status == "exhausted"
         assert res.ordering is None
         assert res.nodes == 10
+
+    def test_found_ordering_is_rechecked(self, monkeypatch, square_graph):
+        # 1, 2, 4, 3 violates the four point condition on the square
+        monkeypatch.setattr(kernels, "search_order", lambda masks, budget: (kernels.FOUND, [0, 1, 3, 2], 1))
+        with pytest.raises(FourPointViolationError):
+            and1_recognize(square_graph)
 
     def test_negative_budget_rejected(self):
         with pytest.raises(OrderingError):
