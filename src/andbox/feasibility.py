@@ -2,11 +2,24 @@
 
 For central boxes B_v = [p_v - r_v, p_v + r_v] mutual containment reduces
 to a min of radii: p_u is in B_v iff |p_u - p_v| <= r_v, so u and v are
-adjacent iff |p_u - p_v| <= r_u and |p_u - p_v| <= r_v, which is exactly
-|p_u - p_v| <= min(r_u, r_v).  With a fixed point order this turns the
-existence of a central realization into a finite case split over linear
-systems: edges contribute two non-strict constraints, every non-edge
-contributes a disjunction of two strict ones (which radius is exceeded).
+adjacent iff |p_u - p_v| <= min(r_u, r_v).  With the point order fixed,
+every edge needs r_v at least the distance to each neighbour of v and a
+smaller radius can only help a non-edge, so each radius is set in closed
+form to its vertex's farthest-neighbour distance (an isolated vertex gets
+half the distance to its nearest point).  What remains is a system over
+the n - 1 gaps g_t = p_{t+1} - p_t > 0 between consecutive points.
+
+A non-edge at ranks i < j picks a side s in {i, j} whose radius
+p_j - p_i must exceed.  Side i is blocked when i has a neighbour ranked
+after j, since that neighbour is farther from i than j is; a neighbour
+between i and j is closer anyway; a neighbour left of i adds one strict
+constraint with +-1 coefficients: the span from i's leftmost neighbour
+to i is shorter than the span from i to j.  Side j mirrors this.  A
+non-edge with a side that needs no constraint is dropped, one with a
+single possible side is forced into the base system, and one with both
+sides blocked is a four point violation, which makes the order
+infeasible without any solve.  Only the remaining two-option non-edges
+are split case by case.
 
 Feasibility is decided by Fourier-Motzkin elimination over Fractions with
 strict-inequality tracking; a derived constraint is strict iff any parent
@@ -21,8 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .orders import Ordering, four_point_check
-from .realization import Realization, _frac
+# four_point_check is no longer called here but stays importable from this
+# module: perfbench/tests/test_tracing.py checks that tracing rebinds it.
+from .orders import Ordering, four_point_check, rank_bounds  # noqa: F401
+from .realization import Realization, _frac, is_central, verify
 
 DEFAULT_ORDERING_BUDGET = 10**5
 DEFAULT_CASE_BUDGET = 10**6
@@ -192,44 +207,56 @@ class CentralSearchResult:
         return self.status == "found"
 
 
-def _central_base_constraints(g: Graph, order, var_count):
-    """Base system over variables p_1..p_n, r_1..r_n (rank-indexed):
-    points strictly increasing, radii positive, and both radius bounds
-    for every edge."""
+def _shorter_than(n, inner, outer) -> LinearConstraint:
+    """span(inner) - span(outer) < 0 over the gaps g_1..g_{n-1}, where
+    span((a, b)) = p_b - p_a is the sum of the gaps g_a..g_{b-1} and
+    g_t = p_{t+1} - p_t joins ranks t and t+1."""
+    zero, one = Fraction(0), Fraction(1)
+    c = [zero] * (n - 1)
+    for t in range(*inner):
+        c[t - 1] = one
+    for t in range(*outer):
+        c[t - 1] = -one
+    return LinearConstraint(tuple(c), True, zero)
+
+
+def _gap_cases(g: Graph, order, lo, hi):
+    """(base, split) over the gaps of the point order, or None when a
+    non-edge has both sides blocked (the order fails the four point check).
+
+    base holds g_t > 0 and the constraint of every non-edge with one
+    possible side; split lists, in order of increasing rank distance, the
+    two side constraints of every remaining non-edge.  A non-edge with a
+    side that needs no constraint is dropped.
+    """
     n = g.n
-
-    def vec():
-        return [Fraction(0)] * var_count
-
-    cons = []
-    for i in range(n - 1):  # p_i - p_{i+1} < 0
-        c = vec()
-        c[i] = Fraction(1)
-        c[i + 1] = Fraction(-1)
-        cons.append(LinearConstraint(tuple(c), True, Fraction(0)))
-    for i in range(n):  # -r_i < 0
-        c = vec()
-        c[n + i] = Fraction(-1)
-        cons.append(LinearConstraint(tuple(c), True, Fraction(0)))
-    for i, j in itertools.combinations(range(n), 2):
-        if not g.has_edge(order[i], order[j]):
-            continue
-        for side in (i, j):  # p_j - p_i - r_side <= 0
-            c = vec()
-            c[j] = Fraction(1)
-            c[i] = Fraction(-1)
-            c[n + side] = Fraction(-1)
-            cons.append(LinearConstraint(tuple(c), False, Fraction(0)))
-    return cons
-
-
-def _nonedge_case_constraint(i, j, side, n, var_count):
-    """r_side - (p_j - p_i) < 0, i.e. the gap exceeds radius `side`."""
-    c = [Fraction(0)] * var_count
-    c[j] = Fraction(-1)
-    c[i] = Fraction(1)
-    c[n + side] = Fraction(1)
-    return LinearConstraint(tuple(c), True, Fraction(0))
+    base = [((t, t), (t, t + 1)) for t in range(1, n)]  # 0 < g_t
+    split = []
+    for d in range(1, n):
+        for i in range(1, n - d + 1):
+            j = i + d
+            u, v = order[i - 1], order[j - 1]
+            if g.has_edge(u, v):
+                continue
+            sides = []
+            if hi[u] < j:  # side i open: no neighbour of u at or past rank j
+                if lo[u] == i:  # nor before rank i: side i is free
+                    continue
+                sides.append(((lo[u], i), (i, j)))
+            if lo[v] > i:  # side j open: no neighbour of v at or before rank i
+                if hi[v] == j:  # nor after rank j: side j is free
+                    continue
+                sides.append(((j, hi[v]), (i, j)))
+            if not sides:
+                return None
+            if len(sides) == 1:
+                base.extend(sides)
+            else:
+                split.append(sides)
+    return (
+        [_shorter_than(n, *spans) for spans in base],
+        [[_shorter_than(n, *spans) for spans in sides] for sides in split],
+    )
 
 
 def cand1_for_ordering(
@@ -237,26 +264,22 @@ def cand1_for_ordering(
 ) -> CentralSearchResult:
     """Decide whether a central realization exists whose point order is o.
 
-    Non-edge disjunctions are resolved by depth-first case enumeration in
+    The system is over the n - 1 gaps between consecutive points, with
+    every radius fixed to its vertex's farthest-neighbour distance.  An
+    order failing the four point check is infeasible with no solve.
+    Two-option non-edges are resolved by depth-first case enumeration in
     order of increasing rank distance; every explored node costs one
     elimination run, and infeasible partial systems prune their subtree.
     """
     o.check_covers(g)
     n = g.n
     order = o.order
-    var_count = 2 * n
-    variables = tuple(
-        f"p{i + 1}" for i in range(n)
-    ) + tuple(f"r{i + 1}" for i in range(n))
-    base = _central_base_constraints(g, order, var_count)
-    nonedges = sorted(
-        (
-            (i, j)
-            for i, j in itertools.combinations(range(n), 2)
-            if not g.has_edge(order[i], order[j])
-        ),
-        key=lambda ij: (ij[1] - ij[0], ij),
-    )
+    lo, hi = rank_bounds(g, o)
+    cases = _gap_cases(g, order, lo, hi)
+    if cases is None:
+        return CentralSearchResult("infeasible", None, 0)
+    base, split = cases
+    variables = tuple(f"g{t}" for t in range(1, n))
     solved = 0
 
     def solve(cons):
@@ -270,29 +293,32 @@ def cand1_for_ordering(
         result = solve(cons)
         if not result.feasible:
             return None
-        if k == len(nonedges):
+        if k == len(split):
             return result
-        i, j = nonedges[k]
-        for side in (i, j):
-            hit = descend(
-                k + 1, cons + [_nonedge_case_constraint(i, j, side, n, var_count)]
-            )
+        for side in split[k]:
+            hit = descend(k + 1, cons + [side])
             if hit is not None:
                 return hit
         return None
 
     try:
-        result = descend(0, list(base))
+        result = descend(0, base)
     except CaseBudgetExceeded:
         return CentralSearchResult("exhausted", None, solved)
     if result is None:
         return CentralSearchResult("infeasible", None, solved)
 
-    w = result.witness
+    gaps = result.witness
+    p = [Fraction(0)]
+    for x in gaps:
+        p.append(p[-1] + x)
     items = {}
-    for rank0, v in enumerate(order):
-        p, r = w[rank0], w[n + rank0]
-        items[v] = ((p - r, p + r), p)
+    for k, v in enumerate(order, 1):
+        pk = p[k - 1]
+        r = max(pk - p[lo[v] - 1], p[hi[v] - 1] - pk)
+        if not r:  # isolated: half the distance to the nearest point, or 1
+            r = min(gaps[max(k - 2, 0):k], default=Fraction(2)) / 2
+        items[v] = ((pk - r, pk + r), pk)
     return CentralSearchResult("found", Realization.build(1, items), solved)
 
 
@@ -315,9 +341,9 @@ def cand1_recognize(
     case_budget: int = DEFAULT_CASE_BUDGET,
 ) -> CAndRecognitionResult:
     """Brute-force central recognition: enumerate point orders
-    lexicographically (each {order, reversal} pair once), keep those
-    passing the four point check (necessary, since every central model is
-    in particular a box-and-point model), and case-split the rest.
+    lexicographically (each {order, reversal} pair once) and decide each
+    with cand1_for_ordering.  Orders failing the four point check (every
+    central model is in particular a box-and-point model) cost no solve.
 
     NotMember requires the enumeration to complete within both budgets.
     Verdicts are exact but exponential; complete answers are practical
@@ -334,16 +360,12 @@ def cand1_recognize(
             return CAndRecognitionResult("exhausted", None, None, tried, solved)
         tried += 1
         o = Ordering(perm)
-        if four_point_check(g, o) is not None:
-            continue
         result = cand1_for_ordering(g, o, case_budget - solved)
         solved += result.cases_solved
         if result.status == "exhausted":
             return CAndRecognitionResult("exhausted", None, None, tried, solved)
         if result.found:
             r = result.realization
-            from .realization import is_central, verify
-
             if not is_central(r) or not verify(r, g).ok:
                 raise AssertionError("central search produced a bad witness")
             return CAndRecognitionResult("found", r, o, tried, solved)

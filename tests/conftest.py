@@ -135,6 +135,74 @@ def reference_search_order(g: Graph, budget):
     return (status, order if status == "found" else [], nodes)
 
 
+def reference_cand1_for_ordering(g: Graph, o, case_budget=10**6):
+    """The 2n-variable central search, for verdict checks of the gap one.
+
+    Same contract as andbox.feasibility.cand1_for_ordering.  Variables
+    are the points p_1..p_n and radii r_1..r_n by rank: points strictly
+    increase, radii are positive, every edge bounds both radii from
+    below, and every non-edge (i, j) is split on which radius the
+    distance p_j - p_i exceeds, in order of increasing rank distance, one
+    elimination run per explored case.
+    """
+    from andbox.feasibility import (
+        CaseBudgetExceeded,
+        CentralSearchResult,
+        LinearConstraintSystem,
+        constraint,
+        eliminate_feasible,
+    )
+
+    n = g.n
+    order = o.order
+
+    def con(terms, strict):
+        c = [F(0)] * (2 * n)
+        for var, a in terms:
+            c[var] += a
+        return constraint(c, 0, strict=strict)
+
+    base = [con([(i, 1), (i + 1, -1)], True) for i in range(n - 1)]
+    base += [con([(n + i, -1)], True) for i in range(n)]
+    nonedges = []
+    for i, j in combinations(range(n), 2):
+        if g.has_edge(order[i], order[j]):
+            for side in (i, j):  # p_j - p_i <= r_side
+                base.append(con([(j, 1), (i, -1), (n + side, -1)], False))
+        else:
+            nonedges.append((i, j))
+    nonedges.sort(key=lambda ij: (ij[1] - ij[0], ij))
+    variables = tuple(range(2 * n))
+    solved = 0
+
+    def descend(k, cons):
+        nonlocal solved
+        if solved >= case_budget:
+            raise CaseBudgetExceeded()
+        solved += 1
+        result = eliminate_feasible(LinearConstraintSystem(variables, tuple(cons)))
+        if not result.feasible:
+            return None
+        if k == len(nonedges):
+            return result
+        i, j = nonedges[k]
+        for side in (i, j):  # r_side < p_j - p_i
+            hit = descend(k + 1, cons + [con([(j, -1), (i, 1), (n + side, 1)], True)])
+            if hit is not None:
+                return hit
+        return None
+
+    try:
+        result = descend(0, base)
+    except CaseBudgetExceeded:
+        return CentralSearchResult("exhausted", None, solved)
+    if result is None:
+        return CentralSearchResult("infeasible", None, solved)
+    w = result.witness
+    items = {v: ((w[k] - w[n + k], w[k] + w[n + k]), w[k]) for k, v in enumerate(order)}
+    return CentralSearchResult("found", Realization.build(1, items), solved)
+
+
 def naive_accepts_some_ordering(g: Graph) -> bool:
     """Does any vertex ordering pass the exhaustive quadruple scan?
 

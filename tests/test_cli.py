@@ -364,7 +364,7 @@ class TestRecognizeCand1:
         witness = (tmp_path / "k23.witness").read_text()
         assert witness == (
             "c no point order admits a central realization\n"
-            "exhaustive orderings 60 cases 120\n"
+            "exhaustive orderings 60 cases 24\n"
         )
 
     def test_ordering_budget_exhaustion(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,15 +15,35 @@ from andbox.feasibility import (
     eliminate_feasible,
 )
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph
-from andbox.orders import Ordering, and1_recognize
+from andbox.orders import Ordering, and1_recognize, four_point_check
 from andbox.realization import is_central, r_order, verify
 
 from conftest import (
     grid_feasible,
     random_connected_graph,
     random_constraint_system,
+    reference_cand1_for_ordering,
     satisfies_all,
 )
+
+
+def assert_central_witness(res, g, o):
+    r = res.realization
+    assert verify(r, g).ok and is_central(r)
+    assert r_order(r) == o.order
+
+
+def assert_closed_form_radii(r, g):
+    """Radius = farthest-neighbour distance, or half the distance to the
+    nearest other point for an isolated vertex (1 when it is alone)."""
+    for v in g.vertices():
+        (lo, hi), p = r.interval(v), r.point(v)[0]
+        others = g.neighbors(v) or [u for u in g.vertices() if u != v]
+        dist = [abs(r.point(u)[0] - p) for u in others]
+        if g.neighbors(v):
+            assert (hi - lo) / 2 == max(dist)
+        else:
+            assert (hi - lo) / 2 == (min(dist) / 2 if dist else 1)
 
 
 class TestEliminateFeasible:
@@ -133,11 +154,86 @@ class TestCandForOrdering:
         for perm in [(1, 2, 3, 4, 5), (3, 1, 4, 2, 5), (1, 3, 2, 4, 5)]:
             assert cand1_for_ordering(g, Ordering(perm)).status == "infeasible"
 
-    def test_case_budget_exhaustion(self):
+    def test_double_star_identity_decided_in_one_solve(self):
         g = complete_multipartite_graph([2, 3])
-        res = cand1_for_ordering(g, Ordering((1, 2, 3, 4, 5)), case_budget=2)
+        res = cand1_for_ordering(g, Ordering((1, 2, 3, 4, 5)))
+        assert res.status == "infeasible" and res.cases_solved == 1
+
+    def test_case_budget_exhaustion(self):
+        g = cycle_graph(8)
+        res = cand1_for_ordering(g, Ordering(tuple(range(1, 9))), case_budget=2)
         assert res.status == "exhausted"
         assert res.cases_solved == 2
+
+    def test_matches_reference_search(self, connected_atlas):
+        # Over the orders cand1_recognize enumerates: a found witness is its
+        # own certificate, an order failing the four point check has no
+        # box-and-point model and hence no central one, and every other
+        # infeasible order must be infeasible for the reference too.
+        for g in connected_atlas:
+            if g.n > 5:
+                continue
+            for perm in permutations(g.vertices()):
+                if perm[0] > perm[-1]:
+                    continue
+                o = Ordering(perm)
+                res = cand1_for_ordering(g, o)
+                if res.found:
+                    assert_central_witness(res, g, o)
+                elif four_point_check(g, o) is None:
+                    ref = reference_cand1_for_ordering(g, o)
+                    assert ref.status == res.status == "infeasible", (g.edge_list(), perm)
+                else:
+                    assert res.status == "infeasible" and res.cases_solved == 0
+
+    def test_reference_search_finds_what_the_gap_search_finds(self, square_graph):
+        for g, perm in [(square_graph, (1, 2, 3, 4)), (cycle_graph(5), (1, 2, 3, 4, 5))]:
+            o = Ordering(perm)
+            ref = reference_cand1_for_ordering(g, o)
+            assert ref.found and cand1_for_ordering(g, o).found
+            assert_central_witness(ref, g, o)
+
+    def test_blocked_sides_are_four_point_violations(self, connected_atlas):
+        # A non-edge with both sides blocked makes the order infeasible
+        # before any solve, so a zero case budget separates it from an
+        # order that needs one.
+        for g in connected_atlas:
+            if g.n > 6:
+                continue
+            for perm in permutations(g.vertices()):
+                o = Ordering(perm)
+                res = cand1_for_ordering(g, o, case_budget=0)
+                assert res.cases_solved == 0
+                expected = "infeasible" if four_point_check(g, o) is not None else "exhausted"
+                assert res.status == expected, (g.edge_list(), perm)
+
+    def test_radii_are_farthest_neighbour_distances(self):
+        rng = random.Random(34)
+        found = 0
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            g = Graph.from_edges(
+                n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
+            )
+            res = cand1_recognize(g)
+            if not res.found:
+                continue
+            found += 1
+            assert_closed_form_radii(res.realization, g)
+        assert found > 20
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(1, []), (3, []), (3, [(1, 2)]), (3, [(1, 3)]), (3, [(2, 3)])],
+    )
+    def test_isolated_vertices(self, n, edges):
+        g = Graph.from_edges(n, edges)
+        for perm in permutations(g.vertices()):
+            o = Ordering(perm)
+            res = cand1_for_ordering(g, o)
+            assert res.status == "found" and res.cases_solved == 1
+            assert_central_witness(res, g, o)
+            assert_closed_form_radii(res.realization, g)
 
     def test_budget_exception_type_is_public(self):
         assert issubclass(CaseBudgetExceeded, Exception)
@@ -150,7 +246,7 @@ class TestCandRecognize:
         assert res.realization is None
         # 5 vertices: 60 orderings after reversal halving
         assert res.orderings_tried == 60
-        assert res.cases_solved == 120
+        assert res.cases_solved == 24
 
     def test_octahedron_prefilter_solves_no_cases(self):
         res = cand1_recognize(complete_multipartite_graph([2, 2, 2]))
