@@ -12,7 +12,7 @@ same intersection graph.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,24 +92,28 @@ def _boxes_arg(boxes):
 
 
 def corner_box_intersection_graph(boxes) -> Graph:
-    """Closed-intersection graph of corner boxes; ids must be 1..n."""
+    """Closed-intersection graph of corner boxes; ids must be 1..n.
+
+    Closed rectangles overlap in x only if the later-starting one starts
+    inside the other, so after a sort on the first factor's x_lo a bisection
+    per box yields the candidates, each tested on every factor (any closed
+    rectangles, on the diagonal or not): O(n log n + candidates)."""
     bs = _boxes_arg(boxes)
     ids = sorted(cb.vertex for cb in bs)
     if ids != list(range(1, len(bs) + 1)):
         raise RealizationError("corner box ids must be 1..n")
+    bs = sorted(bs, key=lambda cb: cb.factors[0][0][0])
+    starts = [cb.factors[0][0][0] for cb in bs]
     edges = []
-    for a, b in itertools.combinations(bs, 2):
-        hit = True
-        for fa, fb in zip(a.factors, b.factors):
-            for (alo, ahi), (blo, bhi) in zip(fa, fb):
-                if max(alo, blo) > min(ahi, bhi):
-                    hit = False
-                    break
-            if not hit:
-                break
-        if hit:
-            edges.append(tuple(sorted((a.vertex, b.vertex))))
-    return Graph.from_edges(len(bs), sorted(edges))
+    for k, a in enumerate(bs):
+        for b in bs[k + 1:bisect_right(starts, a.factors[0][0][1])]:
+            if all(
+                max(alo, blo) <= min(ahi, bhi)
+                for fa, fb in zip(a.factors, b.factors)
+                for (alo, ahi), (blo, bhi) in zip(fa, fb)
+            ):
+                edges.append((a.vertex, b.vertex))
+    return Graph.from_edges(len(bs), edges)
 
 
 def corner_boxes_to_realization(boxes) -> Realization:
@@ -132,11 +136,16 @@ def corner_boxes_to_realization(boxes) -> Realization:
 class SemiSquare:
     """Lower-left triangular half of a planar corner box with equal legs:
     vertices (corner, -corner), (corner+leg, -corner), (corner, -corner+leg).
+    A negative leg would flip the triangle and is rejected.
     """
 
     vertex: int
     corner: Fraction
     leg: Fraction
+
+    def __post_init__(self):
+        if self.leg < 0:
+            raise RealizationError(f"vertex {self.vertex}: negative leg {self.leg}")
 
     def triangle(self):
         p, r = self.corner, self.leg
@@ -161,30 +170,24 @@ def to_semisquares(r: Realization):
     return tuple(out)
 
 
-_AXES = ((1, 0), (0, 1), (1, 1))
-
-
-def _triangles_intersect(ta, tb) -> bool:
-    # closed convex polygons intersect iff no edge normal separates them;
-    # both triangles have edges along the axes and the antidiagonal
-    for ax, ay in _AXES:
-        pa = [ax * x + ay * y for x, y in ta]
-        pb = [ax * x + ay * y for x, y in tb]
-        if max(min(pa), min(pb)) > min(max(pa), max(pb)):
-            return False
-    return True
-
-
 def semisquare_intersection_graph(squares) -> Graph:
-    """Closed-intersection graph of semi-squares; ids must be 1..n."""
+    """Closed-intersection graph of semi-squares; ids must be 1..n.
+
+    The triangles' edges lie along x, y and x + y, and the x + y ranges
+    [0, leg] always overlap, so squares (p, r) and (q, s) touch iff
+    |p - q| <= min(r, s): after a sort by corner the candidates of (p, r)
+    are the later corners up to p + r; O(n log n + candidates)."""
     ts = tuple(squares)
     if not ts:
         raise RealizationError("no semi-squares given")
     ids = sorted(t.vertex for t in ts)
     if ids != list(range(1, len(ts) + 1)):
         raise RealizationError("semi-square ids must be 1..n")
+    ts = sorted(ts, key=lambda t: t.corner)
+    corners = [t.corner for t in ts]
     edges = []
-    for a, b in itertools.combinations(ts, 2):
-        if _triangles_intersect(a.triangle(), b.triangle()):
-            edges.append(tuple(sorted((a.vertex, b.vertex))))
-    return Graph.from_edges(len(ts), sorted(edges))
+    for k, a in enumerate(ts):
+        for b in ts[k + 1:bisect_right(corners, a.corner + a.leg)]:
+            if b.corner - a.corner <= b.leg:
+                edges.append((a.vertex, b.vertex))
+    return Graph.from_edges(len(ts), edges)

@@ -116,7 +116,7 @@ def _rat_at(path, no, token) -> Fraction:
 
 def loads_graph(text: str, path: str = "<graph>") -> Graph:
     n = m = None
-    edges = []
+    edges = {}  # insertion-ordered set of (u, v)
     for no, toks in _content_lines(text):
         if toks[0] == "p":
             if n is not None:
@@ -138,7 +138,7 @@ def loads_graph(text: str, path: str = "<graph>") -> Graph:
                 _fail(path, no, f"vertex {v} above n={n}")
             if (u, v) in edges:
                 _fail(path, no, f"duplicate edge {u} {v}")
-            edges.append((u, v))
+            edges[u, v] = None
         else:
             _fail(path, no, f"unknown record {toks[0]!r}")
     if n is None:
@@ -150,7 +150,7 @@ def loads_graph(text: str, path: str = "<graph>") -> Graph:
 
 def dumps_graph(g: Graph) -> str:
     lines = [f"p and {g.n} {g.m}"]
-    lines += [f"e {u} {v}" for u, v in sorted(map(tuple, map(sorted, g.edge_list())))]
+    lines += [f"e {u} {v}" for u, v in g.edge_list()]
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,8 @@ class GraphError(ValueError):
 class Graph:
     n: int
     edges: frozenset  # frozenset of 2-element frozensets
-    _adj: dict = field(repr=False, compare=False, default=None)
+    _adj: dict = field(init=False, repr=False, compare=False)
+    _nbrs: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -35,24 +36,16 @@ class Graph:
             if key in seen:
                 raise GraphError(f"duplicate edge {min(u, v)},{max(u, v)}")
             seen.add(key)
-        adj = {v: set() for v in range(1, n + 1)}
-        for e in seen:
-            u, v = tuple(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        g = Graph(n, frozenset(seen), {v: tuple(sorted(adj[v])) for v in adj})
-        return g
+        return Graph(n, frozenset(seen))
 
     def __post_init__(self):
-        if self._adj is None:
-            adj = {v: set() for v in range(1, self.n + 1)}
-            for e in self.edges:
-                u, v = tuple(e)
-                adj[u].add(v)
-                adj[v].add(u)
-            object.__setattr__(
-                self, "_adj", {v: tuple(sorted(adj[v])) for v in adj}
-            )
+        adj = {v: set() for v in range(1, self.n + 1)}
+        for e in self.edges:
+            u, v = e
+            adj[u].add(v)
+            adj[v].add(u)
+        object.__setattr__(self, "_adj", {v: tuple(sorted(adj[v])) for v in adj})
+        object.__setattr__(self, "_nbrs", adj)
 
     @property
     def m(self) -> int:
@@ -68,7 +61,8 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return frozenset((u, v)) in self.edges
+        nbrs = self._nbrs.get(u)
+        return nbrs is not None and v in nbrs
 
     def edge_list(self):
         """Edges as sorted (u, v) pairs with u < v, lexicographic."""

@@ -10,7 +10,7 @@ All adjacency decisions use Fraction arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,8 +90,6 @@ class Realization:
         return len(self.ids)
 
     def index(self, v: int) -> int:
-        from bisect import bisect_left
-
         i = bisect_left(self.ids, v)
         if i == len(self.ids) or self.ids[i] != v:
             raise RealizationError(f"unknown vertex {v}")
@@ -122,11 +120,20 @@ def _contains(box, point) -> bool:
 
 def adjacency_pairs(r: Realization):
     """Set of (u, v) pairs (u < v) adjacent by mutual containment.
-    Works for any id set; induced_graph adds the 1..n contract."""
+    Works for any id set; induced_graph adds the 1..n contract.  Points are
+    sorted by first coordinate; a bisection per box yields the candidates
+    inside its first side, which get the exact test both ways in every
+    dimension: O(n log n + candidates), not all n(n - 1)/2 pairs."""
+    order = sorted(range(r.n), key=lambda i: r.points[i][0])
+    keys = [r.points[i][0] for i in order]
     out = set()
-    for i, j in itertools.combinations(range(r.n), 2):
-        if _contains(r.boxes[i], r.points[j]) and _contains(r.boxes[j], r.points[i]):
-            out.add((r.ids[i], r.ids[j]))
+    for i, box in enumerate(r.boxes):
+        lo, hi = box[0]
+        for j in order[bisect_left(keys, lo):bisect_right(keys, hi)]:
+            if j > i and _contains(box, r.points[j]) and _contains(
+                r.boxes[j], r.points[i]
+            ):
+                out.add((r.ids[i], r.ids[j]))
     return out
 
 
@@ -150,7 +157,7 @@ def verify(r: Realization, g: Graph) -> VerifyReport:
     if set(r.ids) != set(g.vertices()):
         raise RealizationError("realization and graph vertex sets differ")
     induced = adjacency_pairs(r)
-    target = {tuple(sorted(e)) for e in g.edge_list()}
+    target = set(g.edge_list())
     return VerifyReport(
         tuple(sorted(target - induced)), tuple(sorted(induced - target))
     )
@@ -256,19 +263,12 @@ def is_safe(r: Realization, v: int) -> bool:
     if r.d != 1:
         raise RealizationError("is_safe is defined for d = 1")
     iv = r.index(v)
-    pv = r.points[iv]
-    adjacent = set()
-    for (a, b) in adjacency_pairs(r):
-        if a == v:
-            adjacent.add(b)
-        elif b == v:
-            adjacent.add(a)
-    for i, w in enumerate(r.ids):
-        if w == v:
-            continue
-        if _contains(r.boxes[i], pv) and w not in adjacent:
-            return False
-    return True
+    box, pv = r.boxes[iv], r.points[iv]
+    # a box holding p_v belongs to a neighbour iff v's box holds its point
+    return all(
+        i == iv or not _contains(r.boxes[i], pv) or _contains(box, r.points[i])
+        for i in range(r.n)
+    )
 
 
 def central_radius(r: Realization, v: int) -> Fraction:

@@ -30,7 +30,8 @@ def point_in_box(point, box) -> bool:
 
 
 def oracle_induced_edges(r: Realization) -> set:
-    """Edge set by direct mutual containment over all vertex pairs."""
+    """Edge set by direct mutual containment over all vertex pairs: the
+    all-pairs reference for the sweep in adjacency_pairs."""
     out = set()
     for (u, bu, pu), (v, bv, pv) in combinations(r.items(), 2):
         if point_in_box(pv, bu) and point_in_box(pu, bv):
@@ -235,6 +236,39 @@ def oracle_interval_overlap_edges(spans) -> set:
     return out
 
 
+def reference_corner_box_edges(boxes) -> set:
+    """All-pairs closed-rectangle test on every planar factor: the scan the
+    sweep in corner_box_intersection_graph replaced."""
+    out = set()
+    for a, b in combinations(boxes, 2):
+        if all(
+            max(alo, blo) <= min(ahi, bhi)
+            for fa, fb in zip(a.factors, b.factors)
+            for (alo, ahi), (blo, bhi) in zip(fa, fb)
+        ):
+            out.add(frozenset((a.vertex, b.vertex)))
+    return out
+
+
+def reference_semisquare_edges(squares) -> set:
+    """All-pairs separating-axis test on the triangles themselves: closed
+    convex polygons intersect iff no edge normal separates them, and every
+    semi-square has its edges along the axes and the antidiagonal.  This is
+    the scan the closed-form sweep in semisquare_intersection_graph
+    replaced."""
+    def separated(ta, tb, ax, ay):
+        pa = [ax * x + ay * y for x, y in ta]
+        pb = [ax * x + ay * y for x, y in tb]
+        return max(min(pa), min(pb)) > min(max(pa), max(pb))
+
+    out = set()
+    for a, b in combinations(squares, 2):
+        ta, tb = a.triangle(), b.triangle()
+        if not any(separated(ta, tb, *axis) for axis in ((1, 0), (0, 1), (1, 1))):
+            out.add(frozenset((a.vertex, b.vertex)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # random instance generators (plain `random.Random`, rational outputs)
 
@@ -255,6 +289,26 @@ def random_realization(rng: random.Random, n: int, d: int = 1) -> Realization:
             p = lo + (hi - lo) * F(rng.randint(0, 16), 16)
             box.append((lo, hi))
             point.append(p)
+        items[v] = (tuple(box), tuple(point))
+    return Realization.build(d, items)
+
+
+def random_tied_realization(rng: random.Random, n: int, d: int = 1) -> Realization:
+    """Coordinates from a small grid of halves in [-3, 3], so points,
+    endpoints and whole boxes tie often; about one side in four has zero
+    width, and the ids are n distinct values from 1..3n."""
+    grid = [F(k, 2) for k in range(-6, 7)]
+    items = {}
+    for v in rng.sample(range(1, 3 * n + 1), n):
+        box = []
+        point = []
+        for _ in range(d):
+            if rng.random() < 0.25:
+                lo = hi = rng.choice(grid)
+            else:
+                lo, hi = sorted(rng.sample(grid, 2))
+            box.append((lo, hi))
+            point.append(rng.choice([x for x in grid if lo <= x <= hi]))
         items[v] = (tuple(box), tuple(point))
     return Realization.build(d, items)
 

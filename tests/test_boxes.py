@@ -32,6 +32,8 @@ from conftest import (
     oracle_induced_edges,
     random_central_realization,
     random_realization,
+    reference_corner_box_edges,
+    reference_semisquare_edges,
 )
 
 
@@ -87,6 +89,24 @@ class TestCornerBoxGraph:
             r = random_realization(rng, rng.randint(2, 9), d=d)
             g = corner_box_intersection_graph(to_corner_boxes(r))
             assert edge_set(g) == oracle_induced_edges(r)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_all_pairs_reference_on_closed_rectangles(self, d):
+        # corners off the diagonal; small integer grid, so rectangles touch
+        # along edges and at corners, and some are segments or points
+        rng = random.Random(6400 + d)
+
+        def side():
+            return tuple(sorted(F(rng.randint(-3, 3)) for _ in range(2)))
+
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            boxes = [
+                CornerBox(v, tuple((side(), side()) for _ in range(d)))
+                for v in rng.sample(range(1, n + 1), n)
+            ]
+            g = corner_box_intersection_graph(boxes)
+            assert edge_set(g) == reference_corner_box_edges(boxes)
 
     def test_requires_contiguous_ids(self):
         cb = CornerBox(5, (((F(1), F(2)), (F(-1), F(0))),))
@@ -175,6 +195,23 @@ class TestSemiSquares:
             r = random_central_realization(rng, rng.randint(2, 9))
             g = semisquare_intersection_graph(to_semisquares(r))
             assert edge_set(g) == oracle_induced_edges(r)
+
+    def test_matches_triangle_reference(self):
+        # equal corners, zero legs, and triangles touching at a vertex or
+        # along an edge (integer corners and legs)
+        rng = random.Random(7300)
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            squares = [
+                SemiSquare(v, F(rng.randint(0, 6)), F(rng.choice([0, 0, 1, 2, 3, 5])))
+                for v in rng.sample(range(1, n + 1), n)
+            ]
+            g = semisquare_intersection_graph(squares)
+            assert edge_set(g) == reference_semisquare_edges(squares)
+
+    def test_negative_leg_rejected(self):
+        with pytest.raises(RealizationError):
+            SemiSquare(1, F(2), F(-1, 2))
 
     def test_clique_realization_gives_complete_graph(self):
         squares = to_semisquares(clique_cand1([1, 2, 3, 4]))

@@ -98,6 +98,12 @@ class TestGraphFormat:
             fileio.loads_graph(text, "g.txt")
         assert str(err.value).startswith(f"g.txt:{line}:")
 
+    def test_first_duplicate_edge_reported(self):
+        text = "p and 4 5\ne 1 2\ne 2 3\ne 3 4\ne 2 3\ne 1 2\n"
+        with pytest.raises(FileFormatError) as err:
+            fileio.loads_graph(text, "g.txt")
+        assert str(err.value) == "g.txt:5: duplicate edge 2 3"
+
     def test_edge_count_mismatch(self):
         with pytest.raises(FileFormatError):
             fileio.loads_graph("p and 2 2\ne 1 2\n")

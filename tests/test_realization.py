@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from andbox import realization
+from andbox.constructors import cycle_cand1
 from andbox.graphs import Graph, cycle_graph
 from andbox.realization import (
     Realization,
@@ -29,6 +31,7 @@ from conftest import (
     oracle_induced_edges,
     random_central_realization,
     random_realization,
+    random_tied_realization,
 )
 
 
@@ -94,6 +97,35 @@ class TestInducedGraph:
         with pytest.raises(RealizationError):
             induced_graph(r)
         assert adjacency_pairs(r) == {(1, 3)}
+
+
+class TestAdjacencySweep:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_all_pairs_reference_with_ties(self, d):
+        # tied points and endpoints, zero-width sides, negative coordinates
+        # and ids that are not 1..n
+        rng = random.Random(8100 + d)
+        for _ in range(300):
+            r = random_tied_realization(rng, rng.randint(1, 14), d=d)
+            pairs = adjacency_pairs(r)
+            assert all(u < v for u, v in pairs)
+            assert {frozenset(p) for p in pairs} == oracle_induced_edges(r)
+
+    def test_contains_calls_are_output_sensitive(self, monkeypatch):
+        # an all-pairs scan makes at least n(n-1)/2 = 1,999,000 calls here
+        calls = 0
+        contains = realization._contains
+
+        def counted(box, point):
+            nonlocal calls
+            calls += 1
+            return contains(box, point)
+
+        monkeypatch.setattr(realization, "_contains", counted)
+        r = cycle_cand1(2000)
+        assert adjacency_pairs(r) == set(cycle_graph(2000).edge_list())
+        n = m = 2000
+        assert calls < 5 * (n + m)
 
 
 class TestVerify:
@@ -225,10 +257,12 @@ class TestSafety:
 
     def test_matches_definition_on_random_instances(self):
         rng = random.Random(707)
-        for _ in range(40):
-            r = random_realization(rng, rng.randint(2, 10))
+        for k in range(80):
+            # every other instance has tied points and ids other than 1..n
+            generate = random_tied_realization if k % 2 else random_realization
+            r = generate(rng, rng.randint(2, 10))
             adj = {v: set() for v in r.ids}
-            for a, b in adjacency_pairs(r):
+            for a, b in map(tuple, oracle_induced_edges(r)):
                 adj[a].add(b)
                 adj[b].add(a)
             for v in r.ids:
