@@ -406,8 +406,9 @@ def _dissection_faces(k: int, chords):
     for a, b in chords:
         reach.setdefault(a, []).append(b)
     out = []
-
-    def rec(a, b, closing):
+    stack = [(0, k - 1, None)]
+    while stack:
+        a, b, closing = stack.pop()
         face = [a]
         c = a
         while c != b:
@@ -418,11 +419,9 @@ def _dissection_faces(k: int, chords):
             face.append(q)
             c = q
         out.append((face, closing))
-        for s, t in zip(face, face[1:]):
+        for s, t in reversed(list(zip(face, face[1:]))):
             if t > s + 1:
-                rec(s, t, (s, t))
-
-    rec(0, k - 1, None)
+                stack.append((s, t, (s, t)))
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,11 +37,19 @@ class IntervalModel:
         return self.spans[v - 1]
 
     def intersection_graph(self) -> Graph:
-        edges = []
-        for u, v in itertools.combinations(range(1, self.n + 1), 2):
-            a, b = self.spans[u - 1], self.spans[v - 1]
-            if max(a[0], b[0]) <= min(a[1], b[1]):
-                edges.append((u, v))
+        """Sorted by left end, an interval meets exactly the later ones
+        starting by its right end; an empty span (lo > hi) meets none."""
+        spans = self.spans
+        order = sorted(
+            (v for v in range(self.n) if spans[v][0] <= spans[v][1]),
+            key=lambda v: spans[v][0],
+        )
+        los = [spans[v][0] for v in order]
+        edges = [
+            (u + 1, v + 1)
+            for p, u in enumerate(order)
+            for v in order[p + 1 : bisect_right(los, spans[u][1])]
+        ]
         return Graph.from_edges(self.n, edges)
 
 
@@ -116,10 +125,16 @@ class RootedPathModel:
         verts = sorted(self.paths)
         if verts != list(range(1, len(verts) + 1)):
             raise GraphError("path model vertices must be 1..n")
+        # Two downward paths meet iff the top of one lies on the other.
+        by_top = {}
+        for v in verts:
+            by_top.setdefault(self.paths[v][0], []).append(v)
         edges = []
-        for u, v in itertools.combinations(verts, 2):
-            if set(self.paths[u]) & set(self.paths[v]):
-                edges.append((u, v))
+        for u in verts:
+            top, *below = self.paths[u]
+            edges.extend((u, v) for v in by_top[top] if v > u)
+            for node in below:
+                edges.extend((u, v) for v in by_top.get(node, ()))
         return Graph.from_edges(len(verts), edges)
 
 

@@ -16,40 +16,45 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
+    """Vertices 1..n; bit u-1 of masks[v-1] is set iff u ~ v, the
+    adjacency format kernels.search_order takes."""
+
     n: int
-    edges: frozenset  # frozenset of 2-element frozensets
+    masks: tuple
     _adj: dict = field(init=False, repr=False, compare=False)
-    _nbrs: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         if n < 1:
             raise GraphError("vertex count must be >= 1")
-        seen = set()
+        masks = [0] * n
         for e in edges:
             u, v = e
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(f"edge {u},{v} out of range 1..{n}")
-            key = frozenset((u, v))
-            if key in seen:
+            if masks[u - 1] >> (v - 1) & 1:
                 raise GraphError(f"duplicate edge {min(u, v)},{max(u, v)}")
-            seen.add(key)
-        return Graph(n, frozenset(seen))
+            masks[u - 1] |= 1 << (v - 1)
+            masks[v - 1] |= 1 << (u - 1)
+        return Graph(n, tuple(masks))
 
     def __post_init__(self):
-        adj = {v: set() for v in range(1, self.n + 1)}
-        for e in self.edges:
-            u, v = e
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", {v: tuple(sorted(adj[v])) for v in adj})
-        object.__setattr__(self, "_nbrs", adj)
+        adj = {}
+        for v, x in enumerate(self.masks, start=1):
+            nbrs, u = [], 0
+            while x:
+                step = (x & -x).bit_length()
+                u += step
+                nbrs.append(u)
+                x >>= step
+            adj[v] = tuple(nbrs)
+        object.__setattr__(self, "_adj", adj)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(x.bit_count() for x in self.masks) // 2
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -61,12 +66,11 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self._nbrs.get(u)
-        return nbrs is not None and v in nbrs
+        return 0 < u <= self.n and 0 < v and self.masks[u - 1] >> (v - 1) & 1 == 1
 
     def edge_list(self):
-        """Edges as sorted (u, v) pairs with u < v, lexicographic."""
-        return sorted(tuple(sorted(e)) for e in self.edges)
+        """Edges as (u, v) pairs with u < v, lexicographic."""
+        return [(u, v) for u, nbrs in self._adj.items() for v in nbrs if v > u]
 
     def connected_components(self):
         """List of components, each a sorted tuple of vertices."""
@@ -98,13 +102,11 @@ class Graph:
         new ids follow ascending old ids.
         """
         vs = sorted(vertices)
-        new_of_old = {v: i + 1 for i, v in enumerate(vs)}
-        edges = [
-            (new_of_old[u], new_of_old[v])
-            for u, v in self.edge_list()
-            if u in new_of_old and v in new_of_old
-        ]
-        return Graph.from_edges(len(vs), edges), {i + 1: v for i, v in enumerate(vs)}
+        bit_of_old = {v: 1 << i for i, v in enumerate(vs)}
+        masks = tuple(
+            sum(bit_of_old.get(u, 0) for u in self._adj[v]) for v in vs
+        )
+        return Graph(len(vs), masks), {i + 1: v for i, v in enumerate(vs)}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ can then be read off the ordering with integer coordinates.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import kernels
@@ -77,35 +76,28 @@ def rank_bounds(g: Graph, o: Ordering):
 def four_point_check(g: Graph, o: Ordering):
     """None when the ordering is 4PC-free, else the first violation.
 
-    Quadratic pair scan: ranks j < k over a non-adjacent pair (u, v)
-    violate iff some neighbor of v sits before rank j and some neighbor
-    of u after rank k.  The reported quadruple is the one the exhaustive
-    rank-lexicographic scan would find first.
+    Pair scan: ranks j < k over a non-adjacent pair (u, v) violate iff
+    some neighbor of v sits before rank j and some neighbor of u after
+    rank k, so k runs only up to u's last neighbor rank hi[u].  The
+    reported quadruple is the one the exhaustive rank-lexicographic scan
+    would find first.
     """
     o.check_covers(g)
     n = g.n
     rank = o.ranks()
     order = o.order
     lo, hi = rank_bounds(g, o)
-    nbr_ranks = {
-        v: sorted(rank[u] for u in g.neighbors(v)) for v in g.vertices()
-    }
     best = None
     for j in range(2, n):  # rank of u
         u = order[j - 1]
-        if hi[u] <= j:
-            continue
-        for k in range(j + 1, n):
+        for k in range(j + 1, hi[u]):
             v = order[k - 1]
             if g.has_edge(u, v):
                 continue
-            if lo[v] < j and hi[u] > k:
-                i = lo[v]
-                rs = nbr_ranks[u]
-                l = rs[bisect_right(rs, k)]
-                cand = (i, j, k, l)
-                if best is None or cand < best:
-                    best = cand
+            # (j, k) only grows, so a later pair wins only with a smaller i
+            if lo[v] < j and (best is None or lo[v] < best[0]):
+                l = min(rank[w] for w in g.neighbors(u) if rank[w] > k)
+                best = (lo[v], j, k, l)
     if best is None:
         return None
     i, j, k, l = best
@@ -172,12 +164,6 @@ class RecognitionResult:
         return self.status == "found"
 
 
-def _component_masks(sub: Graph):
-    return [
-        sum(1 << (u - 1) for u in sub.neighbors(v)) for v in sub.vertices()
-    ]
-
-
 def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionResult:
     """Backtracking search for a 4PC-free ordering.
 
@@ -197,9 +183,7 @@ def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionRe
     nodes = 0
     for comp in g.connected_components():
         sub, back = g.subgraph(comp)
-        status, order0, used = kernels.search_order(
-            _component_masks(sub), budget - nodes
-        )
+        status, order0, used = kernels.search_order(sub.masks, budget - nodes)
         nodes += used
         if status == kernels.EXHAUSTED:
             return RecognitionResult("exhausted", None, nodes)

@@ -52,7 +52,7 @@ def oracle_central_edges(r: Realization) -> set:
 
 
 def edge_set(g: Graph) -> set:
-    return set(g.edges)
+    return {frozenset(e) for e in g.edge_list()}
 
 
 def naive_four_point_scan(g: Graph, order):
@@ -224,7 +224,8 @@ def naive_accepts_some_ordering(g: Graph) -> bool:
 
 def oracle_interval_overlap_edges(spans) -> set:
     """Pairwise closed-interval overlap; takes an id -> (lo, hi) mapping
-    or a sequence whose i-th entry belongs to vertex i + 1."""
+    or a sequence whose i-th entry belongs to vertex i + 1.  The all-pairs
+    reference for the sweep in IntervalModel.intersection_graph."""
     if not isinstance(spans, dict):
         spans = {i + 1: s for i, s in enumerate(spans)}
     out = set()
@@ -233,6 +234,45 @@ def oracle_interval_overlap_edges(spans) -> set:
         blo, bhi = spans[v]
         if max(alo, blo) <= min(ahi, bhi):
             out.add(frozenset((u, v)))
+    return out
+
+
+def reference_rooted_path_edges(model) -> set:
+    """Vertices are adjacent iff their tree paths share a node: the
+    all-pairs scan that indexing by top node in
+    RootedPathModel.intersection_graph replaced."""
+    out = set()
+    for u, v in combinations(sorted(model.paths), 2):
+        if set(model.paths[u]) & set(model.paths[v]):
+            out.add(frozenset((u, v)))
+    return out
+
+
+def reference_dissection_faces(k: int, chords):
+    """The recursive face walk that constructors._dissection_faces runs with
+    an explicit stack: same faces, same discovery order, but one Python
+    frame per nesting level."""
+    reach = {}
+    for a, b in chords:
+        reach.setdefault(a, []).append(b)
+    out = []
+
+    def rec(a, b, closing):
+        face = [a]
+        c = a
+        while c != b:
+            q = c + 1
+            for t in reach.get(c, ()):
+                if t > q and t <= b and not (c == a and t == b):
+                    q = t
+            face.append(q)
+            c = q
+        out.append((face, closing))
+        for s, t in zip(face, face[1:]):
+            if t > s + 1:
+                rec(s, t, (s, t))
+
+    rec(0, k - 1, None)
     return out
 
 

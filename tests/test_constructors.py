@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from andbox.constructors import (
+    _dissection_faces,
     assemble_block_tree,
     block_graph_cand1,
     clique_cand1,
@@ -52,6 +53,7 @@ from conftest import (
     oracle_central_edges,
     oracle_induced_edges,
     oracle_interval_overlap_edges,
+    reference_dissection_faces,
 )
 
 
@@ -408,6 +410,23 @@ class TestOuterplanar:
             r = outerplanar_cand1(b.aux)
             assert verify(r, b.graph).ok
             assert is_central(r)
+
+    def test_face_walk_matches_recursive_reference(self):
+        for seed in range(60):
+            b = random_dissection(4 + seed % 30, seed)
+            k = b.graph.n
+            chords = sorted((u - 1, v - 1) for u, v in b.aux.chords)
+            assert _dissection_faces(k, chords) == reference_dissection_faces(k, chords)
+
+    def test_deeply_nested_chords(self):
+        # chords (i, k - 1 - i) nest 1,198 faces deep: past Python's
+        # recursion limit for a recursive walk
+        k = 2400
+        chords = [(i, k - 1 - i) for i in range(1, 1198)]
+        faces = _dissection_faces(k, chords)
+        assert len(faces) == len(chords) + 1
+        assert faces[0] == ([0, 1, k - 2, k - 1], None)
+        assert faces[-1] == ([1197, 1198, 1199, 1200, 1201, 1202], (1197, 1202))
 
     def test_crossing_chords_rejected(self):
         m = OuterplanarModel((1, 2, 3, 4, 5, 6), ((1, 3), (2, 4)))

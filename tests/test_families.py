@@ -1,12 +1,15 @@
 """Graph family generators and their aux-model consistency."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from andbox.families import (
     HGraphSpec,
+    IntervalModel,
+    RootedPathModel,
     complete_multipartite,
     cycle,
     family_names,
@@ -20,7 +23,7 @@ from andbox.families import (
 )
 from andbox.graphs import GraphError, block_decomposition
 
-from conftest import edge_set, oracle_interval_overlap_edges
+from conftest import edge_set, oracle_interval_overlap_edges, reference_rooted_path_edges
 
 
 def fz(u, v):
@@ -33,15 +36,6 @@ def h_spec_edges(spec: HGraphSpec) -> set:
     for path_vs in (spec.x, spec.y, spec.z):
         seq = (spec.a,) + tuple(path_vs) + (spec.b,)
         out.update(fz(p, q) for p, q in zip(seq, seq[1:]))
-    return out
-
-
-def rooted_path_edges(model) -> set:
-    """Vertices are adjacent iff their tree paths share a node."""
-    out = set()
-    for u, v in combinations(sorted(model.paths), 2):
-        if set(model.paths[u]) & set(model.paths[v]):
-            out.add(fz(u, v))
     return out
 
 
@@ -98,7 +92,7 @@ class TestRandomFamilies:
             b = random_rooted_path(random.Random(s).randint(1, 25), seed=s)
             model = b.aux
             assert sorted(model.paths) == list(b.graph.vertices())
-            assert edge_set(b.graph) == rooted_path_edges(model)
+            assert edge_set(b.graph) == reference_rooted_path_edges(model)
             # every path walks child-to-parent-linked tree nodes downward
             for seq in model.paths.values():
                 for parent_node, child_node in zip(seq, seq[1:]):
@@ -135,6 +129,77 @@ class TestRandomFamilies:
             for block in block_decomposition(b.graph).blocks:
                 for u, v in combinations(sorted(block), 2):
                     assert b.graph.has_edge(u, v)
+
+
+class TestIntersectionGraphs:
+    def test_interval_sweep_matches_all_pairs_reference(self):
+        # endpoints on a small grid: shared endpoints, equal intervals and
+        # single points are common
+        rng = random.Random(5150)
+        for _ in range(300):
+            n = rng.randint(1, 16)
+            spans = []
+            for _ in range(n):
+                if spans and rng.random() < 0.15:
+                    spans.append(rng.choice(spans))
+                    continue
+                lo = Fraction(rng.randint(0, 12), rng.choice((1, 2)))
+                spans.append((lo, lo + Fraction(rng.randint(0, 6), rng.choice((1, 2)))))
+            model = IntervalModel(tuple(spans))
+            assert edge_set(model.intersection_graph()) == oracle_interval_overlap_edges(spans)
+
+    def test_interval_ties(self):
+        model = IntervalModel(((0, 1), (1, 2), (1, 1), (0, 1), (3, 3), (2, 3)))
+        assert edge_set(model.intersection_graph()) == {
+            fz(1, 2), fz(1, 3), fz(1, 4), fz(2, 3), fz(2, 4), fz(3, 4),
+            fz(2, 6), fz(5, 6),
+        }
+
+    def test_empty_interval_meets_nothing(self):
+        spans = ((0, 4), (3, 1), (2, 2))
+        model = IntervalModel(spans)
+        assert edge_set(model.intersection_graph()) == oracle_interval_overlap_edges(spans) == {fz(1, 3)}
+
+    def test_rooted_path_index_matches_all_pairs_reference(self):
+        # small trees and short paths: single-node paths, equal tops and paths
+        # that meet only at one path's top are common
+        rng = random.Random(5151)
+        for _ in range(300):
+            size = rng.randint(1, 8)
+            parent = {1: 0}
+            children = {1: []}
+            for node in range(2, size + 1):
+                p = rng.randint(1, node - 1)
+                parent[node] = p
+                children[p].append(node)
+                children[node] = []
+            paths = {}
+            for v in range(1, rng.randint(1, 14) + 1):
+                chain = [rng.randint(1, size)]
+                while children[chain[-1]] and rng.random() < 0.6:
+                    chain.append(rng.choice(children[chain[-1]]))
+                paths[v] = tuple(chain)
+            model = RootedPathModel(parent, paths)
+            assert edge_set(model.intersection_graph()) == reference_rooted_path_edges(model)
+
+    def test_rooted_paths_meeting_only_at_a_top(self):
+        # tree 1 -> 2 -> 3, 1 -> 4; 2 -> 5
+        parent = {1: 0, 2: 1, 3: 2, 4: 1, 5: 2}
+        paths = {
+            1: (1, 2, 3),  # reaches 2, the top of 4 and of 5
+            2: (2, 5),  # meets 1 at node 2 only
+            3: (1, 4),  # meets 1 at its own top only
+            4: (2,),  # single node, the top of 2
+            5: (5,),  # bottom of 2
+            6: (4,),  # bottom of 3
+            7: (3,),  # bottom of 1
+        }
+        model = RootedPathModel(parent, paths)
+        expected = {
+            fz(1, 2), fz(1, 3), fz(1, 4), fz(2, 4), fz(2, 5), fz(3, 6), fz(1, 7),
+        }
+        assert edge_set(model.intersection_graph()) == expected
+        assert reference_rooted_path_edges(model) == expected
 
 
 class TestGenerateDispatcher:

@@ -68,6 +68,75 @@ class TestGraphBasics:
         assert old_of_new == {1: 1, 2: 3, 3: 5}
 
 
+class TestGraphRepresentation:
+    def test_equal_and_hash_alike_for_any_edge_order(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(1, 12), extra_edge_prob=0.4)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edge_list()]
+            rng.shuffle(edges)
+            h = Graph.from_edges(g.n, edges)
+            assert h == g and hash(h) == hash(g)
+
+    def test_same_edges_other_vertex_count_differ(self):
+        assert Graph.from_edges(3, [(1, 2)]) != Graph.from_edges(4, [(1, 2)])
+
+    def test_has_edge_outside_the_vertex_range(self):
+        g = complete_graph(4)
+        for bad in (0, -1, 5):
+            assert g.has_edge(bad, 2) is False
+            assert g.has_edge(2, bad) is False
+
+    def test_neighbors_sorted_beyond_64_vertices(self):
+        rng = random.Random(11)
+        n = 150
+        edges = rng.sample(list(combinations(range(1, n + 1), 2)), 900)
+        g = Graph.from_edges(n, edges)
+        for v in g.vertices():
+            expected = sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v})
+            assert list(g.neighbors(v)) == expected
+            assert g.degree(v) == len(expected)
+        assert g.m == 900
+        assert g.edge_list() == sorted(edges)
+
+    def test_subgraph_of_non_contiguous_vertices(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            g = random_connected_graph(rng, rng.randint(1, 20), extra_edge_prob=0.3)
+            keep = sorted(rng.sample(list(g.vertices()), rng.randint(1, g.n)))
+            sub, old_of_new = g.subgraph(reversed(keep))
+            assert sub.n == len(keep)
+            assert [old_of_new[i] for i in sub.vertices()] == keep
+            expected = {
+                (keep.index(u) + 1, keep.index(v) + 1)
+                for u, v in g.edge_list()
+                if u in keep and v in keep
+            }
+            assert set(sub.edge_list()) == expected
+            assert sub == Graph.from_edges(sub.n, expected)
+
+    def test_edgeless(self):
+        g = Graph.from_edges(5, [])
+        assert g.m == 0
+        assert g.edge_list() == []
+        assert g.neighbors(3) == ()
+        assert g.connected_components() == [(1,), (2,), (3,), (4,), (5,)]
+
+    def test_from_edges_messages(self):
+        with pytest.raises(GraphError, match="^loop at vertex 2$"):
+            Graph.from_edges(3, [(1, 2), (2, 2)])
+        with pytest.raises(GraphError, match=r"^edge 1,4 out of range 1\.\.3$"):
+            Graph.from_edges(3, [(1, 4)])
+        with pytest.raises(GraphError, match=r"^edge 0,2 out of range 1\.\.3$"):
+            Graph.from_edges(3, [(0, 2)])
+        with pytest.raises(GraphError, match="^duplicate edge 1,2$"):
+            Graph.from_edges(3, [(1, 2), (2, 1)])
+        with pytest.raises(GraphError, match="^duplicate edge 2,3$"):
+            Graph.from_edges(3, [(3, 2), (1, 2), (3, 2)])
+        with pytest.raises(GraphError, match="^vertex count must be >= 1$"):
+            Graph.from_edges(0, [])
+
+
 class TestNamedGraphs:
     def test_cycle(self):
         g = cycle_graph(4)

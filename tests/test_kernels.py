@@ -59,6 +59,11 @@ def test_budget_counts_processed_placements():
     assert status == kernels.NOT_MEMBER and nodes == 1054
 
 
+def test_graph_masks_are_the_kernel_input(connected_atlas):
+    for g in connected_atlas:
+        assert list(g.masks) == masks(g), g.edge_list()
+
+
 def test_matches_reference_search_node_for_node(connected_atlas):
     for g in connected_atlas:
         m = masks(g)

@@ -104,6 +104,25 @@ class TestFourPointCheck:
             )
 
 
+    def test_stops_at_last_neighbour_rank(self, monkeypatch):
+        # identity order on a perfect matching: rank k of a non-neighbour
+        # never lies before u's last neighbour, so no pair is tested; a scan
+        # running k up to n makes 997,002 has_edge calls here
+        n = 2000
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(1, n, 2)])
+        calls = 0
+        has_edge = Graph.has_edge
+
+        def counted(self, u, v):
+            nonlocal calls
+            calls += 1
+            return has_edge(self, u, v)
+
+        monkeypatch.setattr(Graph, "has_edge", counted)
+        assert four_point_check(g, Ordering(tuple(range(1, n + 1)))) is None
+        assert calls < n
+
+
 class TestRealizationFromOrdering:
     def test_square_frozen_values(self, square_graph):
         r = realization_from_ordering(square_graph, Ordering((1, 2, 3, 4)))
@@ -225,6 +244,25 @@ class TestRecognizer:
         assert res.found
         assert sorted(res.ordering.order) == list(range(1, 8))
         assert naive_four_point_scan(g, res.ordering.order) is None
+
+    def test_components_read_only_their_own_vertices(self, monkeypatch):
+        # 2,000 components; building each from the whole edge list made one
+        # edge_list call (and a sort of all edges) per component
+        n = 4000
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(1, n, 2)])
+        calls = 0
+        edge_list = Graph.edge_list
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return edge_list(self)
+
+        monkeypatch.setattr(Graph, "edge_list", counted)
+        res = and1_recognize(g)
+        assert res.found and res.nodes == n
+        assert res.ordering.order == tuple(range(1, n + 1))
+        assert calls == 0
 
     def test_disconnected_graph_with_bad_component(self):
         edges = complete_multipartite_graph([2, 2, 2]).edge_list() + [(7, 8)]
