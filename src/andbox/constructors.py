@@ -484,20 +484,23 @@ def outerplanar_cand1(m: OuterplanarModel) -> Realization:
     bd = block_decomposition(g)
 
     # cyclic outer order per block: first occurrences along the walk
-    walk = m.outer
-    block_ring = []
-    for blk in bd.blocks:
-        seen = []
-        for v in walk:
-            if v in blk and v not in seen:
-                seen.append(v)
-        block_ring.append(tuple(seen))
+    first = {}
+    for i, v in enumerate(m.outer):
+        first.setdefault(v, i)
+    block_ring = [
+        tuple(sorted((v for v in blk if v in first), key=first.__getitem__))
+        for blk in bd.blocks
+    ]
 
-    edge_in_block = {}
+    # every edge lies in exactly one block: the one its endpoints share
+    blocks_of = {}
     for bi, blk in enumerate(bd.blocks):
-        for u, v in itertools.combinations(sorted(blk), 2):
-            if g.has_edge(u, v):
-                edge_in_block.setdefault((u, v), []).append(bi)
+        for v in blk:
+            blocks_of.setdefault(v, set()).add(bi)
+    block_edges = [[] for _ in bd.blocks]
+    for u, v in g.edge_list():
+        (bi,) = blocks_of[u] & blocks_of[v]
+        block_edges[bi].append((u, v))
 
     def outer_edges(bi):
         ring = block_ring[bi]
@@ -523,11 +526,7 @@ def outerplanar_cand1(m: OuterplanarModel) -> Realization:
             if not g.has_edge(u, v):
                 raise GraphError("outer walk uses a missing edge")
         ring_edges = set(edges)
-        chords = [
-            (u, v)
-            for (u, v), bis in edge_in_block.items()
-            if bi in bis and (u, v) not in ring_edges
-        ]
+        chords = [e for e in block_edges[bi] if e not in ring_edges]
         if cut is None:
             a, b = edges[0]
             anchor, mate = a, b

@@ -36,7 +36,7 @@ from fractions import Fraction
 from .graphs import Graph
 # four_point_check is no longer called here but stays importable from this
 # module: perfbench/tests/test_tracing.py checks that tracing rebinds it.
-from .orders import Ordering, four_point_check, rank_bounds  # noqa: F401
+from .orders import Ordering, OrderingError, four_point_check, rank_bounds  # noqa: F401
 from .realization import Realization, _frac, is_central, verify
 
 DEFAULT_ORDERING_BUDGET = 10**5
@@ -259,6 +259,11 @@ def _gap_cases(g: Graph, order, lo, hi):
     )
 
 
+def _require_nonnegative(budget, name) -> None:
+    if budget < 0:
+        raise OrderingError(f"{name} must be nonnegative")
+
+
 def cand1_for_ordering(
     g: Graph, o: Ordering, case_budget: int = DEFAULT_CASE_BUDGET
 ) -> CentralSearchResult:
@@ -270,7 +275,9 @@ def cand1_for_ordering(
     Two-option non-edges are resolved by depth-first case enumeration in
     order of increasing rank distance; every explored node costs one
     elimination run, and infeasible partial systems prune their subtree.
+    A negative case budget raises OrderingError.
     """
+    _require_nonnegative(case_budget, "case budget")
     o.check_covers(g)
     n = g.n
     order = o.order
@@ -347,8 +354,10 @@ def cand1_recognize(
 
     NotMember requires the enumeration to complete within both budgets.
     Verdicts are exact but exponential; complete answers are practical
-    for n up to about 7.
+    for n up to about 7.  A negative budget raises OrderingError.
     """
+    _require_nonnegative(ordering_budget, "ordering budget")
+    _require_nonnegative(case_budget, "case budget")
     verts = g.vertices()
     n = len(verts)
     tried = 0

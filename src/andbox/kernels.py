@@ -6,16 +6,23 @@ condition (no ranks i < j < k < l with edges (i,k), (j,l) and non-edge
 (Python ints, so any n).
 
 Violation test: placed rank k *blocks* rank j < k when order[k] is not
-adjacent to order[j] but has a neighbour ranked before j.  Appending w at
-rank m closes a quadruple iff w is adjacent to a blocked rank, so one AND
-with blocked[m], the ranks blocked by the first m placements, decides
-it.  The ranks a placement blocks are fixed once it is placed, so
-blocked[m + 1] follows from blocked[m] and backtracking needs no undo.
+adjacent to order[j] but has a neighbour ranked before j.  Placing a
+vertex adjacent to a blocked rank closes a quadruple, at this rank or any
+later one, so the neighbours of the blocked ranks are *dead*: they can
+never be placed after the prefix.  The ranks a placement blocks are fixed
+once it is placed, so blocked[m + 1] follows from blocked[m], the ranks
+blocked by the first m placements, and backtracking needs no undo.
 
-Node accounting: one node = one candidate placement that is actually
-processed (the root placement or a prefix extension undergoing the
-violation check).  Candidates skipped by the reversal-symmetry rule are
-not processed and not counted.
+Look-ahead (forward checking): a prefix is kept only while no unplaced
+vertex is dead.  So the next candidate is never dead itself, and every
+vertex killed by earlier placements is already placed: the one test per
+candidate is whether the neighbours of the ranks it newly blocks include
+an unplaced vertex, and no dead mask needs to be stored.
+
+Node accounting: one node = one placement tried (the root placement or a
+prefix extension); it is rejected when it leaves an unplaced vertex
+dead.  Candidates skipped by the reversal-symmetry rule are not tried and
+not counted.
 """
 
 from __future__ import annotations
@@ -35,11 +42,12 @@ def search_order(nbr_masks, budget):
 
     Returns (status, order, nodes) with status FOUND / NOT_MEMBER /
     EXHAUSTED, order a list of vertex indices (empty unless FOUND) and
-    nodes the number of placements processed.
+    nodes the number of placements tried.
 
     Orderings are explored once per {ordering, reversal} pair by requiring
     order[0] < order[-1]; the condition holds for the lexicographically
-    first passing ordering (its reversal would otherwise be smaller), so
+    first passing ordering (its reversal would otherwise be smaller).  The
+    look-ahead prunes only prefixes that no passing ordering extends, so
     the returned ordering matches an unpruned depth-first search.
     """
     n = len(nbr_masks)
@@ -65,9 +73,21 @@ def search_order(nbr_masks, budget):
             if nodes >= budget:
                 return (EXHAUSTED, [], nodes)
             nodes += 1
-            if rankmask[w] & B:
-                w += 1
-                continue
+            W = rankmask[w]
+            if W:
+                # w newly blocks the ranks after its lowest neighbour that it
+                # misses; reject w if one of them has an unplaced neighbour
+                low = (W & -W).bit_length() - 1
+                new = x = ((1 << m) - (2 << low)) & ~W & ~B
+                free = ~(used | 1 << w)
+                while x:
+                    if nbr_masks[order[(x & -x).bit_length() - 1]] & free:
+                        break
+                    x &= x - 1
+                if x:
+                    w += 1
+                    continue
+                B |= new
             break
         else:
             # no candidate left at rank m: backtrack
@@ -89,11 +109,6 @@ def search_order(nbr_masks, budget):
             return (FOUND, order, nodes)
         resume[m] = w + 1
         used |= 1 << w
-        W = rankmask[w]
-        if W:
-            # w blocks the ranks after its lowest neighbour that it misses
-            low = (W & -W).bit_length() - 1
-            B |= ((1 << m) - (2 << low)) & ~W
         x = nbr_masks[w]
         bit = 1 << m
         while x:

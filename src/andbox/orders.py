@@ -169,8 +169,8 @@ def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionRe
 
     Deterministic: vertices are tried in ascending id, components in
     ascending order of their smallest vertex, and each {ordering,
-    reversal} pair is explored once.  The budget counts processed
-    placements across all components; hitting it yields "exhausted".
+    reversal} pair is explored once.  The budget counts the placements
+    tried across all components; hitting it yields "exhausted".
     Disconnected graphs are handled per component (components can be laid
     out on disjoint stretches of the line, so the graph qualifies iff
     every component does), concatenating the component orderings.  A

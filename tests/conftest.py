@@ -81,7 +81,7 @@ def naive_four_point_scan(g: Graph, order):
     return None
 
 
-def reference_search_order(g: Graph, budget):
+def reference_search_order(g: Graph, budget, look_ahead=True):
     """Direct-scan twin of the kernel's traversal, for node-for-node checks.
 
     Same contract as andbox.kernels.search_order on a graph with vertices
@@ -91,7 +91,10 @@ def reference_search_order(g: Graph, budget):
     explored (a largest vertex is never tried first, a last vertex below
     order[0] never tried) and every other candidate placement costs one
     node.  A placement at rank m is checked by scanning the quadruples
-    whose last rank is m.
+    whose last rank is m.  With look_ahead it is also rejected when some
+    unplaced vertex would close a quadruple at rank m + 1 (such a vertex
+    closes one at every later rank too); without it, this is the plain
+    depth-first search.
     """
     n = g.n
     adj = [frozenset(u - 1 for u in g.neighbors(v)) for v in g.vertices()]
@@ -126,6 +129,9 @@ def reference_search_order(g: Graph, budget):
             if closes_quadruple(w):
                 continue
             order.append(w)
+            if look_ahead and any(closes_quadruple(u) for u in range(n) if u not in order):
+                order.pop()
+                continue
             status = extend()
             if status != "not_member":
                 return status

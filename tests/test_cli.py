@@ -322,7 +322,7 @@ class TestRecognizeAnd1:
         witness = (tmp_path / "oct.witness").read_text()
         assert witness == (
             "c no vertex ordering satisfies the four point condition\n"
-            "exhaustive nodes 1054\n"
+            "exhaustive nodes 610\n"
         )
 
     def test_budget_exhaustion_writes_nothing(self, tmp_path, capsys):
@@ -377,6 +377,22 @@ class TestRecognizeCand1:
         assert code == 3
         assert out.startswith("verdict=exhausted ")
         assert not (tmp_path / "k23.witness").exists()
+
+    @pytest.mark.parametrize(
+        "cmd, flag",
+        [
+            ("recognize-and1", "--node-budget"),
+            ("recognize-cand1", "--ordering-budget"),
+            ("recognize-cand1", "--case-budget"),
+        ],
+    )
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys, cmd, flag):
+        gp = write_graph(tmp_path / "c4.and", cycle_graph(4))
+        code, out, err = run(capsys, cmd, gp, flag, "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget must be nonnegative" in err
+        assert not list(tmp_path.glob("c4.[orw]*"))
 
 
 class TestConversions:

@@ -428,6 +428,28 @@ class TestOuterplanar:
         assert faces[0] == ([0, 1, k - 2, k - 1], None)
         assert faces[-1] == ([1197, 1198, 1199, 1200, 1201, 1202], (1197, 1202))
 
+    def test_nested_polygon_reads_block_edges(self, monkeypatch):
+        # nested chords (i, k + 1 - i) in one block: testing every vertex
+        # pair of the block for an edge would make k(k - 1)/2 = 79,800
+        # has_edge calls; reading the block's edges leaves the k checks of
+        # the outer edges
+        k = 400
+        m = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
+        calls = 0
+        has_edge = Graph.has_edge
+
+        def counted(self, u, v):
+            nonlocal calls
+            calls += 1
+            return has_edge(self, u, v)
+
+        monkeypatch.setattr(Graph, "has_edge", counted)
+        r = outerplanar_cand1(m)
+        assert calls <= 2 * k
+        monkeypatch.undo()
+        assert verify(r, m.graph()).ok
+        assert is_central(r)
+
     def test_crossing_chords_rejected(self):
         m = OuterplanarModel((1, 2, 3, 4, 5, 6), ((1, 3), (2, 4)))
         with pytest.raises(GraphError):

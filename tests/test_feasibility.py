@@ -15,7 +15,7 @@ from andbox.feasibility import (
     eliminate_feasible,
 )
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph
-from andbox.orders import Ordering, and1_recognize, four_point_check
+from andbox.orders import Ordering, OrderingError, and1_recognize, four_point_check
 from andbox.realization import is_central, r_order, verify
 
 from conftest import (
@@ -238,6 +238,10 @@ class TestCandForOrdering:
     def test_budget_exception_type_is_public(self):
         assert issubclass(CaseBudgetExceeded, Exception)
 
+    def test_negative_case_budget_rejected(self):
+        with pytest.raises(OrderingError, match="case budget must be nonnegative"):
+            cand1_for_ordering(cycle_graph(4), Ordering((1, 2, 3, 4)), case_budget=-1)
+
 
 class TestCandRecognize:
     def test_double_star_excluded_by_complete_enumeration(self):
@@ -275,6 +279,12 @@ class TestCandRecognize:
         res = cand1_recognize(complete_multipartite_graph([2, 3]), ordering_budget=2)
         assert res.status == "exhausted"
         assert res.orderings_tried == 2
+
+    @pytest.mark.parametrize("budget", ["ordering_budget", "case_budget"])
+    def test_negative_budget_rejected(self, budget):
+        # a negative budget is bad input, not an exhausted search
+        with pytest.raises(OrderingError, match=budget.replace("_", " ")):
+            cand1_recognize(cycle_graph(4), **{budget: -1})
 
     def test_case_budget_exhaustion(self):
         res = cand1_recognize(complete_multipartite_graph([2, 3]), case_budget=3)

@@ -1,9 +1,10 @@
 """The ordering search kernel: frozen instances, budgets, and a node-for-node
-match with the direct-scan reference search."""
+match with the direct-scan reference search, whose plain form checks that
+the look-ahead prunes only subtrees without a passing ordering."""
 
 import random
 
-from andbox import _kernels_py, kernels
+from andbox import _kernels_py, families, kernels
 from andbox.graphs import Graph, complete_multipartite_graph, path_graph
 from andbox.orders import and1_recognize
 
@@ -30,10 +31,24 @@ def test_status_constants_distinct():
 
 def test_pure_kernel_frozen_instances():
     status, order, nodes = kernels.search_order(masks(complete_multipartite_graph([2, 2, 2])), 10**8)
-    assert (status, order, nodes) == (kernels.NOT_MEMBER, [], 1054)
+    assert (status, order, nodes) == (kernels.NOT_MEMBER, [], 610)
     status, order, nodes = kernels.search_order(masks(complete_multipartite_graph([2, 3])), 10**8)
     assert status == kernels.FOUND and nodes == 5
     assert order == [0, 1, 2, 3, 4]
+
+
+def test_look_ahead_work_counts():
+    # plain search: 380,422, 534,906 and 1,928,003 nodes
+    h344 = families.h_graph(3, 4, 4).graph
+    status, order, nodes = kernels.search_order(masks(h344), 10**8)
+    assert status == kernels.FOUND and nodes == 32_853
+    assert naive_four_point_scan(h344, [i + 1 for i in order]) is None
+    k22222 = complete_multipartite_graph([2, 2, 2, 2, 2])
+    assert kernels.search_order(masks(k22222), 10**8) == (kernels.NOT_MEMBER, [], 143_874)
+    block = families.random_block_graph(16, 5).graph
+    status, order, nodes = kernels.search_order(masks(block), 10**8)
+    assert status == kernels.FOUND and nodes == 34
+    assert naive_four_point_scan(block, [i + 1 for i in order]) is None
 
 
 def test_found_orders_satisfy_quadruple_scan():
@@ -55,8 +70,8 @@ def test_budget_counts_processed_placements():
         assert order == []
         assert nodes == budget
     # one node above the full tree size changes nothing
-    status, _, nodes = kernels.search_order(masks(g), 1054)
-    assert status == kernels.NOT_MEMBER and nodes == 1054
+    status, _, nodes = kernels.search_order(masks(g), 610)
+    assert status == kernels.NOT_MEMBER and nodes == 610
 
 
 def test_graph_masks_are_the_kernel_input(connected_atlas):
@@ -67,12 +82,24 @@ def test_graph_masks_are_the_kernel_input(connected_atlas):
 def test_matches_reference_search_node_for_node(connected_atlas):
     for g in connected_atlas:
         m = masks(g)
-        for budget in (10**9, 0, 1, 3, 17):
+        full = kernels.search_order(m, 10**9)
+        assert (STATUS[full[0]], *full[1:]) == reference_search_order(g, 10**9), g.edge_list()
+        for budget in (0, 1, 3, 17):
             status, order, nodes = kernels.search_order(m, budget)
             assert (STATUS[status], order, nodes) == reference_search_order(g, budget), (
                 g.edge_list(),
                 budget,
             )
+            # a budget cuts the search short or changes nothing
+            assert (status, nodes) == (kernels.EXHAUSTED, budget) or (status, order, nodes) == full
+
+
+def test_look_ahead_keeps_verdict_and_ordering(connected_atlas):
+    for g in connected_atlas:
+        status, order, nodes = reference_search_order(g, 10**9)
+        plain_status, plain_order, plain_nodes = reference_search_order(g, 10**9, look_ahead=False)
+        assert (status, order) == (plain_status, plain_order), g.edge_list()
+        assert nodes <= plain_nodes, g.edge_list()
 
 
 def test_kernel_handles_graphs_beyond_64_vertices():
