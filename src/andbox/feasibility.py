@@ -33,10 +33,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import kernels
 from .graphs import Graph
+from .orders import DEFAULT_NODE_BUDGET, Ordering, OrderingError, rank_bounds
 # four_point_check is no longer called here but stays importable from this
 # module: perfbench/tests/test_tracing.py checks that tracing rebinds it.
-from .orders import Ordering, OrderingError, four_point_check, rank_bounds  # noqa: F401
+from .orders import four_point_check  # noqa: F401
 from .realization import Realization, _frac, is_central, verify
 
 DEFAULT_ORDERING_BUDGET = 10**5
@@ -67,18 +69,6 @@ class LinearConstraintSystem:
         for c in self.constraints:
             if len(c.coeffs) != len(self.variables):
                 raise ValueError("constraint arity does not match variables")
-
-    def holds(self, point) -> bool:
-        """Exact check of every constraint at the given point."""
-        point = tuple(_frac(x) for x in point)
-        for c in self.constraints:
-            lhs = sum(a * x for a, x in zip(c.coeffs, point))
-            if c.strict:
-                if not lhs < c.bound:
-                    return False
-            elif not lhs <= c.bound:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -347,35 +337,34 @@ def cand1_recognize(
     ordering_budget: int = DEFAULT_ORDERING_BUDGET,
     case_budget: int = DEFAULT_CASE_BUDGET,
 ) -> CAndRecognitionResult:
-    """Brute-force central recognition: enumerate point orders
-    lexicographically (each {order, reversal} pair once) and decide each
-    with cand1_for_ordering.  Orders failing the four point check (every
-    central model is in particular a box-and-point model) cost no solve.
+    """Central recognition: decide with cand1_for_ordering each point order
+    the ordering kernel yields (lexicographically, each {order, reversal}
+    pair once).  Orders failing the four point check (every central model
+    is in particular a box-and-point model) are never generated.
 
-    NotMember requires the enumeration to complete within both budgets.
+    The ordering budget counts orders decided; DEFAULT_NODE_BUDGET bounds
+    the enumeration.  NotMember requires it to complete within all three.
     Verdicts are exact but exponential; complete answers are practical
     for n up to about 7.  A negative budget raises OrderingError.
     """
     _require_nonnegative(ordering_budget, "ordering budget")
     _require_nonnegative(case_budget, "case budget")
-    verts = g.vertices()
-    n = len(verts)
     tried = 0
     solved = 0
-    for perm in itertools.permutations(verts):
-        if n > 1 and perm[0] > perm[-1]:
-            continue
-        if tried >= ordering_budget or solved >= case_budget:
-            return CAndRecognitionResult("exhausted", None, None, tried, solved)
+    # only the last item is not FOUND; any other break is a budget running out
+    for status, order, _ in kernels.orderings(g.masks, DEFAULT_NODE_BUDGET):
+        if status != kernels.FOUND or tried >= ordering_budget or solved >= case_budget:
+            break
         tried += 1
-        o = Ordering(perm)
+        o = Ordering(tuple(v + 1 for v in order))
         result = cand1_for_ordering(g, o, case_budget - solved)
         solved += result.cases_solved
         if result.status == "exhausted":
-            return CAndRecognitionResult("exhausted", None, None, tried, solved)
+            break
         if result.found:
             r = result.realization
             if not is_central(r) or not verify(r, g).ok:
                 raise AssertionError("central search produced a bad witness")
             return CAndRecognitionResult("found", r, o, tried, solved)
-    return CAndRecognitionResult("not_member", None, None, tried, solved)
+    verdict = "not_member" if status == kernels.NOT_MEMBER else "exhausted"
+    return CAndRecognitionResult(verdict, None, None, tried, solved)

@@ -1,9 +1,10 @@
 """Ordering search kernel.
 
-Backtracking search for a vertex ordering satisfying the four point
+Backtracking search for vertex orderings satisfying the four point
 condition (no ranks i < j < k < l with edges (i,k), (j,l) and non-edge
-(j,k)).  Vertices are 0-indexed here; adjacency comes in as bitmasks
-(Python ints, so any n).
+(j,k)), in two modes over one walk: orderings() enumerates them all and
+search_order() stops at the first.  Vertices are 0-indexed here;
+adjacency comes in as bitmasks (Python ints, so any n).
 
 Violation test: placed rank k *blocks* rank j < k when order[k] is not
 adjacent to order[j] but has a neighbour ranked before j.  Placing a
@@ -19,10 +20,10 @@ vertex killed by earlier placements is already placed: the one test per
 candidate is whether the neighbours of the ranks it newly blocks include
 an unplaced vertex, and no dead mask needs to be stored.
 
-Node accounting: one node = one placement tried (the root placement or a
-prefix extension); it is rejected when it leaves an unplaced vertex
-dead.  Candidates skipped by the reversal-symmetry rule are not tried and
-not counted.
+Node accounting, shared by both modes: one node = one placement tried
+(the root placement or a prefix extension); it is rejected when it
+leaves an unplaced vertex dead.  Candidates skipped by the
+reversal-symmetry rule are not tried and not counted.
 """
 
 from __future__ import annotations
@@ -37,22 +38,28 @@ def backend_name() -> str:
 
 
 def search_order(nbr_masks, budget):
-    """Find the lexicographically first ordering passing the four point
-    condition, trying vertices in ascending index at every rank.
+    """The first item of orderings(): (FOUND, the lexicographically first
+    passing ordering, nodes), or the final (NOT_MEMBER or EXHAUSTED, [],
+    nodes) of a walk that found none."""
+    return next(orderings(nbr_masks, budget))
 
-    Returns (status, order, nodes) with status FOUND / NOT_MEMBER /
-    EXHAUSTED, order a list of vertex indices (empty unless FOUND) and
-    nodes the number of placements tried.
 
-    Orderings are explored once per {ordering, reversal} pair by requiring
-    order[0] < order[-1]; the condition holds for the lexicographically
-    first passing ordering (its reversal would otherwise be smaller).  The
-    look-ahead prunes only prefixes that no passing ordering extends, so
-    the returned ordering matches an unpruned depth-first search.
+def orderings(nbr_masks, budget):
+    """Yield (FOUND, order, nodes) for every ordering passing the four
+    point condition with order[0] < order[-1], in lexicographic order,
+    then one (NOT_MEMBER, [], nodes) when the walk completes or one
+    (EXHAUSTED, [], nodes) when the budget runs out.  order lists vertex
+    indices and nodes counts the placements tried so far.
+
+    Each {ordering, reversal} pair is met once, and the first passing
+    ordering always qualifies (its reversal would otherwise be smaller).
+    The look-ahead prunes only prefixes that no passing ordering extends.
     """
     n = len(nbr_masks)
     if n == 0:
-        return (FOUND, [], 0)
+        yield (FOUND, [], 0)
+        yield (NOT_MEMBER, [], 0)
+        return
 
     order = []
     rankmask = [0] * n  # rankmask[v]: bit j set iff order[j] is adjacent to v
@@ -71,7 +78,8 @@ def search_order(nbr_masks, budget):
                 w += 1
                 continue
             if nodes >= budget:
-                return (EXHAUSTED, [], nodes)
+                yield (EXHAUSTED, [], nodes)
+                return
             nodes += 1
             W = rankmask[w]
             if W:
@@ -92,7 +100,8 @@ def search_order(nbr_masks, budget):
         else:
             # no candidate left at rank m: backtrack
             if m == 0:
-                return (NOT_MEMBER, [], nodes)
+                yield (NOT_MEMBER, [], nodes)
+                return
             m -= 1
             w = order.pop()
             used ^= 1 << w
@@ -104,10 +113,11 @@ def search_order(nbr_masks, budget):
                 x &= x - 1
             continue
 
-        order.append(w)
-        if m == n - 1:
-            return (FOUND, order, nodes)
         resume[m] = w + 1
+        if m == n - 1:
+            yield (FOUND, order + [w], nodes)
+            continue  # with the next candidate for the last rank
+        order.append(w)
         used |= 1 << w
         x = nbr_masks[w]
         bit = 1 << m

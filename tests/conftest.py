@@ -210,6 +210,36 @@ def reference_cand1_for_ordering(g: Graph, o, case_budget=10**6):
     return CentralSearchResult("found", Realization.build(1, items), solved)
 
 
+def reference_cand1_recognize(g: Graph, ordering_budget=10**5, case_budget=10**6):
+    """Central recognition over all n!/2 point orders, for checks of the
+    kernel-driven one.
+
+    Same contract as andbox.feasibility.cand1_recognize, except that
+    orderings_tried counts every order with order[0] < order[-1] in
+    lexicographic order, four point violations included (they cost no
+    solve: cand1_for_ordering finds a non-edge with both sides blocked).
+    """
+    from andbox.feasibility import CAndRecognitionResult, cand1_for_ordering
+    from andbox.orders import Ordering
+
+    verts = g.vertices()
+    tried = solved = 0
+    for perm in permutations(verts):
+        if len(verts) > 1 and perm[0] > perm[-1]:
+            continue
+        if tried >= ordering_budget or solved >= case_budget:
+            return CAndRecognitionResult("exhausted", None, None, tried, solved)
+        tried += 1
+        o = Ordering(perm)
+        result = cand1_for_ordering(g, o, case_budget - solved)
+        solved += result.cases_solved
+        if result.status == "exhausted":
+            return CAndRecognitionResult("exhausted", None, None, tried, solved)
+        if result.found:
+            return CAndRecognitionResult("found", result.realization, o, tried, solved)
+    return CAndRecognitionResult("not_member", None, None, tried, solved)
+
+
 def naive_accepts_some_ordering(g: Graph) -> bool:
     """Does any vertex ordering pass the exhaustive quadruple scan?
 

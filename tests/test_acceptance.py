@@ -141,7 +141,7 @@ def test_check_03_complete_bipartite_2_3_separation(acceptance_record):
     res_c = cand1_recognize(g)
     cand_ok = (
         res_c.status == "not_member"
-        and res_c.orderings_tried == 60
+        and res_c.orderings_tried == 24
         and res_c.cases_solved == 24
     )
     elapsed = time.perf_counter() - t0

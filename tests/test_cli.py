@@ -364,7 +364,7 @@ class TestRecognizeCand1:
         witness = (tmp_path / "k23.witness").read_text()
         assert witness == (
             "c no point order admits a central realization\n"
-            "exhaustive orderings 60 cases 24\n"
+            "exhaustive orderings 24 cases 24\n"
         )
 
     def test_ordering_budget_exhaustion(self, tmp_path, capsys):
@@ -377,6 +377,17 @@ class TestRecognizeCand1:
         assert code == 3
         assert out.startswith("verdict=exhausted ")
         assert not (tmp_path / "k23.witness").exists()
+
+    def test_exhausted_kernel_enumeration_exits_3(self, tmp_path, capsys, monkeypatch):
+        def cut_short(masks, budget):
+            yield (kernels.EXHAUSTED, [], budget)
+
+        monkeypatch.setattr(kernels, "orderings", cut_short)
+        gp = write_graph(tmp_path / "k222.and", complete_multipartite_graph([2, 2, 2]))
+        code, out, _ = run(capsys, "recognize-cand1", gp)
+        assert code == 3
+        assert out.startswith("verdict=exhausted ")
+        assert not list(tmp_path.glob("k222.[rw]*"))
 
     @pytest.mark.parametrize(
         "cmd, flag",

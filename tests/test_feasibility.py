@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from andbox import kernels
 from andbox.feasibility import (
     CaseBudgetExceeded,
     LinearConstraintSystem,
@@ -23,6 +24,7 @@ from conftest import (
     random_connected_graph,
     random_constraint_system,
     reference_cand1_for_ordering,
+    reference_cand1_recognize,
     satisfies_all,
 )
 
@@ -166,8 +168,8 @@ class TestCandForOrdering:
         assert res.cases_solved == 2
 
     def test_matches_reference_search(self, connected_atlas):
-        # Over the orders cand1_recognize enumerates: a found witness is its
-        # own certificate, an order failing the four point check has no
+        # Over every order up to reversal: a found witness is its own
+        # certificate, an order failing the four point check has no
         # box-and-point model and hence no central one, and every other
         # infeasible order must be infeasible for the reference too.
         for g in connected_atlas:
@@ -248,15 +250,28 @@ class TestCandRecognize:
         res = cand1_recognize(complete_multipartite_graph([2, 3]))
         assert res.status == "not_member"
         assert res.realization is None
-        # 5 vertices: 60 orderings after reversal halving
-        assert res.orderings_tried == 60
+        # 24 of the 60 orderings left by reversal halving are 4PC-free,
+        # each decided in one solve
+        assert res.orderings_tried == 24
         assert res.cases_solved == 24
 
     def test_octahedron_prefilter_solves_no_cases(self):
+        # K(2,2,2) has no 4PC-free ordering: the kernel yields none
         res = cand1_recognize(complete_multipartite_graph([2, 2, 2]))
         assert res.status == "not_member"
-        assert res.orderings_tried == 360
+        assert res.orderings_tried == 0
         assert res.cases_solved == 0
+
+    def test_zero_ordering_budget_suffices_without_4pc_free_orders(self):
+        # the enumeration completes without an ordering to decide, so the
+        # verdict needs no ordering budget
+        res = cand1_recognize(complete_multipartite_graph([2, 2, 2]), ordering_budget=0)
+        assert (res.status, res.orderings_tried, res.cases_solved) == ("not_member", 0, 0)
+
+    def test_complete_bipartite_3_3_decides_only_4pc_free_orders(self):
+        res = cand1_recognize(complete_multipartite_graph([3, 3]))
+        assert res.status == "not_member"
+        assert res.orderings_tried == 72  # of 360 after reversal halving
 
     def test_star_and_cycle_found(self):
         star = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
@@ -289,3 +304,31 @@ class TestCandRecognize:
     def test_case_budget_exhaustion(self):
         res = cand1_recognize(complete_multipartite_graph([2, 3]), case_budget=3)
         assert res.status == "exhausted"
+
+    def test_exhausted_kernel_enumeration_is_exhausted(self, monkeypatch):
+        # an enumeration cut short by the kernel's node budget proves nothing
+        def cut_short(masks, budget):
+            yield (kernels.FOUND, [0, 1, 2, 3, 4], 5)
+            yield (kernels.EXHAUSTED, [], 6)
+
+        monkeypatch.setattr(kernels, "orderings", cut_short)
+        res = cand1_recognize(complete_multipartite_graph([2, 3]))
+        assert res.status == "exhausted"
+        assert (res.orderings_tried, res.cases_solved) == (1, 1)
+
+    def test_matches_reference_recognition(self, connected_atlas):
+        # The kernel skips only orders failing the four point check, which
+        # the reference decides in no solve, so every verdict, ordering,
+        # witness and case count agrees.
+        small = [g for g in connected_atlas if g.n <= 6]
+        assert len(small) == 143
+        for g in small:
+            res = cand1_recognize(g)
+            ref = reference_cand1_recognize(g)
+            assert (res.status, res.ordering, res.realization, res.cases_solved) == (
+                ref.status,
+                ref.ordering,
+                ref.realization,
+                ref.cases_solved,
+            ), g.edge_list()
+            assert res.orderings_tried <= ref.orderings_tried

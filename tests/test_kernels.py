@@ -1,8 +1,10 @@
-"""The ordering search kernel: frozen instances, budgets, and a node-for-node
+"""The ordering search kernel: frozen instances, budgets, a node-for-node
 match with the direct-scan reference search, whose plain form checks that
-the look-ahead prunes only subtrees without a passing ordering."""
+the look-ahead prunes only subtrees without a passing ordering, and the
+enumeration of every passing ordering against brute force."""
 
 import random
+from itertools import combinations, permutations
 
 from andbox import _kernels_py, families, kernels
 from andbox.graphs import Graph, complete_multipartite_graph, path_graph
@@ -106,3 +108,54 @@ def test_kernel_handles_graphs_beyond_64_vertices():
     res = and1_recognize(path_graph(70))
     assert res.found
     assert sorted(res.ordering.order) == list(range(1, 71))
+
+
+def brute_force_orderings(g: Graph):
+    """0-indexed permutations with p[0] < p[-1] that pass the quadruple
+    scan, in lexicographic order."""
+    n = g.n
+    return [
+        [v - 1 for v in p]
+        for p in permutations(g.vertices())
+        if (n < 2 or p[0] < p[-1]) and naive_four_point_scan(g, p) is None
+    ]
+
+
+def test_enumeration_matches_brute_force(connected_atlas):
+    rng = random.Random(22)
+    disconnected = []
+    while len(disconnected) < 5:
+        n = rng.randint(3, 7)
+        g = Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.3])
+        if not g.is_connected():
+            disconnected.append(g)
+    for g in [g for g in connected_atlas if g.n <= 6] + disconnected:
+        m = masks(g)
+        items = list(kernels.orderings(m, 10**9))
+        *found, (last, order, _) = items
+        assert (last, order) == (kernels.NOT_MEMBER, []), g.edge_list()
+        assert all(status == kernels.FOUND for status, _, _ in found)
+        assert [order for _, order, _ in found] == brute_force_orderings(g), g.edge_list()
+        nodes = [item[2] for item in items]
+        assert nodes == sorted(nodes)
+        assert items[0] == kernels.search_order(m, 10**9)
+
+
+def test_enumeration_budget_ends_the_stream():
+    m = masks(complete_multipartite_graph([2, 3]))
+    full = list(kernels.orderings(m, 10**9))
+    assert len(full) == 25 and full[-1][0] == kernels.NOT_MEMBER
+    for budget in (0, 1, 7, full[-1][2] - 1):
+        items = list(kernels.orderings(m, budget))
+        assert items[-1] == (kernels.EXHAUSTED, [], budget)
+        # a budget cuts the stream short, the items before the cut unchanged
+        assert items[:-1] == full[: len(items) - 1]
+        assert all(status == kernels.FOUND for status, _, _ in items[:-1])
+
+
+def test_enumeration_of_tiny_graphs():
+    assert list(kernels.orderings([], 10**9)) == [(kernels.FOUND, [], 0), (kernels.NOT_MEMBER, [], 0)]
+    assert list(kernels.orderings([], 0))[0] == kernels.search_order([], 0) == (kernels.FOUND, [], 0)
+    assert list(kernels.orderings([0], 10**9)) == [(kernels.FOUND, [0], 1), (kernels.NOT_MEMBER, [], 1)]
+    assert list(kernels.orderings([0], 0)) == [(kernels.EXHAUSTED, [], 0)]
+    assert kernels.search_order([0], 0) == (kernels.EXHAUSTED, [], 0)
