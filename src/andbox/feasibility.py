@@ -21,17 +21,22 @@ sides blocked is a four point violation, which makes the order
 infeasible without any solve.  Only the remaining two-option non-edges
 are split case by case.
 
-Feasibility is decided by Fourier-Motzkin elimination over Fractions with
-strict-inequality tracking; a derived constraint is strict iff any parent
-is strict.  Witnesses come from back-substitution, taking midpoints of
+Feasibility is decided by one Fourier-Motzkin elimination over integer
+cone rows c . x <= 0 or c . x < 0, each divided by the gcd of its entries;
+a derived row is strict iff any parent is, and the system is infeasible
+iff a strict zero row appears (Gordan's theorem for the all-strict gap
+systems, which are cones already).  A general rational system a . x <= b
+is homogenised over (t, x) with the extra row -t < 0, so the same core
+decides it.  Witnesses come from back-substitution, taking midpoints of
 residual intervals.  No floats, no tolerances.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from . import kernels
 from .graphs import Graph
@@ -47,7 +52,8 @@ DEFAULT_CASE_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """sum(coeffs[i] * x_i) <= bound, or < bound when strict."""
+    """sum(coeffs[i] * x_i) <= bound, or < bound when strict; coefficients
+    and bound are ints or Fractions."""
 
     coeffs: tuple
     strict: bool
@@ -83,103 +89,92 @@ class FeasibilityResult:
 _INFEASIBLE = FeasibilityResult(False, None)
 
 
-def _canonical(c: LinearConstraint):
-    """Scale so the first nonzero coefficient has absolute value 1; the
-    scale is positive, so the inequality direction is unchanged."""
-    for a in c.coeffs:
-        if a:
-            s = abs(a)
-            return tuple(x / s for x in c.coeffs), c.bound / s
-    return c.coeffs, c.bound
+def _add_rows(rows, into) -> bool:
+    """Merge integer rows (coeffs, strict) into the dict into, each divided
+    by the gcd of its entries; a repeated direction is strict if any copy
+    is.  Zero rows are dropped; False when one of them is strict."""
+    for coeffs, strict in rows:
+        d = gcd(*coeffs)
+        if not d:
+            if strict:
+                return False
+            continue
+        if d != 1:
+            coeffs = tuple(a // d for a in coeffs)
+        into[coeffs] = strict or into.get(coeffs, False)
+    return True
 
 
-def _dedup(cons):
-    """Keep, per coefficient direction, only the tightest bound.
-    Dropping a dominated constraint leaves the feasible region unchanged."""
-    best = {}
-    for c in cons:
-        key, bound = _canonical(c)
-        cur = best.get(key)
-        if cur is None or (bound, not c.strict) < (cur.bound, not cur.strict):
-            best[key] = LinearConstraint(key, c.strict, bound)
-    return list(best.values())
+def _cone_witness(rows, nvars):
+    """Fourier-Motzkin elimination over integer cone rows, last variable
+    first.  A row (coeffs, strict) means coeffs . x <= 0, or < 0 when
+    strict.
 
-
-def eliminate_feasible(s: LinearConstraintSystem) -> FeasibilityResult:
-    """Fourier-Motzkin elimination, last variable first.
-
-    Returns Infeasible iff a contradictory constant constraint appears.
+    Returns None iff a strict zero row appears (the system is infeasible).
     Otherwise reconstructs a witness by back-substitution: each variable
     takes the midpoint of its residual interval, bound -/+ 1 when only one
-    side is bounded, 0 when unconstrained.  The empty system is feasible
-    with the zero point.
+    side is bounded, 0 when unconstrained.
     """
-    nvars = len(s.variables)
-    cur = _dedup(s.constraints)
+    cur = {}
+    if not _add_rows(rows, cur):
+        return None
     layers = []
-
     for var in range(nvars - 1, -1, -1):
-        pos, neg, rest = [], [], []
-        for c in cur:
-            a = c.coeffs[var]
+        pos, neg, rest = [], [], {}
+        for coeffs, strict in cur.items():
+            a = coeffs[var]
             if a > 0:
-                pos.append(c)
+                pos.append((coeffs, strict))
             elif a < 0:
-                neg.append(c)
+                neg.append((coeffs, strict))
             else:
-                rest.append(c)
+                rest[coeffs] = strict
         layers.append((var, pos, neg))
-        new = rest
-        for p, q in itertools.product(pos, neg):
-            a = p.coeffs[var]
-            b = -q.coeffs[var]
-            coeffs = tuple(
-                b * x + a * y for x, y in zip(p.coeffs, q.coeffs)
-            )
-            new.append(
-                LinearConstraint(
-                    coeffs, p.strict or q.strict, b * p.bound + a * q.bound
-                )
-            )
-        cur = []
-        for c in _dedup(new):
-            if any(c.coeffs):
-                cur.append(c)
-            elif c.bound < 0 or (c.strict and c.bound == 0):
-                return _INFEASIBLE
-    for c in cur:  # leftover constants from a system with zero variables
-        if c.bound < 0 or (c.strict and c.bound == 0):
-            return _INFEASIBLE
+        derived = (
+            (tuple(-q[var] * x + p[var] * y for x, y in zip(p, q)), ps or qs)
+            for p, ps in pos
+            for q, qs in neg
+        )
+        if not _add_rows(derived, rest):
+            return None
+        cur = rest
 
     witness = [Fraction(0)] * nvars
     for var, pos, neg in reversed(layers):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for c in pos:  # a*x + rest <= bound, a > 0
-            a = c.coeffs[var]
-            rest = sum(
-                c.coeffs[u] * witness[u] for u in range(var)
-            )
-            val = (c.bound - rest) / a
-            if hi is None or val < hi or (val == hi and c.strict):
-                hi, hi_strict = val, c.strict
-        for c in neg:  # -b*x + rest <= bound, b > 0
-            b = -c.coeffs[var]
-            rest = sum(
-                c.coeffs[u] * witness[u] for u in range(var)
-            )
-            val = (rest - c.bound) / b
-            if lo is None or val > lo or (val == lo and c.strict):
-                lo, lo_strict = val, c.strict
-        if lo is None and hi is None:
-            witness[var] = Fraction(0)
-        elif lo is None:
-            witness[var] = hi - 1
-        elif hi is None:
-            witness[var] = lo + 1
-        else:
+        # a row a*x + rest <= 0 bounds x by -rest / a: above when a > 0
+        bound = [
+            -sum(map(mul, coeffs[:var], witness), Fraction(0)) / coeffs[var]
+            for coeffs, _ in pos + neg
+        ]
+        hi = min(bound[: len(pos)], default=None)
+        lo = max(bound[len(pos) :], default=None)
+        if lo is not None and hi is not None:
             witness[var] = (lo + hi) / 2
-    return FeasibilityResult(True, tuple(witness))
+        elif lo is not None:
+            witness[var] = lo + 1
+        elif hi is not None:
+            witness[var] = hi - 1
+    return witness
+
+
+def eliminate_feasible(s: LinearConstraintSystem) -> FeasibilityResult:
+    """Decide s exactly and return a witness when it is feasible.
+
+    Each row a . x <= b becomes the integer cone row L * (-b, a) over
+    (t, x), L the lcm of the row's denominators, and the row -t < 0 is
+    added.  t comes first, so it is eliminated last; it comes out as 1 and
+    the x part of the cone witness is a witness for s.  The empty system
+    is feasible with the zero point.
+    """
+    rows = [((-1,) + (0,) * len(s.variables), True)]
+    for c in s.constraints:
+        terms = (-c.bound, *c.coeffs)
+        scale = lcm(*(f.denominator for f in terms))
+        rows.append((tuple(f.numerator * (scale // f.denominator) for f in terms), c.strict))
+    witness = _cone_witness(rows, len(s.variables) + 1)
+    if witness is None:
+        return _INFEASIBLE
+    return FeasibilityResult(True, tuple(witness[1:]))
 
 
 class CaseBudgetExceeded(Exception):
@@ -201,13 +196,12 @@ def _shorter_than(n, inner, outer) -> LinearConstraint:
     """span(inner) - span(outer) < 0 over the gaps g_1..g_{n-1}, where
     span((a, b)) = p_b - p_a is the sum of the gaps g_a..g_{b-1} and
     g_t = p_{t+1} - p_t joins ranks t and t+1."""
-    zero, one = Fraction(0), Fraction(1)
-    c = [zero] * (n - 1)
+    c = [0] * (n - 1)
     for t in range(*inner):
-        c[t - 1] = one
+        c[t - 1] = 1
     for t in range(*outer):
-        c[t - 1] = -one
-    return LinearConstraint(tuple(c), True, zero)
+        c[t - 1] = -1
+    return LinearConstraint(tuple(c), True, 0)
 
 
 def _gap_cases(g: Graph, order, lo, hi):
@@ -279,27 +273,26 @@ def cand1_for_ordering(
     variables = tuple(f"g{t}" for t in range(1, n))
     solved = 0
 
-    def solve(cons):
+    def descend():
+        # preorder over the case tree on an explicit stack: its depth is the
+        # number of two-option non-edges, unbounded by the recursion limit
         nonlocal solved
-        if solved >= case_budget:
-            raise CaseBudgetExceeded()
-        solved += 1
-        return eliminate_feasible(LinearConstraintSystem(variables, tuple(cons)))
-
-    def descend(k, cons):
-        result = solve(cons)
-        if not result.feasible:
-            return None
-        if k == len(split):
-            return result
-        for side in split[k]:
-            hit = descend(k + 1, cons + [side])
-            if hit is not None:
-                return hit
+        stack = [(0, base)]
+        while stack:
+            k, cons = stack.pop()
+            if solved >= case_budget:
+                raise CaseBudgetExceeded()
+            solved += 1
+            result = eliminate_feasible(LinearConstraintSystem(variables, tuple(cons)))
+            if not result.feasible:
+                continue
+            if k == len(split):
+                return result
+            stack.extend((k + 1, cons + [side]) for side in reversed(split[k]))
         return None
 
     try:
-        result = descend(0, base)
+        result = descend()
     except CaseBudgetExceeded:
         return CentralSearchResult("exhausted", None, solved)
     if result is None:

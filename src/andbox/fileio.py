@@ -177,6 +177,10 @@ def loads_realization(text: str, path: str = "<realization>") -> Realization:
                 _fail(path, no, "header must be 'r and <n> <d>'")
             header = (_int_at(path, no, toks[2], 1), _int_at(path, no, toks[3], 1))
         elif toks[0] == "central":
+            if central_flag:
+                _fail(path, no, "duplicate 'central' line")
+            if len(toks) != 1:
+                _fail(path, no, "flag line must be 'central' alone")
             central_flag = True
         elif toks[0] == "v":
             if header is None:

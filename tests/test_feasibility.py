@@ -1,21 +1,24 @@
 """Exact rational feasibility and the central-realization search."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
 import pytest
 
-from andbox import kernels
+from andbox import families, kernels
 from andbox.feasibility import (
     CaseBudgetExceeded,
+    LinearConstraint,
     LinearConstraintSystem,
     cand1_for_ordering,
     cand1_recognize,
     constraint,
     eliminate_feasible,
 )
-from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph
+from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph, path_graph
 from andbox.orders import Ordering, OrderingError, and1_recognize, four_point_check
 from andbox.realization import is_central, r_order, verify
 
@@ -105,6 +108,44 @@ class TestEliminateFeasible:
         res = eliminate_feasible(s)
         assert res.feasible
         assert satisfies_all(s, res.witness)
+
+    @pytest.mark.parametrize(
+        "bound, strict, feasible",
+        [(-1, False, False), (0, True, False), (0, False, True), (1, False, True)],
+    )
+    def test_zero_variable_systems(self, bound, strict, feasible):
+        res = eliminate_feasible(LinearConstraintSystem((), (constraint((), bound, strict),)))
+        assert res.feasible is feasible
+        assert res.witness == (() if feasible else None)
+
+    def test_plain_int_rows_match_fraction_rows(self):
+        # the gap systems are built from int rows with bound 0
+        rows = [((1, -1, 0), True), ((0, 1, -1), True), ((-1, 0, 0), True), ((1, 1, -3), False)]
+        ints = LinearConstraintSystem(
+            ("x", "y", "z"), tuple(LinearConstraint(c, strict, 0) for c, strict in rows)
+        )
+        fracs = LinearConstraintSystem(
+            ("x", "y", "z"), tuple(constraint(c, 0, strict) for c, strict in rows)
+        )
+        res = eliminate_feasible(ints)
+        assert res.feasible and satisfies_all(ints, res.witness)
+        assert all(type(w) is F for w in res.witness)
+        assert res == eliminate_feasible(fracs)
+
+    def test_homogeneous_mixed_strictness(self):
+        # x <= y and y <= x pin x = y; the strict -x < 0 makes both positive
+        pinned = (constraint((1, -1), 0), constraint((-1, 1), 0))
+        s = LinearConstraintSystem(("x", "y"), pinned + (constraint((-1, 0), 0, strict=True),))
+        res = eliminate_feasible(s)
+        assert res.feasible and satisfies_all(s, res.witness)
+        x, y = res.witness
+        assert x == y > 0
+        # y < x contradicts x <= y although x = y alone is feasible
+        assert eliminate_feasible(LinearConstraintSystem(("x", "y"), pinned)).feasible
+        s = LinearConstraintSystem(
+            ("x", "y"), (constraint((1, -1), 0), constraint((-1, 1), 0, strict=True))
+        )
+        assert not eliminate_feasible(s).feasible
 
     def test_arity_validation(self):
         with pytest.raises(ValueError):
@@ -237,6 +278,17 @@ class TestCandForOrdering:
             assert_central_witness(res, g, o)
             assert_closed_form_radii(res.realization, g)
 
+    def test_long_path_needs_no_recursion(self):
+        # every one of P15's 66 two-option non-edges is one level of the
+        # case tree; the walk must not spend a stack frame per level
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            res = cand1_for_ordering(path_graph(15), Ordering(tuple(range(1, 16))))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.status, res.cases_solved) == ("found", 67)
+
     def test_budget_exception_type_is_public(self):
         assert issubclass(CaseBudgetExceeded, Exception)
 
@@ -246,6 +298,40 @@ class TestCandForOrdering:
 
 
 class TestCandRecognize:
+    @pytest.mark.parametrize(
+        "g, cases, points, radii",
+        [
+            (
+                cycle_graph(8),
+                11,
+                (0, 1, 2, 3, F(9, 2), F(27, 4), F(81, 8), F(243, 16)),
+                (F(243, 16), 1, 1, F(3, 2), F(9, 4), F(27, 8), F(81, 16), F(243, 16)),
+            ),
+            (path_graph(7), 7, (0, 1, 2, 3, 4, 5, 6), (1,) * 7),
+        ],
+        ids=["C8", "P7"],
+    )
+    def test_pinned_witnesses(self, g, cases, points, radii):
+        # the back-substituted witness is part of the output contract
+        res = cand1_recognize(g)
+        assert (res.status, res.ordering.order, res.orderings_tried, res.cases_solved) == (
+            "found",
+            tuple(g.vertices()),
+            1,
+            cases,
+        )
+        r = res.realization
+        for v, p, rad in zip(g.vertices(), points, radii):
+            assert (r.interval(v), r.point(v)) == ((p - rad, p + rad), (p,))
+
+    @pytest.mark.parametrize("seed, cases", [(36, 1), (45, 2), (55, 1)])
+    def test_random_interval_n9_seeds_with_large_eliminations(self, seed, cases):
+        # each seed has a solve whose FM system grows to 135-791 rows (16 at seed 0)
+        g = families.random_interval(9, seed).graph
+        res = cand1_recognize(g)
+        assert (res.status, res.cases_solved) == ("found", cases)
+        assert verify(res.realization, g).ok and is_central(res.realization)
+
     def test_double_star_excluded_by_complete_enumeration(self):
         res = cand1_recognize(complete_multipartite_graph([2, 3]))
         assert res.status == "not_member"

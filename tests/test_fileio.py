@@ -144,6 +144,8 @@ class TestRealizationFormat:
         ("r and 1 1\nv 1 1 0 2 1\nv 1 1 0 2 1\n", 3),  # duplicate vertex/dim
         ("r and 1 1\nv 1 1 0 2/4 1\n", 2),          # non-canonical rational
         ("r and 1 1\nv 1 1 0 2\n", 2),              # wrong arity
+        ("r and 1 1\ncentral yes please\nv 1 1 -1 1 0\n", 2),  # flag arity
+        ("r and 1 1\ncentral\ncentral\nv 1 1 -1 1 0\n", 3),   # duplicate flag
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(FileFormatError) as err:
