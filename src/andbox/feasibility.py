@@ -333,7 +333,10 @@ def cand1_recognize(
     """Central recognition: decide with cand1_for_ordering each point order
     the ordering kernel yields (lexicographically, each {order, reversal}
     pair once).  Orders failing the four point check (every central model
-    is in particular a box-and-point model) are never generated.
+    is in particular a box-and-point model) are never generated, nor are
+    orders with twins (equal open or closed neighbourhoods) out of id
+    order: swapping twins maps a central model to one, so the first
+    central order found is the same as over all orders.
 
     The ordering budget counts orders decided; DEFAULT_NODE_BUDGET bounds
     the enumeration.  NotMember requires it to complete within all three.

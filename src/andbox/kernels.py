@@ -2,7 +2,8 @@
 
 Backtracking search for vertex orderings satisfying the four point
 condition (no ranks i < j < k < l with edges (i,k), (j,l) and non-edge
-(j,k)), in two modes over one walk: orderings() enumerates them all and
+(j,k)), in two modes over one walk: orderings() enumerates those with
+every twin class in increasing index (see the twin rule) and
 search_order() stops at the first.  Vertices are 0-indexed here;
 adjacency comes in as bitmasks (Python ints, so any n).
 
@@ -20,10 +21,19 @@ vertex killed by earlier placements is already placed: the one test per
 candidate is whether the neighbours of the ranks it newly blocks include
 an unplaced vertex, and no dead mask needs to be stored.
 
+Twin rule: twins (vertices with equal open or equal closed
+neighbourhoods) are placed in increasing index.  Swapping two twins is a
+graph automorphism, so it maps a passing ordering to a passing one, and
+sorting every twin class lowers order[0] and raises order[-1].  A
+vertex cannot have both an open and a closed twin (if N(u) = N(w) and
+N[u] = N[v], then v is in N(w), so w is in N[v] = N[u] and thus in
+N(w)), so one predecessor per vertex suffices: v is a candidate only
+once pred[v], its previous twin, is placed.
+
 Node accounting, shared by both modes: one node = one placement tried
 (the root placement or a prefix extension); it is rejected when it
 leaves an unplaced vertex dead.  Candidates skipped by the
-reversal-symmetry rule are not tried and not counted.
+reversal-symmetry rule or the twin rule are not tried and not counted.
 """
 
 from __future__ import annotations
@@ -46,20 +56,31 @@ def search_order(nbr_masks, budget):
 
 def orderings(nbr_masks, budget):
     """Yield (FOUND, order, nodes) for every ordering passing the four
-    point condition with order[0] < order[-1], in lexicographic order,
-    then one (NOT_MEMBER, [], nodes) when the walk completes or one
-    (EXHAUSTED, [], nodes) when the budget runs out.  order lists vertex
-    indices and nodes counts the placements tried so far.
+    point condition with order[0] < order[-1] and every twin class in
+    increasing index, in lexicographic order, then one (NOT_MEMBER, [],
+    nodes) when the walk completes or one (EXHAUSTED, [], nodes) when the
+    budget runs out.  order lists vertex indices and nodes counts the
+    placements tried so far.
 
     Each {ordering, reversal} pair is met once, and the first passing
-    ordering always qualifies (its reversal would otherwise be smaller).
-    The look-ahead prunes only prefixes that no passing ordering extends.
+    ordering always qualifies (its reversal would otherwise be smaller);
+    its twins are in order too, since swapping an out-of-order twin pair
+    gives a smaller passing ordering.  The look-ahead prunes only
+    prefixes that no passing ordering extends.
     """
     n = len(nbr_masks)
     if n == 0:
         yield (FOUND, [], 0)
         yield (NOT_MEMBER, [], 0)
         return
+
+    pred = [0] * n  # pred[v]: bit of v's previous twin, or 0
+    last = {}  # open neighbourhood, or ~closed neighbourhood -> last vertex
+    for v, nb in enumerate(nbr_masks):
+        for key in (nb, ~(nb | 1 << v)):
+            if key in last:
+                pred[v] = 1 << last[key]
+            last[key] = v
 
     order = []
     rankmask = [0] * n  # rankmask[v]: bit j set iff order[j] is adjacent to v
@@ -74,7 +95,7 @@ def orderings(nbr_masks, budget):
         limit = n - 1 if (m == 0 and n > 1) else n
         B = blocked[m]
         while w < limit:
-            if used >> w & 1 or (m == n - 1 and n > 1 and w < order[0]):
+            if used >> w & 1 or pred[w] & ~used or (m == n - 1 and n > 1 and w < order[0]):
                 w += 1
                 continue
             if nodes >= budget:

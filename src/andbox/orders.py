@@ -168,9 +168,12 @@ def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionRe
     """Backtracking search for a 4PC-free ordering.
 
     Deterministic: vertices are tried in ascending id, components in
-    ascending order of their smallest vertex, and each {ordering,
-    reversal} pair is explored once.  The budget counts the placements
-    tried across all components; hitting it yields "exhausted".
+    ascending order of their smallest vertex, each {ordering, reversal}
+    pair is explored once, and twins (equal open or closed
+    neighbourhoods) only in increasing id; the ordering returned is still
+    each component's lexicographically first passing one.  The budget
+    counts the placements tried across all components; hitting it yields
+    "exhausted".
     Disconnected graphs are handled per component (components can be laid
     out on disjoint stretches of the line, so the graph qualifies iff
     every component does), concatenating the component orderings.  A

@@ -81,7 +81,24 @@ def naive_four_point_scan(g: Graph, order):
     return None
 
 
-def reference_search_order(g: Graph, budget, look_ahead=True):
+def twin_pairs(g: Graph) -> list:
+    """Pairs (u, v) with u < v and N(u) = N(v) or N[u] = N[v], by pairwise
+    comparison of neighbour sets."""
+    nb = {v: set(g.neighbors(v)) for v in g.vertices()}
+    return [
+        (u, v)
+        for u, v in combinations(g.vertices(), 2)
+        if nb[u] == nb[v] or nb[u] | {u} == nb[v] | {v}
+    ]
+
+
+def twins_in_order(pairs, seq) -> bool:
+    """Does seq place the lower id of every twin pair first?"""
+    pos = {v: i for i, v in enumerate(seq)}
+    return all(pos[u] < pos[v] for u, v in pairs)
+
+
+def reference_search_order(g: Graph, budget, look_ahead=True, twins=True):
     """Direct-scan twin of the kernel's traversal, for node-for-node checks.
 
     Same contract as andbox.kernels.search_order on a graph with vertices
@@ -89,15 +106,20 @@ def reference_search_order(g: Graph, budget, look_ahead=True):
     "not_member" or "exhausted" and order 0-indexed.  Candidates go in
     ascending index, only orderings with order[0] < order[-1] are
     explored (a largest vertex is never tried first, a last vertex below
-    order[0] never tried) and every other candidate placement costs one
-    node.  A placement at rank m is checked by scanning the quadruples
-    whose last rank is m.  With look_ahead it is also rejected when some
-    unplaced vertex would close a quadruple at rank m + 1 (such a vertex
-    closes one at every later rank too); without it, this is the plain
-    depth-first search.
+    order[0] never tried) and, with twins, a vertex is never tried while
+    a lower-id twin is unplaced; every other candidate placement costs
+    one node.  A placement at rank m is checked by scanning the
+    quadruples whose last rank is m.  With look_ahead it is also rejected
+    when some unplaced vertex would close a quadruple at rank m + 1 (such
+    a vertex closes one at every later rank too); without look_ahead and
+    twins, this is the plain depth-first search.
     """
     n = g.n
     adj = [frozenset(u - 1 for u in g.neighbors(v)) for v in g.vertices()]
+    lower_twins = {v: [] for v in range(n)}
+    if twins:
+        for u, v in twin_pairs(g):
+            lower_twins[v - 1].append(u - 1)
     order = []
     nodes = 0
 
@@ -122,6 +144,8 @@ def reference_search_order(g: Graph, budget, look_ahead=True):
             if w in order:
                 continue
             if n > 1 and ((m == 0 and w == n - 1) or (m == n - 1 and w < order[0])):
+                continue
+            if any(u not in order for u in lower_twins[w]):
                 continue
             if nodes >= budget:
                 return "exhausted"
@@ -210,22 +234,26 @@ def reference_cand1_for_ordering(g: Graph, o, case_budget=10**6):
     return CentralSearchResult("found", Realization.build(1, items), solved)
 
 
-def reference_cand1_recognize(g: Graph, ordering_budget=10**5, case_budget=10**6):
+def reference_cand1_recognize(g: Graph, ordering_budget=10**5, case_budget=10**6, twins=True):
     """Central recognition over all n!/2 point orders, for checks of the
     kernel-driven one.
 
     Same contract as andbox.feasibility.cand1_recognize, except that
-    orderings_tried counts every order with order[0] < order[-1] in
-    lexicographic order, four point violations included (they cost no
-    solve: cand1_for_ordering finds a non-edge with both sides blocked).
+    orderings_tried counts every order with order[0] < order[-1] (and,
+    with twins, every twin pair in increasing id) in lexicographic order,
+    four point violations included (they cost no solve:
+    cand1_for_ordering finds a non-edge with both sides blocked).
     """
     from andbox.feasibility import CAndRecognitionResult, cand1_for_ordering
     from andbox.orders import Ordering
 
     verts = g.vertices()
+    pairs = twin_pairs(g) if twins else []
     tried = solved = 0
     for perm in permutations(verts):
         if len(verts) > 1 and perm[0] > perm[-1]:
+            continue
+        if not twins_in_order(pairs, perm):
             continue
         if tried >= ordering_budget or solved >= case_budget:
             return CAndRecognitionResult("exhausted", None, None, tried, solved)

@@ -141,8 +141,8 @@ def test_check_03_complete_bipartite_2_3_separation(acceptance_record):
     res_c = cand1_recognize(g)
     cand_ok = (
         res_c.status == "not_member"
-        and res_c.orderings_tried == 24
-        and res_c.cases_solved == 24
+        and res_c.orderings_tried == 2
+        and res_c.cases_solved == 2
     )
     elapsed = time.perf_counter() - t0
     acceptance_record(
@@ -164,7 +164,7 @@ def test_check_04_octahedron_exclusion(acceptance_record):
     acceptance_record(
         4,
         "octahedron meets the exclusion predicate and the search rejects it",
-        predicate_ok and res.status == "not_member" and res.nodes == 610,
+        predicate_ok and res.status == "not_member" and res.nodes == 114,
         elapsed,
         5.0,
         f"nodes {res.nodes}",

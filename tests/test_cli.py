@@ -2,18 +2,21 @@
 
 Runs main(argv) in-process so the verdict line, the exit code, and every
 file the commands drop next to their inputs can be asserted directly.
-One subprocess test at the end confirms the installed console script is
-wired to the same entry point.
+Two subprocess tests at the end confirm that `python -m andbox` and the
+installed console script are wired to the same entry point.
 """
 
+import os
 import re
 import shutil
 import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
 import pytest
 
+import andbox
 from conftest import edge_set
 from andbox import fileio, kernels
 from andbox.boxes import to_corner_boxes, to_semisquares
@@ -322,7 +325,7 @@ class TestRecognizeAnd1:
         witness = (tmp_path / "oct.witness").read_text()
         assert witness == (
             "c no vertex ordering satisfies the four point condition\n"
-            "exhaustive nodes 610\n"
+            "exhaustive nodes 114\n"
         )
 
     def test_budget_exhaustion_writes_nothing(self, tmp_path, capsys):
@@ -364,7 +367,7 @@ class TestRecognizeCand1:
         witness = (tmp_path / "k23.witness").read_text()
         assert witness == (
             "c no point order admits a central realization\n"
-            "exhaustive orderings 24 cases 24\n"
+            "exhaustive orderings 2 cases 2\n"
         )
 
     def test_ordering_budget_exhaustion(self, tmp_path, capsys):
@@ -372,7 +375,18 @@ class TestRecognizeCand1:
             tmp_path / "k23.and", complete_multipartite_graph([2, 3])
         )
         code, out, _ = run(
-            capsys, "recognize-cand1", gp, "--ordering-budget", "2"
+            capsys, "recognize-cand1", gp, "--ordering-budget", "1"
+        )
+        assert code == 3
+        assert out.startswith("verdict=exhausted ")
+        assert not (tmp_path / "k23.witness").exists()
+
+    def test_case_budget_exhaustion(self, tmp_path, capsys):
+        gp = write_graph(
+            tmp_path / "k23.and", complete_multipartite_graph([2, 3])
+        )
+        code, out, _ = run(
+            capsys, "recognize-cand1", gp, "--case-budget", "1"
         )
         assert code == 3
         assert out.startswith("verdict=exhausted ")
@@ -521,6 +535,22 @@ class TestErrorHandling:
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "render", "--bogus")
         assert code == 2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    gp = write_graph(tmp_path / "k23.and", complete_multipartite_graph([2, 3]))
+    src = os.path.dirname(os.path.dirname(andbox.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "andbox", "recognize-and1", gp],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert VERDICT.fullmatch(proc.stdout) and proc.stdout.startswith("verdict=yes ")
+    assert fileio.load_ordering(str(tmp_path / "k23.order")).order == (1, 2, 3, 4, 5)
 
 
 @pytest.mark.skipif(

@@ -336,10 +336,11 @@ class TestCandRecognize:
         res = cand1_recognize(complete_multipartite_graph([2, 3]))
         assert res.status == "not_member"
         assert res.realization is None
-        # 24 of the 60 orderings left by reversal halving are 4PC-free,
-        # each decided in one solve
-        assert res.orderings_tried == 24
-        assert res.cases_solved == 24
+        # 24 of the 60 orderings left by reversal halving are 4PC-free, and
+        # 2 of those keep the twins {1, 2} and {3, 4, 5} in increasing id;
+        # each is decided in one solve
+        assert res.orderings_tried == 2
+        assert res.cases_solved == 2
 
     def test_octahedron_prefilter_solves_no_cases(self):
         # K(2,2,2) has no 4PC-free ordering: the kernel yields none
@@ -357,7 +358,9 @@ class TestCandRecognize:
     def test_complete_bipartite_3_3_decides_only_4pc_free_orders(self):
         res = cand1_recognize(complete_multipartite_graph([3, 3]))
         assert res.status == "not_member"
-        assert res.orderings_tried == 72  # of 360 after reversal halving
+        # 72 of the 360 orders left by reversal halving are 4PC-free; 2 of
+        # them keep the false twins {1, 2, 3} and {4, 5, 6} in increasing id
+        assert res.orderings_tried == 2
 
     def test_star_and_cycle_found(self):
         star = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
@@ -377,9 +380,9 @@ class TestCandRecognize:
                 assert and1_recognize(g).found
 
     def test_ordering_budget_exhaustion(self):
-        res = cand1_recognize(complete_multipartite_graph([2, 3]), ordering_budget=2)
+        res = cand1_recognize(complete_multipartite_graph([2, 3]), ordering_budget=1)
         assert res.status == "exhausted"
-        assert res.orderings_tried == 2
+        assert res.orderings_tried == 1
 
     @pytest.mark.parametrize("budget", ["ordering_budget", "case_budget"])
     def test_negative_budget_rejected(self, budget):
@@ -388,7 +391,7 @@ class TestCandRecognize:
             cand1_recognize(cycle_graph(4), **{budget: -1})
 
     def test_case_budget_exhaustion(self):
-        res = cand1_recognize(complete_multipartite_graph([2, 3]), case_budget=3)
+        res = cand1_recognize(complete_multipartite_graph([2, 3]), case_budget=1)
         assert res.status == "exhausted"
 
     def test_exhausted_kernel_enumeration_is_exhausted(self, monkeypatch):
@@ -404,8 +407,9 @@ class TestCandRecognize:
 
     def test_matches_reference_recognition(self, connected_atlas):
         # The kernel skips only orders failing the four point check, which
-        # the reference decides in no solve, so every verdict, ordering,
-        # witness and case count agrees.
+        # the reference decides in no solve, and both skip orders with a
+        # twin pair out of id order, so every verdict, ordering, witness
+        # and case count agrees.
         small = [g for g in connected_atlas if g.n <= 6]
         assert len(small) == 143
         for g in small:
@@ -418,3 +422,29 @@ class TestCandRecognize:
                 ref.cases_solved,
             ), g.edge_list()
             assert res.orderings_tried <= ref.orderings_tried
+
+    def test_twin_rule_keeps_verdict_ordering_and_witness(self, connected_atlas):
+        # The first central-feasible order has its twins in increasing id:
+        # swapping an out-of-order twin pair is an automorphism and gives a
+        # lexicographically smaller order, central-feasible too.
+        for g in [g for g in connected_atlas if g.n <= 6]:
+            res = cand1_recognize(g)
+            ref = reference_cand1_recognize(g, twins=False)
+            assert (res.status, res.ordering, res.realization) == (
+                ref.status,
+                ref.ordering,
+                ref.realization,
+            ), g.edge_list()
+            assert res.cases_solved <= ref.cases_solved, g.edge_list()
+            assert res.orderings_tried <= ref.orderings_tried, g.edge_list()
+
+    def test_edge_with_isolated_false_twins(self):
+        # N(3) = N(4) = N(5) = {} and N[1] = N[2]: both classes are placed
+        # in increasing id, and the first order the kernel yields is central
+        g = Graph.from_edges(5, [(1, 2)])
+        res = cand1_recognize(g)
+        assert res.status == "found"
+        assert verify(res.realization, g).ok and is_central(res.realization)
+        assert r_order(res.realization) == res.ordering.order
+        assert res.ordering.order == (1, 2, 3, 4, 5)
+        assert (res.orderings_tried, res.cases_solved) == (1, 1)

@@ -1,7 +1,8 @@
 """The ordering search kernel: frozen instances, budgets, a node-for-node
-match with the direct-scan reference search, whose plain form checks that
-the look-ahead prunes only subtrees without a passing ordering, and the
-enumeration of every passing ordering against brute force."""
+match with the direct-scan reference search, whose plain and twin-free
+forms check that the look-ahead and the twin rule prune only subtrees
+without a first passing ordering, and the enumeration of every passing
+ordering with its twins in increasing id against brute force."""
 
 import random
 from itertools import combinations, permutations
@@ -10,7 +11,13 @@ from andbox import _kernels_py, families, kernels
 from andbox.graphs import Graph, complete_multipartite_graph, path_graph
 from andbox.orders import and1_recognize
 
-from conftest import naive_four_point_scan, random_connected_graph, reference_search_order
+from conftest import (
+    naive_four_point_scan,
+    random_connected_graph,
+    reference_search_order,
+    twin_pairs,
+    twins_in_order,
+)
 
 STATUS = {kernels.FOUND: "found", kernels.NOT_MEMBER: "not_member", kernels.EXHAUSTED: "exhausted"}
 
@@ -33,23 +40,25 @@ def test_status_constants_distinct():
 
 def test_pure_kernel_frozen_instances():
     status, order, nodes = kernels.search_order(masks(complete_multipartite_graph([2, 2, 2])), 10**8)
-    assert (status, order, nodes) == (kernels.NOT_MEMBER, [], 610)
+    assert (status, order, nodes) == (kernels.NOT_MEMBER, [], 114)
     status, order, nodes = kernels.search_order(masks(complete_multipartite_graph([2, 3])), 10**8)
     assert status == kernels.FOUND and nodes == 5
     assert order == [0, 1, 2, 3, 4]
 
 
 def test_look_ahead_work_counts():
-    # plain search: 380,422, 534,906 and 1,928,003 nodes
+    # plain search: 380,422, 534,906 and 1,928,003 nodes; without the twin
+    # rule K(2,2,2,2,2) takes 143,874 and the block graph 34 (h(3,4,4) has
+    # no twins)
     h344 = families.h_graph(3, 4, 4).graph
     status, order, nodes = kernels.search_order(masks(h344), 10**8)
     assert status == kernels.FOUND and nodes == 32_853
     assert naive_four_point_scan(h344, [i + 1 for i in order]) is None
     k22222 = complete_multipartite_graph([2, 2, 2, 2, 2])
-    assert kernels.search_order(masks(k22222), 10**8) == (kernels.NOT_MEMBER, [], 143_874)
+    assert kernels.search_order(masks(k22222), 10**8) == (kernels.NOT_MEMBER, [], 6_850)
     block = families.random_block_graph(16, 5).graph
     status, order, nodes = kernels.search_order(masks(block), 10**8)
-    assert status == kernels.FOUND and nodes == 34
+    assert status == kernels.FOUND and nodes == 28
     assert naive_four_point_scan(block, [i + 1 for i in order]) is None
 
 
@@ -66,14 +75,14 @@ def test_found_orders_satisfy_quadruple_scan():
 
 def test_budget_counts_processed_placements():
     g = complete_multipartite_graph([2, 2, 2])
-    for budget in (0, 1, 10, 500):
+    for budget in (0, 1, 10, 113):
         status, order, nodes = kernels.search_order(masks(g), budget)
         assert status == kernels.EXHAUSTED
         assert order == []
         assert nodes == budget
     # one node above the full tree size changes nothing
-    status, _, nodes = kernels.search_order(masks(g), 610)
-    assert status == kernels.NOT_MEMBER and nodes == 610
+    status, _, nodes = kernels.search_order(masks(g), 114)
+    assert status == kernels.NOT_MEMBER and nodes == 114
 
 
 def test_graph_masks_are_the_kernel_input(connected_atlas):
@@ -104,6 +113,48 @@ def test_look_ahead_keeps_verdict_and_ordering(connected_atlas):
         assert nodes <= plain_nodes, g.edge_list()
 
 
+def test_twin_rule_keeps_verdict_and_ordering(connected_atlas):
+    for g in connected_atlas:
+        status, order, nodes = kernels.search_order(masks(g), 10**9)
+        free_status, free_order, free_nodes = reference_search_order(g, 10**9, twins=False)
+        assert (STATUS[status], order) == (free_status, free_order), g.edge_list()
+        assert nodes <= free_nodes, g.edge_list()
+
+
+def test_no_vertex_has_both_twin_kinds(connected_atlas):
+    # so one predecessor per vertex orders both kinds of twin class
+    for g in connected_atlas:
+        nb = {v: set(g.neighbors(v)) for v in g.vertices()}
+        for v in g.vertices():
+            kinds = {
+                "open" if nb[u] == nb[v] else "closed"
+                for u in g.vertices()
+                if u != v and (nb[u] == nb[v] or nb[u] | {u} == nb[v] | {v})
+            }
+            assert len(kinds) <= 1, (g.edge_list(), v)
+
+
+def test_complete_graph_is_one_true_twin_class():
+    # every vertex waits for the one before it: the identity, one node a rank
+    for n in range(1, 9):
+        g = complete_multipartite_graph([1] * n)
+        assert kernels.search_order(masks(g), 10**9) == (kernels.FOUND, list(range(n)), n)
+        assert list(kernels.orderings(masks(g), 10**9)) == [
+            (kernels.FOUND, list(range(n)), n),
+            (kernels.NOT_MEMBER, [], n),
+        ]
+
+
+def test_twin_classes_of_both_kinds():
+    # true twins 1, 2 (N[1] = N[2] = {1, 2, 3}) and false twins 4, 5
+    # (N(4) = N(5) = {3}) around the cut vertex 3
+    g = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5)])
+    assert twin_pairs(g) == [(1, 2), (4, 5)]
+    found = [order for status, order, _ in kernels.orderings(masks(g), 10**9) if status == kernels.FOUND]
+    assert found == brute_force_orderings(g)
+    assert len(found) == 14
+
+
 def test_kernel_handles_graphs_beyond_64_vertices():
     res = and1_recognize(path_graph(70))
     assert res.found
@@ -111,13 +162,14 @@ def test_kernel_handles_graphs_beyond_64_vertices():
 
 
 def brute_force_orderings(g: Graph):
-    """0-indexed permutations with p[0] < p[-1] that pass the quadruple
-    scan, in lexicographic order."""
+    """0-indexed permutations with p[0] < p[-1] and twins in increasing id
+    that pass the quadruple scan, in lexicographic order."""
     n = g.n
+    pairs = twin_pairs(g)
     return [
         [v - 1 for v in p]
         for p in permutations(g.vertices())
-        if (n < 2 or p[0] < p[-1]) and naive_four_point_scan(g, p) is None
+        if (n < 2 or p[0] < p[-1]) and twins_in_order(pairs, p) and naive_four_point_scan(g, p) is None
     ]
 
 
@@ -144,7 +196,8 @@ def test_enumeration_matches_brute_force(connected_atlas):
 def test_enumeration_budget_ends_the_stream():
     m = masks(complete_multipartite_graph([2, 3]))
     full = list(kernels.orderings(m, 10**9))
-    assert len(full) == 25 and full[-1][0] == kernels.NOT_MEMBER
+    # the false twins {0, 1} and {2, 3, 4} leave two orderings
+    assert len(full) == 3 and full[-1][0] == kernels.NOT_MEMBER
     for budget in (0, 1, 7, full[-1][2] - 1):
         items = list(kernels.orderings(m, budget))
         assert items[-1] == (kernels.EXHAUSTED, [], budget)

@@ -212,7 +212,7 @@ class TestRecognizer:
         res = and1_recognize(complete_multipartite_graph([2, 2, 2]))
         assert res.status == "not_member"
         assert res.ordering is None
-        assert res.nodes == 610
+        assert res.nodes == 114
 
     def test_k23_found_quickly(self):
         g = complete_multipartite_graph([2, 3])
