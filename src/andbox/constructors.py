@@ -10,6 +10,7 @@ family (orderings for the short-path cases).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
 from .orders import Ordering, rank_bounds
-from .realization import Realization, _frac, is_safe
+from .realization import Realization, RealizationError, _frac, is_safe
 
 HALF = Fraction(1, 2)
 
@@ -193,17 +194,78 @@ class GlueParams:
     scale: Fraction
 
 
-def glue_params(r1: Realization, w1: int, r2: Realization) -> GlueParams:
-    p1 = r1.coordinate(w1)
-    deltas = [abs(p1 - pt[0]) for v, _, pt in r1.items() if v != w1]
+def _distinct_points(r: Realization) -> list:
+    """The sorted points of a host or guest (d = 1), which must differ."""
+    if r.d != 1:
+        raise GraphError("gluing is defined for one-dimensional realizations")
+    pts = sorted(pt[0] for pt in r.points)
+    if any(a == b for a, b in zip(pts, pts[1:])):
+        raise GraphError("gluing requires distinct points in each input")
+    return pts
+
+
+def _host(r: Realization):
+    """Seed a gluing host: items {id: (interval, point)} plus its points
+    sorted, the two pieces of state that every later glue updates."""
+    pts = _distinct_points(r)
+    return {v: (box[0], pt[0]) for v, box, pt in r.items()}, pts
+
+
+def _glue_params(items: dict, pts: list, w1: int, r2: Realization) -> GlueParams:
+    if w1 not in items:
+        raise RealizationError(f"unknown vertex {w1}")
+    p1 = items[w1][1]
     # distance to every other point, not just neighbors: a wide host box
-    # of a non-neighbor may reach arbitrarily close to p1
+    # of a non-neighbor may reach arbitrarily close to p1; in the sorted
+    # points the nearest one sits right before or after p1
+    i = bisect_left(pts, p1)
+    deltas = [p1 - pts[i - 1]] if i else []
+    if i + 1 < len(pts):
+        deltas.append(pts[i + 1] - p1)
     delta = min(deltas) if deltas else Fraction(1)
-    coords = [c for _, box, _ in r2.items() for c in box[0]]
+    coords = [c for box in r2.boxes for c in box[0]]
     span = max(coords) - min(coords)
     if span == 0:
         span = Fraction(1)
     return GlueParams(delta, span, delta / (2 * span))
+
+
+def _glue_into(items: dict, pts: list, w1: int, r2: Realization, w2: int) -> None:
+    """One glue: identify w1 of the host (items, pts) with the safe
+    vertex w2 of r2.  Only r2's vertices are written into items and only
+    its points are inserted into pts, so a glue costs O(|r2| log n) plus
+    the list insertions, not a pass over the host."""
+    _distinct_points(r2)
+    if not is_safe(r2, w2):
+        raise GraphError(f"vertex {w2} is not safe in the second realization")
+    overlap = sorted(v for v in r2.ids if v != w2 and v in items)
+    if overlap:
+        raise GraphError(f"vertex ids collide outside the glued pair: {overlap}")
+
+    s = _glue_params(items, pts, w1, r2).scale
+    (l1, h1), p1 = items[w1]
+    p2 = r2.coordinate(w2)
+
+    def shift(x):
+        return s * (x - p2) + p1
+
+    (l2, h2) = r2.interval(w2)
+    items[w1] = ((min(l1, shift(l2)), max(h1, shift(h2))), p1)
+    for v, box, pt in r2.items():
+        if v == w2:
+            continue
+        (lo, hi) = box[0]
+        q = shift(pt[0])
+        items[v] = ((shift(lo), shift(hi)), q)
+        i = bisect_left(pts, q)
+        if i < len(pts) and pts[i] == q:
+            raise GraphError("gluing requires distinct points in each input")
+        pts.insert(i, q)
+
+
+def glue_params(r1: Realization, w1: int, r2: Realization) -> GlueParams:
+    items, pts = _host(r1)
+    return _glue_params(items, pts, w1, r2)
 
 
 def glue_at_safe_vertex(
@@ -217,37 +279,8 @@ def glue_at_safe_vertex(
     the hull of its two boxes.  Vertex ids must not collide outside the
     identified pair.
     """
-    if r1.d != 1 or r2.d != 1:
-        raise GraphError("gluing is defined for one-dimensional realizations")
-    if not is_safe(r2, w2):
-        raise GraphError(f"vertex {w2} is not safe in the second realization")
-    for r in (r1, r2):
-        pts = [pt[0] for _, _, pt in r.items()]
-        if len(set(pts)) != len(pts):
-            raise GraphError("gluing requires distinct points in each input")
-    overlap = (set(r1.ids) - {w1}) & (set(r2.ids) - {w2})
-    if overlap:
-        raise GraphError(f"vertex ids collide outside the glued pair: {sorted(overlap)}")
-
-    params = glue_params(r1, w1, r2)
-    p1 = r1.coordinate(w1)
-    p2 = r2.coordinate(w2)
-    s = params.scale
-
-    def shift(x):
-        return s * (x - p2) + p1
-
-    items = {}
-    for v, box, pt in r1.items():
-        items[v] = (box[0], pt[0])
-    (l1, h1) = r1.interval(w1)
-    (l2, h2) = r2.interval(w2)
-    items[w1] = ((min(l1, shift(l2)), max(h1, shift(h2))), p1)
-    for v, box, pt in r2.items():
-        if v == w2:
-            continue
-        (lo, hi) = box[0]
-        items[v] = ((shift(lo), shift(hi)), shift(pt[0]))
+    items, pts = _host(r1)
+    _glue_into(items, pts, w1, r2, w2)
     return Realization.build(1, items)
 
 
@@ -277,6 +310,9 @@ def assemble_block_tree(components, bd: BlockDecomposition) -> Realization:
     (block_index, parent_cut_vertex_or_None) -> Realization, called once
     per block when it is about to be glued.  Every non-root block's
     realization must have the parent cut vertex safe.
+
+    The whole assembly keeps one items dict and one sorted point list:
+    each glue touches only its guest, and the realization is built once.
     """
     if callable(components):
         build = components
@@ -286,22 +322,25 @@ def assemble_block_tree(components, bd: BlockDecomposition) -> Realization:
     blocks = bd.blocks
     if not blocks:
         raise GraphError("no blocks to assemble")
-    acc = build(0, None)
+    blocks_at = {}  # cut vertex -> its blocks, ascending
+    for bj, blk in enumerate(blocks):
+        for c in blk & bd.cut_vertices:
+            blocks_at.setdefault(c, []).append(bj)
+    items, pts = _host(build(0, None))
     seen_blocks = {0}
     queue = deque([0])
     while queue:
         bi = queue.popleft()
-        cuts = sorted(set(blocks[bi]) & bd.cut_vertices)
-        for c in cuts:
-            for bj, blk in enumerate(blocks):
-                if bj in seen_blocks or c not in blk:
+        for c in sorted(blocks[bi] & bd.cut_vertices):
+            for bj in blocks_at[c]:
+                if bj in seen_blocks:
                     continue
                 seen_blocks.add(bj)
-                acc = glue_at_safe_vertex(acc, c, build(bj, c), c)
+                _glue_into(items, pts, c, build(bj, c), c)
                 queue.append(bj)
     if len(seen_blocks) != len(blocks):
         raise GraphError("block tree is not connected")
-    return acc
+    return Realization.build(1, items)
 
 
 def block_graph_cand1(g: Graph) -> Realization:
@@ -319,11 +358,13 @@ def block_graph_cand1(g: Graph) -> Realization:
 # ---------------------------------------------------------------------------
 # cycles sharing an edge, and polygon dissections
 
-def _insert_cycle_into_gap(items: dict, x: int, y: int, new_ids):
+def _insert_cycle_into_gap(items: dict, pts: list, x: int, y: int, new_ids):
     """Insert the internals of a cycle of size len(new_ids)+2 between the
     points of x and y, which must be adjacent, consecutive in point order,
     and have boxes covering the whole [p_x, p_y] stretch.  new_ids lists
-    the fresh vertices from the x side to the y side.  Mutates items.
+    the fresh vertices from the x side to the y side.  pts holds every
+    point of items, sorted; both are mutated.  Only the neighbours of the
+    gap in pts are read, so an insertion costs O(log n) comparisons.
     """
     (px, py) = items[x][1], items[y][1]
     if px > py:
@@ -332,8 +373,9 @@ def _insert_cycle_into_gap(items: dict, x: int, y: int, new_ids):
     gap = py - px
     if gap <= 0:
         raise GraphError("gap endpoints must have distinct points")
-    pts = [pt for v, (_, pt) in items.items()]
-    if any(px < q < py for q in pts):
+    lo_i = bisect_left(pts, px)  # pts[lo_i - 1] is the nearest point below px
+    at = bisect_right(pts, px)  # the first point above px must be py
+    if pts[at] != py:
         raise GraphError("gap must contain no other representative point")
     for end in (x, y):
         lo, hi = items[end][0]
@@ -343,20 +385,22 @@ def _insert_cycle_into_gap(items: dict, x: int, y: int, new_ids):
     t = len(new_ids) + 2
     sigma = gap / (t - 1)
     eps = HALF
-    left = [px - q for q in pts if q < px]
-    right = [q - py for q in pts if q > py]
-    if left:
-        eps = min(eps, (t - 1) * min(left) / (2 * gap))
-    if right:
-        eps = min(eps, (t - 1) * min(right) / (2 * gap))
+    if lo_i:
+        eps = min(eps, (t - 1) * (px - pts[lo_i - 1]) / (2 * gap))
+    hi_i = bisect_right(pts, py)
+    if hi_i < len(pts):
+        eps = min(eps, (t - 1) * (pts[hi_i] - py) / (2 * gap))
 
     guest = cycle_cand1(t, eps)
+    inserted = []
     for label, v in enumerate(new_ids, start=2):
         (lo, hi), pt = guest.box(label)[0], guest.coordinate(label)
         items[v] = (
             (sigma * (lo - 1) + px, sigma * (hi - 1) + px),
             sigma * (pt - 1) + px,
         )
+        inserted.append(items[v][1])
+    pts[at:at] = inserted  # ascending, strictly inside (px, py)
 
 
 def glue_cycles_on_edge(n: int, m: int, shared=(1, 2), eps=HALF) -> Realization:
@@ -385,7 +429,8 @@ def glue_cycles_on_edge(n: int, m: int, shared=(1, 2), eps=HALF) -> Realization:
     anchor = (u - i) % m + 1
     host = cycle_cand1(m, eps, anchor=anchor)
     items = {w: (box[0], pt[0]) for w, box, pt in host.items()}
-    _insert_cycle_into_gap(items, u, v, list(range(m + 1, m + n - 1)))
+    pts = sorted(pt for _, pt in items.values())
+    _insert_cycle_into_gap(items, pts, u, v, list(range(m + 1, m + n - 1)))
     return Realization.build(1, items)
 
 
@@ -468,10 +513,11 @@ def _realize_dissection_block(
     for label, p in enumerate(root_face, start=1):
         v = ring[p]
         items[v] = (root.box(label)[0], root.coordinate(label))
+    pts = sorted(pt for _, pt in items.values())
     for face, closing in faces[1:]:
         a, b = closing
         internal = [ring[p] for p in face[1:-1]]
-        _insert_cycle_into_gap(items, ring[a], ring[b], internal)
+        _insert_cycle_into_gap(items, pts, ring[a], ring[b], internal)
     return items
 
 

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
+from andbox.constructors import cycle_cand1
 from andbox.graphs import Graph
-from andbox.realization import Realization
+from andbox.realization import Realization, is_safe
 
 F = Fraction
 
@@ -338,6 +340,81 @@ def reference_dissection_faces(k: int, chords):
 
     rec(0, k - 1, None)
     return out
+
+
+def reference_glue_at_safe_vertex(r1: Realization, w1: int, r2: Realization, w2: int) -> Realization:
+    """Glue r2 onto r1 by rebuilding the whole host: delta is the minimum
+    over every other host point, and the result is a fresh Realization.
+    The per-glue step that constructors.assemble_block_tree replaced."""
+    assert r1.d == 1 and r2.d == 1 and is_safe(r2, w2)
+    for r in (r1, r2):
+        pts = [pt[0] for _, _, pt in r.items()]
+        assert len(set(pts)) == len(pts)
+    assert not (set(r1.ids) - {w1}) & (set(r2.ids) - {w2})
+    p1 = r1.coordinate(w1)
+    p2 = r2.coordinate(w2)
+    deltas = [abs(p1 - pt[0]) for v, _, pt in r1.items() if v != w1]
+    delta = min(deltas) if deltas else Fraction(1)
+    coords = [c for _, box, _ in r2.items() for c in box[0]]
+    span = (max(coords) - min(coords)) or Fraction(1)
+    s = delta / (2 * span)
+
+    def shift(x):
+        return s * (x - p2) + p1
+
+    items = {v: (box[0], pt[0]) for v, box, pt in r1.items()}
+    (l1, h1), (l2, h2) = r1.interval(w1), r2.interval(w2)
+    items[w1] = ((min(l1, shift(l2)), max(h1, shift(h2))), p1)
+    for v, box, pt in r2.items():
+        if v != w2:
+            items[v] = ((shift(box[0][0]), shift(box[0][1])), shift(pt[0]))
+    return Realization.build(1, items)
+
+
+def reference_assemble_block_tree(components, bd) -> Realization:
+    """The sequential fold acc = glue(acc, c, build(bj, c), c) in BFS
+    order, scanning every block for each cut vertex: the O(blocks * n)
+    assembly that the one-pass constructors.assemble_block_tree replaced."""
+    build = components if callable(components) else (lambda bi, cut: components[bi])
+    acc = build(0, None)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        bi = queue.popleft()
+        for c in sorted(set(bd.blocks[bi]) & bd.cut_vertices):
+            for bj, blk in enumerate(bd.blocks):
+                if bj not in seen and c in blk:
+                    seen.add(bj)
+                    acc = reference_glue_at_safe_vertex(acc, c, build(bj, c), c)
+                    queue.append(bj)
+    assert len(seen) == len(bd.blocks)
+    return acc
+
+
+def reference_insert_cycle_into_gap(items: dict, x: int, y: int, new_ids) -> None:
+    """Fold a cycle's internals into the gap between p_x and p_y, finding
+    the gap's neighbours by scanning every placed point: the scan that the
+    bisection in constructors._insert_cycle_into_gap replaced."""
+    (px, py) = items[x][1], items[y][1]
+    if px > py:
+        x, y, px, py = y, x, py, px
+        new_ids = list(reversed(new_ids))
+    gap = py - px
+    pts = [pt for _, pt in items.values()]
+    assert gap > 0 and not any(px < q < py for q in pts)
+    t = len(new_ids) + 2
+    sigma = gap / (t - 1)
+    eps = Fraction(1, 2)
+    left = [px - q for q in pts if q < px]
+    right = [q - py for q in pts if q > py]
+    if left:
+        eps = min(eps, (t - 1) * min(left) / (2 * gap))
+    if right:
+        eps = min(eps, (t - 1) * min(right) / (2 * gap))
+    guest = cycle_cand1(t, eps)
+    for label, v in enumerate(new_ids, start=2):
+        (lo, hi), pt = guest.interval(label), guest.coordinate(label)
+        items[v] = ((sigma * (lo - 1) + px, sigma * (hi - 1) + px), sigma * (pt - 1) + px)
 
 
 def reference_corner_box_edges(boxes) -> set:

@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 import andbox
-from conftest import edge_set
+from conftest import edge_set, reference_glue_at_safe_vertex
 from andbox import fileio, kernels
 from andbox.boxes import to_corner_boxes, to_semisquares
 from andbox.cli import main
@@ -455,6 +455,7 @@ class TestConversions:
         assert code == 0
         merged = fileio.load_realization(str(tmp_path / "tri-glued.real"))
         assert merged == glue_at_safe_vertex(host, 3, guest, 11)
+        assert merged == reference_glue_at_safe_vertex(host, 3, guest, 11)
 
     def test_glue_rejects_unsafe_vertex(self, tmp_path, capsys):
         host = clique_cand1([1, 2, 3])
@@ -465,6 +466,13 @@ class TestConversions:
         code, _, err = run(capsys, "glue", hp, "3", gp, "13")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_glue_rejects_unknown_host_vertex(self, tmp_path, capsys):
+        hp = write_real(tmp_path / "a.real", clique_cand1([1, 2, 3]))
+        gp = write_real(tmp_path / "b.real", clique_cand1([7, 11]))
+        code, _, err = run(capsys, "glue", hp, "7", gp, "7")
+        assert code == 2
+        assert err == "error: unknown vertex 7\n"
 
     def test_render_default_name(self, tmp_path, capsys):
         r = cycle_cand1(4, F(1, 2))

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from andbox import constructors
 from andbox.constructors import (
     _dissection_faces,
     assemble_block_tree,
@@ -35,7 +36,7 @@ from andbox.families import (
     random_interval,
     random_rooted_path,
 )
-from andbox.graphs import Graph, GraphError, block_decomposition, cycle_graph
+from andbox.graphs import BlockDecomposition, Graph, GraphError, block_decomposition, cycle_graph
 from andbox.orders import cycle_label_analysis, four_point_check, realization_from_ordering
 from andbox.realization import (
     Realization,
@@ -53,7 +54,9 @@ from conftest import (
     oracle_central_edges,
     oracle_induced_edges,
     oracle_interval_overlap_edges,
+    reference_assemble_block_tree,
     reference_dissection_faces,
+    reference_insert_cycle_into_gap,
 )
 
 
@@ -64,6 +67,26 @@ def fz(u, v):
 def ring_edges(ids):
     ids = tuple(ids)
     return {fz(ids[i], ids[(i + 1) % len(ids)]) for i in range(len(ids))}
+
+
+def random_outerplanar_walk(seed):
+    """Random dissections hung at random walk positions: an outerplanar
+    model with several blocks, bridges (2-gons) included.  Each new polygon
+    c, f1, ..., fk is spliced into the walk right after an occurrence of c
+    as f1, ..., fk, c."""
+    rng = random.Random(seed)
+    first = random_dissection(rng.randint(3, 9), seed).aux
+    walk, chords = list(first.outer), list(first.chords)
+    for _ in range(rng.randint(1, 6)):
+        at = rng.randrange(len(walk))
+        c, k = walk[at], rng.randint(2, 7)
+        fresh = len(set(walk)) + 1
+        label = [None, c] + list(range(fresh, fresh + k - 1))
+        walk[at + 1:at + 1] = label[2:] + [c]
+        if k >= 4:
+            for u, v in random_dissection(k, rng.randrange(1000)).aux.chords:
+                chords.append(tuple(sorted((label[u], label[v]))))
+    return OuterplanarModel(tuple(walk), tuple(sorted(chords)))
 
 
 class TestCycleCand1:
@@ -232,6 +255,9 @@ class TestGlueAtSafeVertex:
     def test_colliding_ids_rejected(self):
         with pytest.raises(GraphError):
             glue_at_safe_vertex(clique_cand1([1, 2, 3]), 3, clique_cand1([2, 3]), 3)
+        # the host's glued id may not reappear as another guest vertex
+        with pytest.raises(GraphError, match=r"collide.*\[3\]"):
+            glue_at_safe_vertex(clique_cand1([1, 2, 3]), 3, clique_cand1([3, 11]), 11)
 
     def test_higher_dimensions_rejected(self):
         flat = Realization.build(2, {
@@ -309,6 +335,75 @@ class TestBlockAssembly:
         r = block_graph_cand1(Graph.from_edges(1, []))
         assert r.n == 1
         assert is_central(r)
+
+    def test_block_graphs_match_sequential_fold(self):
+        for seed in range(20):
+            g = random_block_graph(6 + 7 * seed, seed).graph
+            bd = block_decomposition(g)
+            expected = reference_assemble_block_tree(lambda bi, cut: clique_cand1(bd.blocks[bi]), bd)
+            assert block_graph_cand1(g) == expected
+
+    def test_outerplanar_models_match_sequential_fold(self, monkeypatch):
+        models = [random_dissection(4 + 3 * seed, seed).aux for seed in range(10)]
+        models += [random_outerplanar_walk(seed) for seed in range(20)]
+        fast = [outerplanar_cand1(m) for m in models]
+        for m, r in zip(models, fast):
+            assert verify(r, m.graph()).ok
+        monkeypatch.setattr(constructors, "assemble_block_tree", reference_assemble_block_tree)
+        monkeypatch.setattr(
+            constructors,
+            "_insert_cycle_into_gap",
+            lambda items, pts, x, y, ids: reference_insert_cycle_into_gap(items, x, y, ids),
+        )
+        assert [outerplanar_cand1(m) for m in models] == fast
+
+    def test_star_builds_each_vertex_a_bounded_number_of_times(self, monkeypatch):
+        # a star with 400 leaves has 400 bridge blocks; rebuilding the
+        # accumulated realization after every glue passes about n^2/2
+        # items to Realization.build, one final build passes n
+        n = 401
+        passed = 0
+        build = Realization.build
+
+        def counted(d, items):
+            nonlocal passed
+            passed += len(items)
+            return build(d, items)
+
+        monkeypatch.setattr(Realization, "build", staticmethod(counted))
+        r = block_graph_cand1(Graph.from_edges(n, [(1, v) for v in range(2, n + 1)]))
+        assert r.n == n
+        assert passed <= 3 * n
+
+    TRIANGLE_GUESTS = {
+        "unsafe": (
+            relabel(
+                Realization.build(1, {1: ((0, 4), 1), 2: ((1, 3), 2), 3: ((2, 9), 6)}),
+                {1: 4, 2: 3, 3: 5},
+            ),
+            "vertex 3 is not safe",
+        ),
+        "tied": (Realization.build(1, {3: ((0, 2), 1), 4: ((0, 2), 1)}), "distinct points"),
+        "colliding": (clique_cand1([2, 3]), r"collide outside the glued pair: \[2\]"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TRIANGLE_GUESTS))
+    def test_bad_guest_rejected(self, kind):
+        guest, message = self.TRIANGLE_GUESTS[kind]
+        bd = block_decomposition(self.BOWTIE)
+        with pytest.raises(GraphError, match=message):
+            assemble_block_tree(lambda bi, cut: clique_cand1(bd.blocks[0]) if cut is None else guest, bd)
+
+    def test_tied_root_rejected(self):
+        bd = block_decomposition(self.BOWTIE)
+        tied = relabel(self.TRIANGLE_GUESTS["tied"][0], {3: 1, 4: 2})
+        with pytest.raises(GraphError, match="distinct points"):
+            assemble_block_tree(lambda bi, cut: tied if cut is None else clique_cand1(bd.blocks[bi]), bd)
+
+    def test_disconnected_blocks_rejected(self):
+        bd = BlockDecomposition((frozenset({1, 2}), frozenset({3, 4})), frozenset())
+        with pytest.raises(GraphError, match="block tree is not connected"):
+            assemble_block_tree(lambda bi, cut: clique_cand1(bd.blocks[bi]), bd)
 
 
 def fused_cycle_edges(n, m, shared):
@@ -449,6 +544,40 @@ class TestOuterplanar:
         monkeypatch.undo()
         assert verify(r, m.graph()).ok
         assert is_central(r)
+
+    def test_nested_polygon_reads_only_the_gap_neighbours(self, monkeypatch):
+        # each face is folded into its closing chord's gap from the two
+        # neighbours of the gap in the sorted points; a walk over every
+        # placed vertex per face costs O(faces * n) Fraction comparisons
+        class OneVertexAtATime:
+            def __init__(self, placed):
+                self.placed = placed
+
+            def __getitem__(self, v):
+                return self.placed[v]
+
+            def __setitem__(self, v, value):
+                self.placed[v] = value
+
+            def __iter__(self):
+                raise AssertionError("walked every placed vertex")
+
+            keys = values = items = __len__ = __iter__
+
+        k = 400
+        m = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
+        insert = constructors._insert_cycle_into_gap
+        calls = 0
+
+        def guarded(items, pts, x, y, ids):
+            nonlocal calls
+            calls += 1
+            insert(OneVertexAtATime(items), pts, x, y, ids)
+
+        monkeypatch.setattr(constructors, "_insert_cycle_into_gap", guarded)
+        r = outerplanar_cand1(m)
+        assert calls == len(m.chords)
+        assert r.n == k
 
     def test_crossing_chords_rejected(self):
         m = OuterplanarModel((1, 2, 3, 4, 5, 6), ((1, 3), (2, 4)))
