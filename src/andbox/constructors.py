@@ -391,15 +391,12 @@ def _insert_cycle_into_gap(items: dict, pts: list, x: int, y: int, new_ids):
     if hi_i < len(pts):
         eps = min(eps, (t - 1) * (pts[hi_i] - py) / (2 * gap))
 
-    guest = cycle_cand1(t, eps)
-    inserted = []
-    for label, v in enumerate(new_ids, start=2):
-        (lo, hi), pt = guest.box(label)[0], guest.coordinate(label)
-        items[v] = (
-            (sigma * (lo - 1) + px, sigma * (hi - 1) + px),
-            sigma * (pt - 1) + px,
-        )
-        inserted.append(items[v][1])
+    # labels 2..t-1 of cycle_cand1(t, eps), [l - (1+eps), l + (1+eps)]
+    # around point l, mapped by l -> sigma * (l - 1) + p_x
+    r = sigma * (1 + eps)
+    inserted = [sigma * (label - 1) + px for label in range(2, t)]
+    for v, q in zip(new_ids, inserted):
+        items[v] = ((q - r, q + r), q)
     pts[at:at] = inserted  # ascending, strictly inside (px, py)
 
 
@@ -435,9 +432,15 @@ def glue_cycles_on_edge(n: int, m: int, shared=(1, 2), eps=HALF) -> Realization:
 
 
 def _noncrossing(chords) -> bool:
-    for (a, b), (c, d) in itertools.combinations(chords, 2):
-        if a < c < b < d or c < a < d < b:
+    # sorted by (a, -b), a chord (a, b) must end inside every chord still
+    # open at a; their ends form a stack, innermost on top
+    ends = []
+    for a, b in sorted(chords, key=lambda ab: (ab[0], -ab[1])):
+        while ends and ends[-1] <= a:
+            ends.pop()
+        if ends and ends[-1] < b:
             return False
+        ends.append(b)
     return True
 
 

@@ -25,10 +25,11 @@ Feasibility is decided by one Fourier-Motzkin elimination over integer
 cone rows c . x <= 0 or c . x < 0, each divided by the gcd of its entries;
 a derived row is strict iff any parent is, and the system is infeasible
 iff a strict zero row appears (Gordan's theorem for the all-strict gap
-systems, which are cones already).  A general rational system a . x <= b
-is homogenised over (t, x) with the extra row -t < 0, so the same core
-decides it.  Witnesses come from back-substitution, taking midpoints of
-residual intervals.  No floats, no tolerances.
+systems, which are cones already); the gap search hands it its rows as
+they are.  A general rational system a . x <= b is homogenised over (t, x)
+with the extra row -t < 0, so the same core decides it.  Witnesses come
+from back-substitution, taking midpoints of residual intervals.  No floats,
+no tolerances.
 """
 
 from __future__ import annotations
@@ -105,15 +106,14 @@ def _add_rows(rows, into) -> bool:
     return True
 
 
-def _cone_witness(rows, nvars):
+def _eliminate(rows, nvars):
     """Fourier-Motzkin elimination over integer cone rows, last variable
     first.  A row (coeffs, strict) means coeffs . x <= 0, or < 0 when
     strict.
 
-    Returns None iff a strict zero row appears (the system is infeasible).
-    Otherwise reconstructs a witness by back-substitution: each variable
-    takes the midpoint of its residual interval, bound -/+ 1 when only one
-    side is bounded, 0 when unconstrained.
+    Returns None iff a strict zero row appears (the system is infeasible),
+    else one layer (var, pos, neg) per variable: the rows that bound it
+    from above and from below when it was eliminated.
     """
     cur = {}
     if not _add_rows(rows, cur):
@@ -138,8 +138,14 @@ def _cone_witness(rows, nvars):
         if not _add_rows(derived, rest):
             return None
         cur = rest
+    return layers
 
-    witness = [Fraction(0)] * nvars
+
+def _back_substitute(layers):
+    """A witness from the layers of a feasible elimination: each variable
+    takes the midpoint of its residual interval, bound -/+ 1 when only one
+    side is bounded, 0 when unconstrained."""
+    witness = [Fraction(0)] * len(layers)
     for var, pos, neg in reversed(layers):
         # a row a*x + rest <= 0 bounds x by -rest / a: above when a > 0
         bound = [
@@ -171,10 +177,10 @@ def eliminate_feasible(s: LinearConstraintSystem) -> FeasibilityResult:
         terms = (-c.bound, *c.coeffs)
         scale = lcm(*(f.denominator for f in terms))
         rows.append((tuple(f.numerator * (scale // f.denominator) for f in terms), c.strict))
-    witness = _cone_witness(rows, len(s.variables) + 1)
-    if witness is None:
+    layers = _eliminate(rows, len(s.variables) + 1)
+    if layers is None:
         return _INFEASIBLE
-    return FeasibilityResult(True, tuple(witness[1:]))
+    return FeasibilityResult(True, tuple(_back_substitute(layers)[1:]))
 
 
 class CaseBudgetExceeded(Exception):
@@ -192,29 +198,29 @@ class CentralSearchResult:
         return self.status == "found"
 
 
-def _shorter_than(n, inner, outer) -> LinearConstraint:
-    """span(inner) - span(outer) < 0 over the gaps g_1..g_{n-1}, where
-    span((a, b)) = p_b - p_a is the sum of the gaps g_a..g_{b-1} and
-    g_t = p_{t+1} - p_t joins ranks t and t+1."""
+def _shorter_than(n, inner, outer):
+    """The cone row span(inner) - span(outer) < 0 over the gaps
+    g_1..g_{n-1}, where span((a, b)) = p_b - p_a is the sum of the gaps
+    g_a..g_{b-1} and g_t = p_{t+1} - p_t joins ranks t and t+1."""
     c = [0] * (n - 1)
     for t in range(*inner):
         c[t - 1] = 1
     for t in range(*outer):
         c[t - 1] = -1
-    return LinearConstraint(tuple(c), True, 0)
+    return (tuple(c), True)
 
 
 def _gap_cases(g: Graph, order, lo, hi):
-    """(base, split) over the gaps of the point order, or None when a
+    """(base, split) cone rows over the gaps of the order, or None when a
     non-edge has both sides blocked (the order fails the four point check).
 
-    base holds g_t > 0 and the constraint of every non-edge with one
-    possible side; split lists, in order of increasing rank distance, the
-    two side constraints of every remaining non-edge.  A non-edge with a
-    side that needs no constraint is dropped.
+    base holds g_t > 0 and the row of every non-edge with one possible
+    side; split lists, in order of increasing rank distance, the two side
+    rows of every remaining non-edge.  A non-edge with a side that needs
+    no constraint is dropped.
     """
     n = g.n
-    base = [((t, t), (t, t + 1)) for t in range(1, n)]  # 0 < g_t
+    base = [_shorter_than(n, (t, t), (t, t + 1)) for t in range(1, n)]  # 0 < g_t
     split = []
     for d in range(1, n):
         for i in range(1, n - d + 1):
@@ -226,21 +232,18 @@ def _gap_cases(g: Graph, order, lo, hi):
             if hi[u] < j:  # side i open: no neighbour of u at or past rank j
                 if lo[u] == i:  # nor before rank i: side i is free
                     continue
-                sides.append(((lo[u], i), (i, j)))
+                sides.append(_shorter_than(n, (lo[u], i), (i, j)))
             if lo[v] > i:  # side j open: no neighbour of v at or before rank i
                 if hi[v] == j:  # nor after rank j: side j is free
                     continue
-                sides.append(((j, hi[v]), (i, j)))
+                sides.append(_shorter_than(n, (j, hi[v]), (i, j)))
             if not sides:
                 return None
             if len(sides) == 1:
                 base.extend(sides)
             else:
                 split.append(sides)
-    return (
-        [_shorter_than(n, *spans) for spans in base],
-        [[_shorter_than(n, *spans) for spans in sides] for sides in split],
-    )
+    return base, split
 
 
 def _require_nonnegative(budget, name) -> None:
@@ -258,8 +261,9 @@ def cand1_for_ordering(
     order failing the four point check is infeasible with no solve.
     Two-option non-edges are resolved by depth-first case enumeration in
     order of increasing rank distance; every explored node costs one
-    elimination run, and infeasible partial systems prune their subtree.
-    A negative case budget raises OrderingError.
+    elimination run, infeasible partial systems prune their subtree, and
+    only the case found is back-substituted.  A negative case budget raises
+    OrderingError.
     """
     _require_nonnegative(case_budget, "case budget")
     o.check_covers(g)
@@ -270,35 +274,25 @@ def cand1_for_ordering(
     if cases is None:
         return CentralSearchResult("infeasible", None, 0)
     base, split = cases
-    variables = tuple(f"g{t}" for t in range(1, n))
     solved = 0
-
-    def descend():
-        # preorder over the case tree on an explicit stack: its depth is the
-        # number of two-option non-edges, unbounded by the recursion limit
-        nonlocal solved
-        stack = [(0, base)]
-        while stack:
-            k, cons = stack.pop()
-            if solved >= case_budget:
-                raise CaseBudgetExceeded()
-            solved += 1
-            result = eliminate_feasible(LinearConstraintSystem(variables, tuple(cons)))
-            if not result.feasible:
-                continue
-            if k == len(split):
-                return result
-            stack.extend((k + 1, cons + [side]) for side in reversed(split[k]))
-        return None
-
-    try:
-        result = descend()
-    except CaseBudgetExceeded:
-        return CentralSearchResult("exhausted", None, solved)
-    if result is None:
+    # preorder over the case tree on an explicit stack: its depth is the
+    # number of two-option non-edges, unbounded by the recursion limit
+    stack = [(0, base)]
+    while stack:
+        k, rows = stack.pop()
+        if solved >= case_budget:
+            return CentralSearchResult("exhausted", None, solved)
+        solved += 1
+        layers = _eliminate(rows, n - 1)
+        if layers is None:
+            continue
+        if k == len(split):
+            break
+        stack.extend((k + 1, rows + [side]) for side in reversed(split[k]))
+    else:  # the stack ran dry: no full case is feasible
         return CentralSearchResult("infeasible", None, solved)
 
-    gaps = result.witness
+    gaps = _back_substitute(layers)
     p = [Fraction(0)]
     for x in gaps:
         p.append(p[-1] + x)

@@ -342,6 +342,15 @@ def reference_dissection_faces(k: int, chords):
     return out
 
 
+def reference_noncrossing(chords) -> bool:
+    """The all-pairs crossing test that the sort and stack sweep in
+    constructors._noncrossing replaced."""
+    for (a, b), (c, d) in combinations(chords, 2):
+        if a < c < b < d or c < a < d < b:
+            return False
+    return True
+
+
 def reference_glue_at_safe_vertex(r1: Realization, w1: int, r2: Realization, w2: int) -> Realization:
     """Glue r2 onto r1 by rebuilding the whole host: delta is the minimum
     over every other host point, and the result is a fresh Realization.

@@ -57,6 +57,7 @@ from conftest import (
     reference_assemble_block_tree,
     reference_dissection_faces,
     reference_insert_cycle_into_gap,
+    reference_noncrossing,
 )
 
 
@@ -346,6 +347,13 @@ class TestBlockAssembly:
     def test_outerplanar_models_match_sequential_fold(self, monkeypatch):
         models = [random_dissection(4 + 3 * seed, seed).aux for seed in range(10)]
         models += [random_outerplanar_walk(seed) for seed in range(20)]
+        insert = constructors._insert_cycle_into_gap
+
+        def keeps_points_sorted(items, pts, x, y, ids):
+            insert(items, pts, x, y, ids)
+            assert pts == sorted(pt for _, pt in items.values())
+
+        monkeypatch.setattr(constructors, "_insert_cycle_into_gap", keeps_points_sorted)
         fast = [outerplanar_cand1(m) for m in models]
         for m, r in zip(models, fast):
             assert verify(r, m.graph()).ok
@@ -583,6 +591,19 @@ class TestOuterplanar:
         m = OuterplanarModel((1, 2, 3, 4, 5, 6), ((1, 3), (2, 4)))
         with pytest.raises(GraphError):
             outerplanar_cand1(m)
+
+    def test_noncrossing_sweep_matches_pairwise_reference(self):
+        # random chord sets in random order, shared endpoints included
+        rng = random.Random(11)
+        verdicts = set()
+        for _ in range(3000):
+            k = rng.randint(4, 12)
+            pairs = [(a, b) for a in range(k) for b in range(a + 2, k)]
+            chords = rng.sample(pairs, rng.randint(0, min(len(pairs), 6)))
+            ok = constructors._noncrossing(chords)
+            assert ok == reference_noncrossing(chords), chords
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 class TestRdpOrdering:

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from andbox import families, kernels
+from andbox import families, feasibility, kernels
 from andbox.feasibility import (
     CaseBudgetExceeded,
     LinearConstraint,
@@ -437,6 +437,37 @@ class TestCandRecognize:
             ), g.edge_list()
             assert res.cases_solved <= ref.cases_solved, g.edge_list()
             assert res.orderings_tried <= ref.orderings_tried, g.edge_list()
+
+    def test_gap_search_needs_no_general_solver(self, connected_atlas, monkeypatch):
+        # the gap rows go straight to the FM core; the rational entry point
+        # with its homogenising t is never called
+        graphs = [g for g in connected_atlas if g.n <= 6] + [cycle_graph(8), path_graph(7)]
+        expected = [cand1_recognize(g) for g in graphs]
+
+        def refuse(s):
+            raise AssertionError("the gap search called eliminate_feasible")
+
+        monkeypatch.setattr(feasibility, "eliminate_feasible", refuse)
+        for g, ref in zip(graphs, expected):
+            assert cand1_recognize(g) == ref, g.edge_list()
+
+    @pytest.mark.parametrize(
+        "g, status, solves",
+        [(cycle_graph(8), "found", 11), (complete_multipartite_graph([2, 3]), "not_member", 2)],
+        ids=["C8", "K23"],
+    )
+    def test_only_the_found_case_is_back_substituted(self, g, status, solves, monkeypatch):
+        calls = {"_eliminate": 0, "_back_substitute": 0}
+        for name in calls:
+
+            def counted(*args, _fn=getattr(feasibility, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(feasibility, name, counted)
+        res = cand1_recognize(g)
+        assert (res.status, res.cases_solved) == (status, solves)
+        assert calls == {"_eliminate": solves, "_back_substitute": int(status == "found")}
 
     def test_edge_with_isolated_false_twins(self):
         # N(3) = N(4) = N(5) = {} and N[1] = N[2]: both classes are placed
