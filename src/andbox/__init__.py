@@ -23,7 +23,6 @@ from .boxes import (
 )
 from .constructors import (
     GlueParams,
-    GreedyState,
     assemble_block_tree,
     block_graph_cand1,
     clique_cand1,
@@ -32,7 +31,6 @@ from .constructors import (
     glue_cycles_on_edge,
     glue_params,
     h_graph_ordering,
-    interval_greedy_steps,
     interval_to_cand1,
     outerplanar_cand1,
     rdp_ordering,

@@ -1,7 +1,7 @@
 """Constructive central realizations and membership orderings.
 
-Covers the families with known constructions: interval models (greedy
-placement), cycles (closed form), gluing at safe vertices, block trees,
+Covers the families with known constructions: interval models (one gap
+sweep), cycles (closed form), gluing at safe vertices, block trees,
 two cycles sharing an edge, outerplanar graphs (polygon dissections per
 block), rooted-directed-path models (ordering), and the three-path H
 family (orderings for the short-path cases).
@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .feasibility import central_realization
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
 from .orders import Ordering, rank_bounds
@@ -24,128 +25,34 @@ HALF = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
-# interval models -> central realization (greedy, one vertex per step)
+# interval models -> central realization (one sweep over the gaps)
 
-@dataclass(frozen=True)
-class GreedyState:
-    """Snapshot after one greedy insertion.
+def interval_to_cand1(m: IntervalModel) -> Realization:
+    """Central realization inducing the interval model's graph.
 
-    placed: ids in insertion order; points/radii: the partial central
-    realization (box = [p - r, p + r]); rank/nbr_lo/nbr_hi: position and
-    closed-neighborhood rank bounds in the insertion order; step scalars
-    record how the newest vertex was placed.
+    Vertices are ranked by (span, id), a left-endpoint order, in which the
+    later neighbours of rank k are exactly ranks k+1..hi_k.  With every
+    radius at its farthest-neighbour distance, all non-edges therefore
+    hold once p_k - p_{lo_k} < p_{hi_k+1} - p_k for each k with hi_k < n.
+    That row closes at the gap g_{hi_k} and reads only earlier points, so
+    one left-to-right sweep gives each gap the least positive integer
+    meeting every row that closes at it.
     """
-
-    placed: tuple
-    points: dict
-    radii: dict
-    rank: dict
-    nbr_lo: dict
-    nbr_hi: dict
-    blocker: object  # max right endpoint among placed non-neighbors (None if none)
-    ceiling: object  # min right endpoint among placed neighbors
-    inner_reach: object  # max right endpoint inside the kept set (None if empty)
-    radius: object  # radius given to the newest vertex
-    kept: tuple  # placed j whose boxes were not widened this step
-
-
-def _endpoint_order(m: IntervalModel):
-    keyed = sorted(
-        range(1, m.n + 1), key=lambda v: (m.span(v)[0], m.span(v)[1], v)
-    )
-    return tuple(keyed)
-
-
-def interval_greedy_steps(m: IntervalModel):
-    """Yield a GreedyState after each insertion; the last one carries the
-    finished realization.
-
-    Vertices are processed by ascending left endpoint (ties: right
-    endpoint, then id).  The new vertex i is placed strictly after the
-    previous point and every placed non-neighbor's box, strictly before
-    every placed neighbor's right end; its radius reaches back to its
-    earliest-ranked neighbor and over the kept boxes, plus one; boxes of
-    placed vertices whose closed neighborhoods extend to rank i or beyond
-    are widened by that radius on both sides.
-    """
+    if m.n == 0:
+        raise GraphError("interval model must have at least one vertex")
     g = m.intersection_graph()
     if not g.is_connected():
         raise GraphError("interval model must have a connected graph")
-    order = _endpoint_order(m)
-    o = Ordering(order)
-    nbr_lo, nbr_hi = rank_bounds(g, o)
-    rank = o.ranks()
-
-    placed = []
-    points = {}
-    radii = {}
-
-    for i, u in enumerate(order, start=1):
-        if i == 1:
-            points[u] = Fraction(0)
-            radii[u] = Fraction(1)
-            placed.append(u)
-            yield GreedyState(
-                tuple(placed), dict(points), dict(radii), rank, nbr_lo,
-                nbr_hi, None, None, None, Fraction(1), (u,),
-            )
-            continue
-
-        nbrs = set(g.neighbors(u))
-        blocker = None
-        ceiling = None
-        for j in placed:
-            rj = points[j] + radii[j]
-            if j in nbrs:
-                if ceiling is None or rj < ceiling:
-                    ceiling = rj
-            elif blocker is None or rj > blocker:
-                blocker = rj
-        if ceiling is None:
-            raise GraphError(
-                "interval model must have a connected graph"
-            )  # cannot happen after the connectivity check
-        prev = points[placed[-1]]
-        floor = prev if blocker is None else max(prev, blocker)
-        p = (floor + ceiling) / 2
-
-        kept = [j for j in placed if nbr_hi[j] < nbr_hi[u]]
-        inner_reach = None
-        for j in kept:
-            rj = points[j] + radii[j]
-            if inner_reach is None or rj > inner_reach:
-                inner_reach = rj
-        anchor = order[nbr_lo[u] - 1]  # earliest-ranked closed neighbor
-        radius = p - points[anchor]
-        if inner_reach is not None and inner_reach - p > radius:
-            radius = inner_reach - p
-        radius += 1
-
-        points[u] = p
-        radii[u] = radius
-        for j in placed:
-            if j not in kept:
-                radii[j] += radius
-        placed.append(u)
-        yield GreedyState(
-            tuple(placed), dict(points), dict(radii), rank, nbr_lo, nbr_hi,
-            blocker, ceiling, inner_reach, radius, tuple(kept),
-        )
-
-
-def interval_to_cand1(m: IntervalModel) -> Realization:
-    """Central realization inducing the interval model's graph."""
-    if m.n == 0:
-        raise GraphError("interval model must have at least one vertex")
-    state = None
-    for state in interval_greedy_steps(m):
-        pass
-    items = {
-        v: ((state.points[v] - state.radii[v], state.points[v] + state.radii[v]),
-            state.points[v])
-        for v in state.placed
-    }
-    return Realization.build(1, items)
+    o = Ordering(sorted(g.vertices(), key=lambda v: (m.span(v), v)))
+    lo, hi = rank_bounds(g, o)
+    closing = [[] for _ in range(m.n + 1)]  # closing[t]: (k, lo_k) with hi_k = t
+    for k, v in enumerate(o.order, 1):
+        closing[hi[v]].append((k, lo[v]))
+    p = [0]  # p[k - 1] is the point of rank k
+    for t in range(1, m.n):
+        p.append(max([p[t - 1]] + [2 * p[k - 1] - p[l - 1] for k, l in closing[t]]) + 1)
+    gaps = [b - a for a, b in zip(p, p[1:])]
+    return central_realization(o.order, lo, hi, gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +229,13 @@ def assemble_block_tree(components, bd: BlockDecomposition) -> Realization:
     blocks = bd.blocks
     if not blocks:
         raise GraphError("no blocks to assemble")
-    blocks_at = {}  # cut vertex -> its blocks, ascending
-    for bj, blk in enumerate(blocks):
-        for c in blk & bd.cut_vertices:
-            blocks_at.setdefault(c, []).append(bj)
     items, pts = _host(build(0, None))
     seen_blocks = {0}
     queue = deque([0])
     while queue:
         bi = queue.popleft()
         for c in sorted(blocks[bi] & bd.cut_vertices):
-            for bj in blocks_at[c]:
+            for bj in bd.blocks_at(c):
                 if bj in seen_blocks:
                     continue
                 seen_blocks.add(bj)
@@ -542,13 +445,9 @@ def outerplanar_cand1(m: OuterplanarModel) -> Realization:
     ]
 
     # every edge lies in exactly one block: the one its endpoints share
-    blocks_of = {}
-    for bi, blk in enumerate(bd.blocks):
-        for v in blk:
-            blocks_of.setdefault(v, set()).add(bi)
     block_edges = [[] for _ in bd.blocks]
     for u, v in g.edge_list():
-        (bi,) = blocks_of[u] & blocks_of[v]
+        (bi,) = set(bd.blocks_at(u)).intersection(bd.blocks_at(v))
         block_edges[bi].append((u, v))
 
     def outer_edges(bi):

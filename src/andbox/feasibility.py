@@ -246,6 +246,25 @@ def _gap_cases(g: Graph, order, lo, hi):
     return base, split
 
 
+def central_realization(order, lo, hi, gaps) -> Realization:
+    """The central realization with point order `order`, first point 0 and
+    gaps[t - 1] = p_{t+1} - p_t.  Each radius is its vertex's
+    farthest-neighbour distance, read off the closed-neighbourhood rank
+    bounds lo and hi; an isolated vertex gets half the distance to its
+    nearest point, or 1 when it is alone."""
+    p = [Fraction(0)]
+    for x in gaps:
+        p.append(p[-1] + x)
+    items = {}
+    for k, v in enumerate(order, 1):
+        pk = p[k - 1]
+        r = max(pk - p[lo[v] - 1], p[hi[v] - 1] - pk)
+        if not r:
+            r = Fraction(min(gaps[max(k - 2, 0):k], default=2), 2)
+        items[v] = ((pk - r, pk + r), pk)
+    return Realization.build(1, items)
+
+
 def _require_nonnegative(budget, name) -> None:
     if budget < 0:
         raise OrderingError(f"{name} must be nonnegative")
@@ -291,19 +310,8 @@ def cand1_for_ordering(
         stack.extend((k + 1, rows + [side]) for side in reversed(split[k]))
     else:  # the stack ran dry: no full case is feasible
         return CentralSearchResult("infeasible", None, solved)
-
-    gaps = _back_substitute(layers)
-    p = [Fraction(0)]
-    for x in gaps:
-        p.append(p[-1] + x)
-    items = {}
-    for k, v in enumerate(order, 1):
-        pk = p[k - 1]
-        r = max(pk - p[lo[v] - 1], p[hi[v] - 1] - pk)
-        if not r:  # isolated: half the distance to the nearest point, or 1
-            r = min(gaps[max(k - 2, 0):k], default=Fraction(2)) / 2
-        items[v] = ((pk - r, pk + r), pk)
-    return CentralSearchResult("found", Realization.build(1, items), solved)
+    r = central_realization(order, lo, hi, _back_substitute(layers))
+    return CentralSearchResult("found", r, solved)
 
 
 @dataclass(frozen=True)
@@ -332,29 +340,62 @@ def cand1_recognize(
     order: swapping twins maps a central model to one, so the first
     central order found is the same as over all orders.
 
-    The ordering budget counts orders decided; DEFAULT_NODE_BUDGET bounds
-    the enumeration.  NotMember requires it to complete within all three.
-    Verdicts are exact but exponential; complete answers are practical
-    for n up to about 7.  A negative budget raises OrderingError.
+    A graph is central iff every component is, so components are decided
+    one by one in ascending order of their smallest vertex; the found
+    realizations are laid side by side, each to the right of the previous
+    one, and the orderings concatenated.  An isolated vertex of a larger
+    graph is central alone and costs no order and no solve.  The merged
+    realization is re-checked exactly before it is returned.
+
+    The ordering budget counts orders decided, the case budget solves and
+    DEFAULT_NODE_BUDGET bounds the enumeration, each across all
+    components.  NotMember requires one component's search to complete
+    within all three.  Verdicts are exact but exponential; complete
+    answers are practical for components of up to about 7 vertices.  A
+    negative budget raises OrderingError.
     """
     _require_nonnegative(ordering_budget, "ordering budget")
     _require_nonnegative(case_budget, "case budget")
     tried = 0
     solved = 0
-    # only the last item is not FOUND; any other break is a budget running out
-    for status, order, _ in kernels.orderings(g.masks, DEFAULT_NODE_BUDGET):
-        if status != kernels.FOUND or tried >= ordering_budget or solved >= case_budget:
-            break
-        tried += 1
-        o = Ordering(tuple(v + 1 for v in order))
-        result = cand1_for_ordering(g, o, case_budget - solved)
-        solved += result.cases_solved
-        if result.status == "exhausted":
-            break
-        if result.found:
-            r = result.realization
-            if not is_central(r) or not verify(r, g).ok:
-                raise AssertionError("central search produced a bad witness")
-            return CAndRecognitionResult("found", r, o, tried, solved)
-    verdict = "not_member" if status == kernels.NOT_MEMBER else "exhausted"
-    return CAndRecognitionResult(verdict, None, None, tried, solved)
+    nodes = 0
+    merged = []
+    points = []
+    right = None  # right end of the boxes placed so far
+    comps = g.connected_components()
+    for comp in comps:
+        sub, back = g.subgraph(comp)
+        r = None
+        if sub.n == 1 and len(comps) > 1:  # alone on its stretch: no search
+            o, r = Ordering((1,)), Realization.build(1, {1: ((-1, 1), 0)})
+        else:
+            # only the last item is not FOUND; any other break is a budget running out
+            for status, order, used in kernels.orderings(sub.masks, DEFAULT_NODE_BUDGET - nodes):
+                if status != kernels.FOUND or tried >= ordering_budget or solved >= case_budget:
+                    break
+                tried += 1
+                o = Ordering(tuple(v + 1 for v in order))
+                result = cand1_for_ordering(sub, o, case_budget - solved)
+                solved += result.cases_solved
+                if result.status == "exhausted":
+                    break
+                if result.found:
+                    r = result.realization
+                    break
+            nodes += used
+        if r is None:
+            verdict = "not_member" if status == kernels.NOT_MEMBER else "exhausted"
+            return CAndRecognitionResult(verdict, None, None, tried, solved)
+        shift = 0 if right is None else right + 1 - min(box[0][0] for box in r.boxes)
+        merged.extend(back[v] for v in o.order)
+        points.extend(r.coordinate(v) + shift for v in o.order)
+        right = shift + max(box[0][1] for box in r.boxes)
+    if len(comps) > 1:
+        # the same closed-form radii over the merged order: only an isolated
+        # vertex's radius changes, to half the distance to its nearest point
+        o = Ordering(tuple(merged))
+        lo, hi = rank_bounds(g, o)
+        r = central_realization(o.order, lo, hi, [b - a for a, b in zip(points, points[1:])])
+    if not is_central(r) or not verify(r, g).ok:
+        raise AssertionError("central search produced a bad witness")
+    return CAndRecognitionResult("found", r, o, tried, solved)

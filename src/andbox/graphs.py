@@ -119,9 +119,18 @@ class BlockDecomposition:
 
     blocks: tuple
     cut_vertices: frozenset
+    _at: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        at = {}
+        for i, b in enumerate(self.blocks):
+            for v in b:
+                at.setdefault(v, []).append(i)
+        object.__setattr__(self, "_at", {v: tuple(bs) for v, bs in at.items()})
 
     def blocks_at(self, v: int):
-        return tuple(i for i, b in enumerate(self.blocks) if v in b)
+        """Indices of the blocks containing v, ascending."""
+        return self._at.get(v, ())
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:

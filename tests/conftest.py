@@ -524,40 +524,6 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob=0.3) -> G
 
 
 # ---------------------------------------------------------------------------
-# greedy interval-placement invariants
-
-
-def assert_greedy_invariants(state) -> None:
-    """The four structural conditions that must hold after every greedy
-    insertion (reach = right box end, rank = position in the processing
-    order):
-
-    1. representative points strictly increase in insertion order;
-    2. vertices whose closed neighborhoods end earlier reach less far;
-    3. every box starts before the point of its earliest-ranked closed
-       neighbor;
-    4. an earlier vertex reaches past a later vertex's point exactly when
-       its closed neighborhood extends to that rank.
-    """
-    pts = [state.points[v] for v in state.placed]
-    assert all(a < b for a, b in zip(pts, pts[1:]))
-
-    reach = {v: state.points[v] + state.radii[v] for v in state.placed}
-    point_at_rank = {state.rank[v]: state.points[v] for v in state.placed}
-    for a in state.placed:
-        left = state.points[a] - state.radii[a]
-        assert left < point_at_rank[state.nbr_lo[a]]
-        for c in state.placed:
-            if state.nbr_hi[a] < state.nbr_hi[c]:
-                assert reach[a] < reach[c]
-            if state.rank[a] < state.rank[c]:
-                if state.nbr_hi[a] < state.rank[c]:
-                    assert reach[a] < state.points[c]
-                else:
-                    assert reach[a] >= state.points[c]
-
-
-# ---------------------------------------------------------------------------
 # rational linear systems: generator, grid oracle, witness check
 
 

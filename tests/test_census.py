@@ -5,10 +5,15 @@ verdict, CAND1 verdict) are pinned and every `found` is re-verified
 independently: the ordering by the naive quadruple scan, the
 realization by verify, is_central and its point order.  This runs the
 twin rule of the ordering kernel through both recognizers at n = 7.
+The minimal CAND1 obstructions among the AND1 graphs are then read off
+the same verdicts.
 """
 
 from collections import Counter
 
+import pytest
+
+from andbox.families import h_graph
 from andbox.feasibility import cand1_recognize
 from andbox.orders import and1_recognize
 from andbox.realization import is_central, r_order, verify
@@ -32,16 +37,63 @@ CENSUS = {
 }
 
 
-def test_and1_cand1_census(connected_atlas):
-    census = Counter()
-    for g in connected_atlas:
-        a = and1_recognize(g)
-        c = cand1_recognize(g)
-        census[g.n, a.status, c.status] += 1
+@pytest.fixture(scope="module")
+def census(connected_atlas):
+    """(graph, AND1 result, CAND1 result) for every connected atlas graph."""
+    return [(g, and1_recognize(g), cand1_recognize(g)) for g in connected_atlas]
+
+
+def test_and1_cand1_census(census):
+    counts = Counter()
+    for g, a, c in census:
+        counts[g.n, a.status, c.status] += 1
         if a.found:
             assert naive_four_point_scan(g, a.ordering.order) is None, g.edge_list()
         if c.found:
             r = c.realization
             assert verify(r, g).ok and is_central(r), g.edge_list()
             assert r_order(r) == c.ordering.order, g.edge_list()
-    assert dict(census) == CENSUS
+    assert dict(counts) == CENSUS
+
+
+def test_minimal_cand1_obstructions_among_and1_graphs(census):
+    # A graph is central iff every component is, and every component of a
+    # vertex-deleted subgraph is a smaller connected atlas graph, so the
+    # census verdicts decide each one up to isomorphism.
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        G = nx.Graph()
+        G.add_nodes_from(g.vertices())
+        G.add_edges_from(g.edge_list())
+        return G
+
+    def key(G):
+        return tuple(sorted(d for _, d in G.degree()))
+
+    verdicts = {}  # degree sequence -> [(graph, central?)]
+    for g, _, c in census:
+        G = to_nx(g)
+        verdicts.setdefault(key(G), []).append((G, c.found))
+
+    def central(H):
+        for comp in nx.connected_components(H):
+            C = H.subgraph(comp)
+            (ok,) = [ok for G, ok in verdicts[key(C)] if nx.is_isomorphic(G, C)]
+            if not ok:
+                return False
+        return True
+
+    minimal = []
+    for g, a, c in census:
+        if a.found and not c.found:
+            G = to_nx(g)
+            if all(central(G.subgraph(set(G) - {v})) for v in G):
+                minimal.append(G)
+    assert sorted((G.number_of_nodes(), G.number_of_edges()) for G in minimal) == [
+        (5, 6), (6, 7), (7, 8), (7, 8), (7, 9), (7, 9), (7, 10), (7, 13), (7, 13),
+    ]
+    # four of them are the paper's three-path graphs
+    for lengths in ((2, 2, 2), (2, 2, 3), (2, 3, 3), (2, 2, 4)):
+        H = to_nx(h_graph(*lengths).graph)
+        assert sum(nx.is_isomorphic(G, H) for G in minimal) == 1, lengths

@@ -1,5 +1,5 @@
 """Constructions that output central realizations or membership orderings:
-single cycles, interval models via the one-pass greedy, cliques and block
+single cycles, interval models via the one gap sweep, cliques and block
 assemblies, two cycles fused on an edge, polygon dissections, rooted-path
 models, and the two-hub three-path family.
 """
@@ -20,7 +20,6 @@ from andbox.constructors import (
     glue_cycles_on_edge,
     glue_params,
     h_graph_ordering,
-    interval_greedy_steps,
     interval_to_cand1,
     outerplanar_cand1,
     rdp_ordering,
@@ -44,12 +43,12 @@ from andbox.realization import (
     induced_graph,
     is_central,
     is_safe,
+    r_order,
     relabel,
     verify,
 )
 
 from conftest import (
-    assert_greedy_invariants,
     edge_set,
     oracle_central_edges,
     oracle_induced_edges,
@@ -131,25 +130,87 @@ class TestCycleCand1:
                 cycle_cand1(5, F(1, 2), anchor=anchor)
 
 
+def assert_least_integer_gaps(m, r):
+    """Check the realization of interval model m against the gap sweep,
+    recomputed from the all-pairs overlap oracle: the points follow the
+    (span, id) order and are integers from 0, and every gap is the least
+    positive integer meeting the rows that close at it, so lowering it by
+    one violates such a row p_{t+1} - p_k > p_k - p_{lo_k} or zeroes it."""
+    order = sorted(range(1, m.n + 1), key=lambda v: (m.span(v), v))
+    rank = {v: k for k, v in enumerate(order, 1)}
+    nbrs = {v: {v} for v in order}
+    for e in oracle_interval_overlap_edges(m.spans):
+        u, v = tuple(e)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    lo = {v: min(rank[u] for u in nbrs[v]) for v in order}
+    hi = {v: max(rank[u] for u in nbrs[v]) for v in order}
+    p = [r.coordinate(v) for v in order]
+    assert p[0] == 0 and all(x.denominator == 1 for x in p)
+    assert all(a < b for a, b in zip(p, p[1:]))
+    slack = {t: [] for t in range(1, m.n)}  # per gap: p_{t+1} - p_k - (p_k - p_{lo_k})
+    for v in order:
+        k = rank[v]
+        if hi[v] < m.n:
+            slack[hi[v]].append(p[hi[v]] - 2 * p[k - 1] + p[lo[v] - 1])
+    for t, rows in slack.items():
+        assert all(x > 0 for x in rows), t
+        assert p[t] - p[t - 1] == 1 or min(rows) == 1, t
+
+
+def assert_interval_realization(m):
+    r = interval_to_cand1(m)
+    assert is_central(r)
+    assert oracle_induced_edges(r) == oracle_interval_overlap_edges(m.spans)
+    assert_least_integer_gaps(m, r)
+    return r
+
+
 class TestIntervalGreedy:
+    """interval_to_cand1: a sweep that greedily takes each gap as small as
+    the rows closing at it allow."""
+
     def test_star_model(self):
         m = IntervalModel(((F(0), F(10)), (F(1), F(2)), (F(4), F(5)), (F(7), F(8))))
         r = interval_to_cand1(m)
         assert is_central(r)
         assert oracle_induced_edges(r) == {fz(1, 2), fz(1, 3), fz(1, 4)}
         assert verify(r, m.intersection_graph()).ok
+        # gaps 1, 2, 4: each leaf lies farther from the next leaf than
+        # from the centre; radii reach the farthest neighbour
+        assert [r.coordinate(v) for v in (1, 2, 3, 4)] == [0, 1, 3, 7]
+        assert [r.interval(v) for v in (1, 2, 3, 4)] == [(-7, 7), (0, 2), (0, 6), (0, 14)]
 
     def test_three_vertex_path_model(self):
         m = IntervalModel(((F(0), F(2)), (F(1), F(3)), (F(5, 2), F(4))))
         r = interval_to_cand1(m)
         assert is_central(r)
         assert oracle_induced_edges(r) == {fz(1, 2), fz(2, 3)}
+        assert [r.coordinate(v) for v in (1, 2, 3)] == [0, 1, 2]
+        assert [r.interval(v) for v in (1, 2, 3)] == [(-1, 1), (0, 2), (1, 3)]
 
     def test_single_vertex(self):
         r = interval_to_cand1(IntervalModel(((F(0), F(1)),)))
         assert r.n == 1
         assert is_central(r)
         assert oracle_induced_edges(r) == set()
+        assert r.coordinate(1) == 0 and r.interval(1) == (-1, 1)
+
+    def test_equal_left_ends(self):
+        m = IntervalModel(((F(0), F(5)), (F(0), F(1)), (F(0), F(3)), (F(2), F(4)), (F(4), F(6))))
+        r = assert_interval_realization(m)
+        # ties on the left end go by right end: 2, 3, 1, then 4, 5
+        assert r_order(r) == (2, 3, 1, 4, 5)
+
+    def test_identical_spans(self):
+        # twins rank by id; a run of identical spans plus a tail
+        spans = [(F(1), F(3))] * 4 + [(F(0), F(1)), (F(3), F(5)), (F(5), F(6))]
+        r = assert_interval_realization(IntervalModel(tuple(spans)))
+        assert r_order(r) == (5, 1, 2, 3, 4, 6, 7)
+
+    def test_nested_spans(self):
+        spans = [(F(-i), F(i)) for i in range(1, 8)] + [(F(7), F(9)), (F(9), F(10))]
+        assert_interval_realization(IntervalModel(tuple(spans)))
 
     def test_matches_overlap_oracle(self):
         for seed in range(15):
@@ -160,14 +221,13 @@ class TestIntervalGreedy:
             assert oracle_induced_edges(r) == oracle_interval_overlap_edges(b.aux.spans)
             assert verify(r, b.graph).ok
 
-    def test_invariants_hold_after_every_step(self):
-        for seed in range(30):
-            b = random_interval(3 + seed % 14, seed + 100)
-            steps = 0
-            for state in interval_greedy_steps(b.aux):
-                assert_greedy_invariants(state)
-                steps += 1
-            assert steps == b.aux.n
+    def test_least_integer_gaps_on_300_random_models(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            b = random_interval(rng.randint(1, 60), rng.randrange(2**30))
+            r = interval_to_cand1(b.aux)
+            assert is_central(r) and verify(r, b.graph).ok
+            assert_least_integer_gaps(b.aux, r)
 
     def test_disconnected_model_rejected(self):
         m = IntervalModel(((F(0), F(1)), (F(2), F(3))))

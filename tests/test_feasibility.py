@@ -479,3 +479,49 @@ class TestCandRecognize:
         assert r_order(res.realization) == res.ordering.order
         assert res.ordering.order == (1, 2, 3, 4, 5)
         assert (res.orderings_tried, res.cases_solved) == (1, 1)
+
+    @staticmethod
+    def disjoint_union(*graphs):
+        edges, k = [], 0
+        for h in graphs:
+            edges += [(u + k, v + k) for u, v in h.edge_list()]
+            k += h.n
+        return Graph.from_edges(k, edges)
+
+    @pytest.mark.parametrize("p6_first", [False, True], ids=["K23+P6", "P6+K23"])
+    def test_components_are_decided_one_by_one(self, p6_first):
+        # interleaving the points of K(2,3) and P6 gives far more than 10^3
+        # orders to decide; per component, K(2,3) needs its 2 orders (one
+        # solve each) and P6 its first (4 solves)
+        k23, p6 = complete_multipartite_graph([2, 3]), path_graph(6)
+        g = self.disjoint_union(*((p6, k23) if p6_first else (k23, p6)))
+        res = cand1_recognize(g)
+        assert (res.status, res.realization, res.ordering) == ("not_member", None, None)
+        assert (res.orderings_tried, res.cases_solved) == ((3, 6) if p6_first else (2, 2))
+
+    def test_components_sit_side_by_side(self):
+        parts = (cycle_graph(5), path_graph(1), path_graph(2), path_graph(1), cycle_graph(4))
+        g = self.disjoint_union(*parts)
+        res = cand1_recognize(g)
+        assert res.status == "found"
+        assert verify(res.realization, g).ok and is_central(res.realization)
+        assert_closed_form_radii(res.realization, g)
+        # each component's own first central order, in component order
+        expected, k = [], 0
+        for h in parts:
+            if h.n > 1:
+                expected += [v + k for v in cand1_recognize(h).ordering.order]
+            else:
+                expected.append(k + 1)
+            k += h.n
+        assert r_order(res.realization) == res.ordering.order == tuple(expected)
+        # C5, K2 and C4 decide one order each; the isolated vertices none
+        assert res.orderings_tried == 3
+
+    def test_budgets_are_charged_across_components(self):
+        g = self.disjoint_union(path_graph(3), complete_multipartite_graph([2, 3]))
+        assert cand1_recognize(g).status == "not_member"
+        res = cand1_recognize(g, ordering_budget=2)
+        assert (res.status, res.orderings_tried) == ("exhausted", 2)
+        res = cand1_recognize(g, case_budget=2)
+        assert (res.status, res.cases_solved) == ("exhausted", 2)

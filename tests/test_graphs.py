@@ -183,6 +183,17 @@ class TestBlockDecomposition:
         assert bd.blocks_at(3) == (0, 1)
         assert bd.blocks_at(1) == (0,)
 
+    def test_blocks_at_matches_a_scan_of_the_blocks(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            bd = block_decomposition(random_connected_graph(rng, rng.randint(1, 14), 0.15))
+            for v in range(0, 16):
+                scan = tuple(i for i, b in enumerate(bd.blocks) if v in b)
+                assert bd.blocks_at(v) == scan
+        # the index is derived state: built from blocks, ignored by ==
+        built = BlockDecomposition(bd.blocks, bd.cut_vertices)
+        assert built == bd and built.blocks_at(1) == bd.blocks_at(1)
+
     def test_path_blocks_are_bridges(self):
         bd = block_decomposition(path_graph(4))
         assert set(bd.blocks) == {frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4})}
