@@ -12,12 +12,11 @@ same intersection graph.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .realization import Realization, RealizationError, is_central, transform
+from .realization import Realization, RealizationError, is_central, line_pairs, transform
 
 
 @dataclass(frozen=True)
@@ -95,24 +94,23 @@ def corner_box_intersection_graph(boxes) -> Graph:
     """Closed-intersection graph of corner boxes; ids must be 1..n.
 
     Closed rectangles overlap in x only if the later-starting one starts
-    inside the other, so after a sort on the first factor's x_lo a bisection
-    per box yields the candidates, each tested on every factor (any closed
+    inside the other, so one line sweep over the first factor's x-extents
+    yields the candidates, each tested on every factor (any closed
     rectangles, on the diagonal or not): O(n log n + candidates)."""
     bs = _boxes_arg(boxes)
     ids = sorted(cb.vertex for cb in bs)
     if ids != list(range(1, len(bs) + 1)):
         raise RealizationError("corner box ids must be 1..n")
-    bs = sorted(bs, key=lambda cb: cb.factors[0][0][0])
-    starts = [cb.factors[0][0][0] for cb in bs]
-    edges = []
-    for k, a in enumerate(bs):
-        for b in bs[k + 1:bisect_right(starts, a.factors[0][0][1])]:
-            if all(
-                max(alo, blo) <= min(ahi, bhi)
-                for fa, fb in zip(a.factors, b.factors)
-                for (alo, ahi), (blo, bhi) in zip(fa, fb)
-            ):
-                edges.append((a.vertex, b.vertex))
+    xs = [cb.factors[0][0] for cb in bs]
+    edges = [
+        (bs[i].vertex, bs[j].vertex)
+        for i, j in line_pairs([lo for lo, _ in xs], [hi for _, hi in xs])
+        if all(
+            max(alo, blo) <= min(ahi, bhi)
+            for fa, fb in zip(bs[i].factors, bs[j].factors)
+            for (alo, ahi), (blo, bhi) in zip(fa, fb)
+        )
+    ]
     return Graph.from_edges(len(bs), edges)
 
 
@@ -175,19 +173,17 @@ def semisquare_intersection_graph(squares) -> Graph:
 
     The triangles' edges lie along x, y and x + y, and the x + y ranges
     [0, leg] always overlap, so squares (p, r) and (q, s) touch iff
-    |p - q| <= min(r, s): after a sort by corner the candidates of (p, r)
-    are the later corners up to p + r; O(n log n + candidates)."""
+    |p - q| <= min(r, s): exactly the pairs of one line sweep with reach
+    [p - r, p + r] around key p; O(n log n + edges)."""
     ts = tuple(squares)
     if not ts:
         raise RealizationError("no semi-squares given")
     ids = sorted(t.vertex for t in ts)
     if ids != list(range(1, len(ts) + 1)):
         raise RealizationError("semi-square ids must be 1..n")
-    ts = sorted(ts, key=lambda t: t.corner)
-    corners = [t.corner for t in ts]
-    edges = []
-    for k, a in enumerate(ts):
-        for b in ts[k + 1:bisect_right(corners, a.corner + a.leg)]:
-            if b.corner - a.corner <= b.leg:
-                edges.append((a.vertex, b.vertex))
-    return Graph.from_edges(len(ts), edges)
+    pairs = line_pairs(
+        [t.corner for t in ts],
+        [t.corner + t.leg for t in ts],
+        [t.corner - t.leg for t in ts],
+    )
+    return Graph.from_edges(len(ts), [(ts[i].vertex, ts[j].vertex) for i, j in pairs])

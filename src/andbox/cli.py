@@ -28,7 +28,6 @@ from .constructors import (
     rdp_ordering,
 )
 from .families import (
-    HGraphSpec,
     IntervalModel,
     OuterplanarModel,
     RootedPathModel,
@@ -71,19 +70,16 @@ def _witness(args, default: str) -> str:
 
 def _cmd_gen(args) -> str:
     bundle = generate(args.family, args.params, seed=args.seed)
+    save_aux = {
+        IntervalModel: fileio.save_interval_model,
+        OuterplanarModel: fileio.save_outerplanar_model,
+        RootedPathModel: fileio.save_rooted_path_model,
+    }.get(type(bundle.aux))
+    if args.aux_out and save_aux is None:
+        raise UsageError(f"family {args.family} has no writable auxiliary model")
     fileio.save_graph(args.output, bundle.graph)
     if args.aux_out:
-        aux = bundle.aux
-        if isinstance(aux, IntervalModel):
-            fileio.save_interval_model(args.aux_out, aux)
-        elif isinstance(aux, OuterplanarModel):
-            fileio.save_outerplanar_model(args.aux_out, aux)
-        elif isinstance(aux, RootedPathModel):
-            fileio.save_rooted_path_model(args.aux_out, aux)
-        elif isinstance(aux, HGraphSpec) or aux is None:
-            raise UsageError(
-                f"family {args.family} has no writable auxiliary model"
-            )
+        save_aux(args.aux_out, bundle.aux)
     return "yes"
 
 

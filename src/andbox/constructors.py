@@ -41,8 +41,6 @@ def interval_to_cand1(m: IntervalModel) -> Realization:
     if m.n == 0:
         raise GraphError("interval model must have at least one vertex")
     g = m.intersection_graph()
-    if not g.is_connected():
-        raise GraphError("interval model must have a connected graph")
     o = Ordering(sorted(g.vertices(), key=lambda v: (m.span(v), v)))
     lo, hi = rank_bounds(g, o)
     closing = [[] for _ in range(m.n + 1)]  # closing[t]: (k, lo_k) with hi_k = t

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from .graphs import (
     cycle_graph,
     path_graph,
 )
+from .realization import line_pairs
 
 
 @dataclass(frozen=True)
@@ -37,20 +37,11 @@ class IntervalModel:
         return self.spans[v - 1]
 
     def intersection_graph(self) -> Graph:
-        """Sorted by left end, an interval meets exactly the later ones
-        starting by its right end; an empty span (lo > hi) meets none."""
-        spans = self.spans
-        order = sorted(
-            (v for v in range(self.n) if spans[v][0] <= spans[v][1]),
-            key=lambda v: spans[v][0],
-        )
-        los = [spans[v][0] for v in order]
-        edges = [
-            (u + 1, v + 1)
-            for p, u in enumerate(order)
-            for v in order[p + 1 : bisect_right(los, spans[u][1])]
-        ]
-        return Graph.from_edges(self.n, edges)
+        """Intervals meet iff the later-starting one starts by the other's
+        right end; an empty span (lo > hi) meets none and stays out."""
+        kept = [(v, lo, hi) for v, (lo, hi) in enumerate(self.spans, 1) if lo <= hi]
+        pairs = line_pairs([k[1] for k in kept], [k[2] for k in kept])
+        return Graph.from_edges(self.n, [(kept[i][0], kept[j][0]) for i, j in pairs])
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,7 @@ def loads_graph(text: str, path: str = "<graph>") -> Graph:
                 _fail(path, no, "duplicate header")
             if len(toks) != 4 or toks[1] != "and":
                 _fail(path, no, "header must be 'p and <n> <m>'")
-            n = _int_at(path, no, toks[2], 0)
+            n = _int_at(path, no, toks[2], 1)
             m = _int_at(path, no, toks[3], 0)
         elif toks[0] == "e":
             if n is None:

@@ -10,7 +10,7 @@ All adjacency decisions use Fraction arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,23 +118,42 @@ def _contains(box, point) -> bool:
     return all(lo <= p <= hi for (lo, hi), p in zip(box, point))
 
 
+def line_pairs(keys, right, left=None):
+    """Index pairs (i, j) with (keys[i], i) < (keys[j], j), keys[j] <= right[i]
+    and, when left is given, left[j] <= keys[i].  One sweep in key order, O(n log n
+    + pairs): from bisect(left[j]) on, each live earlier rank pairs with j or, as
+    keys[j] has passed its right end, dies; a path-halved next-live array skips it."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ks = [keys[i] for i in order]
+    nxt = list(range(len(ks) + 1))  # nxt[s] == s iff rank s is live
+    for t, j in enumerate(order):
+        s = 0 if left is None else bisect_left(ks, left[j], 0, t)
+        while True:
+            while nxt[s] != s:
+                nxt[s] = s = nxt[nxt[s]]
+            if s >= t:
+                break
+            if right[order[s]] < ks[t]:
+                nxt[s] = s + 1
+            else:
+                yield order[s], j
+            s += 1
+
+
 def adjacency_pairs(r: Realization):
     """Set of (u, v) pairs (u < v) adjacent by mutual containment.
-    Works for any id set; induced_graph adds the 1..n contract.  Points are
-    sorted by first coordinate; a bisection per box yields the candidates
-    inside its first side, which get the exact test both ways in every
-    dimension: O(n log n + candidates), not all n(n - 1)/2 pairs."""
-    order = sorted(range(r.n), key=lambda i: r.points[i][0])
-    keys = [r.points[i][0] for i in order]
-    out = set()
-    for i, box in enumerate(r.boxes):
-        lo, hi = box[0]
-        for j in order[bisect_left(keys, lo):bisect_right(keys, hi)]:
-            if j > i and _contains(box, r.points[j]) and _contains(
-                r.boxes[j], r.points[i]
-            ):
-                out.add((r.ids[i], r.ids[j]))
-    return out
+    Works for any id set; induced_graph adds the 1..n contract.  A line sweep
+    gives the pairs of dimension 1 (exact, as every point lies in its own
+    box), and the other dimensions are tested per pair: O(n log n + pairs)."""
+    pairs = line_pairs(
+        [p[0] for p in r.points], [b[0][1] for b in r.boxes], [b[0][0] for b in r.boxes]
+    )
+    return {
+        (r.ids[min(i, j)], r.ids[max(i, j)])
+        for i, j in pairs
+        if _contains(r.boxes[i][1:], r.points[j][1:])
+        and _contains(r.boxes[j][1:], r.points[i][1:])
+    }
 
 
 def induced_graph(r: Realization) -> Graph:

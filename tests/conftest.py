@@ -288,6 +288,21 @@ def naive_accepts_some_ordering(g: Graph) -> bool:
     return False
 
 
+def reference_line_pairs(keys, right, left=None) -> set:
+    """All-pairs reference for realization.line_pairs: (i, j) with
+    (keys[i], i) < (keys[j], j), keys[j] <= right[i] and, when left is
+    given, left[j] <= keys[i]."""
+    n = len(keys)
+    return {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if (keys[i], i) < (keys[j], j)
+        and keys[j] <= right[i]
+        and (left is None or left[j] <= keys[i])
+    }
+
+
 def oracle_interval_overlap_edges(spans) -> set:
     """Pairwise closed-interval overlap; takes an id -> (lo, hi) mapping
     or a sequence whose i-th entry belongs to vertex i + 1.  The all-pairs

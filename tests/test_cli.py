@@ -31,7 +31,7 @@ from andbox.constructors import (
     outerplanar_cand1,
     rdp_ordering,
 )
-from andbox.families import generate
+from andbox.families import IntervalModel, generate
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph
 from andbox.orders import Ordering, implicit_encode, realization_from_ordering
 from andbox.realization import is_central, relabel, verify
@@ -115,6 +115,7 @@ class TestGen:
         assert out == ""
         assert err.startswith("error:")
         assert not (tmp_path / "c.aux").exists()
+        assert not (tmp_path / "c.and").exists()
 
     def test_unknown_family_exits_2(self, tmp_path, capsys):
         code, _, err = run(
@@ -185,6 +186,15 @@ class TestRealize:
         assert code == 0
         r = fileio.load_realization(str(tmp_path / "m.real"))
         assert r == interval_to_cand1(model)
+
+    def test_disconnected_interval_file(self, tmp_path, capsys):
+        model = IntervalModel(((F(0), F(1)), (F(3), F(5)), (F(4), F(6)), (F(9), F(9))))
+        src = tmp_path / "split.iv"
+        fileio.save_interval_model(str(src), model)
+        code, _, _ = run(capsys, "realize", str(src))
+        assert code == 0
+        r = fileio.load_realization(str(tmp_path / "split.real"))
+        assert is_central(r) and verify(r, model.intersection_graph()).ok
 
     def test_outerplanar_file(self, tmp_path, capsys):
         bundle = generate("random-dissection", (8,), seed=4)

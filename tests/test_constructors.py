@@ -229,10 +229,25 @@ class TestIntervalGreedy:
             assert is_central(r) and verify(r, b.graph).ok
             assert_least_integer_gaps(b.aux, r)
 
-    def test_disconnected_model_rejected(self):
-        m = IntervalModel(((F(0), F(1)), (F(2), F(3))))
-        with pytest.raises(GraphError):
-            interval_to_cand1(m)
+    def test_disconnected_models_realize(self):
+        # the gap sweep never reads connectivity: isolated first and last
+        # ranks, a zero-width and an empty span, and seeded random splits
+        for spans in (
+            ((0, 1), (2, 3)),
+            ((0, 0), (2, 5), (3, 4), (7, 7)),
+            ((9, 9), (2, 5), (0, 1), (3, 4)),
+            ((0, 4), (2, 1), (3, 6), (8, 9)),
+        ):
+            assert_interval_realization(IntervalModel(tuple((F(a), F(b)) for a, b in spans)))
+        rng = random.Random(13)
+        tried = 0
+        while tried < 100:
+            n = rng.randint(2, 25)
+            starts = [rng.randint(0, 3 * n) for _ in range(n)]
+            m = IntervalModel(tuple((F(a), F(a + rng.randint(0, 4))) for a in starts))
+            if not m.intersection_graph().is_connected():
+                tried += 1
+                assert_interval_realization(m)
 
     def test_empty_model_rejected(self):
         with pytest.raises(GraphError):

@@ -92,6 +92,7 @@ class TestGraphFormat:
         ("p and 2 1\ne 1 3\n", 2),          # vertex above n
         ("p and 2 1\nq 1 2\n", 2),          # unknown record
         ("p nad 2 1\n", 1),                 # bad magic
+        ("p and 0 0\n", 1),                 # no vertices
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(FileFormatError) as err:

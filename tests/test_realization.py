@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from andbox import realization
-from andbox.constructors import cycle_cand1
+from andbox.constructors import cycle_cand1, outerplanar_cand1
+from andbox.families import OuterplanarModel
 from andbox.graphs import Graph, cycle_graph
 from andbox.realization import (
     Realization,
@@ -18,6 +19,7 @@ from andbox.realization import (
     induced_graph,
     is_central,
     is_safe,
+    line_pairs,
     make_points_distinct,
     r_order,
     relabel,
@@ -32,7 +34,54 @@ from conftest import (
     random_central_realization,
     random_realization,
     random_tied_realization,
+    reference_line_pairs,
 )
+
+
+class CountedFraction(F):
+    """A Fraction that counts the order comparisons made on it."""
+
+    comparisons = 0
+
+    def _count(op):
+        def counted(self, other):
+            CountedFraction.comparisons += 1
+            return op(self, other)
+
+        return counted
+
+    __lt__ = _count(F.__lt__)
+    __le__ = _count(F.__le__)
+    __gt__ = _count(F.__gt__)
+    __ge__ = _count(F.__ge__)
+
+
+class TestLinePairs:
+    @pytest.mark.parametrize("with_left", [False, True])
+    def test_matches_all_pairs_reference(self, with_left):
+        # small integer coordinates: tied keys, keys on a right or left end,
+        # zero-width reaches and right ends below their key
+        rng = random.Random(4400 + with_left)
+        for _ in range(500):
+            n = rng.randint(0, 12)
+            keys = [rng.randint(0, 6) for _ in range(n)]
+            right = [k + rng.randint(-2, 3) for k in keys]
+            left = [k - rng.randint(-2, 3) for k in keys] if with_left else None
+            pairs = list(line_pairs(keys, right, left))
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == reference_line_pairs(keys, right, left)
+
+    def test_edge_cases(self):
+        assert list(line_pairs([], [])) == []
+        assert list(line_pairs([F(1)], [F(1)], [F(1)])) == []
+        # all keys tied on zero-width reaches: every pair once, in index order
+        assert list(line_pairs([2, 2, 2], [2, 2, 2], [2, 2, 2])) == [(0, 1), (0, 2), (1, 2)]
+        # keys on the ends of the reaches still pair
+        assert list(line_pairs([0, 3], [3, 5], [-1, 0])) == [(0, 1)]
+        # item 0 is an empty corner-box factor (right end below its key):
+        # nothing starting at it pairs, the later item 1 still reaches it
+        assert set(line_pairs([1, 0, 2], [0, 4, 2])) == {(1, 0), (1, 2)}
+        assert list(line_pairs([1, 2], [0, 2], [1, 1])) == []
 
 
 class TestBuild:
@@ -126,6 +175,34 @@ class TestAdjacencySweep:
         assert adjacency_pairs(r) == set(cycle_graph(2000).edge_list())
         n = m = 2000
         assert calls < 5 * (n + m)
+
+    def test_nested_polygon_work_is_output_sensitive(self, monkeypatch):
+        # nested chords (i, k + 1 - i): nearly every point lies inside the
+        # first side of the outer boxes, so a scan of the points within
+        # each first side makes about k^2 / 2 = 80,000 containment tests;
+        # the sweep makes about 5.7 (k + m) tests and comparisons
+        k = 400
+        m = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
+        r = outerplanar_cand1(m)
+        counted = Realization(
+            r.d,
+            r.ids,
+            tuple(tuple((CountedFraction(lo), CountedFraction(hi)) for lo, hi in b) for b in r.boxes),
+            tuple(tuple(CountedFraction(x) for x in p) for p in r.points),
+        )
+        calls = 0
+        contains = realization._contains
+
+        def counted_contains(box, point):
+            nonlocal calls
+            calls += 1
+            return contains(box, point)
+
+        monkeypatch.setattr(realization, "_contains", counted_contains)
+        monkeypatch.setattr(CountedFraction, "comparisons", 0)
+        pairs = adjacency_pairs(counted)
+        assert pairs == set(m.graph().edge_list())
+        assert calls + CountedFraction.comparisons <= 10 * (k + len(pairs))
 
 
 class TestVerify:
