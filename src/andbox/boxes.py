@@ -5,9 +5,10 @@ to a product of planar boxes [p_i, R_i] x [-p_i, -L_i], one planar factor
 per source dimension, whose lower-left corner (p_i, -p_i) sits on the
 diagonal x + y = 0.  Two such products intersect iff the source vertices
 are mutually contained, so the intersection graph of the corner boxes is
-exactly the induced graph.  For central one-dimensional realizations the
-lower-left triangular halves (isosceles semi-squares) already carry the
-same intersection graph.
+exactly the induced graph, and it is computed as one: the inverse
+transform, then the induced graph's line sweep.  For central
+one-dimensional realizations the lower-left triangular halves (isosceles
+semi-squares) already carry the same intersection graph.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph
-from .realization import Realization, RealizationError, is_central, line_pairs, transform
+from .realization import (
+    Realization,
+    RealizationError,
+    induced_graph,
+    is_central,
+    line_pairs,
+    transform,
+)
 
 
 @dataclass(frozen=True)
@@ -80,38 +88,15 @@ def check_corner_box(cb: CornerBox) -> None:
             )
 
 
-def _boxes_arg(boxes):
-    bs = tuple(boxes)
-    if not bs:
-        raise RealizationError("no corner boxes given")
-    d = bs[0].d
-    if any(cb.d != d for cb in bs):
-        raise RealizationError("corner boxes disagree on dimension")
-    return bs
-
-
 def corner_box_intersection_graph(boxes) -> Graph:
     """Closed-intersection graph of corner boxes; ids must be 1..n.
 
-    Closed rectangles overlap in x only if the later-starting one starts
-    inside the other, so one line sweep over the first factor's x-extents
-    yields the candidates, each tested on every factor (any closed
-    rectangles, on the diagonal or not): O(n log n + candidates)."""
-    bs = _boxes_arg(boxes)
-    ids = sorted(cb.vertex for cb in bs)
-    if ids != list(range(1, len(bs) + 1)):
-        raise RealizationError("corner box ids must be 1..n")
-    xs = [cb.factors[0][0] for cb in bs]
-    edges = [
-        (bs[i].vertex, bs[j].vertex)
-        for i, j in line_pairs([lo for lo, _ in xs], [hi for _, hi in xs])
-        if all(
-            max(alo, blo) <= min(ahi, bhi)
-            for fa, fb in zip(bs[i].factors, bs[j].factors)
-            for (alo, ahi), (blo, bhi) in zip(fa, fb)
-        )
-    ]
-    return Graph.from_edges(len(bs), edges)
+    Factors [p, R] x [-p, -L] and [q, S] x [-q, -M] with corners on the
+    diagonal meet iff q <= R and L <= q, and p <= S and M <= p: each box
+    holds the other's point.  So the graph is the induced graph of the
+    inverse realization, one line sweep, O(n log n + pairs); boxes off
+    the diagonal raise RealizationError."""
+    return induced_graph(corner_boxes_to_realization(boxes))
 
 
 def corner_boxes_to_realization(boxes) -> Realization:
@@ -119,14 +104,21 @@ def corner_boxes_to_realization(boxes) -> Realization:
     the negated y-extent.  When given a CornerBoxModel, the recorded
     positivity shift is undone, so the round trip is the identity."""
     offset = boxes.offset if isinstance(boxes, CornerBoxModel) else Fraction(0)
-    bs = _boxes_arg(boxes)
+    bs = tuple(boxes)
+    if not bs:
+        raise RealizationError("no corner boxes given")
+    d = bs[0].d
     items = {}
     for cb in bs:
+        if cb.d != d:
+            raise RealizationError("corner boxes disagree on dimension")
         check_corner_box(cb)
+        if cb.vertex in items:
+            raise RealizationError(f"corner box id {cb.vertex} repeats")
         box = tuple((-y_hi, x_hi) for (x_lo, x_hi), (y_lo, y_hi) in cb.factors)
         point = tuple(x_lo for (x_lo, x_hi), _ in cb.factors)
         items[cb.vertex] = (box, point)
-    r = Realization.build(bs[0].d, items)
+    r = Realization.build(d, items)
     return transform(r, -offset, 1) if offset else r
 
 

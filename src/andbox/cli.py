@@ -39,16 +39,14 @@ from .feasibility import (
     DEFAULT_ORDERING_BUDGET,
     cand1_recognize,
 )
-from .graphs import GraphError
 from .orders import (
     DEFAULT_NODE_BUDGET,
-    OrderingError,
     and1_recognize,
     four_point_check,
     implicit_encode,
     realization_from_ordering,
 )
-from .realization import RealizationError, verify
+from .realization import verify
 from .svg import render_realization_svg
 
 
@@ -245,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(
-        "realize", help="build a central realization from a model file"
+        "realize",
+        help="build a realization from a model file: central, except the"
+        " ordering's integer realization for a rooted-path model",
     )
     p.add_argument("input", nargs="?")
     p.add_argument("-o", "--output")
@@ -345,15 +345,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         verdict = args.func(args)
-    except (
-        UsageError,
-        GraphError,
-        OrderingError,
-        RealizationError,
-        fileio.FileFormatError,
-        OSError,
-        ValueError,
-    ) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     elapsed_ms = int((time.perf_counter() - started) * 1000)

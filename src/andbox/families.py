@@ -294,7 +294,7 @@ _FAMILIES = {
     "cycle": (cycle, 1, False),
     "path": (path, 1, False),
     "complete-multipartite": (None, None, False),  # variadic, handled below
-    "h": (None, 3, False),
+    "h": (h_graph, 3, False),
     "random-interval": (random_interval, 1, True),
     "random-dissection": (random_dissection, 1, True),
     "random-block": (random_block_graph, 1, True),
@@ -315,10 +315,6 @@ def generate(family: str, params, seed: int = 0) -> GraphBundle:
         if not params:
             raise GraphError("complete-multipartite needs part sizes")
         return complete_multipartite(params)
-    if family == "h":
-        if len(params) != 3:
-            raise GraphError("h needs exactly three path lengths")
-        return h_graph(*params)
     fn, arity, seeded = _FAMILIES[family]
     if len(params) != arity:
         raise GraphError(f"family {family} needs {arity} parameter(s)")

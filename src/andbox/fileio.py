@@ -336,7 +336,7 @@ def dumps_interval_model(m: IntervalModel) -> str:
 
 def loads_outerplanar_model(text: str, path: str = "<outerplanar>") -> OuterplanarModel:
     outer = None
-    chords = []
+    chords = {}  # (u, v) -> line
     for no, toks in _content_lines(text):
         if toks[0] == "outer":
             if outer is not None:
@@ -353,11 +353,15 @@ def loads_outerplanar_model(text: str, path: str = "<outerplanar>") -> Outerplan
                 _fail(path, no, f"chords need u < v, got {u} {v}")
             if (u, v) in chords:
                 _fail(path, no, f"duplicate chord {u} {v}")
-            chords.append((u, v))
+            chords[u, v] = no
         else:
             _fail(path, no, f"unknown record {toks[0]!r}")
     if outer is None:
         _fail(path, 0, "missing 'outer <v1> ...' line")
+    walk = set(outer)
+    for (u, v), no in chords.items():
+        if u not in walk or v not in walk:
+            _fail(path, no, f"chord {u} {v} leaves the outer walk")
     return OuterplanarModel(outer, tuple(sorted(chords)))
 
 

@@ -18,12 +18,14 @@ from andbox.boxes import (
     to_corner_boxes,
     to_semisquares,
 )
-from andbox.constructors import clique_cand1, cycle_cand1
+from andbox.constructors import clique_cand1, cycle_cand1, outerplanar_cand1
+from andbox.families import OuterplanarModel
 from andbox.graphs import cycle_graph
 from andbox.realization import (
     Realization,
     RealizationError,
     induced_graph,
+    line_pairs,
     transform,
 )
 
@@ -92,21 +94,49 @@ class TestCornerBoxGraph:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_all_pairs_reference_on_closed_rectangles(self, d):
-        # corners off the diagonal; small integer grid, so rectangles touch
-        # along edges and at corners, and some are segments or points
+        # corners on the diagonal of a small integer grid, so rectangles
+        # touch along edges and at corners, and some are segments or points
         rng = random.Random(6400 + d)
 
-        def side():
-            return tuple(sorted(F(rng.randint(-3, 3)) for _ in range(2)))
+        def factor():
+            x_lo, x_hi = sorted(rng.randint(-3, 3) for _ in range(2))
+            return (F(x_lo), F(x_hi)), (F(-x_lo), F(rng.randint(-x_lo, 3)))
 
         for _ in range(300):
             n = rng.randint(1, 14)
             boxes = [
-                CornerBox(v, tuple((side(), side()) for _ in range(d)))
+                CornerBox(v, tuple(factor() for _ in range(d)))
                 for v in rng.sample(range(1, n + 1), n)
             ]
             g = corner_box_intersection_graph(boxes)
             assert edge_set(g) == reference_corner_box_edges(boxes)
+
+    def test_rejects_off_diagonal_rectangles(self):
+        on = CornerBox(1, (((F(1), F(2)), (F(-1), F(0))),))
+        off = CornerBox(2, (((F(1), F(2)), (F(0), F(1))),))
+        with pytest.raises(RealizationError):
+            corner_box_intersection_graph([on, off])
+
+    def test_nested_polygon_work_is_output_sensitive(self, monkeypatch):
+        # nested chords (i, k + 1 - i): nearly every point lies inside the
+        # outer x-extents, so sweeping those alone yields about
+        # 40 (k + m) candidate pairs; the induced graph's sweep yields m
+        k = 400
+        m = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
+        model = to_corner_boxes(outerplanar_cand1(m))
+        yielded = 0
+
+        def counted_line_pairs(*args):
+            nonlocal yielded
+            for pair in line_pairs(*args):
+                yielded += 1
+                yield pair
+
+        monkeypatch.setattr("andbox.boxes.line_pairs", counted_line_pairs)
+        monkeypatch.setattr("andbox.realization.line_pairs", counted_line_pairs)
+        g = corner_box_intersection_graph(model)
+        assert g == m.graph()
+        assert yielded <= 2 * (k + g.m)
 
     def test_requires_contiguous_ids(self):
         cb = CornerBox(5, (((F(1), F(2)), (F(-1), F(0))),))
@@ -145,6 +175,12 @@ class TestCornerBoxRoundTrip:
         empty_factor = CornerBox(1, (((F(2), F(1)), (F(-2), F(3))),))
         with pytest.raises(RealizationError):
             corner_boxes_to_realization([empty_factor])
+
+    def test_rejects_repeated_ids(self):
+        a = CornerBox(1, (((F(1), F(2)), (F(-1), F(0))),))
+        b = CornerBox(1, (((F(3), F(4)), (F(-3), F(-2))),))
+        with pytest.raises(RealizationError):
+            corner_boxes_to_realization([a, b])
 
 
 class TestCheckCornerBox:

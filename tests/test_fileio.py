@@ -248,6 +248,16 @@ class TestOuterplanarFormat:
         with pytest.raises(FileFormatError):
             fileio.loads_outerplanar_model(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("outer 1 2 3\nchord 1 5\n", 2),
+        ("c chords may come first\nchord 2 7\nchord 1 3\nouter 1 2 3 4\n", 2),
+        ("outer 1 2 4 5\nchord 1 4\nchord 3 5\n", 3),
+    ])
+    def test_chord_off_the_walk_fails_at_its_line(self, text, line):
+        with pytest.raises(FileFormatError) as err:
+            fileio.loads_outerplanar_model(text, "m.op")
+        assert str(err.value).startswith(f"m.op:{line}:")
+
 
 class TestRootedPathFormat:
     def test_literal(self):
