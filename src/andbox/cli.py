@@ -34,11 +34,7 @@ from .families import (
     family_names,
     generate,
 )
-from .feasibility import (
-    DEFAULT_CASE_BUDGET,
-    DEFAULT_ORDERING_BUDGET,
-    cand1_recognize,
-)
+from .feasibility import cand1_recognize
 from .orders import (
     DEFAULT_NODE_BUDGET,
     and1_recognize,
@@ -174,11 +170,7 @@ def _cmd_recognize_and1(args) -> str:
 
 def _cmd_recognize_cand1(args) -> str:
     g = fileio.load_graph(args.graph)
-    res = cand1_recognize(
-        g,
-        ordering_budget=args.ordering_budget,
-        case_budget=args.case_budget,
-    )
+    res = cand1_recognize(g, budget=args.node_budget)
     if res.found:
         fileio.save_realization(_out(args, _stem(args.graph) + ".real"), res.realization)
         return "yes"
@@ -301,10 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph")
     p.add_argument("-o", "--output")
-    p.add_argument(
-        "--ordering-budget", type=int, default=DEFAULT_ORDERING_BUDGET
-    )
-    p.add_argument("--case-budget", type=int, default=DEFAULT_CASE_BUDGET)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--witness-out")
     p.set_defaults(func=_cmd_recognize_cand1)
 

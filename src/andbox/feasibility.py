@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul
 
 from . import kernels
@@ -46,9 +46,6 @@ from .orders import DEFAULT_NODE_BUDGET, Ordering, OrderingError, rank_bounds
 # module: perfbench/tests/test_tracing.py checks that tracing rebinds it.
 from .orders import four_point_check  # noqa: F401
 from .realization import Realization, _frac, is_central, verify
-
-DEFAULT_ORDERING_BUDGET = 10**5
-DEFAULT_CASE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -106,19 +103,23 @@ def _add_rows(rows, into) -> bool:
     return True
 
 
-def _eliminate(rows, nvars):
+def _eliminate(rows, nvars, cap=inf):
     """Fourier-Motzkin elimination over integer cone rows, last variable
     first.  A row (coeffs, strict) means coeffs . x <= 0, or < 0 when
     strict.
 
-    Returns None iff a strict zero row appears (the system is infeasible),
-    else one layer (var, pos, neg) per variable: the rows that bound it
-    from above and from below when it was eliminated.
+    Returns (layers, pairs).  layers is None iff a strict zero row appears
+    (the system is infeasible), else one layer (var, pos, neg) per
+    eliminated variable: the rows that bound it from above and from below.
+    pairs sums len(pos) * len(neg), the rows derived, over the variables
+    eliminated; a variable that would take it past cap is not eliminated,
+    and the layers stop short of nvars.
     """
     cur = {}
     if not _add_rows(rows, cur):
-        return None
+        return None, 0
     layers = []
+    pairs = 0
     for var in range(nvars - 1, -1, -1):
         pos, neg, rest = [], [], {}
         for coeffs, strict in cur.items():
@@ -129,6 +130,9 @@ def _eliminate(rows, nvars):
                 neg.append((coeffs, strict))
             else:
                 rest[coeffs] = strict
+        if pairs + len(pos) * len(neg) > cap:
+            break
+        pairs += len(pos) * len(neg)
         layers.append((var, pos, neg))
         derived = (
             (tuple(-q[var] * x + p[var] * y for x, y in zip(p, q)), ps or qs)
@@ -136,9 +140,9 @@ def _eliminate(rows, nvars):
             for q, qs in neg
         )
         if not _add_rows(derived, rest):
-            return None
+            return None, pairs
         cur = rest
-    return layers
+    return layers, pairs
 
 
 def _back_substitute(layers):
@@ -177,7 +181,7 @@ def eliminate_feasible(s: LinearConstraintSystem) -> FeasibilityResult:
         terms = (-c.bound, *c.coeffs)
         scale = lcm(*(f.denominator for f in terms))
         rows.append((tuple(f.numerator * (scale // f.denominator) for f in terms), c.strict))
-    layers = _eliminate(rows, len(s.variables) + 1)
+    layers, _ = _eliminate(rows, len(s.variables) + 1)
     if layers is None:
         return _INFEASIBLE
     return FeasibilityResult(True, tuple(_back_substitute(layers)[1:]))
@@ -192,6 +196,7 @@ class CentralSearchResult:
     status: str  # "found" | "infeasible" | "exhausted"
     realization: object  # Realization when found, else None
     cases_solved: int
+    work: int  # one per solve plus the pairs its eliminations derive
 
     @property
     def found(self) -> bool:
@@ -265,13 +270,13 @@ def central_realization(order, lo, hi, gaps) -> Realization:
     return Realization.build(1, items)
 
 
-def _require_nonnegative(budget, name) -> None:
+def _require_nonnegative(budget) -> None:
     if budget < 0:
-        raise OrderingError(f"{name} must be nonnegative")
+        raise OrderingError("budget must be nonnegative")
 
 
 def cand1_for_ordering(
-    g: Graph, o: Ordering, case_budget: int = DEFAULT_CASE_BUDGET
+    g: Graph, o: Ordering, budget: int = DEFAULT_NODE_BUDGET
 ) -> CentralSearchResult:
     """Decide whether a central realization exists whose point order is o.
 
@@ -281,37 +286,46 @@ def cand1_for_ordering(
     Two-option non-edges are resolved by depth-first case enumeration in
     order of increasing rank distance; every explored node costs one
     elimination run, infeasible partial systems prune their subtree, and
-    only the case found is back-substituted.  A negative case budget raises
+    only the case found is back-substituted.
+
+    The budget bounds the Fourier-Motzkin work: each solve costs one unit
+    plus len(pos) * len(neg) for every variable it eliminates, and a
+    variable whose pairs would take the work past the budget is not
+    eliminated; the search is then "exhausted".  The result reports the
+    work spent, never more than the budget.  A negative budget raises
     OrderingError.
     """
-    _require_nonnegative(case_budget, "case budget")
+    _require_nonnegative(budget)
     o.check_covers(g)
     n = g.n
     order = o.order
     lo, hi = rank_bounds(g, o)
     cases = _gap_cases(g, order, lo, hi)
     if cases is None:
-        return CentralSearchResult("infeasible", None, 0)
+        return CentralSearchResult("infeasible", None, 0, 0)
     base, split = cases
-    solved = 0
+    solved = work = 0
     # preorder over the case tree on an explicit stack: its depth is the
     # number of two-option non-edges, unbounded by the recursion limit
     stack = [(0, base)]
     while stack:
         k, rows = stack.pop()
-        if solved >= case_budget:
-            return CentralSearchResult("exhausted", None, solved)
+        if work >= budget:
+            return CentralSearchResult("exhausted", None, solved, work)
         solved += 1
-        layers = _eliminate(rows, n - 1)
+        layers, pairs = _eliminate(rows, n - 1, budget - work - 1)
+        work += 1 + pairs
         if layers is None:
             continue
+        if len(layers) < n - 1:
+            return CentralSearchResult("exhausted", None, solved, work)
         if k == len(split):
             break
         stack.extend((k + 1, rows + [side]) for side in reversed(split[k]))
     else:  # the stack ran dry: no full case is feasible
-        return CentralSearchResult("infeasible", None, solved)
+        return CentralSearchResult("infeasible", None, solved, work)
     r = central_realization(order, lo, hi, _back_substitute(layers))
-    return CentralSearchResult("found", r, solved)
+    return CentralSearchResult("found", r, solved, work)
 
 
 @dataclass(frozen=True)
@@ -327,11 +341,7 @@ class CAndRecognitionResult:
         return self.status == "found"
 
 
-def cand1_recognize(
-    g: Graph,
-    ordering_budget: int = DEFAULT_ORDERING_BUDGET,
-    case_budget: int = DEFAULT_CASE_BUDGET,
-) -> CAndRecognitionResult:
+def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognitionResult:
     """Central recognition: decide with cand1_for_ordering each point order
     the ordering kernel yields (lexicographically, each {order, reversal}
     pair once).  Orders failing the four point check (every central model
@@ -347,18 +357,19 @@ def cand1_recognize(
     graph is central alone and costs no order and no solve.  The merged
     realization is re-checked exactly before it is returned.
 
-    The ordering budget counts orders decided, the case budget solves and
-    DEFAULT_NODE_BUDGET bounds the enumeration, each across all
-    components.  NotMember requires one component's search to complete
-    within all three.  Verdicts are exact but exponential; complete
-    answers are practical for components of up to about 7 vertices.  A
-    negative budget raises OrderingError.
+    The budget bounds two counts, each across all components: the
+    kernel's placements tried, as for and1_recognize, and the
+    Fourier-Motzkin work of cand1_for_ordering, one unit per solve plus
+    its pair products.  A run therefore does at most twice the budget in
+    units of work.  Every order the kernel yields passes the four point
+    check, so each order decided costs at least one solve.  NotMember
+    requires one component's search to complete within both.  Verdicts
+    are exact but exponential; complete answers are practical for
+    components of up to about 7 vertices.  A negative budget raises
+    OrderingError.
     """
-    _require_nonnegative(ordering_budget, "ordering budget")
-    _require_nonnegative(case_budget, "case budget")
-    tried = 0
-    solved = 0
-    nodes = 0
+    _require_nonnegative(budget)
+    tried = solved = work = nodes = 0
     merged = []
     points = []
     right = None  # right end of the boxes placed so far
@@ -370,13 +381,14 @@ def cand1_recognize(
             o, r = Ordering((1,)), Realization.build(1, {1: ((-1, 1), 0)})
         else:
             # only the last item is not FOUND; any other break is a budget running out
-            for status, order, used in kernels.orderings(sub.masks, DEFAULT_NODE_BUDGET - nodes):
-                if status != kernels.FOUND or tried >= ordering_budget or solved >= case_budget:
+            for status, order, used in kernels.orderings(sub.masks, budget - nodes):
+                if status != kernels.FOUND or work >= budget:
                     break
                 tried += 1
                 o = Ordering(tuple(v + 1 for v in order))
-                result = cand1_for_ordering(sub, o, case_budget - solved)
+                result = cand1_for_ordering(sub, o, budget - work)
                 solved += result.cases_solved
+                work += result.work
                 if result.status == "exhausted":
                     break
                 if result.found:

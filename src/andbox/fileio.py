@@ -344,6 +344,7 @@ def loads_outerplanar_model(text: str, path: str = "<outerplanar>") -> Outerplan
             if len(toks) < 2:
                 _fail(path, no, "empty outer walk")
             outer = tuple(_int_at(path, no, t, 1) for t in toks[1:])
+            outer_no = no
         elif toks[0] == "chord":
             if len(toks) != 3:
                 _fail(path, no, "chord line must be 'chord <u> <v>'")
@@ -362,6 +363,9 @@ def loads_outerplanar_model(text: str, path: str = "<outerplanar>") -> Outerplan
     for (u, v), no in chords.items():
         if u not in walk or v not in walk:
             _fail(path, no, f"chord {u} {v} leaves the outer walk")
+    if len(walk) < max(walk):
+        skipped = min(set(range(1, max(walk) + 1)) - walk)
+        _fail(path, outer_no, f"outer walk skips vertex {skipped}")
     return OuterplanarModel(outer, tuple(sorted(chords)))
 
 

@@ -136,10 +136,9 @@ class BlockDecomposition:
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Hopcroft-Tarjan biconnected components, iterative.
 
-    Requires a connected input.
+    Requires a connected input: one depth-first search from vertex 1 must
+    reach every vertex.
     """
-    if not g.is_connected():
-        raise GraphError("block_decomposition assumes a connected graph")
     disc = {}
     low = {}
     parent = {}
@@ -148,55 +147,54 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     blocks = []
     timer = itertools.count(1)
 
-    for root in g.vertices():
-        if root in disc:
+    root = 1
+    disc[root] = low[root] = next(timer)
+    parent[root] = None
+    root_children = 0
+    # stack entries: (v, iterator over neighbors)
+    stack = [(root, iter(g.neighbors(root)))]
+    while stack:
+        v, it = stack[-1]
+        advanced = False
+        for w in it:
+            if w not in disc:
+                estack.append((v, w))
+                disc[w] = low[w] = next(timer)
+                parent[w] = v
+                if v == root:
+                    root_children += 1
+                stack.append((w, iter(g.neighbors(w))))
+                advanced = True
+                break
+            elif w != parent[v] and disc[w] < disc[v]:
+                estack.append((v, w))
+                low[v] = min(low[v], disc[w])
+        if advanced:
             continue
-        disc[root] = low[root] = next(timer)
-        parent[root] = None
-        root_children = 0
-        # stack entries: (v, iterator over neighbors)
-        stack = [(root, iter(g.neighbors(root)))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in disc:
-                    estack.append((v, w))
-                    disc[w] = low[w] = next(timer)
-                    parent[w] = v
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, iter(g.neighbors(w))))
-                    advanced = True
-                    break
-                elif w != parent[v] and disc[w] < disc[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    # u separates: pop the block's edges
-                    block = set()
-                    while estack:
-                        a, b = estack[-1]
-                        if disc[a] >= disc[v]:
-                            estack.pop()
-                            block.update((a, b))
-                        else:
-                            break
-                    if estack and estack[-1] == (u, v):
+        stack.pop()
+        if stack:
+            u = stack[-1][0]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:
+                # u separates: pop the block's edges
+                block = set()
+                while estack:
+                    a, b = estack[-1]
+                    if disc[a] >= disc[v]:
                         estack.pop()
-                    block.update((u, v))
-                    blocks.append(frozenset(block))
-                    if u != root or root_children > 1:
-                        cut.add(u)
-        if g.n == 1:
-            blocks.append(frozenset({root}))
-
+                        block.update((a, b))
+                    else:
+                        break
+                if estack and estack[-1] == (u, v):
+                    estack.pop()
+                block.update((u, v))
+                blocks.append(frozenset(block))
+                if u != root or root_children > 1:
+                    cut.add(u)
+    if len(disc) < g.n:
+        raise GraphError("block_decomposition assumes a connected graph")
+    if g.n == 1:
+        blocks.append(frozenset({root}))
     blocks.sort(key=lambda b: (min(b), tuple(sorted(b))))
     return BlockDecomposition(tuple(blocks), frozenset(cut))
 

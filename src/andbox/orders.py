@@ -34,17 +34,8 @@ class Ordering:
     def n(self) -> int:
         return len(self.order)
 
-    def rank(self, v: int) -> int:
-        try:
-            return self.order.index(v) + 1
-        except ValueError:
-            raise OrderingError(f"vertex {v} not in ordering") from None
-
     def ranks(self) -> dict:
         return {v: i + 1 for i, v in enumerate(self.order)}
-
-    def reversed(self) -> "Ordering":
-        return Ordering(tuple(reversed(self.order)))
 
     def check_covers(self, g: Graph) -> None:
         if sorted(self.order) != list(g.vertices()):

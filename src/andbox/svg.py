@@ -9,7 +9,6 @@ printed with two decimals, so repeated renders are byte-identical.
 
 from __future__ import annotations
 
-from .boxes import to_corner_boxes
 from .realization import Realization, RealizationError
 
 _PLOT = 320.0
@@ -43,13 +42,11 @@ def render_realization_svg(r: Realization) -> str:
 
     n = r.n
     left_h = n * _ROW
-    model = to_corner_boxes(r)
-    xs = []
-    ys = []
-    for cb in model:
-        ((xl, xh), (yl, yh)) = cb.factors[0]
-        xs += [xl, xh]
-        ys += [yl, yh]
+    # corner boxes [p, R] x [-p, -L]; the drawing is relative to xmin and
+    # ymax, so to_corner_boxes' positivity shift would cancel exactly
+    corners = [(v, (p, hi), (-p, -lo)) for v, ((lo, hi),), (p,) in r.items()]
+    xs = [x for _, xf, _ in corners for x in xf]
+    ys = [y for _, _, yf in corners for y in yf]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     wide = max(xmax - xmin, ymax - ymin)
@@ -105,8 +102,7 @@ def render_realization_svg(r: Realization) -> str:
         f' x2="{_fmt(bx(d1) + pad * scale)}" y2="{_fmt(by(-d1) + pad * scale)}"'
         ' stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
     )
-    for cb in model:
-        ((xl, xh), (yl, yh)) = cb.factors[0]
+    for v, (xl, xh), (yl, yh) in corners:
         out.append(
             f'<rect x="{_fmt(bx(xl))}" y="{_fmt(by(yh))}"'
             f' width="{_fmt(float(xh - xl) * scale)}"'
@@ -118,7 +114,7 @@ def render_realization_svg(r: Realization) -> str:
         )
         out.append(
             f'<text x="{_fmt(bx(xh) - 12)}" y="{_fmt(by(yh) + 13)}">'
-            f'{_esc(str(cb.vertex))}</text>'
+            f'{_esc(str(v))}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -171,10 +171,11 @@ def reference_search_order(g: Graph, budget, look_ahead=True, twins=True):
 def reference_cand1_for_ordering(g: Graph, o, case_budget=10**6):
     """The 2n-variable central search, for verdict checks of the gap one.
 
-    Same contract as andbox.feasibility.cand1_for_ordering.  Variables
-    are the points p_1..p_n and radii r_1..r_n by rank: points strictly
-    increase, radii are positive, every edge bounds both radii from
-    below, and every non-edge (i, j) is split on which radius the
+    Same contract as andbox.feasibility.cand1_for_ordering, except that
+    its case budget counts solves, and so does the work it reports.
+    Variables are the points p_1..p_n and radii r_1..r_n by rank: points
+    strictly increase, radii are positive, every edge bounds both radii
+    from below, and every non-edge (i, j) is split on which radius the
     distance p_j - p_i exceeds, in order of increasing rank distance, one
     elimination run per explored case.
     """
@@ -228,15 +229,15 @@ def reference_cand1_for_ordering(g: Graph, o, case_budget=10**6):
     try:
         result = descend(0, base)
     except CaseBudgetExceeded:
-        return CentralSearchResult("exhausted", None, solved)
+        return CentralSearchResult("exhausted", None, solved, solved)
     if result is None:
-        return CentralSearchResult("infeasible", None, solved)
+        return CentralSearchResult("infeasible", None, solved, solved)
     w = result.witness
     items = {v: ((w[k] - w[n + k], w[k] + w[n + k]), w[k]) for k, v in enumerate(order)}
-    return CentralSearchResult("found", Realization.build(1, items), solved)
+    return CentralSearchResult("found", Realization.build(1, items), solved, solved)
 
 
-def reference_cand1_recognize(g: Graph, ordering_budget=10**5, case_budget=10**6, twins=True):
+def reference_cand1_recognize(g: Graph, budget=10**8, twins=True):
     """Central recognition over all n!/2 point orders, for checks of the
     kernel-driven one.
 
@@ -244,25 +245,27 @@ def reference_cand1_recognize(g: Graph, ordering_budget=10**5, case_budget=10**6
     orderings_tried counts every order with order[0] < order[-1] (and,
     with twins, every twin pair in increasing id) in lexicographic order,
     four point violations included (they cost no solve:
-    cand1_for_ordering finds a non-edge with both sides blocked).
+    cand1_for_ordering finds a non-edge with both sides blocked), and
+    that the budget bounds only the Fourier-Motzkin work: no kernel runs.
     """
     from andbox.feasibility import CAndRecognitionResult, cand1_for_ordering
     from andbox.orders import Ordering
 
     verts = g.vertices()
     pairs = twin_pairs(g) if twins else []
-    tried = solved = 0
+    tried = solved = work = 0
     for perm in permutations(verts):
         if len(verts) > 1 and perm[0] > perm[-1]:
             continue
         if not twins_in_order(pairs, perm):
             continue
-        if tried >= ordering_budget or solved >= case_budget:
+        if work >= budget:
             return CAndRecognitionResult("exhausted", None, None, tried, solved)
         tried += 1
         o = Ordering(perm)
-        result = cand1_for_ordering(g, o, case_budget - solved)
+        result = cand1_for_ordering(g, o, budget - work)
         solved += result.cases_solved
+        work += result.work
         if result.status == "exhausted":
             return CAndRecognitionResult("exhausted", None, None, tried, solved)
         if result.found:

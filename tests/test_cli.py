@@ -381,26 +381,42 @@ class TestRecognizeCand1:
         )
 
     def test_ordering_budget_exhaustion(self, tmp_path, capsys):
+        # the first order costs all 11 units: the second is not decided
         gp = write_graph(
             tmp_path / "k23.and", complete_multipartite_graph([2, 3])
         )
         code, out, _ = run(
-            capsys, "recognize-cand1", gp, "--ordering-budget", "1"
+            capsys, "recognize-cand1", gp, "--node-budget", "11"
         )
         assert code == 3
         assert out.startswith("verdict=exhausted ")
         assert not (tmp_path / "k23.witness").exists()
 
     def test_case_budget_exhaustion(self, tmp_path, capsys):
+        # the second order's solve stops at its first elimination
         gp = write_graph(
             tmp_path / "k23.and", complete_multipartite_graph([2, 3])
         )
         code, out, _ = run(
-            capsys, "recognize-cand1", gp, "--case-budget", "1"
+            capsys, "recognize-cand1", gp, "--node-budget", "12"
         )
         assert code == 3
         assert out.startswith("verdict=exhausted ")
         assert not (tmp_path / "k23.witness").exists()
+
+    def test_node_budget_bounds_the_kernel(self, tmp_path, capsys):
+        # K(2,2,2) has no four-point-free order; the kernel rejects it in
+        # 114 placements, as recognize-and1 does
+        gp = write_graph(tmp_path / "k222.and", complete_multipartite_graph([2, 2, 2]))
+        code, out, _ = run(capsys, "recognize-cand1", gp, "--node-budget", "113")
+        assert code == 3 and out.startswith("verdict=exhausted ")
+        assert not (tmp_path / "k222.witness").exists()
+        code, out, _ = run(capsys, "recognize-cand1", gp, "--node-budget", "114")
+        assert code == 1 and out.startswith("verdict=no ")
+        assert (tmp_path / "k222.witness").read_text() == (
+            "c no point order admits a central realization\n"
+            "exhaustive orderings 0 cases 0\n"
+        )
 
     def test_exhausted_kernel_enumeration_exits_3(self, tmp_path, capsys, monkeypatch):
         def cut_short(masks, budget):
@@ -417,8 +433,7 @@ class TestRecognizeCand1:
         "cmd, flag",
         [
             ("recognize-and1", "--node-budget"),
-            ("recognize-cand1", "--ordering-budget"),
-            ("recognize-cand1", "--case-budget"),
+            ("recognize-cand1", "--node-budget"),
         ],
     )
     def test_negative_budget_is_a_usage_error(self, tmp_path, capsys, cmd, flag):

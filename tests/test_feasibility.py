@@ -203,10 +203,15 @@ class TestCandForOrdering:
         assert res.status == "infeasible" and res.cases_solved == 1
 
     def test_case_budget_exhaustion(self):
-        g = cycle_graph(8)
-        res = cand1_for_ordering(g, Ordering(tuple(range(1, 9))), case_budget=2)
-        assert res.status == "exhausted"
-        assert res.cases_solved == 2
+        # C8 in its identity order takes 11 solves and 489 units of work;
+        # the first solve costs 1 + 31 pair products, and with 488 units the
+        # last solve stops before its last variable (14 pairs)
+        g, o = cycle_graph(8), Ordering(tuple(range(1, 9)))
+        res = cand1_for_ordering(g, o)
+        assert (res.status, res.cases_solved, res.work) == ("found", 11, 489)
+        for budget, solved, work in [(0, 0, 0), (32, 1, 32), (33, 2, 33), (488, 11, 475)]:
+            res = cand1_for_ordering(g, o, budget)
+            assert (res.status, res.cases_solved, res.work) == ("exhausted", solved, work)
 
     def test_matches_reference_search(self, connected_atlas):
         # Over every order up to reversal: a found witness is its own
@@ -238,14 +243,14 @@ class TestCandForOrdering:
 
     def test_blocked_sides_are_four_point_violations(self, connected_atlas):
         # A non-edge with both sides blocked makes the order infeasible
-        # before any solve, so a zero case budget separates it from an
-        # order that needs one.
+        # before any solve, so a zero budget separates it from an order
+        # that needs one.
         for g in connected_atlas:
             if g.n > 6:
                 continue
             for perm in permutations(g.vertices()):
                 o = Ordering(perm)
-                res = cand1_for_ordering(g, o, case_budget=0)
+                res = cand1_for_ordering(g, o, budget=0)
                 assert res.cases_solved == 0
                 expected = "infeasible" if four_point_check(g, o) is not None else "exhausted"
                 assert res.status == expected, (g.edge_list(), perm)
@@ -293,8 +298,8 @@ class TestCandForOrdering:
         assert issubclass(CaseBudgetExceeded, Exception)
 
     def test_negative_case_budget_rejected(self):
-        with pytest.raises(OrderingError, match="case budget must be nonnegative"):
-            cand1_for_ordering(cycle_graph(4), Ordering((1, 2, 3, 4)), case_budget=-1)
+        with pytest.raises(OrderingError, match="budget must be nonnegative"):
+            cand1_for_ordering(cycle_graph(4), Ordering((1, 2, 3, 4)), budget=-1)
 
 
 class TestCandRecognize:
@@ -351,9 +356,14 @@ class TestCandRecognize:
 
     def test_zero_ordering_budget_suffices_without_4pc_free_orders(self):
         # the enumeration completes without an ordering to decide, so the
-        # verdict needs no ordering budget
-        res = cand1_recognize(complete_multipartite_graph([2, 2, 2]), ordering_budget=0)
+        # budget needs to cover only the kernel's placements: 114, as for
+        # and1_recognize
+        g = complete_multipartite_graph([2, 2, 2])
+        assert and1_recognize(g).nodes == 114
+        res = cand1_recognize(g, budget=114)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("not_member", 0, 0)
+        res = cand1_recognize(g, budget=113)
+        assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 0, 0)
 
     def test_complete_bipartite_3_3_decides_only_4pc_free_orders(self):
         res = cand1_recognize(complete_multipartite_graph([3, 3]))
@@ -380,19 +390,41 @@ class TestCandRecognize:
                 assert and1_recognize(g).found
 
     def test_ordering_budget_exhaustion(self):
-        res = cand1_recognize(complete_multipartite_graph([2, 3]), ordering_budget=1)
-        assert res.status == "exhausted"
-        assert res.orderings_tried == 1
+        # K(2,3)'s first order costs 11 units of work (1 + 10 pair
+        # products), so a budget of 11 leaves none for the second order
+        res = cand1_recognize(complete_multipartite_graph([2, 3]), budget=11)
+        assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 1, 1)
 
-    @pytest.mark.parametrize("budget", ["ordering_budget", "case_budget"])
-    def test_negative_budget_rejected(self, budget):
+    def test_negative_budget_rejected(self):
         # a negative budget is bad input, not an exhausted search
-        with pytest.raises(OrderingError, match=budget.replace("_", " ")):
-            cand1_recognize(cycle_graph(4), **{budget: -1})
+        with pytest.raises(OrderingError, match="budget must be nonnegative"):
+            cand1_recognize(cycle_graph(4), budget=-1)
 
     def test_case_budget_exhaustion(self):
-        res = cand1_recognize(complete_multipartite_graph([2, 3]), case_budget=1)
-        assert res.status == "exhausted"
+        # one unit is left for the second order: its solve starts, and its
+        # first elimination would pass the budget
+        res = cand1_recognize(complete_multipartite_graph([2, 3]), budget=12)
+        assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 2, 2)
+
+    def test_budget_bounds_the_pairs_of_one_solve(self, monkeypatch):
+        # random_interval(9, 55) is decided in one solve that derives 6,719
+        # rows; under a budget of 1,000 the solve stops before the variable
+        # whose pairs would pass it
+        g = families.random_interval(9, 55).graph
+        read = 0
+
+        def counted(rows, into, _add_rows=feasibility._add_rows):
+            nonlocal read
+            rows = list(rows)
+            read += len(rows)
+            return _add_rows(rows, into)
+
+        monkeypatch.setattr(feasibility, "_add_rows", counted)
+        res = cand1_recognize(g, budget=1000)
+        assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 1, 1)
+        assert read <= 1000
+        read = 0
+        assert cand1_recognize(g).found and read > 6719
 
     def test_exhausted_kernel_enumeration_is_exhausted(self, monkeypatch):
         # an enumeration cut short by the kernel's node budget proves nothing
@@ -519,9 +551,12 @@ class TestCandRecognize:
         assert res.orderings_tried == 3
 
     def test_budgets_are_charged_across_components(self):
+        # P3 takes 3 placements and 1 unit of work; K(2,3) 22 placements and
+        # 11 + 8 units for its two orders
         g = self.disjoint_union(path_graph(3), complete_multipartite_graph([2, 3]))
-        assert cand1_recognize(g).status == "not_member"
-        res = cand1_recognize(g, ordering_budget=2)
-        assert (res.status, res.orderings_tried) == ("exhausted", 2)
-        res = cand1_recognize(g, case_budget=2)
-        assert (res.status, res.cases_solved) == ("exhausted", 2)
+        res = cand1_recognize(g, budget=25)
+        assert (res.status, res.orderings_tried, res.cases_solved) == ("not_member", 3, 3)
+        res = cand1_recognize(g, budget=24)
+        assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 3, 3)
+        res = cand1_recognize(g, budget=12)
+        assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 2, 2)

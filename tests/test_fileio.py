@@ -258,6 +258,16 @@ class TestOuterplanarFormat:
             fileio.loads_outerplanar_model(text, "m.op")
         assert str(err.value).startswith(f"m.op:{line}:")
 
+    @pytest.mark.parametrize("text, line", [
+        ("outer 1 2 4\n", 1),
+        ("chord 1 3\nc the walk comes last\nouter 1 2 3 5\n", 3),
+    ], ids=["walk-skips-3", "chords-first"])
+    def test_walk_skipping_an_id_fails_at_its_line(self, text, line):
+        # the vertex set is 1..max(outer): a skipped id would sit on no walk
+        with pytest.raises(FileFormatError, match="skips vertex") as err:
+            fileio.loads_outerplanar_model(text, "m.op")
+        assert str(err.value).startswith(f"m.op:{line}:")
+
 
 class TestRootedPathFormat:
     def test_literal(self):
