@@ -18,7 +18,7 @@ import pytest
 
 import andbox
 from conftest import edge_set, reference_glue_at_safe_vertex
-from andbox import fileio, kernels
+from andbox import feasibility, fileio, kernels
 from andbox.boxes import to_corner_boxes, to_semisquares
 from andbox.cli import main
 from andbox.constructors import (
@@ -429,16 +429,37 @@ class TestRecognizeCand1:
         assert out.startswith("verdict=exhausted ")
         assert not list(tmp_path.glob("k222.[rw]*"))
 
+    # for recognize-cand1, --node-budget bounds what --ordering-budget and
+    # --case-budget did: the kernel's order search and the Fourier-Motzkin
+    # solves.  A negative value is refused before either kind of work starts
     @pytest.mark.parametrize(
-        "cmd, flag",
+        "cmd, work",
         [
-            ("recognize-and1", "--node-budget"),
-            ("recognize-cand1", "--node-budget"),
+            pytest.param("recognize-and1", None, id="recognize-and1---node-budget"),
+            pytest.param(
+                "recognize-cand1",
+                (kernels, "orderings"),
+                id="recognize-cand1---ordering-budget",
+            ),
+            pytest.param(
+                "recognize-cand1",
+                (feasibility, "_eliminate"),
+                id="recognize-cand1---case-budget",
+            ),
         ],
     )
-    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys, cmd, flag):
+    def test_negative_budget_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, cmd, work
+    ):
+        if work is not None:
+            module, name = work
+
+            def no_work(*args, **kwargs):
+                raise AssertionError(f"{name} ran under a negative budget")
+
+            monkeypatch.setattr(module, name, no_work)
         gp = write_graph(tmp_path / "c4.and", cycle_graph(4))
-        code, out, err = run(capsys, cmd, gp, flag, "-1")
+        code, out, err = run(capsys, cmd, gp, "--node-budget", "-1")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "budget must be nonnegative" in err

@@ -395,8 +395,22 @@ class TestCandRecognize:
         res = cand1_recognize(complete_multipartite_graph([2, 3]), budget=11)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 1, 1)
 
-    def test_negative_budget_rejected(self):
-        # a negative budget is bad input, not an exhausted search
+    # the one budget bounds what the ordering and case budgets did: the
+    # kernel's order search and the Fourier-Motzkin solves.  A negative
+    # budget is bad input, not an exhausted search: it is refused before
+    # either kind of work starts
+    @pytest.mark.parametrize(
+        "module, work",
+        [
+            pytest.param(kernels, "orderings", id="ordering_budget"),
+            pytest.param(feasibility, "_eliminate", id="case_budget"),
+        ],
+    )
+    def test_negative_budget_rejected(self, monkeypatch, module, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran under a negative budget")
+
+        monkeypatch.setattr(module, work, no_work)
         with pytest.raises(OrderingError, match="budget must be nonnegative"):
             cand1_recognize(cycle_graph(4), budget=-1)
 
