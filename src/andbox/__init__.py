@@ -53,7 +53,6 @@ from .families import (
     random_rooted_path,
 )
 from .feasibility import (
-    CaseBudgetExceeded,
     FeasibilityResult,
     LinearConstraint,
     LinearConstraintSystem,

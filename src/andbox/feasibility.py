@@ -187,10 +187,6 @@ def eliminate_feasible(s: LinearConstraintSystem) -> FeasibilityResult:
     return FeasibilityResult(True, tuple(_back_substitute(layers)[1:]))
 
 
-class CaseBudgetExceeded(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class CentralSearchResult:
     status: str  # "found" | "infeasible" | "exhausted"

@@ -36,16 +36,20 @@ class FileFormatError(ValueError):
     pass
 
 
-_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
+_RATIONAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
+_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
 
 
 def parse_rational(token: str) -> Fraction:
     """Strict rational syntax: optional sign, no leading zeros, lowest
     terms, positive denominator, no denominator 1 spelled out."""
-    if not _RATIONAL.match(token):
+    m = _RATIONAL.fullmatch(token)
+    if m is None:
         raise FileFormatError(f"bad rational {token!r}")
-    f = Fraction(token)
-    if format_rational(f) != token:
+    num, den = m.groups()
+    d = int(den) if den else 1
+    f = Fraction(int(num), d)
+    if f.denominator != d or den == "1" or num == "-0":
         raise FileFormatError(f"rational {token!r} is not in lowest terms")
     return f
 
@@ -55,7 +59,7 @@ def format_rational(f: Fraction) -> str:
 
 
 def _parse_int(token: str, minimum=None) -> int:
-    if not re.match(r"-?(0|[1-9][0-9]*)$", token):
+    if _INT.fullmatch(token) is None:
         raise FileFormatError(f"bad integer {token!r}")
     value = int(token)
     if minimum is not None and value < minimum:

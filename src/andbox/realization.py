@@ -5,7 +5,11 @@ closed intervals) plus a representative point inside it.  Two vertices are
 adjacent in the induced graph iff each box contains the other vertex's
 point.  "Central" means every point is exactly its box's center.
 
-All adjacency decisions use Fraction arithmetic; no floats anywhere.
+Coordinates are Fractions and every decision is exact, with no floats
+anywhere.  Comparisons avoid the Fraction operators: containment and
+centrality are integer cross-products of numerators and denominators,
+and sorts and sweeps compare exact_key tuples, whose leading int decides
+all but near-ties.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ class TiedPointsError(RealizationError):
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def exact_key(x):
+    """Sort key ordered exactly like the rational x: floor(x * 2**64), an
+    int compared in C, then x itself, compared only when the ints tie (the
+    values differ by less than 2**-64).  Unlike float(x) it never
+    overflows or rounds two values together."""
+    return ((x.numerator << 64) // x.denominator, x)
 
 
 @dataclass(frozen=True)
@@ -77,7 +89,12 @@ class Realization:
             box = tuple((_frac(lo), _frac(hi)) for lo, hi in box)
             point = tuple(_frac(p) for p in point)
             for (lo, hi), p in zip(box, point):
-                if not (lo <= p <= hi):
+                # lo <= p <= hi over positive denominators
+                pn, pd = p.numerator, p.denominator
+                if not (
+                    lo.numerator * pd <= pn * lo.denominator
+                    and pn * hi.denominator <= hi.numerator * pd
+                ):
                     raise RealizationError(
                         f"vertex {v}: point {p} outside box [{lo},{hi}]"
                     )
@@ -122,7 +139,12 @@ def line_pairs(keys, right, left=None):
     """Index pairs (i, j) with (keys[i], i) < (keys[j], j), keys[j] <= right[i]
     and, when left is given, left[j] <= keys[i].  One sweep in key order, O(n log n
     + pairs): from bisect(left[j]) on, each live earlier rank pairs with j or, as
-    keys[j] has passed its right end, dies; a path-halved next-live array skips it."""
+    keys[j] has passed its right end, dies; a path-halved next-live array skips it.
+    Every value is mapped through exact_key once, so the sweep compares ints."""
+    keys = [exact_key(x) for x in keys]
+    right = [exact_key(x) for x in right]
+    if left is not None:
+        left = [exact_key(x) for x in left]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ks = [keys[i] for i in order]
     nxt = list(range(len(ks) + 1))  # nxt[s] == s iff rank s is live
@@ -183,9 +205,11 @@ def verify(r: Realization, g: Graph) -> VerifyReport:
 
 
 def is_central(r: Realization) -> bool:
-    for _, box, point in r.items():
+    for box, point in zip(r.boxes, r.points):
         for (lo, hi), p in zip(box, point):
-            if 2 * p != lo + hi:
+            # lo + hi == 2p over the positive denominators a, b and d
+            a, b, d = lo.denominator, hi.denominator, p.denominator
+            if (lo.numerator * b + hi.numerator * a) * d != 2 * p.numerator * a * b:
                 return False
     return True
 

@@ -5,11 +5,16 @@ horizontal bar and the representative point as a dot; on the right, the
 planar corner boxes with their lower-left corners on the dashed diagonal
 x + y = 0.  All geometry is scaled deterministically and numbers are
 printed with two decimals, so repeated renders are byte-identical.
+Extremes are found with exact_key, and floats come only from int
+true divisions of numerators and denominators, which round correctly:
+each drawn number equals float() of the exact Fraction it stands for.
 """
 
 from __future__ import annotations
 
-from .realization import Realization, RealizationError
+import math
+
+from .realization import Realization, RealizationError, exact_key
 
 _PLOT = 320.0
 _MARGIN = 20.0
@@ -27,41 +32,63 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _diff(s, t) -> float:
+    """float(s - t) for rationals s and t: one int division, which rounds
+    correctly, as float() of the reduced Fraction does."""
+    return (s.numerator * t.denominator - t.numerator * s.denominator) / (
+        s.denominator * t.denominator
+    )
+
+
 def render_realization_svg(r: Realization) -> str:
     if r.d != 1:
         raise RealizationError("SVG rendering handles d = 1 realizations")
 
-    coords = [c for _, box, _ in r.items() for c in box[0]]
-    lo, hi = min(coords), max(coords)
-    span = hi - lo
+    los = [box[0][0] for box in r.boxes]
+    his = [box[0][1] for box in r.boxes]
+    pts = [point[0] for point in r.points]
+    least, hi = min(los, key=exact_key), max(his, key=exact_key)
+    lo, span = least, hi - least
     if span == 0:
         lo, span = lo - 1, 2
+    c, d = lo.numerator, lo.denominator
+    e, f = span.numerator, span.denominator
 
     def sx(t) -> float:
-        return _MARGIN + float((t - lo) / span) * _PLOT
+        # (t - lo) / span for t = a/b, lo = c/d and span = e/f
+        a, b = t.numerator, t.denominator
+        return _MARGIN + (a * d - c * b) * f / (b * d * e) * _PLOT
 
     n = r.n
     left_h = n * _ROW
-    # corner boxes [p, R] x [-p, -L]; the drawing is relative to xmin and
-    # ymax, so to_corner_boxes' positivity shift would cancel exactly
-    corners = [(v, (p, hi), (-p, -lo)) for v, ((lo, hi),), (p,) in r.items()]
-    xs = [x for _, xf, _ in corners for x in xf]
-    ys = [y for _, _, yf in corners for y in yf]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    wide = max(xmax - xmin, ymax - ymin)
+    # corner boxes [p, R] x [-p, -L]; every point lies in its box, so x runs
+    # from the least point to the greatest R and y from minus the greatest
+    # point to minus the least L.  The drawing is relative to the least x
+    # and the greatest y, so to_corner_boxes' positivity shift would cancel.
+    xmin = min(pts, key=exact_key)
+    wide = max(hi - xmin, max(pts, key=exact_key) - least, key=exact_key)
     if wide == 0:
         wide = 2
         xmin -= 1
-        ymax += 1
-    scale = _PLOT / float(wide)
+        least -= 1
+    try:
+        # the diagonal runs from L to R, the widest difference drawn
+        pad = _diff(hi, least) * 0.05
+        wide_f = wide.numerator / wide.denominator
+    except OverflowError:
+        raise RealizationError("coordinates too large to draw") from None
+    scale = _PLOT / wide_f if wide_f else math.inf
+    if scale == math.inf:
+        raise RealizationError("coordinates too close together to draw")
     bx0 = _MARGIN + _PLOT + _GAP
 
     def bx(t) -> float:
-        return bx0 + float(t - xmin) * scale
+        # x of the corner-box coordinate t
+        return bx0 + _diff(t, xmin) * scale
 
     def by(t) -> float:
-        return _TOP + float(ymax - t) * scale
+        # y of the corner-box coordinate -t
+        return _TOP + _diff(t, least) * scale
 
     width = _MARGIN * 2 + _PLOT * 2 + _GAP
     height = _TOP + max(left_h, _PLOT) + _MARGIN
@@ -75,18 +102,17 @@ def render_realization_svg(r: Realization) -> str:
         f'<text x="{_fmt(bx0)}" y="18">corner boxes on x+y=0</text>',
     ]
 
-    for i, (v, box, point) in enumerate(r.items()):
-        (a, b) = box[0]
-        p = point[0]
+    for i, (v, a, b, p) in enumerate(zip(r.ids, los, his, pts)):
         y = _TOP + (i + 0.5) * _ROW
+        xa, xb = _fmt(sx(a)), _fmt(sx(b))
         out.append(
-            f'<line x1="{_fmt(sx(a))}" y1="{_fmt(y)}" x2="{_fmt(sx(b))}"'
+            f'<line x1="{xa}" y1="{_fmt(y)}" x2="{xb}"'
             f' y2="{_fmt(y)}" stroke="#1f77b4" stroke-width="2"/>'
         )
-        for end in (a, b):
+        for x in (xa, xb):
             out.append(
-                f'<line x1="{_fmt(sx(end))}" y1="{_fmt(y - 4)}"'
-                f' x2="{_fmt(sx(end))}" y2="{_fmt(y + 4)}"'
+                f'<line x1="{x}" y1="{_fmt(y - 4)}"'
+                f' x2="{x}" y2="{_fmt(y + 4)}"'
                 f' stroke="#1f77b4" stroke-width="2"/>'
             )
         out.append(
@@ -94,26 +120,24 @@ def render_realization_svg(r: Realization) -> str:
         )
         out.append(f'<text x="4" y="{_fmt(y + 4)}">{_esc(str(v))}</text>')
 
-    d0 = min(xmin, -ymax)
-    d1 = max(xmax, -ymin)
-    pad = float(d1 - d0) * 0.05
     out.append(
-        f'<line x1="{_fmt(bx(d0) - pad * scale)}" y1="{_fmt(by(-d0) - pad * scale)}"'
-        f' x2="{_fmt(bx(d1) + pad * scale)}" y2="{_fmt(by(-d1) + pad * scale)}"'
+        f'<line x1="{_fmt(bx(least) - pad * scale)}" y1="{_fmt(by(least) - pad * scale)}"'
+        f' x2="{_fmt(bx(hi) + pad * scale)}" y2="{_fmt(by(hi) + pad * scale)}"'
         ' stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
     )
-    for v, (xl, xh), (yl, yh) in corners:
+    for v, a, b, p in zip(r.ids, los, his, pts):
+        x, ytop = bx(p), by(a)
         out.append(
-            f'<rect x="{_fmt(bx(xl))}" y="{_fmt(by(yh))}"'
-            f' width="{_fmt(float(xh - xl) * scale)}"'
-            f' height="{_fmt(float(yh - yl) * scale)}"'
+            f'<rect x="{_fmt(x)}" y="{_fmt(ytop)}"'
+            f' width="{_fmt(_diff(b, p) * scale)}"'
+            f' height="{_fmt(_diff(p, a) * scale)}"'
             ' fill="#1f77b4" fill-opacity="0.12" stroke="#1f77b4"/>'
         )
         out.append(
-            f'<circle cx="{_fmt(bx(xl))}" cy="{_fmt(by(yl))}" r="3" fill="#d62728"/>'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(by(p))}" r="3" fill="#d62728"/>'
         )
         out.append(
-            f'<text x="{_fmt(bx(xh) - 12)}" y="{_fmt(by(yh) + 13)}">'
+            f'<text x="{_fmt(bx(b) - 12)}" y="{_fmt(ytop + 13)}">'
             f'{_esc(str(v))}</text>'
         )
     out.append("</svg>")

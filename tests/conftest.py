@@ -168,6 +168,10 @@ def reference_search_order(g: Graph, budget, look_ahead=True, twins=True):
     return (status, order if status == "found" else [], nodes)
 
 
+class CaseBudgetExceeded(Exception):
+    """Raised by the reference central search when its case budget runs out."""
+
+
 def reference_cand1_for_ordering(g: Graph, o, case_budget=10**6):
     """The 2n-variable central search, for verdict checks of the gap one.
 
@@ -180,7 +184,6 @@ def reference_cand1_for_ordering(g: Graph, o, case_budget=10**6):
     elimination run per explored case.
     """
     from andbox.feasibility import (
-        CaseBudgetExceeded,
         CentralSearchResult,
         LinearConstraintSystem,
         constraint,
@@ -477,6 +480,84 @@ def reference_semisquare_edges(squares) -> set:
     return out
 
 
+def reference_render_svg(r: Realization) -> str:
+    """The SVG drawing computed with Fraction operators and float() of each
+    exact value, for byte checks of svg.render_realization_svg."""
+    from andbox.svg import _GAP, _MARGIN, _PLOT, _ROW, _TOP, _esc, _fmt
+
+    coords = [c for _, box, _ in r.items() for c in box[0]]
+    lo, hi = min(coords), max(coords)
+    span = hi - lo
+    if span == 0:
+        lo, span = lo - 1, 2
+
+    def sx(t) -> float:
+        return _MARGIN + float((t - lo) / span) * _PLOT
+
+    corners = [(v, (p, hi), (-p, -lo)) for v, ((lo, hi),), (p,) in r.items()]
+    xs = [x for _, xf, _ in corners for x in xf]
+    ys = [y for _, _, yf in corners for y in yf]
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(ys), max(ys)
+    wide = max(xmax - xmin, ymax - ymin)
+    if wide == 0:
+        wide = 2
+        xmin -= 1
+        ymax += 1
+    scale = _PLOT / float(wide)
+    bx0 = _MARGIN + _PLOT + _GAP
+
+    def bx(t) -> float:
+        return bx0 + float(t - xmin) * scale
+
+    def by(t) -> float:
+        return _TOP + float(ymax - t) * scale
+
+    width = _MARGIN * 2 + _PLOT * 2 + _GAP
+    height = _TOP + max(r.n * _ROW, _PLOT) + _MARGIN
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}"'
+        f' height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        '<style>text{font-family:monospace;font-size:11px;fill:#333}</style>',
+        f'<text x="{_fmt(_MARGIN)}" y="18">intervals and points</text>',
+        f'<text x="{_fmt(bx0)}" y="18">corner boxes on x+y=0</text>',
+    ]
+    for i, (v, ((a, b),), (p,)) in enumerate(r.items()):
+        y = _TOP + (i + 0.5) * _ROW
+        out.append(
+            f'<line x1="{_fmt(sx(a))}" y1="{_fmt(y)}" x2="{_fmt(sx(b))}"'
+            f' y2="{_fmt(y)}" stroke="#1f77b4" stroke-width="2"/>'
+        )
+        for end in (a, b):
+            out.append(
+                f'<line x1="{_fmt(sx(end))}" y1="{_fmt(y - 4)}"'
+                f' x2="{_fmt(sx(end))}" y2="{_fmt(y + 4)}"'
+                f' stroke="#1f77b4" stroke-width="2"/>'
+            )
+        out.append(f'<circle cx="{_fmt(sx(p))}" cy="{_fmt(y)}" r="3" fill="#d62728"/>')
+        out.append(f'<text x="4" y="{_fmt(y + 4)}">{_esc(str(v))}</text>')
+    d0 = min(xmin, -ymax)
+    d1 = max(xmax, -ymin)
+    pad = float(d1 - d0) * 0.05
+    out.append(
+        f'<line x1="{_fmt(bx(d0) - pad * scale)}" y1="{_fmt(by(-d0) - pad * scale)}"'
+        f' x2="{_fmt(bx(d1) + pad * scale)}" y2="{_fmt(by(-d1) + pad * scale)}"'
+        ' stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
+    )
+    for v, (xl, xh), (yl, yh) in corners:
+        out.append(
+            f'<rect x="{_fmt(bx(xl))}" y="{_fmt(by(yh))}"'
+            f' width="{_fmt(float(xh - xl) * scale)}"'
+            f' height="{_fmt(float(yh - yl) * scale)}"'
+            ' fill="#1f77b4" fill-opacity="0.12" stroke="#1f77b4"/>'
+        )
+        out.append(f'<circle cx="{_fmt(bx(xl))}" cy="{_fmt(by(yl))}" r="3" fill="#d62728"/>')
+        out.append(f'<text x="{_fmt(bx(xh) - 12)}" y="{_fmt(by(yh) + 13)}">{_esc(str(v))}</text>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # random instance generators (plain `random.Random`, rational outputs)
 
@@ -527,6 +608,33 @@ def random_central_realization(rng: random.Random, n: int) -> Realization:
         c = random_fraction(rng, -10, 10)
         r = random_fraction(rng, 0, 6) + F(1, 8)
         items[v] = ((c - r, c + r), c)
+    return Realization.build(1, items)
+
+
+def odd_primes(count: int) -> list:
+    """The first `count` odd primes, by trial division."""
+    out = []
+    k = 3
+    while len(out) < count:
+        if all(k % q for q in out if q * q <= k):
+            out.append(k)
+        k += 2
+    return out
+
+
+def random_prime_denominator_realization(rng: random.Random, n: int, scale=1) -> Realization:
+    """Points in [-n/4, n/4] * scale and reaches of up to 3 * scale, each
+    of the 3n coordinates built on its own odd prime denominator, so no
+    two coordinates share a denominator and their lcm has 3n factors."""
+    qs = odd_primes(3 * n)
+    rng.shuffle(qs)
+    items = {}
+    for v in range(1, n + 1):
+        q0, q1, q2 = qs[3 * v - 3 : 3 * v]
+        p = F(rng.randint(-n * q0 // 4, n * q0 // 4) * scale, q0)
+        lo = p - F(rng.randint(0, 3 * q1) * scale, q1)
+        hi = p + F(rng.randint(0, 3 * q2) * scale, q2)
+        items[v] = ((lo, hi), p)
     return Realization.build(1, items)
 
 

@@ -34,7 +34,7 @@ from andbox.constructors import (
 from andbox.families import IntervalModel, generate
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph
 from andbox.orders import Ordering, implicit_encode, realization_from_ordering
-from andbox.realization import is_central, relabel, verify
+from andbox.realization import Realization, is_central, relabel, verify
 from andbox.svg import render_realization_svg
 
 VERDICT = re.compile(r"\Averdict=(yes|no|exhausted) time_ms=\d+\n\Z")
@@ -528,6 +528,18 @@ class TestConversions:
         svg = (tmp_path / "c4.svg").read_text()
         assert svg == render_realization_svg(r)
         ET.fromstring(svg)
+
+    @pytest.mark.parametrize("side,message", [
+        (F(10**400), "coordinates too large to draw"),
+        (F(1, 10**400), "coordinates too close together to draw"),
+    ])
+    def test_render_beyond_float_range_exits_2(self, tmp_path, capsys, side, message):
+        # the other commands handle the file exactly; only drawing needs floats
+        rp = write_real(tmp_path / "far.real", Realization.build(1, {1: ((-side, side), 0)}))
+        code, _, err = run(capsys, "render", rp)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not (tmp_path / "far.svg").exists()
+        assert run(capsys, "to-boxes", rp)[0] == 0
 
 
 class TestPipelines:

