@@ -22,14 +22,12 @@ from .boxes import (
     to_semisquares,
 )
 from .constructors import (
-    GlueParams,
     assemble_block_tree,
     block_graph_cand1,
     clique_cand1,
     cycle_cand1,
     glue_at_safe_vertex,
     glue_cycles_on_edge,
-    glue_params,
     h_graph_ordering,
     interval_to_cand1,
     outerplanar_cand1,
@@ -53,13 +51,8 @@ from .families import (
     random_rooted_path,
 )
 from .feasibility import (
-    FeasibilityResult,
-    LinearConstraint,
-    LinearConstraintSystem,
     cand1_for_ordering,
     cand1_recognize,
-    constraint,
-    eliminate_feasible,
 )
 from .graphs import (
     BlockDecomposition,

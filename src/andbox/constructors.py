@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .feasibility import central_realization
@@ -88,17 +87,6 @@ def cycle_cand1(n: int, eps=HALF, anchor: int = 1) -> Realization:
 # ---------------------------------------------------------------------------
 # gluing two realizations at a safe vertex
 
-@dataclass(frozen=True)
-class GlueParams:
-    """delta: distance from the hosting point to the nearest other point
-    of the host; span: length of an interval containing every guest box;
-    scale: delta / (2 * span)."""
-
-    delta: Fraction
-    span: Fraction
-    scale: Fraction
-
-
 def _distinct_points(r: Realization) -> list:
     """The sorted points of a host or guest (d = 1), which must differ."""
     if r.d != 1:
@@ -116,7 +104,11 @@ def _host(r: Realization):
     return {v: (box[0], pt[0]) for v, box, pt in r.items()}, pts
 
 
-def _glue_params(items: dict, pts: list, w1: int, r2: Realization) -> GlueParams:
+def _glue_scale(items: dict, pts: list, w1: int, r2: Realization) -> Fraction:
+    """delta / (2 * span): delta is the distance from the hosting point to
+    the nearest other point of the host, span the length of an interval
+    containing every guest box.  delta is 1 when the host has no other
+    point, span is 1 when it is 0."""
     if w1 not in items:
         raise RealizationError(f"unknown vertex {w1}")
     p1 = items[w1][1]
@@ -132,7 +124,7 @@ def _glue_params(items: dict, pts: list, w1: int, r2: Realization) -> GlueParams
     span = max(coords) - min(coords)
     if span == 0:
         span = Fraction(1)
-    return GlueParams(delta, span, delta / (2 * span))
+    return delta / (2 * span)
 
 
 def _glue_into(items: dict, pts: list, w1: int, r2: Realization, w2: int) -> None:
@@ -147,7 +139,7 @@ def _glue_into(items: dict, pts: list, w1: int, r2: Realization, w2: int) -> Non
     if overlap:
         raise GraphError(f"vertex ids collide outside the glued pair: {overlap}")
 
-    s = _glue_params(items, pts, w1, r2).scale
+    s = _glue_scale(items, pts, w1, r2)
     (l1, h1), p1 = items[w1]
     p2 = r2.coordinate(w2)
 
@@ -166,11 +158,6 @@ def _glue_into(items: dict, pts: list, w1: int, r2: Realization, w2: int) -> Non
         if i < len(pts) and pts[i] == q:
             raise GraphError("gluing requires distinct points in each input")
         pts.insert(i, q)
-
-
-def glue_params(r1: Realization, w1: int, r2: Realization) -> GlueParams:
-    items, pts = _host(r1)
-    return _glue_params(items, pts, w1, r2)
 
 
 def glue_at_safe_vertex(

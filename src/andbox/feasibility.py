@@ -1,4 +1,4 @@
-"""Exact rational linear feasibility and central-realization search.
+"""Exact Fourier-Motzkin feasibility and central-realization search.
 
 For central boxes B_v = [p_v - r_v, p_v + r_v] mutual containment reduces
 to a min of radii: p_u is in B_v iff |p_u - p_v| <= r_v, so u and v are
@@ -25,66 +25,26 @@ Feasibility is decided by one Fourier-Motzkin elimination over integer
 cone rows c . x <= 0 or c . x < 0, each divided by the gcd of its entries;
 a derived row is strict iff any parent is, and the system is infeasible
 iff a strict zero row appears (Gordan's theorem for the all-strict gap
-systems, which are cones already); the gap search hands it its rows as
-they are.  A general rational system a . x <= b is homogenised over (t, x)
-with the extra row -t < 0, so the same core decides it.  Witnesses come
-from back-substitution, taking midpoints of residual intervals.  No floats,
-no tolerances.
+systems, which are cones already).  The core is internal: it takes only
+integer cone rows, and the gap search hands it its rows as they are.
+Witnesses come from back-substitution, taking midpoints of residual
+intervals.  No floats, no tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf
 from operator import mul
 
 from . import kernels
 from .graphs import Graph
-from .orders import DEFAULT_NODE_BUDGET, Ordering, OrderingError, rank_bounds
+from .orders import DEFAULT_NODE_BUDGET, Ordering, _require_nonnegative, rank_bounds
 # four_point_check is no longer called here but stays importable from this
 # module: perfbench/tests/test_tracing.py checks that tracing rebinds it.
 from .orders import four_point_check  # noqa: F401
-from .realization import Realization, _frac, is_central, verify
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """sum(coeffs[i] * x_i) <= bound, or < bound when strict; coefficients
-    and bound are ints or Fractions."""
-
-    coeffs: tuple
-    strict: bool
-    bound: Fraction
-
-
-def constraint(coeffs, bound, strict=False) -> LinearConstraint:
-    return LinearConstraint(
-        tuple(_frac(c) for c in coeffs), bool(strict), _frac(bound)
-    )
-
-
-@dataclass(frozen=True)
-class LinearConstraintSystem:
-    variables: tuple
-    constraints: tuple
-
-    def __post_init__(self):
-        for c in self.constraints:
-            if len(c.coeffs) != len(self.variables):
-                raise ValueError("constraint arity does not match variables")
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: tuple  # aligned with system.variables; None when infeasible
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
-_INFEASIBLE = FeasibilityResult(False, None)
+from .realization import Realization, is_central, verify
 
 
 def _add_rows(rows, into) -> bool:
@@ -167,26 +127,6 @@ def _back_substitute(layers):
     return witness
 
 
-def eliminate_feasible(s: LinearConstraintSystem) -> FeasibilityResult:
-    """Decide s exactly and return a witness when it is feasible.
-
-    Each row a . x <= b becomes the integer cone row L * (-b, a) over
-    (t, x), L the lcm of the row's denominators, and the row -t < 0 is
-    added.  t comes first, so it is eliminated last; it comes out as 1 and
-    the x part of the cone witness is a witness for s.  The empty system
-    is feasible with the zero point.
-    """
-    rows = [((-1,) + (0,) * len(s.variables), True)]
-    for c in s.constraints:
-        terms = (-c.bound, *c.coeffs)
-        scale = lcm(*(f.denominator for f in terms))
-        rows.append((tuple(f.numerator * (scale // f.denominator) for f in terms), c.strict))
-    layers, _ = _eliminate(rows, len(s.variables) + 1)
-    if layers is None:
-        return _INFEASIBLE
-    return FeasibilityResult(True, tuple(_back_substitute(layers)[1:]))
-
-
 @dataclass(frozen=True)
 class CentralSearchResult:
     status: str  # "found" | "infeasible" | "exhausted"
@@ -264,11 +204,6 @@ def central_realization(order, lo, hi, gaps) -> Realization:
             r = Fraction(min(gaps[max(k - 2, 0):k], default=2), 2)
         items[v] = ((pk - r, pk + r), pk)
     return Realization.build(1, items)
-
-
-def _require_nonnegative(budget) -> None:
-    if budget < 0:
-        raise OrderingError("budget must be nonnegative")
 
 
 def cand1_for_ordering(

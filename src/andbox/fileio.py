@@ -480,8 +480,7 @@ def loads_corner_boxes(text: str, path: str = "<boxes>") -> CornerBoxModel:
 
 def dumps_corner_boxes(model) -> str:
     lines = []
-    boxes = model.boxes if isinstance(model, CornerBoxModel) else tuple(model)
-    for cb in boxes:
+    for cb in model:
         for dim, ((xl, xh), (yl, yh)) in enumerate(cb.factors, start=1):
             lines.append(
                 f"b {cb.vertex} {dim} {format_rational(xl)} {format_rational(xh)}"

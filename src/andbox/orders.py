@@ -12,13 +12,18 @@ from dataclasses import dataclass
 
 from . import kernels
 from .graphs import Graph
-from .realization import Realization
+from .realization import Realization, induced_graph, r_order
 
 DEFAULT_NODE_BUDGET = 10**8
 
 
 class OrderingError(ValueError):
     pass
+
+
+def _require_nonnegative(budget) -> None:
+    if budget < 0:
+        raise OrderingError("budget must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -171,8 +176,7 @@ def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionRe
     found ordering is re-checked with four_point_check before it is
     returned; a failing one raises FourPointViolationError.
     """
-    if budget < 0:
-        raise OrderingError("budget must be nonnegative")
+    _require_nonnegative(budget)
     merged = []
     nodes = 0
     for comp in g.connected_components():
@@ -204,8 +208,6 @@ def cycle_label_analysis(r: Realization) -> CycleLabelReport:
     Deterministic tie-break: starts in ascending vertex id, the two walk
     directions in ascending second-vertex id; first minimizer wins.
     """
-    from .realization import induced_graph, r_order
-
     g = induced_graph(r)
     n = g.n
     if n < 3 or any(g.degree(v) != 2 for v in g.vertices()):

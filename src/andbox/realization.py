@@ -314,12 +314,6 @@ def is_safe(r: Realization, v: int) -> bool:
     )
 
 
-def central_radius(r: Realization, v: int) -> Fraction:
-    """Half-length of v's interval (d = 1)."""
-    lo, hi = r.box(v)[0]
-    return (hi - lo) / 2
-
-
 def relabel(r: Realization, mapping: dict) -> Realization:
     """New realization with ids mapping[v]; mapping must be injective."""
     if len(set(mapping.values())) != len(mapping):
@@ -328,6 +322,4 @@ def relabel(r: Realization, mapping: dict) -> Realization:
     if missing:
         raise RealizationError(f"relabel mapping misses vertices {missing}")
     items = {mapping[v]: (box, point) for v, box, point in r.items()}
-    if len(items) != r.n:
-        raise RealizationError("relabel mapping must cover all vertices")
     return Realization.build(r.d, items)

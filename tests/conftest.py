@@ -8,7 +8,6 @@ computations, not against the code under test.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -183,59 +182,50 @@ def reference_cand1_for_ordering(g: Graph, o, case_budget=10**6):
     distance p_j - p_i exceeds, in order of increasing rank distance, one
     elimination run per explored case.
     """
-    from andbox.feasibility import (
-        CentralSearchResult,
-        LinearConstraintSystem,
-        constraint,
-        eliminate_feasible,
-    )
+    from andbox.feasibility import CentralSearchResult
 
     n = g.n
     order = o.order
 
-    def con(terms, strict):
-        c = [F(0)] * (2 * n)
+    def row(terms, strict):
+        c = [0] * (2 * n)
         for var, a in terms:
             c[var] += a
-        return constraint(c, 0, strict=strict)
+        return (tuple(c), strict)
 
-    base = [con([(i, 1), (i + 1, -1)], True) for i in range(n - 1)]
-    base += [con([(n + i, -1)], True) for i in range(n)]
+    base = [row([(i, 1), (i + 1, -1)], True) for i in range(n - 1)]
+    base += [row([(n + i, -1)], True) for i in range(n)]
     nonedges = []
     for i, j in combinations(range(n), 2):
         if g.has_edge(order[i], order[j]):
             for side in (i, j):  # p_j - p_i <= r_side
-                base.append(con([(j, 1), (i, -1), (n + side, -1)], False))
+                base.append(row([(j, 1), (i, -1), (n + side, -1)], False))
         else:
             nonedges.append((i, j))
     nonedges.sort(key=lambda ij: (ij[1] - ij[0], ij))
-    variables = tuple(range(2 * n))
     solved = 0
 
-    def descend(k, cons):
+    def descend(k, rows):
         nonlocal solved
         if solved >= case_budget:
             raise CaseBudgetExceeded()
         solved += 1
-        result = eliminate_feasible(LinearConstraintSystem(variables, tuple(cons)))
-        if not result.feasible:
-            return None
-        if k == len(nonedges):
-            return result
+        witness = cone_witness(rows, 2 * n)
+        if witness is None or k == len(nonedges):
+            return witness
         i, j = nonedges[k]
         for side in (i, j):  # r_side < p_j - p_i
-            hit = descend(k + 1, cons + [con([(j, -1), (i, 1), (n + side, 1)], True)])
+            hit = descend(k + 1, rows + [row([(j, -1), (i, 1), (n + side, 1)], True)])
             if hit is not None:
                 return hit
         return None
 
     try:
-        result = descend(0, base)
+        w = descend(0, base)
     except CaseBudgetExceeded:
         return CentralSearchResult("exhausted", None, solved, solved)
-    if result is None:
+    if w is None:
         return CentralSearchResult("infeasible", None, solved, solved)
-    w = result.witness
     items = {v: ((w[k] - w[n + k], w[k] + w[n + k]), w[k]) for k, v in enumerate(order)}
     return CentralSearchResult("found", Realization.build(1, items), solved, solved)
 
@@ -650,86 +640,74 @@ def random_connected_graph(rng: random.Random, n: int, extra_edge_prob=0.3) -> G
 
 
 # ---------------------------------------------------------------------------
-# rational linear systems: generator, grid oracle, witness check
+# integer cone systems: solver entry, generator, grid oracle, witness check
 
 
-def random_constraint_system(rng: random.Random, max_vars: int = 3):
-    """Random small-rational system over at most `max_vars` variables.
+def cone_witness(rows, nvars):
+    """Decide integer cone rows (coeffs, strict), coeffs . x <= 0 or < 0
+    when strict, over nvars variables with the Fourier-Motzkin core that
+    the gap search runs: a witness list of Fractions, or None when the
+    rows are infeasible."""
+    from andbox.feasibility import _back_substitute, _eliminate
 
-    Every system includes the box bounds |x_i| <= 4, so its feasible
-    region lies inside the dense grid scanned by `grid_feasible`.  Half
-    the instances are anchored: bounds are loosened until a pre-chosen
-    point of the 1/8 grid satisfies everything, making the system
-    feasible with an on-grid witness.  Unanchored instances flip a
-    constraint with a gap half the time so both verdicts show up in
-    bulk runs.  Returns (system, anchored).
+    layers, _ = _eliminate(rows, nvars)
+    return None if layers is None else _back_substitute(layers)
+
+
+def random_cone_system(rng: random.Random, max_vars: int = 3):
+    """Random integer cone rows over k <= `max_vars` variables, with
+    coefficients in [-2, 2] and about half the rows strict.
+
+    Half the instances are anchored at a nonzero integer point of
+    [-4, 4]^k: a row that the point violates is negated, and a strict row
+    that vanishes there is made non-strict, so the point is an on-grid
+    witness.  Unanchored instances append, half the time, a strict or
+    non-strict copy of a row with its signs flipped: against a strict
+    row, or as a strict copy, it leaves no solution, and two non-strict
+    copies pin the row to 0.  Returns (rows, k, anchored).
     """
-    from andbox.feasibility import LinearConstraintSystem, constraint
-
     k = rng.randint(1, max_vars)
-    names = tuple("xyz"[:k])
-    cons = []
-    for i in range(k):
-        unit = [F(0)] * k
-        unit[i] = F(1)
-        cons.append(constraint(tuple(unit), F(4)))
-        unit = [F(0)] * k
-        unit[i] = F(-1)
-        cons.append(constraint(tuple(unit), F(4)))
     anchored = rng.random() < 0.5
-    anchor = tuple(F(rng.randint(-32, 32), 8) for _ in range(k))
-    for _ in range(rng.randint(1, 4)):
-        coeffs = tuple(F(rng.randint(-2, 2)) for _ in range(k))
-        strict = rng.random() < 0.3
-        bound = F(rng.randint(-32, 32), 8)
+    anchor = (0,) * k
+    while not any(anchor):
+        anchor = tuple(rng.randint(-4, 4) for _ in range(k))
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = tuple(rng.randint(-2, 2) for _ in range(k))
+        strict = rng.random() < 0.5
         if anchored:
             value = sum(c * a for c, a in zip(coeffs, anchor))
-            if strict and value >= bound:
-                bound = value + F(1, 8)
-            elif not strict and value > bound:
-                bound = value
-        cons.append(constraint(coeffs, bound, strict=strict))
+            if value > 0:
+                coeffs = tuple(-c for c in coeffs)
+            elif value == 0:
+                strict = False
+        rows.append((coeffs, strict))
     if not anchored and rng.random() < 0.5:
-        pick = rng.choice([c for c in cons if any(c.coeffs)])
-        flipped = tuple(-c for c in pick.coeffs)
-        gap = F(rng.randint(0, 8), 8)
-        cons.append(constraint(flipped, -pick.bound - gap, strict=gap == 0))
-    return LinearConstraintSystem(names, tuple(cons)), anchored
+        coeffs, _ = rng.choice(rows)
+        rows.append((tuple(-c for c in coeffs), rng.random() < 0.5))
+    return rows, k, anchored
 
 
-def grid_feasible(system) -> bool:
-    """Dense scan of the 1/8 grid on [-4, 4]^k, exact via integer scaling.
-
-    Coordinates are x = X/8 with X an int64 array; each constraint is
-    multiplied by 8 times its denominators' lcm so every comparison is
-    integer-exact.
-    """
+def grid_feasible(rows, k) -> bool:
+    """Dense scan of the integer grid [-32, 32]^k, exact in int64."""
     import numpy as np
 
-    k = len(system.variables)
     axis = np.arange(-32, 33, dtype=np.int64)
     grids = np.meshgrid(*([axis] * k), indexing="ij", sparse=True)
     ok = np.ones((65,) * k, dtype=bool)
-    for c in system.constraints:
-        den = 1
-        for x in list(c.coeffs) + [c.bound]:
-            den = math.lcm(den, x.denominator)
+    for coeffs, strict in rows:
         lhs = np.zeros((), dtype=np.int64)
-        for ci, X in zip(c.coeffs, grids):
-            lhs = lhs + int(ci * den) * X
-        rhs = int(c.bound * den * 8)
-        ok = ok & ((lhs < rhs) if c.strict else (lhs <= rhs))
+        for c, X in zip(coeffs, grids):
+            lhs = lhs + c * X
+        ok = ok & ((lhs < 0) if strict else (lhs <= 0))
     return bool(ok.any())
 
 
-def satisfies_all(system, witness) -> bool:
-    """Exact check of a witness against every constraint."""
-    for c in system.constraints:
-        value = sum(ci * wi for ci, wi in zip(c.coeffs, witness))
-        if c.strict:
-            if not value < c.bound:
-                return False
-        elif not value <= c.bound:
+def satisfies_all(rows, witness) -> bool:
+    """Exact check of a witness against every cone row."""
+    for coeffs, strict in rows:
+        value = sum(c * w for c, w in zip(coeffs, witness))
+        if not (value < 0 if strict else value <= 0):
             return False
     return True
 

@@ -12,10 +12,11 @@ import time
 from fractions import Fraction as F
 
 from conftest import (
+    cone_witness,
     edge_set,
     grid_feasible,
     naive_accepts_some_ordering,
-    random_constraint_system,
+    random_cone_system,
     satisfies_all,
 )
 from andbox.boxes import (
@@ -42,7 +43,7 @@ from andbox.families import (
     random_interval,
     random_rooted_path,
 )
-from andbox.feasibility import cand1_recognize, eliminate_feasible
+from andbox.feasibility import cand1_recognize
 from andbox.graphs import (
     complete_multipartite_graph,
     cycle_graph,
@@ -373,18 +374,18 @@ def test_check_11_feasibility_against_grid(acceptance_record):
     bad = 0
     feasible = infeasible = grid_hits = 0
     for _ in range(1000):
-        system, _ = random_constraint_system(rng)
-        res = eliminate_feasible(system)
-        if res.feasible:
+        rows, k, _ = random_cone_system(rng)
+        w = cone_witness(rows, k)
+        if w is not None:
             feasible += 1
-            if not satisfies_all(system, res.witness):
+            if not satisfies_all(rows, w):
                 bad += 1
                 continue
         else:
             infeasible += 1
-        if grid_feasible(system):
+        if grid_feasible(rows, k):
             grid_hits += 1
-            if not res.feasible:
+            if w is None:
                 bad += 1
     elapsed = time.perf_counter() - t0
     acceptance_record(

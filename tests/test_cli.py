@@ -84,17 +84,22 @@ class TestVerdictLine:
 
 class TestGen:
     def test_graph_plus_aux_model(self, tmp_path, capsys):
-        out_g = tmp_path / "iv.and"
-        out_m = tmp_path / "iv.iv"
-        code, out, _ = run(
-            capsys,
-            "gen", "--family", "random-interval", "6",
-            "--seed", "3", "-o", str(out_g), "--aux-out", str(out_m),
-        )
-        assert code == 0 and out.startswith("verdict=yes ")
-        bundle = generate("random-interval", (6,), seed=3)
-        assert edge_set(fileio.load_graph(str(out_g))) == edge_set(bundle.graph)
-        assert fileio.load_interval_model(str(out_m)) == bundle.aux
+        for family, load in (
+            ("random-interval", fileio.load_interval_model),
+            ("random-dissection", fileio.load_outerplanar_model),
+            ("random-rooted-path", fileio.load_rooted_path_model),
+        ):
+            out_g = tmp_path / f"{family}.and"
+            out_m = tmp_path / f"{family}.aux"
+            code, out, _ = run(
+                capsys,
+                "gen", "--family", family, "6",
+                "--seed", "3", "-o", str(out_g), "--aux-out", str(out_m),
+            )
+            assert code == 0 and out.startswith("verdict=yes "), family
+            bundle = generate(family, (6,), seed=3)
+            assert edge_set(fileio.load_graph(str(out_g))) == edge_set(bundle.graph)
+            assert load(str(out_m)) == bundle.aux, family
 
     def test_h_family_graph(self, tmp_path, capsys):
         out_g = tmp_path / "h.and"

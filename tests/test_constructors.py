@@ -12,13 +12,14 @@ import pytest
 from andbox import constructors
 from andbox.constructors import (
     _dissection_faces,
+    _glue_scale,
+    _host,
     assemble_block_tree,
     block_graph_cand1,
     clique_cand1,
     cycle_cand1,
     glue_at_safe_vertex,
     glue_cycles_on_edge,
-    glue_params,
     h_graph_ordering,
     interval_to_cand1,
     outerplanar_cand1,
@@ -296,20 +297,16 @@ class TestGlueAtSafeVertex:
         })
         assert oracle_induced_edges(host) == {fz(1, 2)}
         guest = Realization.build(1, {1: ((F(-1), F(1)), F(0)), 4: ((F(0), F(2)), F(1))})
-        params = glue_params(host, 1, guest)
-        assert params.delta == F(1, 2)
-        assert params.span == F(3)
-        assert params.scale == F(1, 12)
+        # delta = 1/2 (p_3), span = 3: the guest shrinks by 1/12
+        assert _glue_scale(*_host(host), 1, guest) == F(1, 12)
         glued = glue_at_safe_vertex(host, 1, guest, 1)
         assert oracle_induced_edges(glued) == {fz(1, 2), fz(1, 4)}
 
     def test_degenerate_params_fall_back_to_one(self):
         host = Realization.build(1, {7: ((F(-1), F(1)), F(0))})
         guest = Realization.build(1, {7: ((F(2), F(2)), F(2))})
-        params = glue_params(host, 7, guest)
-        assert params.delta == F(1)
-        assert params.span == F(1)
-        assert params.scale == F(1, 2)
+        # no other host point and a zero-length guest: delta = span = 1
+        assert _glue_scale(*_host(host), 7, guest) == F(1, 2)
 
     def test_unsafe_guest_vertex_rejected(self):
         guest = Realization.build(1, {

@@ -9,23 +9,17 @@ from itertools import combinations, permutations
 import pytest
 
 from andbox import families, feasibility, kernels
-from andbox.feasibility import (
-    LinearConstraint,
-    LinearConstraintSystem,
-    cand1_for_ordering,
-    cand1_recognize,
-    constraint,
-    eliminate_feasible,
-)
+from andbox.feasibility import cand1_for_ordering, cand1_recognize
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph, path_graph
 from andbox.orders import Ordering, OrderingError, and1_recognize, four_point_check
 from andbox.realization import is_central, r_order, verify
 
 from conftest import (
     CaseBudgetExceeded,
+    cone_witness,
     grid_feasible,
+    random_cone_system,
     random_connected_graph,
-    random_constraint_system,
     reference_cand1_for_ordering,
     reference_cand1_recognize,
     satisfies_all,
@@ -51,117 +45,82 @@ def assert_closed_form_radii(r, g):
             assert (hi - lo) / 2 == (min(dist) / 2 if dist else 1)
 
 
+def positive(nvars):
+    """The cone row -t < 0 over (t, x_1, ..., x_{nvars-1})."""
+    return ((-1,) + (0,) * (nvars - 1), True)
+
+
 class TestEliminateFeasible:
+    """The Fourier-Motzkin core on integer cone rows.  An affine row
+    a . x <= b is asked as the row (-b, a) over (t, x) beside -t < 0, so
+    a witness answers it at x / t."""
+
     def test_open_unit_interval(self):
-        s = LinearConstraintSystem(
-            ("x",),
-            (constraint((F(-1),), F(0), strict=True), constraint((F(1),), F(1), strict=True)),
-        )
-        res = eliminate_feasible(s)
-        assert res.feasible
-        (w,) = res.witness
-        assert F(0) < w < F(1)
+        # 0 < x < t
+        w = cone_witness([positive(2), ((0, -1), True), ((-1, 1), True)], 2)
+        assert w is not None and all(type(c) is F for c in w)
+        t, x = w
+        assert 0 < x < t
 
     def test_contradictory_interval(self):
-        s = LinearConstraintSystem(
-            ("x",),
-            (constraint((F(-1),), F(-1), strict=True), constraint((F(1),), F(0), strict=True)),
-        )
-        res = eliminate_feasible(s)
-        assert not res.feasible
-        assert res.witness is None
+        # t < x < 0
+        assert cone_witness([positive(2), ((1, -1), True), ((0, 1), True)], 2) is None
 
     def test_three_constraint_contradiction(self):
-        s = LinearConstraintSystem(
-            ("x", "y"),
-            (
-                constraint((F(1), F(1)), F(1)),
-                constraint((F(-1), F(0)), F(-1)),
-                constraint((F(0), F(-1)), F(-1)),
-            ),
-        )
-        assert not eliminate_feasible(s).feasible
+        # x + y <= t, t <= x, t <= y
+        rows = [positive(3), ((-1, 1, 1), False), ((1, -1, 0), False), ((1, 0, -1), False)]
+        assert cone_witness(rows, 3) is None
 
     def test_empty_system_is_feasible_at_zero(self):
-        res = eliminate_feasible(LinearConstraintSystem(("x", "y"), ()))
-        assert res.feasible
-        assert res.witness == (F(0), F(0))
+        assert cone_witness([], 2) == [F(0), F(0)]
 
     def test_boundary_is_reachable_with_nonstrict(self):
-        s = LinearConstraintSystem(
-            ("x",),
-            (constraint((F(1),), F(3)), constraint((F(-1),), F(-3))),
-        )
-        res = eliminate_feasible(s)
-        assert res.feasible and res.witness == (F(3),)
+        # x <= 3t and 3t <= x
+        w = cone_witness([positive(2), ((-3, 1), False), ((3, -1), False)], 2)
+        assert w == [F(1), F(3)]
 
     def test_strict_shaving_detects_empty_open_box(self):
-        # 1 < x and x < 1 share the boundary point only
-        s = LinearConstraintSystem(
-            ("x",),
-            (constraint((F(-1),), F(-1), strict=True), constraint((F(1),), F(1), strict=True)),
-        )
-        assert not eliminate_feasible(s).feasible
+        # t < x and x < t share the boundary point only
+        assert cone_witness([positive(2), ((1, -1), True), ((-1, 1), True)], 2) is None
 
     def test_unbounded_directions_get_finite_witness(self):
-        s = LinearConstraintSystem(("x", "y"), (constraint((F(1), F(0)), F(-5)),))
-        res = eliminate_feasible(s)
-        assert res.feasible
-        assert satisfies_all(s, res.witness)
+        # x <= -5t, y free
+        rows = [positive(3), ((5, 1, 0), False)]
+        w = cone_witness(rows, 3)
+        assert w is not None and satisfies_all(rows, w)
 
     @pytest.mark.parametrize(
         "bound, strict, feasible",
         [(-1, False, False), (0, True, False), (0, False, True), (1, False, True)],
     )
     def test_zero_variable_systems(self, bound, strict, feasible):
-        res = eliminate_feasible(LinearConstraintSystem((), (constraint((), bound, strict),)))
-        assert res.feasible is feasible
-        assert res.witness == (() if feasible else None)
-
-    def test_plain_int_rows_match_fraction_rows(self):
-        # the gap systems are built from int rows with bound 0
-        rows = [((1, -1, 0), True), ((0, 1, -1), True), ((-1, 0, 0), True), ((1, 1, -3), False)]
-        ints = LinearConstraintSystem(
-            ("x", "y", "z"), tuple(LinearConstraint(c, strict, 0) for c, strict in rows)
-        )
-        fracs = LinearConstraintSystem(
-            ("x", "y", "z"), tuple(constraint(c, 0, strict) for c, strict in rows)
-        )
-        res = eliminate_feasible(ints)
-        assert res.feasible and satisfies_all(ints, res.witness)
-        assert all(type(w) is F for w in res.witness)
-        assert res == eliminate_feasible(fracs)
+        # 0 <= bound, or 0 < bound when strict, with no x at all
+        w = cone_witness([positive(1), ((-bound,), strict)], 1)
+        assert w == ([F(1)] if feasible else None)
 
     def test_homogeneous_mixed_strictness(self):
         # x <= y and y <= x pin x = y; the strict -x < 0 makes both positive
-        pinned = (constraint((1, -1), 0), constraint((-1, 1), 0))
-        s = LinearConstraintSystem(("x", "y"), pinned + (constraint((-1, 0), 0, strict=True),))
-        res = eliminate_feasible(s)
-        assert res.feasible and satisfies_all(s, res.witness)
-        x, y = res.witness
+        pinned = [((1, -1), False), ((-1, 1), False)]
+        rows = pinned + [((-1, 0), True)]
+        w = cone_witness(rows, 2)
+        assert w is not None and satisfies_all(rows, w)
+        x, y = w
         assert x == y > 0
         # y < x contradicts x <= y although x = y alone is feasible
-        assert eliminate_feasible(LinearConstraintSystem(("x", "y"), pinned)).feasible
-        s = LinearConstraintSystem(
-            ("x", "y"), (constraint((1, -1), 0), constraint((-1, 1), 0, strict=True))
-        )
-        assert not eliminate_feasible(s).feasible
-
-    def test_arity_validation(self):
-        with pytest.raises(ValueError):
-            LinearConstraintSystem(("x", "y"), (constraint((F(1),), F(0)),))
+        assert cone_witness(pinned, 2) is not None
+        assert cone_witness([((1, -1), False), ((-1, 1), True)], 2) is None
 
     def test_witnesses_exact_on_random_systems(self):
         rng = random.Random(31)
         seen_feasible = seen_infeasible = 0
         for _ in range(250):
-            s, anchored = random_constraint_system(rng)
-            res = eliminate_feasible(s)
+            rows, k, anchored = random_cone_system(rng)
+            w = cone_witness(rows, k)
             if anchored:
-                assert res.feasible
-            if res.feasible:
+                assert w is not None
+            if w is not None:
                 seen_feasible += 1
-                assert satisfies_all(s, res.witness)
+                assert satisfies_all(rows, w)
             else:
                 seen_infeasible += 1
         assert seen_feasible > 30 and seen_infeasible > 30
@@ -169,12 +128,12 @@ class TestEliminateFeasible:
     def test_agrees_with_grid_oracle(self):
         rng = random.Random(32)
         for _ in range(150):
-            s, _ = random_constraint_system(rng)
-            res = eliminate_feasible(s)
-            if grid_feasible(s):
-                assert res.feasible
-            if not res.feasible:
-                assert not grid_feasible(s)
+            rows, k, _ = random_cone_system(rng)
+            w = cone_witness(rows, k)
+            if grid_feasible(rows, k):
+                assert w is not None
+            if w is None:
+                assert not grid_feasible(rows, k)
 
 
 class TestCandForOrdering:
@@ -483,19 +442,6 @@ class TestCandRecognize:
             ), g.edge_list()
             assert res.cases_solved <= ref.cases_solved, g.edge_list()
             assert res.orderings_tried <= ref.orderings_tried, g.edge_list()
-
-    def test_gap_search_needs_no_general_solver(self, connected_atlas, monkeypatch):
-        # the gap rows go straight to the FM core; the rational entry point
-        # with its homogenising t is never called
-        graphs = [g for g in connected_atlas if g.n <= 6] + [cycle_graph(8), path_graph(7)]
-        expected = [cand1_recognize(g) for g in graphs]
-
-        def refuse(s):
-            raise AssertionError("the gap search called eliminate_feasible")
-
-        monkeypatch.setattr(feasibility, "eliminate_feasible", refuse)
-        for g, ref in zip(graphs, expected):
-            assert cand1_recognize(g) == ref, g.edge_list()
 
     @pytest.mark.parametrize(
         "g, status, solves",

@@ -17,7 +17,6 @@ from andbox.realization import (
     RealizationError,
     TiedPointsError,
     adjacency_pairs,
-    central_radius,
     exact_key,
     induced_graph,
     is_central,
@@ -295,9 +294,6 @@ class TestCentral:
             assert is_central(r)
             assert oracle_induced_edges(r) == oracle_central_edges(r)
 
-    def test_central_radius(self):
-        assert central_radius(Realization.build(1, {1: ((0, 5), 2)}), 1) == F(5, 2)
-
 
 class TestTransform:
     def test_exact_coordinates(self, paw_realization):
@@ -425,9 +421,9 @@ class TestRelabel:
         }
 
     def test_rejects_non_injective(self, paw_realization):
-        with pytest.raises(RealizationError):
+        with pytest.raises(RealizationError, match="injective"):
             relabel(paw_realization, {1: 1, 2: 1, 3: 3, 4: 4})
 
     def test_rejects_partial(self, paw_realization):
-        with pytest.raises(RealizationError):
+        with pytest.raises(RealizationError, match=r"misses vertices \[3, 4\]"):
             relabel(paw_realization, {1: 1, 2: 2})
