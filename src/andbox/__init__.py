@@ -13,7 +13,6 @@ file formats, and a CLI (`andbox`).
 
 from .boxes import (
     CornerBox,
-    CornerBoxModel,
     SemiSquare,
     corner_box_intersection_graph,
     corner_boxes_to_realization,
@@ -89,7 +88,6 @@ from .realization import (
     make_points_distinct,
     r_order,
     relabel,
-    transform,
     verify,
 )
 

@@ -1,14 +1,14 @@
 """Corner-box and semi-square intersection models.
 
-A d-dimensional box-and-point realization with positive coordinates maps
-to a product of planar boxes [p_i, R_i] x [-p_i, -L_i], one planar factor
-per source dimension, whose lower-left corner (p_i, -p_i) sits on the
-diagonal x + y = 0.  Two such products intersect iff the source vertices
-are mutually contained, so the intersection graph of the corner boxes is
-exactly the induced graph, and it is computed as one: the inverse
-transform, then the induced graph's line sweep.  For central
-one-dimensional realizations the lower-left triangular halves (isosceles
-semi-squares) already carry the same intersection graph.
+A d-dimensional box-and-point realization maps to a product of planar
+boxes [p_i, R_i] x [-p_i, -L_i], one planar factor per source dimension,
+whose lower-left corner (p_i, -p_i) sits on the diagonal x + y = 0.  Two
+such products intersect iff the source vertices are mutually contained,
+so the intersection graph of the corner boxes is exactly the induced
+graph, and it is computed as one: the inverse transform, then the
+induced graph's line sweep.  For central one-dimensional realizations
+the lower-left triangular halves (isosceles semi-squares) already carry
+the same intersection graph.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .realization import (
     induced_graph,
     is_central,
     line_pairs,
-    transform,
 )
 
 
@@ -40,42 +39,13 @@ class CornerBox:
         return len(self.factors)
 
 
-@dataclass(frozen=True)
-class CornerBoxModel:
-    """Corner boxes plus the translation that was applied to make all
-    source coordinates positive (0 when none was needed); the inverse
-    transform subtracts it again."""
-
-    boxes: tuple
-    offset: Fraction
-
-    def __iter__(self):
-        return iter(self.boxes)
-
-    def __len__(self):
-        return len(self.boxes)
-
-
-def _positivity_offset(r: Realization) -> Fraction:
-    low = min(lo for box in r.boxes for (lo, hi) in box)
-    return Fraction(1) - low if low <= 0 else Fraction(0)
-
-
-def to_corner_boxes(r: Realization) -> CornerBoxModel:
-    """Corner boxes of a realization, one per vertex.
-
-    Coordinates are first translated (uniformly, every dimension) so every
-    box endpoint is positive; the shift is recorded on the model.
-    """
-    offset = _positivity_offset(r)
-    shifted = transform(r, offset, 1) if offset else r
-    boxes = []
-    for v, box, point in shifted.items():
-        factors = tuple(
-            ((p, hi), (-p, -lo)) for (lo, hi), p in zip(box, point)
-        )
-        boxes.append(CornerBox(v, factors))
-    return CornerBoxModel(tuple(boxes), offset)
+def to_corner_boxes(r: Realization) -> tuple:
+    """Corner boxes of a realization, one per vertex, in the realization's
+    own coordinates: factor k is ((p_k, R_k), (-p_k, -L_k))."""
+    return tuple(
+        CornerBox(v, tuple(((p, hi), (-p, -lo)) for (lo, hi), p in zip(box, point)))
+        for v, box, point in r.items()
+    )
 
 
 def check_corner_box(cb: CornerBox) -> None:
@@ -101,9 +71,8 @@ def corner_box_intersection_graph(boxes) -> Graph:
 
 def corner_boxes_to_realization(boxes) -> Realization:
     """Inverse transform: p from the corner, R from the x-extent, L from
-    the negated y-extent.  When given a CornerBoxModel, the recorded
-    positivity shift is undone, so the round trip is the identity."""
-    offset = boxes.offset if isinstance(boxes, CornerBoxModel) else Fraction(0)
+    the negated y-extent; the round trip from to_corner_boxes is the
+    identity."""
     bs = tuple(boxes)
     if not bs:
         raise RealizationError("no corner boxes given")
@@ -118,8 +87,7 @@ def corner_boxes_to_realization(boxes) -> Realization:
         box = tuple((-y_hi, x_hi) for (x_lo, x_hi), (y_lo, y_hi) in cb.factors)
         point = tuple(x_lo for (x_lo, x_hi), _ in cb.factors)
         items[cb.vertex] = (box, point)
-    r = Realization.build(d, items)
-    return transform(r, -offset, 1) if offset else r
+    return Realization.build(d, items)
 
 
 @dataclass(frozen=True)
@@ -142,22 +110,14 @@ class SemiSquare:
         return ((p, -p), (p + r, -p), (p, -p + r))
 
 
-def to_semisquares(r: Realization):
-    """Semi-squares of a central one-dimensional realization (coordinates
-    are shifted to be positive first, which translates the whole picture
-    along the diagonal and changes no intersections)."""
+def to_semisquares(r: Realization) -> tuple:
+    """Semi-squares of a central one-dimensional realization, in its own
+    coordinates: vertex v gets corner p_v and leg R_v - p_v."""
     if r.d != 1:
         raise RealizationError("semi-squares are defined for d = 1")
     if not is_central(r):
         raise RealizationError("semi-squares require a central realization")
-    offset = _positivity_offset(r)
-    shifted = transform(r, offset, 1) if offset else r
-    out = []
-    for v, box, point in shifted.items():
-        (lo, hi) = box[0]
-        p = point[0]
-        out.append(SemiSquare(v, p, hi - p))
-    return tuple(out)
+    return tuple(SemiSquare(v, pt[0], box[0][1] - pt[0]) for v, box, pt in r.items())
 
 
 def semisquare_intersection_graph(squares) -> Graph:

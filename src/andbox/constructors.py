@@ -194,23 +194,17 @@ def clique_cand1(vertices) -> Realization:
     return Realization.build(1, items)
 
 
-def assemble_block_tree(components, bd: BlockDecomposition) -> Realization:
+def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
     """Glue per-block realizations into one, walking the block tree
     breadth-first from the first block.
 
-    components: either a dict {block index -> Realization} or a callable
-    (block_index, parent_cut_vertex_or_None) -> Realization, called once
-    per block when it is about to be glued.  Every non-root block's
+    build(block_index, parent_cut_vertex_or_None) -> Realization is called
+    once per block when it is about to be glued.  Every non-root block's
     realization must have the parent cut vertex safe.
 
     The whole assembly keeps one items dict and one sorted point list:
     each glue touches only its guest, and the realization is built once.
     """
-    if callable(components):
-        build = components
-    else:
-        build = lambda bi, cut: components[bi]
-
     blocks = bd.blocks
     if not blocks:
         raise GraphError("no blocks to assemble")
@@ -288,7 +282,7 @@ def _insert_cycle_into_gap(items: dict, pts: list, x: int, y: int, new_ids):
     pts[at:at] = inserted  # ascending, strictly inside (px, py)
 
 
-def glue_cycles_on_edge(n: int, m: int, shared=(1, 2), eps=HALF) -> Realization:
+def glue_cycles_on_edge(n: int, m: int, shared=(1, 2)) -> Realization:
     """Central realization of an n-cycle and an m-cycle identified along
     one edge of the m-cycle 1-2-...-m-1 (the `shared` pair, which must be
     consecutive on that cycle).  The n-cycle contributes fresh vertices
@@ -312,9 +306,7 @@ def glue_cycles_on_edge(n: int, m: int, shared=(1, 2), eps=HALF) -> Realization:
     # label the m-cycle so u,v take labels (i, i+1): internal where possible
     i = 2 if m >= 4 else 1
     anchor = (u - i) % m + 1
-    host = cycle_cand1(m, eps, anchor=anchor)
-    items = {w: (box[0], pt[0]) for w, box, pt in host.items()}
-    pts = sorted(pt for _, pt in items.values())
+    items, pts = _host(cycle_cand1(m, anchor=anchor))
     _insert_cycle_into_gap(items, pts, u, v, list(range(m + 1, m + n - 1)))
     return Realization.build(1, items)
 

@@ -25,7 +25,7 @@ import re
 import tempfile
 from fractions import Fraction
 
-from .boxes import CornerBox, CornerBoxModel, SemiSquare, check_corner_box
+from .boxes import CornerBox, SemiSquare, check_corner_box
 from .families import IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import Graph
 from .orders import ImplicitCode, Ordering
@@ -448,7 +448,7 @@ def save_rooted_path_model(path: str, m: RootedPathModel) -> None:
 # ---------------------------------------------------------------------------
 # corner boxes and semi-squares
 
-def loads_corner_boxes(text: str, path: str = "<boxes>") -> CornerBoxModel:
+def loads_corner_boxes(text: str, path: str = "<boxes>") -> tuple:
     rows = {}
     for no, toks in _content_lines(text):
         if toks[0] != "b" or len(toks) != 7:
@@ -475,12 +475,12 @@ def loads_corner_boxes(text: str, path: str = "<boxes>") -> CornerBoxModel:
         except Exception as e:
             _fail(path, 0, str(e))
         boxes.append(cb)
-    return CornerBoxModel(tuple(boxes), Fraction(0))
+    return tuple(boxes)
 
 
-def dumps_corner_boxes(model) -> str:
+def dumps_corner_boxes(boxes) -> str:
     lines = []
-    for cb in model:
+    for cb in boxes:
         for dim, ((xl, xh), (yl, yh)) in enumerate(cb.factors, start=1):
             lines.append(
                 f"b {cb.vertex} {dim} {format_rational(xl)} {format_rational(xh)}"
@@ -489,12 +489,12 @@ def dumps_corner_boxes(model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_corner_boxes(path: str) -> CornerBoxModel:
+def load_corner_boxes(path: str) -> tuple:
     return loads_corner_boxes(_read(path), path)
 
 
-def save_corner_boxes(path: str, model) -> None:
-    atomic_write_text(path, dumps_corner_boxes(model))
+def save_corner_boxes(path: str, boxes) -> None:
+    atomic_write_text(path, dumps_corner_boxes(boxes))
 
 
 def loads_semisquares(text: str, path: str = "<semisquares>"):

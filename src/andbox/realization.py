@@ -214,26 +214,6 @@ def is_central(r: Realization) -> bool:
     return True
 
 
-def transform(r: Realization, delta, sigma) -> Realization:
-    """x -> sigma*x + delta[k] per dimension; sigma > 0."""
-    sigma = _frac(sigma)
-    if sigma <= 0:
-        raise RealizationError("scale factor must be positive")
-    if not isinstance(delta, (tuple, list)):
-        delta = (delta,) * r.d
-    delta = tuple(_frac(x) for x in delta)
-    if len(delta) != r.d:
-        raise RealizationError("translation arity mismatch")
-    boxes = tuple(
-        tuple((sigma * lo + dk, sigma * hi + dk) for (lo, hi), dk in zip(box, delta))
-        for box in r.boxes
-    )
-    points = tuple(
-        tuple(sigma * p + dk for p, dk in zip(pt, delta)) for pt in r.points
-    )
-    return Realization(r.d, r.ids, boxes, points)
-
-
 def r_order(r: Realization):
     """Vertex ids sorted by representative point (d = 1)."""
     if r.d != 1:

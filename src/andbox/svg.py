@@ -63,8 +63,8 @@ def render_realization_svg(r: Realization) -> str:
     left_h = n * _ROW
     # corner boxes [p, R] x [-p, -L]; every point lies in its box, so x runs
     # from the least point to the greatest R and y from minus the greatest
-    # point to minus the least L.  The drawing is relative to the least x
-    # and the greatest y, so to_corner_boxes' positivity shift would cancel.
+    # point to minus the least L; the drawing is relative to the least x
+    # and the greatest y.
     xmin = min(pts, key=exact_key)
     wide = max(hi - xmin, max(pts, key=exact_key) - least, key=exact_key)
     if wide == 0:

@@ -391,11 +391,10 @@ def reference_glue_at_safe_vertex(r1: Realization, w1: int, r2: Realization, w2:
     return Realization.build(1, items)
 
 
-def reference_assemble_block_tree(components, bd) -> Realization:
+def reference_assemble_block_tree(build, bd) -> Realization:
     """The sequential fold acc = glue(acc, c, build(bj, c), c) in BFS
     order, scanning every block for each cut vertex: the O(blocks * n)
     assembly that the one-pass constructors.assemble_block_tree replaced."""
-    build = components if callable(components) else (lambda bi, cut: components[bi])
     acc = build(0, None)
     seen = {0}
     queue = deque([0])

@@ -83,13 +83,13 @@ def test_check_01_worked_box_point_instance(acceptance_record):
         },
     )
     edges_ok = adjacency_pairs(r) == PAW_EDGES
-    model = to_corner_boxes(r)
-    corners_ok = model.offset == 0 and all(
-        xside[0] + yside[0] == 0
-        for cb in model.boxes
+    boxes = to_corner_boxes(r)
+    corners_ok = all(
+        (xside[0], yside[0]) == (point[0], -point[0])
+        for cb, (_, _, point) in zip(boxes, r.items())
         for xside, yside in cb.factors
-    )
-    graph_ok = as_pairs(corner_box_intersection_graph(model.boxes)) == PAW_EDGES
+    ) and [cb.vertex for cb in boxes] == list(r.ids)
+    graph_ok = as_pairs(corner_box_intersection_graph(boxes)) == PAW_EDGES
     elapsed = time.perf_counter() - t0
     acceptance_record(
         1,

@@ -9,7 +9,6 @@ import pytest
 
 from andbox.boxes import (
     CornerBox,
-    CornerBoxModel,
     SemiSquare,
     check_corner_box,
     corner_box_intersection_graph,
@@ -24,9 +23,7 @@ from andbox.graphs import cycle_graph
 from andbox.realization import (
     Realization,
     RealizationError,
-    induced_graph,
     line_pairs,
-    transform,
 )
 
 from conftest import (
@@ -45,9 +42,8 @@ def fz(u, v):
 
 class TestToCornerBoxes:
     def test_paw_vertex_frozen(self, paw_realization):
-        model = to_corner_boxes(paw_realization)
-        assert model.offset == 0
-        assert model.boxes[0] == CornerBox(1, (((F(2), F(9, 2)), (F(-2), F(-1))),))
+        boxes = to_corner_boxes(paw_realization)
+        assert boxes[0] == CornerBox(1, (((F(2), F(9, 2)), (F(-2), F(-1))),))
 
     def test_corners_sit_on_the_antidiagonal(self, paw_realization):
         for cb in to_corner_boxes(paw_realization):
@@ -55,11 +51,13 @@ class TestToCornerBoxes:
                 assert x_lo + y_lo == 0
             check_corner_box(cb)
 
-    def test_negative_coordinates_get_shifted(self):
-        r = cycle_cand1(5, F(1, 2))  # leftmost endpoint is -7/2
-        model = to_corner_boxes(r)
-        assert model.offset == F(9, 2)
-        for cb in model:
+    def test_negative_coordinates_are_kept(self):
+        r = cycle_cand1(5, F(1, 2))  # vertex 1 is [-7/2, 11/2] around 1
+        boxes = to_corner_boxes(r)
+        assert boxes[0] == CornerBox(1, (((F(1), F(11, 2)), (F(-1), F(7, 2))),))
+        for cb, (v, _, point) in zip(boxes, r.items()):
+            assert cb.vertex == v
+            assert cb.factors[0][0][0] == point[0]
             check_corner_box(cb)
 
     def test_two_dimensional_frozen(self):
@@ -67,15 +65,14 @@ class TestToCornerBoxes:
             1: (((F(0), F(2)), (F(1), F(3))), (F(1), F(2))),
             2: (((F(1), F(4)), (F(0), F(5))), (F(2), F(1))),
         })
-        model = to_corner_boxes(r)
-        assert model.offset == 1
-        assert model.boxes[0].factors == (
+        boxes = to_corner_boxes(r)
+        assert boxes[0].factors == (
+            ((F(1), F(2)), (F(-1), F(0))),
             ((F(2), F(3)), (F(-2), F(-1))),
-            ((F(3), F(4)), (F(-3), F(-2))),
         )
-        assert model.boxes[1].factors == (
-            ((F(3), F(5)), (F(-3), F(-2))),
-            ((F(2), F(6)), (F(-2), F(-1))),
+        assert boxes[1].factors == (
+            ((F(2), F(4)), (F(-2), F(-1))),
+            ((F(1), F(5)), (F(-1), F(0))),
         )
 
 
@@ -123,7 +120,7 @@ class TestCornerBoxGraph:
         # 40 (k + m) candidate pairs; the induced graph's sweep yields m
         k = 400
         m = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
-        model = to_corner_boxes(outerplanar_cand1(m))
+        boxes = to_corner_boxes(outerplanar_cand1(m))
         yielded = 0
 
         def counted_line_pairs(*args):
@@ -134,7 +131,7 @@ class TestCornerBoxGraph:
 
         monkeypatch.setattr("andbox.boxes.line_pairs", counted_line_pairs)
         monkeypatch.setattr("andbox.realization.line_pairs", counted_line_pairs)
-        g = corner_box_intersection_graph(model)
+        g = corner_box_intersection_graph(boxes)
         assert g == m.graph()
         assert yielded <= 2 * (k + g.m)
 
@@ -161,12 +158,6 @@ class TestCornerBoxRoundTrip:
         for _ in range(25):
             r = random_realization(rng, rng.randint(1, 8), d=d)
             assert corner_boxes_to_realization(to_corner_boxes(r)) == r
-
-    def test_bare_boxes_keep_the_shift(self):
-        r = cycle_cand1(4, F(1, 2))
-        model = to_corner_boxes(r)
-        assert model.offset != 0
-        assert corner_boxes_to_realization(tuple(model)) == transform(r, model.offset, 1)
 
     def test_validates_before_converting(self):
         off_diagonal = CornerBox(1, (((F(1), F(2)), (F(0), F(1))),))
@@ -204,11 +195,11 @@ class TestSemiSquares:
     def test_pentagon_frozen(self):
         squares = to_semisquares(cycle_cand1(5, F(1, 2)))
         assert squares == (
-            SemiSquare(1, F(11, 2), F(9, 2)),
-            SemiSquare(2, F(13, 2), F(3, 2)),
-            SemiSquare(3, F(15, 2), F(3, 2)),
-            SemiSquare(4, F(17, 2), F(3, 2)),
-            SemiSquare(5, F(19, 2), F(9, 2)),
+            SemiSquare(1, F(1), F(9, 2)),
+            SemiSquare(2, F(2), F(3, 2)),
+            SemiSquare(3, F(3), F(3, 2)),
+            SemiSquare(4, F(4), F(3, 2)),
+            SemiSquare(5, F(5), F(9, 2)),
         )
         assert semisquare_intersection_graph(squares) == cycle_graph(5)
 

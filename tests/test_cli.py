@@ -19,7 +19,7 @@ import pytest
 import andbox
 from conftest import edge_set, reference_glue_at_safe_vertex
 from andbox import feasibility, fileio, kernels
-from andbox.boxes import to_corner_boxes, to_semisquares
+from andbox.boxes import corner_box_intersection_graph, to_corner_boxes, to_semisquares
 from andbox.cli import main
 from andbox.constructors import (
     block_graph_cand1,
@@ -478,7 +478,25 @@ class TestConversions:
         code, _, _ = run(capsys, "to-boxes", rp)
         assert code == 0
         loaded = fileio.load_corner_boxes(str(tmp_path / "c4.boxes"))
-        assert loaded.boxes == to_corner_boxes(r).boxes
+        assert loaded == to_corner_boxes(r)
+
+    def test_realized_cycle_boxes_keep_its_points(self, tmp_path, capsys):
+        real, boxes = tmp_path / "c5.real", tmp_path / "c5.boxes"
+        code, _, _ = run(capsys, "realize", "--cycle", "5", "-o", str(real))
+        assert code == 0
+        code, _, _ = run(capsys, "to-boxes", str(real), "-o", str(boxes))
+        assert code == 0
+        points = {
+            (toks[1], toks[2]): toks[5]
+            for toks in map(str.split, real.read_text().splitlines())
+            if toks[0] == "v"
+        }
+        rows = [toks for toks in map(str.split, boxes.read_text().splitlines()) if toks[0] == "b"]
+        assert len(rows) == len(points) == 5
+        for toks in rows:
+            assert toks[3] == points[(toks[1], toks[2])]
+        g = corner_box_intersection_graph(fileio.load_corner_boxes(str(boxes)))
+        assert g == cycle_graph(5)
 
     def test_to_triangles_default_name(self, tmp_path, capsys):
         r = cycle_cand1(5, F(1, 2))

@@ -41,7 +41,6 @@ from andbox.orders import cycle_label_analysis, four_point_check, realization_fr
 from andbox.realization import (
     Realization,
     adjacency_pairs,
-    induced_graph,
     is_central,
     is_safe,
     r_order,
@@ -377,7 +376,7 @@ class TestBlockAssembly:
     def test_dict_components(self):
         bd = block_decomposition(self.BOWTIE)
         parts = {i: clique_cand1(blk) for i, blk in enumerate(bd.blocks)}
-        r = assemble_block_tree(parts, bd)
+        r = assemble_block_tree(lambda bi, cut: parts[bi], bd)
         assert verify(r, self.BOWTIE).ok
         assert is_central(r)
 
@@ -529,11 +528,6 @@ class TestGlueCyclesOnEdge:
             g = Graph.from_edges(m + n - 2, [tuple(sorted(e)) for e in expected])
             assert verify(r, g).ok
             assert is_central(r)
-
-    def test_narrow_eps_keeps_the_graph(self):
-        wide = glue_cycles_on_edge(4, 4, (1, 2), eps=F(1, 2))
-        narrow = glue_cycles_on_edge(4, 4, (1, 2), eps=F(1, 8))
-        assert oracle_induced_edges(wide) == oracle_induced_edges(narrow)
 
     def test_rejects_bad_input(self):
         with pytest.raises(GraphError):

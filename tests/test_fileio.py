@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from andbox import fileio
-from andbox.boxes import CornerBox, CornerBoxModel, SemiSquare, to_corner_boxes
+from andbox.boxes import CornerBox, SemiSquare, to_corner_boxes
 from andbox.constructors import cycle_cand1
 from andbox.families import (
     IntervalModel,
@@ -28,9 +28,8 @@ from andbox.fileio import (
     parse_rational,
     sniff_format,
 )
-from andbox.graphs import Graph, cycle_graph
 from andbox.orders import Ordering, implicit_encode
-from andbox.realization import Realization, transform
+from andbox.realization import Realization
 
 from conftest import random_connected_graph, random_realization
 
@@ -319,16 +318,19 @@ class TestRootedPathFormat:
 
 class TestCornerBoxFormat:
     def test_literal(self):
-        model = fileio.loads_corner_boxes("b 1 1 1 2 -1 0\n")
-        assert model == CornerBoxModel((CornerBox(1, (((F(1), F(2)), (F(-1), F(0))),)),), F(0))
+        boxes = fileio.loads_corner_boxes("b 1 1 1 2 -1 0\n")
+        assert boxes == (CornerBox(1, (((F(1), F(2)), (F(-1), F(0))),)),)
 
-    def test_round_trip_keeps_boxes_but_not_the_offset(self):
-        r = cycle_cand1(4, F(1, 2))
-        model = to_corner_boxes(r)
-        assert model.offset != 0
-        got = fileio.loads_corner_boxes(fileio.dumps_corner_boxes(model))
-        assert got.boxes == model.boxes
-        assert got.offset == 0
+    def test_round_trip_is_identity(self):
+        rng = random.Random(3217)
+        negative = 0
+        for d in (1, 2):
+            for _ in range(40):
+                r = random_realization(rng, rng.randint(1, 8), d=d)
+                negative += any(lo < 0 for box in r.boxes for lo, _ in box)
+                boxes = to_corner_boxes(r)
+                assert fileio.loads_corner_boxes(fileio.dumps_corner_boxes(boxes)) == boxes
+        assert negative > 40
 
     def test_off_diagonal_corner_rejected(self):
         with pytest.raises(FileFormatError):

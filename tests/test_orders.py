@@ -2,7 +2,6 @@
 and cycle labeling analysis."""
 
 import random
-from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
@@ -22,12 +21,11 @@ from andbox.orders import (
     rank_bounds,
     realization_from_ordering,
 )
-from andbox.realization import induced_graph, is_central, r_order, verify
+from andbox.realization import induced_graph, r_order, verify
 
 from conftest import (
     edge_set,
     naive_four_point_scan,
-    oracle_induced_edges,
     random_connected_graph,
 )
 

@@ -1,5 +1,5 @@
-"""Realization data model: induced graphs, verification, transforms,
-point separation, safety."""
+"""Realization data model: induced graphs, verification, point
+separation, safety."""
 
 import random
 from fractions import Fraction as F
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from andbox import realization
 from andbox.constructors import cycle_cand1, outerplanar_cand1
 from andbox.families import OuterplanarModel
-from andbox.graphs import Graph, cycle_graph
+from andbox.graphs import cycle_graph
 from andbox.realization import (
     Realization,
     RealizationError,
@@ -25,7 +25,6 @@ from andbox.realization import (
     make_points_distinct,
     r_order,
     relabel,
-    transform,
     verify,
 )
 
@@ -293,33 +292,6 @@ class TestCentral:
             r = random_central_realization(rng, rng.randint(1, 12))
             assert is_central(r)
             assert oracle_induced_edges(r) == oracle_central_edges(r)
-
-
-class TestTransform:
-    def test_exact_coordinates(self, paw_realization):
-        t = transform(paw_realization, F(3), F(1, 2))
-        assert t.interval(1) == (F(7, 2), F(21, 4))
-        assert t.coordinate(1) == F(4)
-
-    def test_preserves_induced_graph(self):
-        rng = random.Random(404)
-        for _ in range(40):
-            r = random_realization(rng, rng.randint(1, 10))
-            delta = F(rng.randint(-20, 20), rng.choice([1, 2, 3]))
-            sigma = F(rng.randint(1, 12), rng.choice([1, 2, 4]))
-            t = transform(r, delta, sigma)
-            assert oracle_induced_edges(t) == oracle_induced_edges(r)
-
-    def test_preserves_centrality(self):
-        rng = random.Random(505)
-        r = random_central_realization(rng, 8)
-        assert is_central(transform(r, F(-7, 3), F(5, 2)))
-
-    def test_rejects_nonpositive_scale(self, paw_realization):
-        with pytest.raises(RealizationError):
-            transform(paw_realization, 0, 0)
-        with pytest.raises(RealizationError):
-            transform(paw_realization, 0, F(-1))
 
 
 class TestROrder:
