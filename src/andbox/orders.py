@@ -160,33 +160,115 @@ class RecognitionResult:
         return self.status == "found"
 
 
-def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionResult:
-    """Backtracking search for a 4PC-free ordering.
+# LexBFS sweeps tried per component before the kernel: one LexBFS, then
+# LexBFS+ sweeps, each with its reversal.
+SWEEPS = 4
 
-    Deterministic: vertices are tried in ascending id, components in
-    ascending order of their smallest vertex, each {ordering, reversal}
-    pair is explored once, and twins (equal open or closed
-    neighbourhoods) only in increasing id; the ordering returned is still
-    each component's lexicographically first passing one.  The budget
-    counts the placements tried across all components; hitting it yields
-    "exhausted".
-    Disconnected graphs are handled per component (components can be laid
-    out on disjoint stretches of the line, so the graph qualifies iff
-    every component does), concatenating the component orderings.  A
-    found ordering is re-checked with four_point_check before it is
-    returned; a failing one raises FourPointViolationError.
+
+def lexbfs(masks, prior):
+    """One LexBFS sweep over 0-indexed adjacency bitmasks: each step
+    takes an unvisited vertex of lexicographically largest label, and
+    ties go to the vertex listed first in prior (a permutation of the
+    vertices).  With prior the reversal of an earlier sweep this is
+    LexBFS+: ties go to the vertex latest in that sweep.
+
+    Iterative partition refinement: the unvisited vertices form a list
+    of classes of equal label, largest label first, each a bitmask over
+    positions in prior; visiting v splits every class into its
+    neighbours of v, then the rest.
+    """
+    n = len(prior)
+    at = [0] * n  # at[v]: v's position in prior
+    for i, v in enumerate(prior):
+        at[v] = i
+    near = []  # near[v]: v's neighbours as a bitmask over positions
+    for x in masks:
+        m = 0
+        while x:
+            low = x & -x
+            m |= 1 << at[low.bit_length() - 1]
+            x ^= low
+        near.append(m)
+    order = []
+    classes = [(1 << n) - 1]
+    while classes:
+        first = classes[0]
+        low = first & -first
+        v = prior[low.bit_length() - 1]
+        order.append(v)
+        classes[0] = first ^ low
+        nb = near[v]
+        split = []
+        for c in classes:
+            for part in (c & nb, c & ~nb):
+                if part:
+                    split.append(part)
+        classes = split
+    return order
+
+
+def _sweep_certificate(g: Graph):
+    """A 4PC-free ordering of the connected graph g (0-indexed) found by
+    up to SWEEPS LexBFS sweeps, or None.
+
+    The first sweep breaks ties by ascending id, each later one is a
+    LexBFS+ sweep of the one before, and each sweep is tried before its
+    reversal.  On interval graphs LexBFS+ sweeps converge to an interval
+    model's order (Corneil, Olariu & Stewart 2009), which passes the four
+    point condition; SWEEPS bounds the work, and a miss only leaves the
+    component to the kernel.  A sweep equal to its prior ends the search:
+    it is the reversal of the sweep before it, and every later sweep
+    repeats those two (a LexBFS ordering is its own LexBFS+ sweep of its
+    reversal).
+    """
+    prior = list(range(g.n))
+    for sweep in range(SWEEPS):
+        order = lexbfs(g.masks, prior)
+        if sweep and order == prior:
+            return None
+        for cand in (order, order[::-1]):
+            if four_point_check(g, Ordering(tuple(v + 1 for v in cand))) is None:
+                return cand
+        prior = order[::-1]
+    return None
+
+
+def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionResult:
+    """A 4PC-free ordering per component: LexBFS sweeps first, then the
+    backtracking search.
+
+    Each component first tries the orderings of _sweep_certificate,
+    checked with four_point_check; the first that passes is that
+    component's ordering, found in 0 nodes.  This polynomial work is not
+    charged to the budget, so budget 0 can still find an ordering.  Only
+    a component no sweep certifies goes to the kernel, which is
+    deterministic: vertices are tried in ascending id, each {ordering,
+    reversal} pair is explored once, and twins (equal open or closed
+    neighbourhoods) only in increasing id; its ordering is the
+    component's lexicographically first passing one.  nodes counts the
+    kernel's placements tried across all components; hitting the budget
+    yields "exhausted", and "not_member" comes only from a complete
+    kernel search.
+    Disconnected graphs are handled per component, in ascending order of
+    their smallest vertex (components can be laid out on disjoint
+    stretches of the line, so the graph qualifies iff every component
+    does), concatenating the component orderings.  A found ordering is
+    re-checked with four_point_check before it is returned; a failing one
+    raises FourPointViolationError.
     """
     _require_nonnegative(budget)
     merged = []
     nodes = 0
     for comp in g.connected_components():
         sub, back = g.subgraph(comp)
-        status, order0, used = kernels.search_order(sub.masks, budget - nodes)
-        nodes += used
-        if status == kernels.EXHAUSTED:
-            return RecognitionResult("exhausted", None, nodes)
-        if status == kernels.NOT_MEMBER:
-            return RecognitionResult("not_member", None, nodes)
+        order0 = _sweep_certificate(sub)
+        if order0 is None:
+            status, order0, used = kernels.search_order(sub.masks, budget - nodes)
+            nodes += used
+            if status == kernels.EXHAUSTED:
+                return RecognitionResult("exhausted", None, nodes)
+            if status == kernels.NOT_MEMBER:
+                return RecognitionResult("not_member", None, nodes)
         merged.extend(back[i + 1] for i in order0)
     ordering = Ordering(tuple(merged))
     _require_pass(g, ordering)

@@ -17,8 +17,8 @@ from fractions import Fraction as F
 import pytest
 
 import andbox
-from conftest import edge_set, reference_glue_at_safe_vertex
-from andbox import feasibility, fileio, kernels
+from conftest import edge_set, naive_four_point_scan, reference_glue_at_safe_vertex
+from andbox import families, feasibility, fileio, kernels, orders
 from andbox.boxes import corner_box_intersection_graph, to_corner_boxes, to_semisquares
 from andbox.cli import main
 from andbox.constructors import (
@@ -362,6 +362,25 @@ class TestRecognizeAnd1:
         assert code == 2
         assert out == "" and err.startswith("error:")
         assert not (tmp_path / "sq.order").exists()
+
+    def test_violating_certificate_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(orders, "_sweep_certificate", lambda g: [0, 1, 3, 2])
+        gp = write_graph(tmp_path / "sq.and", cycle_graph(4))
+        code, out, err = run(capsys, "recognize-and1", gp)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert not (tmp_path / "sq.order").exists()
+
+    def test_zero_budget_still_certifies(self, tmp_path, capsys):
+        g = families.random_interval(30, 0).graph
+        gp = write_graph(tmp_path / "iv.and", g)
+        code, out, _ = run(capsys, "recognize-and1", gp, "--node-budget", "0")
+        assert code == 0 and out.startswith("verdict=yes ")
+        order = fileio.load_ordering(str(tmp_path / "iv.order"))
+        assert naive_four_point_scan(g, order.order) is None
+        gp = write_graph(tmp_path / "k222.and", complete_multipartite_graph([2, 2, 2]))
+        code, out, _ = run(capsys, "recognize-and1", gp, "--node-budget", "0")
+        assert code == 3 and out.startswith("verdict=exhausted ")
 
 
 class TestRecognizeCand1:

@@ -2,11 +2,11 @@
 and cycle labeling analysis."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from andbox import kernels
+from andbox import families, kernels, orders
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph, path_graph
 from andbox.orders import (
     FourPointViolationError,
@@ -18,6 +18,7 @@ from andbox.orders import (
     four_point_check,
     implicit_adjacent,
     implicit_encode,
+    lexbfs,
     rank_bounds,
     realization_from_ordering,
 )
@@ -225,6 +226,11 @@ class TestRecognizer:
         with pytest.raises(FourPointViolationError):
             and1_recognize(square_graph)
 
+    def test_certified_ordering_is_rechecked(self, monkeypatch, square_graph):
+        monkeypatch.setattr(orders, "_sweep_certificate", lambda g: [0, 1, 3, 2])
+        with pytest.raises(FourPointViolationError):
+            and1_recognize(square_graph)
+
     def test_negative_budget_rejected(self):
         with pytest.raises(OrderingError):
             and1_recognize(cycle_graph(3), budget=-1)
@@ -252,9 +258,26 @@ class TestRecognizer:
 
         monkeypatch.setattr(Graph, "edge_list", counted)
         res = and1_recognize(g)
-        assert res.found and res.nodes == n
+        # a LexBFS sweep certifies every 2-vertex component: no kernel nodes
+        assert res.found and res.nodes == 0
         assert res.ordering.order == tuple(range(1, n + 1))
         assert calls == 0
+
+    @pytest.mark.parametrize("n", [12, 30, 60])
+    def test_interval_graphs_certified_without_the_kernel(self, n):
+        # without the sweeps all 30 are exhausted at budget 0, and n = 30
+        # seeds 0 and 1 and n = 60 seed 0 are exhausted at 10^6 nodes
+        for seed in range(10):
+            g = families.random_interval(n, seed).graph
+            res = and1_recognize(g, budget=0)
+            assert res.found and res.nodes == 0
+            assert naive_four_point_scan(g, res.ordering.order) is None
+
+    def test_long_path_certified_without_recursion(self):
+        g = path_graph(5000)
+        res = and1_recognize(g, budget=0)
+        assert res.found and res.nodes == 0
+        assert res.ordering.order == tuple(g.vertices())
 
     def test_disconnected_graph_with_bad_component(self):
         edges = complete_multipartite_graph([2, 2, 2]).edge_list() + [(7, 8)]
@@ -279,6 +302,54 @@ class TestRecognizer:
                 for perm in permutations(g.vertices())
             )
             assert res.found == expected_some
+
+
+def random_graph(rng, n):
+    p = rng.choice((0.2, 0.4, 0.6, 0.8))
+    return Graph.from_edges(
+        n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
+    )
+
+
+class TestLexBFS:
+    def test_sweep_is_a_lexbfs_ordering(self):
+        # a < b < c with ac in E and ab not in E need some d < a with db in
+        # E and dc not in E (the LexBFS four-point characterization)
+        rng = random.Random(19)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 12))
+            prior = list(range(g.n))
+            rng.shuffle(prior)
+            order = lexbfs(g.masks, prior)
+            assert sorted(order) == list(range(g.n))
+
+            def adj(u, v):
+                return g.masks[u] >> v & 1
+
+            for a, b, c in combinations(range(g.n), 3):
+                x, y, z = order[a], order[b], order[c]
+                if adj(x, z) and not adj(x, y):
+                    assert any(
+                        adj(order[d], y) and not adj(order[d], z) for d in range(a)
+                    ), (g.edge_list(), order)
+
+    def test_plus_sweep_breaks_ties_by_latest_in_previous_sweep(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 12))
+            prior = list(range(g.n))
+            rng.shuffle(prior)
+            sweep = lexbfs(g.masks, prior)
+            # the fixed point that ends _sweep_certificate early
+            assert lexbfs(g.masks, sweep) == sweep
+            plus = lexbfs(g.masks, sweep[::-1])
+            where = {v: i for i, v in enumerate(sweep)}
+            seen = 0
+            for i, v in enumerate(plus):
+                # equal labels: the same visited neighbours
+                ties = [u for u in plus[i:] if g.masks[u] & seen == g.masks[v] & seen]
+                assert max(ties, key=where.get) == v, (g.edge_list(), sweep, plus)
+                seen |= 1 << v
 
 
 class TestCycleLabelAnalysis:
