@@ -7,18 +7,13 @@ This package covers the one-dimensional model and its central variant
 evaluation and verification, the four-point ordering characterization with
 backtracking recognition, a Fourier-Motzkin feasibility kernel for central
 recognition, constructions for interval graphs, cycles, block trees, and
-outerplanar graphs, the corner-box and semi-square planar transforms, text
+outerplanar graphs, the corner-box and semi-square encodings, text
 file formats, and a CLI (`andbox`).
 """
 
 from .boxes import (
-    CornerBox,
-    SemiSquare,
     corner_box_intersection_graph,
-    corner_boxes_to_realization,
     semisquare_intersection_graph,
-    to_corner_boxes,
-    to_semisquares,
 )
 from .constructors import (
     assemble_block_tree,

@@ -17,7 +17,6 @@ import sys
 import time
 
 from . import fileio
-from .boxes import to_corner_boxes, to_semisquares
 from .constructors import (
     block_graph_cand1,
     cycle_cand1,
@@ -37,9 +36,10 @@ from .families import (
 from .feasibility import cand1_recognize
 from .orders import (
     DEFAULT_NODE_BUDGET,
+    FourPointViolationError,
     and1_recognize,
-    four_point_check,
     implicit_encode,
+    realization_from_codes,
     realization_from_ordering,
 )
 from .realization import verify
@@ -136,20 +136,20 @@ def _cmd_verify(args) -> str:
 def _cmd_check_order(args) -> str:
     g = fileio.load_graph(args.graph)
     o = fileio.load_ordering(args.ordering)
-    violation = four_point_check(g, o)
-    if violation is None:
-        if args.codes_out:
-            fileio.save_implicit_codes(args.codes_out, implicit_encode(g, o))
-        if args.realize_out:
-            fileio.save_realization(
-                args.realize_out, realization_from_ordering(g, o)
-            )
-        return "yes"
-    fileio.atomic_write_text(
-        _witness(args, _stem(args.ordering) + ".witness"),
-        f"violation {violation.x} {violation.u} {violation.v} {violation.y}\n",
-    )
-    return "no"
+    try:
+        codes = implicit_encode(g, o)  # the one four point check
+    except FourPointViolationError as e:
+        w = e.violation
+        fileio.atomic_write_text(
+            _witness(args, _stem(args.ordering) + ".witness"),
+            f"violation {w.x} {w.u} {w.v} {w.y}\n",
+        )
+        return "no"
+    if args.codes_out:
+        fileio.save_implicit_codes(args.codes_out, codes)
+    if args.realize_out:
+        fileio.save_realization(args.realize_out, realization_from_codes(codes))
+    return "yes"
 
 
 def _cmd_recognize_and1(args) -> str:
@@ -187,17 +187,13 @@ def _cmd_recognize_cand1(args) -> str:
 
 def _cmd_to_boxes(args) -> str:
     r = fileio.load_realization(args.realization)
-    fileio.save_corner_boxes(
-        _out(args, _stem(args.realization) + ".boxes"), to_corner_boxes(r)
-    )
+    fileio.save_corner_boxes(_out(args, _stem(args.realization) + ".boxes"), r)
     return "yes"
 
 
 def _cmd_to_triangles(args) -> str:
     r = fileio.load_realization(args.realization)
-    fileio.save_semisquares(
-        _out(args, _stem(args.realization) + ".tri"), to_semisquares(r)
-    )
+    fileio.save_semisquares(_out(args, _stem(args.realization) + ".tri"), r)
     return "yes"
 
 

@@ -329,10 +329,15 @@ def _dissection_faces(k: int, chords):
     non-crossing chords.  Returns (face, closing) pairs in discovery
     order: the first face closes on the wrap side (k-1, 0) and has
     closing None; every other face closes on one chord, listed as its
-    first and last entries.  Faces are ascending position sequences."""
+    first and last entries.  Faces are ascending position sequences.
+
+    From c the walk steps to the farthest chord end t <= b, or to c + 1;
+    each vertex's chord ends are kept sorted, so that is one bisection."""
     reach = {}
     for a, b in chords:
         reach.setdefault(a, []).append(b)
+    for ends in reach.values():
+        ends.sort()
     out = []
     stack = [(0, k - 1, None)]
     while stack:
@@ -340,12 +345,12 @@ def _dissection_faces(k: int, chords):
         face = [a]
         c = a
         while c != b:
-            q = c + 1
-            for t in reach.get(c, ()):
-                if t > q and t <= b and not (c == a and t == b):
-                    q = t
-            face.append(q)
-            c = q
+            ends = reach.get(c, ())
+            i = bisect_right(ends, b)
+            if c == a and i and ends[i - 1] == b:
+                i -= 1  # the chord (a, b) closes this face
+            c = ends[i - 1] if i else c + 1
+            face.append(c)
         out.append((face, closing))
         for s, t in reversed(list(zip(face, face[1:]))):
             if t > s + 1:
@@ -479,16 +484,9 @@ def rdp_ordering(m: RootedPathModel) -> Ordering:
     root, its minimum rank sits at its bottom node, and orderings built
     this way always satisfy the four point condition.
     """
-    m.validate()
-    root = m.root()
-    children = {u: [] for u in m.parent}
-    for u, p in m.parent.items():
-        if p != 0:
-            children[p].append(u)
-    for u in children:
-        children[u].sort()
+    children = m.children()
     visit = []
-    stack = [root]
+    stack = [m.root()]
     while stack:
         u = stack.pop()
         visit.append(u)

@@ -86,19 +86,23 @@ class RootedPathModel:
             raise GraphError("tree must have exactly one root")
         return roots[0]
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Validate once, in O(nodes + path lengths): one root, known
+        parents, every node reached by one walk down the child lists from
+        the root (a node it misses hangs under a cycle of parent links),
+        and every path a chain of tree edges."""
         root = self.root()
         for u, p in self.parent.items():
             if p != 0 and p not in self.parent:
                 raise GraphError(f"parent {p} of node {u} is not a node")
-        # acyclicity: every node must reach the root
-        for u in self.parent:
-            seen = set()
-            while u != root:
-                if u in seen:
-                    raise GraphError("parent links contain a cycle")
-                seen.add(u)
-                u = self.parent[u]
+        children = self.children()
+        reached = 0
+        stack = [root]
+        while stack:
+            reached += 1
+            stack.extend(children[stack.pop()])
+        if reached != len(self.parent):
+            raise GraphError("parent links contain a cycle")
         for v, path in self.paths.items():
             if not path:
                 raise GraphError(f"vertex {v} has an empty path")
@@ -111,8 +115,15 @@ class RootedPathModel:
                         f"vertex {v}: path step {a}->{b} is not a tree edge"
                     )
 
+    def children(self) -> dict:
+        """Tree node -> its children, ascending."""
+        out = {u: [] for u in self.parent}
+        for u, p in sorted(self.parent.items()):
+            if p != 0:
+                out[p].append(u)
+        return out
+
     def intersection_graph(self) -> Graph:
-        self.validate()
         verts = sorted(self.paths)
         if verts != list(range(1, len(verts) + 1)):
             raise GraphError("path model vertices must be 1..n")

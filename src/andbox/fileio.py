@@ -16,6 +16,10 @@ positive denominator.
                 then "k <vid> <node> ..." path lines
   corner boxes  "b <id> <dim> <x_lo> <x_hi> <y_lo> <y_hi>"
   semi-squares  "s <id> <corner> <leg>"
+
+Corner boxes and semi-squares are file encodings of a realization (see
+boxes): their loaders return the Realization the file encodes, checked
+line by line, and their writers take one.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ import re
 import tempfile
 from fractions import Fraction
 
-from .boxes import CornerBox, SemiSquare, check_corner_box
+from .boxes import require_semisquares
 from .families import IntervalModel, OuterplanarModel, RootedPathModel
-from .graphs import Graph
+from .graphs import Graph, GraphError
 from .orders import ImplicitCode, Ordering
 from .realization import Realization, is_central
 
@@ -198,30 +202,35 @@ def loads_realization(text: str, path: str = "<realization>") -> Realization:
             lo, hi, p = (_rat_at(path, no, t) for t in toks[3:6])
             if (vid, dim) in rows:
                 _fail(path, no, f"duplicate vertex/dimension {vid} {dim}")
-            rows[(vid, dim)] = (lo, hi, p)
+            rows[(vid, dim)] = ((lo, hi), p)
         else:
             _fail(path, no, f"unknown record {toks[0]!r}")
     if header is None:
         _fail(path, 0, "missing 'r and <n> <d>' header")
     n, d = header
-    ids = sorted({vid for vid, _ in rows})
-    if len(ids) != n:
-        _fail(path, 0, f"header says {n} vertices, file has {len(ids)}")
+    r = _assemble(path, d, rows)
+    if r.n != n:
+        _fail(path, 0, f"header says {n} vertices, file has {r.n}")
+    if central_flag and not is_central(r):
+        _fail(path, 0, "file claims 'central' but the realization is not")
+    return r
+
+
+def _assemble(path, d, rows) -> Realization:
+    """Realization of rows {(vid, dim): ((L, R), p)}, in which every
+    vertex has each dimension 1..d."""
     items = {}
-    for vid in ids:
+    for vid in sorted({vid for vid, _ in rows}):
         box = []
         point = []
         for dim in range(1, d + 1):
             if (vid, dim) not in rows:
                 _fail(path, 0, f"vertex {vid} missing dimension {dim}")
-            lo, hi, p = rows[(vid, dim)]
-            box.append((lo, hi))
+            side, p = rows[(vid, dim)]
+            box.append(side)
             point.append(p)
         items[vid] = (tuple(box), tuple(point))
-    r = Realization.build(d, items)
-    if central_flag and not is_central(r):
-        _fail(path, 0, "file claims 'central' but the realization is not")
-    return r
+    return Realization.build(d, items)
 
 
 def dumps_realization(r: Realization) -> str:
@@ -348,6 +357,8 @@ def loads_outerplanar_model(text: str, path: str = "<outerplanar>") -> Outerplan
             if len(toks) < 2:
                 _fail(path, no, "empty outer walk")
             outer = tuple(_int_at(path, no, t, 1) for t in toks[1:])
+            if any(u == v for u, v in zip(outer, outer[1:] + outer[:1])):
+                _fail(path, no, "outer walk repeats a vertex consecutively")
             outer_no = no
         elif toks[0] == "chord":
             if len(toks) != 3:
@@ -404,12 +415,10 @@ def loads_rooted_path_model(text: str, path: str = "<rootedpath>") -> RootedPath
         _fail(path, 0, "need both 't' tree lines and 'k' path lines")
     if sorted(paths) != list(range(1, len(paths) + 1)):
         _fail(path, 0, "path ids must cover 1..n")
-    m = RootedPathModel(parent, paths)
     try:
-        m.validate()
-    except Exception as e:
+        return RootedPathModel(parent, paths)
+    except GraphError as e:
         _fail(path, 0, str(e))
-    return m
 
 
 def dumps_rooted_path_model(m: RootedPathModel) -> str:
@@ -446,9 +455,11 @@ def save_rooted_path_model(path: str, m: RootedPathModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# corner boxes and semi-squares
+# corner boxes and semi-squares: encodings of a realization (see boxes)
 
-def loads_corner_boxes(text: str, path: str = "<boxes>") -> tuple:
+def loads_corner_boxes(text: str, path: str = "<boxes>") -> Realization:
+    """The realization the corner boxes encode: factor ((x_lo, x_hi),
+    (y_lo, y_hi)) of a vertex is its point x_lo in box [-y_hi, x_hi]."""
     rows = {}
     for no, toks in _content_lines(text):
         if toks[0] != "b" or len(toks) != 7:
@@ -458,46 +469,39 @@ def loads_corner_boxes(text: str, path: str = "<boxes>") -> tuple:
         xl, xh, yl, yh = (_rat_at(path, no, t) for t in toks[3:7])
         if (vid, dim) in rows:
             _fail(path, no, f"duplicate box factor {vid} {dim}")
-        rows[(vid, dim)] = ((xl, xh), (yl, yh))
+        if xl > xh or yl > yh:
+            _fail(path, no, f"vertex {vid}: empty planar factor")
+        if xl + yl != 0:
+            _fail(path, no, f"vertex {vid}: corner ({xl},{yl}) off the diagonal")
+        rows[(vid, dim)] = ((-yh, xh), xl)
     if not rows:
         _fail(path, 0, "no corner boxes")
-    d = max(dim for _, dim in rows)
-    boxes = []
-    for vid in sorted({v for v, _ in rows}):
-        factors = []
-        for dim in range(1, d + 1):
-            if (vid, dim) not in rows:
-                _fail(path, 0, f"vertex {vid} missing dimension {dim}")
-            factors.append(rows[(vid, dim)])
-        cb = CornerBox(vid, tuple(factors))
-        try:
-            check_corner_box(cb)
-        except Exception as e:
-            _fail(path, 0, str(e))
-        boxes.append(cb)
-    return tuple(boxes)
+    return _assemble(path, max(dim for _, dim in rows), rows)
 
 
-def dumps_corner_boxes(boxes) -> str:
+def dumps_corner_boxes(r: Realization) -> str:
+    """Factor k of vertex v is [p_k, R_k] x [-p_k, -L_k]."""
     lines = []
-    for cb in boxes:
-        for dim, ((xl, xh), (yl, yh)) in enumerate(cb.factors, start=1):
+    for v, box, point in r.items():
+        for dim, ((lo, hi), p) in enumerate(zip(box, point), start=1):
             lines.append(
-                f"b {cb.vertex} {dim} {format_rational(xl)} {format_rational(xh)}"
-                f" {format_rational(yl)} {format_rational(yh)}"
+                f"b {v} {dim} {format_rational(p)} {format_rational(hi)}"
+                f" {format_rational(-p)} {format_rational(-lo)}"
             )
     return "\n".join(lines) + "\n"
 
 
-def load_corner_boxes(path: str) -> tuple:
+def load_corner_boxes(path: str) -> Realization:
     return loads_corner_boxes(_read(path), path)
 
 
-def save_corner_boxes(path: str, boxes) -> None:
-    atomic_write_text(path, dumps_corner_boxes(boxes))
+def save_corner_boxes(path: str, r: Realization) -> None:
+    atomic_write_text(path, dumps_corner_boxes(r))
 
 
-def loads_semisquares(text: str, path: str = "<semisquares>"):
+def loads_semisquares(text: str, path: str = "<semisquares>") -> Realization:
+    """The central one-dimensional realization the semi-squares encode:
+    (p, r) is point p in box [p - r, p + r]."""
     rows = {}
     for no, toks in _content_lines(text):
         if toks[0] != "s" or len(toks) != 4:
@@ -508,26 +512,29 @@ def loads_semisquares(text: str, path: str = "<semisquares>"):
             _fail(path, no, "leg length must be nonnegative")
         if vid in rows:
             _fail(path, no, f"duplicate semi-square for vertex {vid}")
-        rows[vid] = SemiSquare(vid, corner, leg)
+        rows[vid] = ((corner - leg, corner + leg), corner)
     if not rows:
         _fail(path, 0, "no semi-squares")
-    return tuple(rows[v] for v in sorted(rows))
+    return Realization.build(1, rows)
 
 
-def dumps_semisquares(squares) -> str:
+def dumps_semisquares(r: Realization) -> str:
+    """Vertex v gets corner p_v and leg R_v - p_v; r must be central and
+    one-dimensional."""
+    require_semisquares(r)
     lines = [
-        f"s {t.vertex} {format_rational(t.corner)} {format_rational(t.leg)}"
-        for t in squares
+        f"s {v} {format_rational(point[0])} {format_rational(box[0][1] - point[0])}"
+        for v, box, point in r.items()
     ]
     return "\n".join(lines) + "\n"
 
 
-def load_semisquares(path: str):
+def load_semisquares(path: str) -> Realization:
     return loads_semisquares(_read(path), path)
 
 
-def save_semisquares(path: str, squares) -> None:
-    atomic_write_text(path, dumps_semisquares(squares))
+def save_semisquares(path: str, r: Realization) -> None:
+    atomic_write_text(path, dumps_semisquares(r))
 
 
 # ---------------------------------------------------------------------------

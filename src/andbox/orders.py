@@ -114,17 +114,6 @@ def _require_pass(g: Graph, o: Ordering) -> None:
         raise FourPointViolationError(violation)
 
 
-def realization_from_ordering(g: Graph, o: Ordering) -> Realization:
-    """Integer realization read off a 4PC-free ordering: vertex v gets
-    point rank(v) and box [min, max] of closed-neighborhood ranks."""
-    _require_pass(g, o)
-    rank = o.ranks()
-    lo, hi = rank_bounds(g, o)
-    return Realization.build(
-        1, {v: ((lo[v], hi[v]), rank[v]) for v in g.vertices()}
-    )
-
-
 @dataclass(frozen=True)
 class ImplicitCode:
     """Per-vertex rank triple: own rank pos inside reach interval
@@ -143,6 +132,20 @@ def implicit_encode(g: Graph, o: Ordering):
     return tuple(
         ImplicitCode(lo[v], hi[v], rank[v]) for v in g.vertices()
     )
+
+
+def realization_from_codes(codes) -> Realization:
+    """The integer realization the codes describe: vertex i+1 gets point
+    pos and box [lo, hi] of entry i."""
+    return Realization.build(
+        1, {v: ((c.lo, c.hi), c.pos) for v, c in enumerate(codes, start=1)}
+    )
+
+
+def realization_from_ordering(g: Graph, o: Ordering) -> Realization:
+    """Integer realization read off a 4PC-free ordering: vertex v gets
+    point rank(v) and box [min, max] of closed-neighborhood ranks."""
+    return realization_from_codes(implicit_encode(g, o))
 
 
 def implicit_adjacent(a: ImplicitCode, b: ImplicitCode) -> bool:

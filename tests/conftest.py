@@ -436,36 +436,67 @@ def reference_insert_cycle_into_gap(items: dict, x: int, y: int, new_ids) -> Non
         items[v] = ((sigma * (lo - 1) + px, sigma * (hi - 1) + px), sigma * (pt - 1) + px)
 
 
-def reference_corner_box_edges(boxes) -> set:
-    """All-pairs closed-rectangle test on every planar factor: the scan the
-    sweep in corner_box_intersection_graph replaced."""
-    out = set()
-    for a, b in combinations(boxes, 2):
-        if all(
-            max(alo, blo) <= min(ahi, bhi)
-            for fa, fb in zip(a.factors, b.factors)
-            for (alo, ahi), (blo, bhi) in zip(fa, fb)
-        ):
-            out.add(frozenset((a.vertex, b.vertex)))
+def read_corner_boxes(text: str) -> list:
+    """(vertex, factors) per vertex of a .boxes text, factor k being
+    ((x_lo, x_hi), (y_lo, y_hi)): the rows as written, without fileio."""
+    rows = {}
+    for line in text.splitlines():
+        tag, v, dim, *coords = line.split()
+        assert tag == "b"
+        xl, xh, yl, yh = map(F, coords)
+        rows.setdefault(int(v), {})[int(dim)] = ((xl, xh), (yl, yh))
+    return [(v, tuple(f[k] for k in sorted(f))) for v, f in sorted(rows.items())]
+
+
+def read_semisquares(text: str) -> list:
+    """(vertex, corner, leg) per line of a .tri text, without fileio."""
+    out = []
+    for line in text.splitlines():
+        tag, v, corner, leg = line.split()
+        assert tag == "s"
+        out.append((int(v), F(corner), F(leg)))
     return out
 
 
-def reference_semisquare_edges(squares) -> set:
-    """All-pairs separating-axis test on the triangles themselves: closed
-    convex polygons intersect iff no edge normal separates them, and every
-    semi-square has its edges along the axes and the antidiagonal.  This is
-    the scan the closed-form sweep in semisquare_intersection_graph
-    replaced."""
-    def separated(ta, tb, ax, ay):
-        pa = [ax * x + ay * y for x, y in ta]
-        pb = [ax * x + ay * y for x, y in tb]
-        return max(min(pa), min(pb)) > min(max(pa), max(pb))
-
+def reference_corner_box_edges(boxes) -> set:
+    """All-pairs closed-rectangle test on every planar factor of
+    (vertex, factors) pairs: the scan the sweep in
+    corner_box_intersection_graph replaced."""
     out = set()
-    for a, b in combinations(squares, 2):
-        ta, tb = a.triangle(), b.triangle()
-        if not any(separated(ta, tb, *axis) for axis in ((1, 0), (0, 1), (1, 1))):
-            out.add(frozenset((a.vertex, b.vertex)))
+    for (u, fu), (v, fv) in combinations(boxes, 2):
+        if all(
+            max(alo, blo) <= min(ahi, bhi)
+            for fa, fb in zip(fu, fv)
+            for (alo, ahi), (blo, bhi) in zip(fa, fb)
+        ):
+            out.add(frozenset((u, v)))
+    return out
+
+
+def semisquare_triangle(corner, leg):
+    """Vertices of the lower-left isosceles half of the square with
+    corner (corner, -corner) and side leg."""
+    p, r = corner, leg
+    return ((p, -p), (p + r, -p), (p, -p + r))
+
+
+def reference_semisquare_edges(squares) -> set:
+    """All-pairs separating-axis test on the triangles of (vertex,
+    corner, leg) triples: closed convex polygons intersect iff no edge
+    normal separates them, and every semi-square has its edges along the
+    axes and the antidiagonal.  Each triangle is projected onto the three
+    normals once; a pair is separated iff one of its projections is.
+    This is the scan the closed-form sweep in
+    semisquare_intersection_graph replaced."""
+    shadows = []
+    for v, p, r in squares:
+        t = semisquare_triangle(p, r)
+        proj = [[ax * x + ay * y for x, y in t] for ax, ay in ((1, 0), (0, 1), (1, 1))]
+        shadows.append((v, [(min(s), max(s)) for s in proj]))
+    out = set()
+    for (u, su), (v, sv) in combinations(shadows, 2):
+        if all(max(a0, b0) <= min(a1, b1) for (a0, a1), (b0, b1) in zip(su, sv)):
+            out.add(frozenset((u, v)))
     return out
 
 

@@ -17,14 +17,14 @@ from conftest import (
     grid_feasible,
     naive_accepts_some_ordering,
     random_cone_system,
+    read_corner_boxes,
+    read_semisquares,
+    reference_corner_box_edges,
+    reference_semisquare_edges,
     satisfies_all,
 )
-from andbox.boxes import (
-    corner_box_intersection_graph,
-    semisquare_intersection_graph,
-    to_corner_boxes,
-    to_semisquares,
-)
+from andbox import fileio
+from andbox.boxes import semisquare_intersection_graph
 from andbox.constructors import (
     block_graph_cand1,
     clique_cand1,
@@ -68,7 +68,11 @@ PAW_EDGES = {(1, 2), (1, 3), (2, 3), (3, 4)}
 
 
 def as_pairs(g):
-    return {tuple(sorted(e)) for e in map(sorted, edge_set(g))}
+    return sorted_pairs(edge_set(g))
+
+
+def sorted_pairs(edges):
+    return {tuple(sorted(e)) for e in edges}
 
 
 def test_check_01_worked_box_point_instance(acceptance_record):
@@ -83,13 +87,14 @@ def test_check_01_worked_box_point_instance(acceptance_record):
         },
     )
     edges_ok = adjacency_pairs(r) == PAW_EDGES
-    boxes = to_corner_boxes(r)
+    text = fileio.dumps_corner_boxes(r)
+    boxes = read_corner_boxes(text)
     corners_ok = all(
         (xside[0], yside[0]) == (point[0], -point[0])
-        for cb, (_, _, point) in zip(boxes, r.items())
-        for xside, yside in cb.factors
-    ) and [cb.vertex for cb in boxes] == list(r.ids)
-    graph_ok = as_pairs(corner_box_intersection_graph(boxes)) == PAW_EDGES
+        for (_, factors), (_, _, point) in zip(boxes, r.items())
+        for xside, yside in factors
+    ) and [v for v, _ in boxes] == list(r.ids)
+    graph_ok = sorted_pairs(reference_corner_box_edges(boxes)) == PAW_EDGES
     elapsed = time.perf_counter() - t0
     acceptance_record(
         1,
@@ -414,9 +419,13 @@ def test_check_12_triangle_model_equivalence(acceptance_record, central_pool):
     t0 = time.perf_counter()
     bad = 0
     for r in list(central_pool) + regenerated:
-        squares = to_semisquares(r)
+        # each triangle from the .tri encoding: corner p, leg R - p
+        text = fileio.dumps_semisquares(r)
         expected = adjacency_pairs(r)
-        if as_pairs(semisquare_intersection_graph(squares)) != expected:
+        if (
+            sorted_pairs(reference_semisquare_edges(read_semisquares(text))) != expected
+            or as_pairs(semisquare_intersection_graph(fileio.loads_semisquares(text))) != expected
+        ):
             bad += 1
     elapsed = time.perf_counter() - t0
     acceptance_record(

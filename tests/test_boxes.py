@@ -1,5 +1,9 @@
 """Planar corner-box products and semi-square triangles: the two
 intersection models that reproduce a realization's graph geometrically.
+
+Both are file encodings of a realization, so every geometric object here
+is written as .boxes or .tri text, read back with fileio, and compared
+with the all-pairs references of conftest on the plain tuples.
 """
 
 import random
@@ -7,18 +11,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from andbox.boxes import (
-    CornerBox,
-    SemiSquare,
-    check_corner_box,
-    corner_box_intersection_graph,
-    corner_boxes_to_realization,
-    semisquare_intersection_graph,
-    to_corner_boxes,
-    to_semisquares,
-)
+from andbox import fileio
+from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
 from andbox.constructors import clique_cand1, cycle_cand1, outerplanar_cand1
 from andbox.families import OuterplanarModel
+from andbox.fileio import FileFormatError, format_rational
 from andbox.graphs import cycle_graph
 from andbox.realization import (
     Realization,
@@ -31,8 +28,10 @@ from conftest import (
     oracle_induced_edges,
     random_central_realization,
     random_realization,
+    read_corner_boxes,
     reference_corner_box_edges,
     reference_semisquare_edges,
+    semisquare_triangle,
 )
 
 
@@ -40,54 +39,73 @@ def fz(u, v):
     return frozenset((u, v))
 
 
+def boxes_text(boxes) -> str:
+    """.boxes text of (vertex, factors) pairs, in the given order."""
+    return "".join(
+        f"b {v} {dim} " + " ".join(format_rational(c) for side in factor for c in side) + "\n"
+        for v, factors in boxes
+        for dim, factor in enumerate(factors, start=1)
+    )
+
+
+def squares_text(squares) -> str:
+    """.tri text of (vertex, corner, leg) triples, in the given order."""
+    return "".join(
+        f"s {v} {format_rational(p)} {format_rational(r)}\n" for v, p, r in squares
+    )
+
+
+def load_squares(*squares) -> Realization:
+    return fileio.loads_semisquares(squares_text(squares))
+
+
 class TestToCornerBoxes:
     def test_paw_vertex_frozen(self, paw_realization):
-        boxes = to_corner_boxes(paw_realization)
-        assert boxes[0] == CornerBox(1, (((F(2), F(9, 2)), (F(-2), F(-1))),))
+        boxes = read_corner_boxes(fileio.dumps_corner_boxes(paw_realization))
+        assert boxes[0] == (1, (((F(2), F(9, 2)), (F(-2), F(-1))),))
 
     def test_corners_sit_on_the_antidiagonal(self, paw_realization):
-        for cb in to_corner_boxes(paw_realization):
-            for (x_lo, _), (y_lo, _) in cb.factors:
+        text = fileio.dumps_corner_boxes(paw_realization)
+        for _, factors in read_corner_boxes(text):
+            for (x_lo, _), (y_lo, _) in factors:
                 assert x_lo + y_lo == 0
-            check_corner_box(cb)
+        assert fileio.loads_corner_boxes(text) == paw_realization
 
     def test_negative_coordinates_are_kept(self):
         r = cycle_cand1(5, F(1, 2))  # vertex 1 is [-7/2, 11/2] around 1
-        boxes = to_corner_boxes(r)
-        assert boxes[0] == CornerBox(1, (((F(1), F(11, 2)), (F(-1), F(7, 2))),))
-        for cb, (v, _, point) in zip(boxes, r.items()):
-            assert cb.vertex == v
-            assert cb.factors[0][0][0] == point[0]
-            check_corner_box(cb)
+        boxes = read_corner_boxes(fileio.dumps_corner_boxes(r))
+        assert boxes[0] == (1, (((F(1), F(11, 2)), (F(-1), F(7, 2))),))
+        for (v, factors), (u, _, point) in zip(boxes, r.items()):
+            assert v == u
+            assert factors[0][0][0] == point[0]
 
     def test_two_dimensional_frozen(self):
         r = Realization.build(2, {
             1: (((F(0), F(2)), (F(1), F(3))), (F(1), F(2))),
             2: (((F(1), F(4)), (F(0), F(5))), (F(2), F(1))),
         })
-        boxes = to_corner_boxes(r)
-        assert boxes[0].factors == (
-            ((F(1), F(2)), (F(-1), F(0))),
-            ((F(2), F(3)), (F(-2), F(-1))),
-        )
-        assert boxes[1].factors == (
-            ((F(2), F(4)), (F(-2), F(-1))),
-            ((F(1), F(5)), (F(-1), F(0))),
+        assert fileio.dumps_corner_boxes(r) == (
+            "b 1 1 1 2 -1 0\n"
+            "b 1 2 2 3 -2 -1\n"
+            "b 2 1 2 4 -2 -1\n"
+            "b 2 2 1 5 -1 0\n"
         )
 
 
 class TestCornerBoxGraph:
     def test_paw(self, paw_realization, paw_graph):
-        g = corner_box_intersection_graph(to_corner_boxes(paw_realization))
-        assert g == paw_graph
+        boxes = fileio.loads_corner_boxes(fileio.dumps_corner_boxes(paw_realization))
+        assert corner_box_intersection_graph(boxes) == paw_graph
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_induced_graph(self, d):
         rng = random.Random(530 + d)
         for _ in range(40):
             r = random_realization(rng, rng.randint(2, 9), d=d)
-            g = corner_box_intersection_graph(to_corner_boxes(r))
+            text = fileio.dumps_corner_boxes(r)
+            g = corner_box_intersection_graph(fileio.loads_corner_boxes(text))
             assert edge_set(g) == oracle_induced_edges(r)
+            assert edge_set(g) == reference_corner_box_edges(read_corner_boxes(text))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_all_pairs_reference_on_closed_rectangles(self, d):
@@ -102,17 +120,17 @@ class TestCornerBoxGraph:
         for _ in range(300):
             n = rng.randint(1, 14)
             boxes = [
-                CornerBox(v, tuple(factor() for _ in range(d)))
+                (v, tuple(factor() for _ in range(d)))
                 for v in rng.sample(range(1, n + 1), n)
             ]
-            g = corner_box_intersection_graph(boxes)
+            g = corner_box_intersection_graph(fileio.loads_corner_boxes(boxes_text(boxes)))
             assert edge_set(g) == reference_corner_box_edges(boxes)
 
     def test_rejects_off_diagonal_rectangles(self):
-        on = CornerBox(1, (((F(1), F(2)), (F(-1), F(0))),))
-        off = CornerBox(2, (((F(1), F(2)), (F(0), F(1))),))
-        with pytest.raises(RealizationError):
-            corner_box_intersection_graph([on, off])
+        on = (1, (((F(1), F(2)), (F(-1), F(0))),))
+        off = (2, (((F(1), F(2)), (F(0), F(1))),))
+        with pytest.raises(FileFormatError, match=r"^<boxes>:2: vertex 2: corner"):
+            fileio.loads_corner_boxes(boxes_text([on, off]))
 
     def test_nested_polygon_work_is_output_sensitive(self, monkeypatch):
         # nested chords (i, k + 1 - i): nearly every point lies inside the
@@ -120,7 +138,7 @@ class TestCornerBoxGraph:
         # 40 (k + m) candidate pairs; the induced graph's sweep yields m
         k = 400
         m = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
-        boxes = to_corner_boxes(outerplanar_cand1(m))
+        boxes = fileio.loads_corner_boxes(fileio.dumps_corner_boxes(outerplanar_cand1(m)))
         yielded = 0
 
         def counted_line_pairs(*args):
@@ -129,26 +147,25 @@ class TestCornerBoxGraph:
                 yielded += 1
                 yield pair
 
-        monkeypatch.setattr("andbox.boxes.line_pairs", counted_line_pairs)
         monkeypatch.setattr("andbox.realization.line_pairs", counted_line_pairs)
         g = corner_box_intersection_graph(boxes)
         assert g == m.graph()
         assert yielded <= 2 * (k + g.m)
 
     def test_requires_contiguous_ids(self):
-        cb = CornerBox(5, (((F(1), F(2)), (F(-1), F(0))),))
+        boxes = fileio.loads_corner_boxes("b 5 1 1 2 -1 0\n")
         with pytest.raises(RealizationError):
-            corner_box_intersection_graph([cb])
+            corner_box_intersection_graph(boxes)
 
     def test_requires_equal_dimensions(self):
-        flat = CornerBox(1, (((F(1), F(2)), (F(-1), F(0))),))
-        deep = CornerBox(2, (((F(1), F(2)), (F(-1), F(0))),) * 2)
-        with pytest.raises(RealizationError):
-            corner_box_intersection_graph([flat, deep])
+        # vertex 1 has one factor and vertex 2 two
+        text = "b 1 1 1 2 -1 0\nb 2 1 1 2 -1 0\nb 2 2 1 2 -1 0\n"
+        with pytest.raises(FileFormatError, match="vertex 1 missing dimension 2"):
+            fileio.loads_corner_boxes(text)
 
     def test_rejects_empty(self):
-        with pytest.raises(RealizationError):
-            corner_box_intersection_graph([])
+        with pytest.raises(FileFormatError, match="no corner boxes"):
+            fileio.loads_corner_boxes("c nothing\n")
 
 
 class TestCornerBoxRoundTrip:
@@ -157,70 +174,71 @@ class TestCornerBoxRoundTrip:
         rng = random.Random(77 + d)
         for _ in range(25):
             r = random_realization(rng, rng.randint(1, 8), d=d)
-            assert corner_boxes_to_realization(to_corner_boxes(r)) == r
+            text = fileio.dumps_corner_boxes(r)
+            assert fileio.loads_corner_boxes(text) == r
+            assert fileio.dumps_corner_boxes(fileio.loads_corner_boxes(text)) == text
 
     def test_validates_before_converting(self):
-        off_diagonal = CornerBox(1, (((F(1), F(2)), (F(0), F(1))),))
-        with pytest.raises(RealizationError):
-            corner_boxes_to_realization([off_diagonal])
-        empty_factor = CornerBox(1, (((F(2), F(1)), (F(-2), F(3))),))
-        with pytest.raises(RealizationError):
-            corner_boxes_to_realization([empty_factor])
+        with pytest.raises(FileFormatError, match=r"^<boxes>:1: vertex 1: corner \(1,0\) off"):
+            fileio.loads_corner_boxes("b 1 1 1 2 0 1\n")
+        with pytest.raises(FileFormatError, match=r"^<boxes>:2: vertex 1: empty planar factor"):
+            fileio.loads_corner_boxes("c x_lo above x_hi\nb 1 1 2 1 -2 3\n")
 
     def test_rejects_repeated_ids(self):
-        a = CornerBox(1, (((F(1), F(2)), (F(-1), F(0))),))
-        b = CornerBox(1, (((F(3), F(4)), (F(-3), F(-2))),))
-        with pytest.raises(RealizationError):
-            corner_boxes_to_realization([a, b])
+        with pytest.raises(FileFormatError, match=r"^<boxes>:2: duplicate box factor 1 1"):
+            fileio.loads_corner_boxes("b 1 1 1 2 -1 0\nb 1 1 3 4 -3 -2\n")
 
 
 class TestCheckCornerBox:
     def test_accepts_valid(self):
-        check_corner_box(CornerBox(3, (((F(1, 2), F(7)), (F(-1, 2), F(4))),)))
+        r = fileio.loads_corner_boxes("b 3 1 1/2 7 -1/2 4\n")
+        assert r == Realization.build(1, {3: ((F(-4), F(7)), F(1, 2))})
 
     def test_rejects_off_diagonal_corner(self):
-        with pytest.raises(RealizationError):
-            check_corner_box(CornerBox(1, (((F(1), F(2)), (F(-2), F(0))),)))
+        with pytest.raises(FileFormatError, match=r"^<boxes>:1: .*off the diagonal"):
+            fileio.loads_corner_boxes("b 1 1 1 2 -2 0\n")
 
     def test_rejects_empty_factor(self):
-        with pytest.raises(RealizationError):
-            check_corner_box(CornerBox(1, (((F(2), F(1)), (F(-2), F(0))),)))
+        # y_lo above y_hi: the point would lie left of the box
+        with pytest.raises(FileFormatError, match=r"^<boxes>:1: .*empty planar factor"):
+            fileio.loads_corner_boxes("b 1 1 2 3 -2 -3\n")
+        with pytest.raises(FileFormatError, match=r"^<boxes>:1: .*empty planar factor"):
+            fileio.loads_corner_boxes("b 1 1 2 1 -2 0\n")
 
 
 class TestSemiSquares:
     def test_triangle_geometry(self):
-        s = SemiSquare(4, F(3), F(2))
-        assert s.triangle() == ((F(3), F(-3)), (F(5), F(-3)), (F(3), F(-1)))
+        assert semisquare_triangle(F(3), F(2)) == ((F(3), F(-3)), (F(5), F(-3)), (F(3), F(-1)))
 
     def test_pentagon_frozen(self):
-        squares = to_semisquares(cycle_cand1(5, F(1, 2)))
-        assert squares == (
-            SemiSquare(1, F(1), F(9, 2)),
-            SemiSquare(2, F(2), F(3, 2)),
-            SemiSquare(3, F(3), F(3, 2)),
-            SemiSquare(4, F(4), F(3, 2)),
-            SemiSquare(5, F(5), F(9, 2)),
-        )
-        assert semisquare_intersection_graph(squares) == cycle_graph(5)
+        r = cycle_cand1(5, F(1, 2))
+        text = fileio.dumps_semisquares(r)
+        assert text == "s 1 1 9/2\ns 2 2 3/2\ns 3 3 3/2\ns 4 4 3/2\ns 5 5 9/2\n"
+        assert fileio.loads_semisquares(text) == r
+        assert semisquare_intersection_graph(fileio.loads_semisquares(text)) == cycle_graph(5)
 
     def test_positive_input_is_not_shifted(self):
         r = Realization.build(1, {1: ((F(1), F(3)), F(2)), 2: ((F(2), F(4)), F(3))})
-        assert to_semisquares(r) == (SemiSquare(1, F(2), F(1)), SemiSquare(2, F(3), F(1)))
+        assert fileio.dumps_semisquares(r) == "s 1 2 1\ns 2 3 1\n"
 
     def test_requires_one_dimension(self):
         r = Realization.build(2, {1: (((F(0), F(2)), (F(0), F(2))), (F(1), F(1)))})
-        with pytest.raises(RealizationError):
-            to_semisquares(r)
+        with pytest.raises(RealizationError, match="d = 1"):
+            fileio.dumps_semisquares(r)
+        with pytest.raises(RealizationError, match="d = 1"):
+            semisquare_intersection_graph(r)
 
     def test_requires_central(self, paw_realization):
-        with pytest.raises(RealizationError):
-            to_semisquares(paw_realization)
+        with pytest.raises(RealizationError, match="central"):
+            fileio.dumps_semisquares(paw_realization)
+        with pytest.raises(RealizationError, match="central"):
+            semisquare_intersection_graph(paw_realization)
 
     def test_matches_induced_graph_on_random_central(self):
         rng = random.Random(991)
         for _ in range(40):
             r = random_central_realization(rng, rng.randint(2, 9))
-            g = semisquare_intersection_graph(to_semisquares(r))
+            g = semisquare_intersection_graph(fileio.loads_semisquares(fileio.dumps_semisquares(r)))
             assert edge_set(g) == oracle_induced_edges(r)
 
     def test_matches_triangle_reference(self):
@@ -230,51 +248,46 @@ class TestSemiSquares:
         for _ in range(300):
             n = rng.randint(1, 14)
             squares = [
-                SemiSquare(v, F(rng.randint(0, 6)), F(rng.choice([0, 0, 1, 2, 3, 5])))
+                (v, F(rng.randint(0, 6)), F(rng.choice([0, 0, 1, 2, 3, 5])))
                 for v in rng.sample(range(1, n + 1), n)
             ]
-            g = semisquare_intersection_graph(squares)
+            g = semisquare_intersection_graph(load_squares(*squares))
             assert edge_set(g) == reference_semisquare_edges(squares)
 
     def test_negative_leg_rejected(self):
-        with pytest.raises(RealizationError):
-            SemiSquare(1, F(2), F(-1, 2))
+        with pytest.raises(FileFormatError, match=r"^<semisquares>:2: leg length"):
+            fileio.loads_semisquares("s 1 2 1\ns 2 2 -1/2\n")
 
     def test_clique_realization_gives_complete_graph(self):
-        squares = to_semisquares(clique_cand1([1, 2, 3, 4]))
+        squares = fileio.loads_semisquares(fileio.dumps_semisquares(clique_cand1([1, 2, 3, 4])))
         g = semisquare_intersection_graph(squares)
         assert edge_set(g) == {fz(u, v) for u in range(1, 5) for v in range(u + 1, 5)}
 
 
 class TestTriangleContact:
     def test_touching_at_one_point_counts(self):
-        a = SemiSquare(1, F(1), F(1))
-        b = SemiSquare(2, F(2), F(1))
-        g = semisquare_intersection_graph([a, b])
+        g = semisquare_intersection_graph(load_squares((1, F(1), F(1)), (2, F(2), F(1))))
         assert edge_set(g) == {fz(1, 2)}
 
     def test_separated_pair(self):
-        a = SemiSquare(1, F(1), F(1))
-        b = SemiSquare(2, F(3), F(1))
-        assert edge_set(semisquare_intersection_graph([a, b])) == set()
+        g = semisquare_intersection_graph(load_squares((1, F(1), F(1)), (2, F(3), F(1))))
+        assert edge_set(g) == set()
 
     def test_shared_corner_nests(self):
-        a = SemiSquare(1, F(2), F(3))
-        b = SemiSquare(2, F(2), F(1))
-        assert edge_set(semisquare_intersection_graph([a, b])) == {fz(1, 2)}
+        g = semisquare_intersection_graph(load_squares((1, F(2), F(3)), (2, F(2), F(1))))
+        assert edge_set(g) == {fz(1, 2)}
 
     def test_asymmetric_reach_is_not_enough(self):
         # the wide triangle reaches past the narrow one's corner, but the
         # narrow one cannot reach back: no intersection, like the
         # one-sided-containment non-edge in the interval picture
-        a = SemiSquare(1, F(1), F(5))
-        b = SemiSquare(2, F(4), F(1))
-        assert edge_set(semisquare_intersection_graph([a, b])) == set()
+        g = semisquare_intersection_graph(load_squares((1, F(1), F(5)), (2, F(4), F(1))))
+        assert edge_set(g) == set()
 
     def test_requires_contiguous_ids(self):
         with pytest.raises(RealizationError):
-            semisquare_intersection_graph([SemiSquare(2, F(1), F(1))])
+            semisquare_intersection_graph(load_squares((2, F(1), F(1))))
 
     def test_rejects_empty(self):
-        with pytest.raises(RealizationError):
-            semisquare_intersection_graph([])
+        with pytest.raises(FileFormatError, match="no semi-squares"):
+            fileio.loads_semisquares("c nothing\n")

@@ -19,7 +19,7 @@ import pytest
 import andbox
 from conftest import edge_set, naive_four_point_scan, reference_glue_at_safe_vertex
 from andbox import families, feasibility, fileio, kernels, orders
-from andbox.boxes import corner_box_intersection_graph, to_corner_boxes, to_semisquares
+from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
 from andbox.cli import main
 from andbox.constructors import (
     block_graph_cand1,
@@ -313,6 +313,47 @@ class TestCheckOrder:
         assert out.startswith("verdict=no ")
         assert (tmp_path / "x.witness").read_text() == "violation 1 2 3 4\n"
 
+    @pytest.mark.parametrize("member", [True, False])
+    def test_decides_the_four_point_condition_once(self, tmp_path, capsys, monkeypatch, member):
+        # with both side outputs the codes, the realization and the
+        # witness all come from one check
+        if member:
+            b = families.random_interval(30, 1)
+            g, spans = b.graph, b.aux.spans
+            o = Ordering(tuple(sorted(g.vertices(), key=lambda v: (spans[v - 1], v))))
+        else:
+            g = Graph.from_edges(4, [(1, 3), (2, 4)])
+            o = Ordering((1, 2, 3, 4))
+        want = orders.four_point_check(g, o)
+        assert (want is None) == member
+        gp = write_graph(tmp_path / "g.and", g)
+        op = tmp_path / "g.ord"
+        fileio.save_ordering(str(op), o)
+        calls = 0
+        check = orders.four_point_check
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return check(*args)
+
+        monkeypatch.setattr(orders, "four_point_check", counted)
+        codes, real = tmp_path / "g.ic", tmp_path / "g.oreal"
+        code, _, _ = run(
+            capsys, "check-order", gp, str(op), "--codes-out", str(codes), "--realize-out", str(real)
+        )
+        assert calls == 1
+        monkeypatch.undo()
+        if member:
+            assert code == 0
+            assert codes.read_text() == fileio.dumps_implicit_codes(implicit_encode(g, o))
+            assert real.read_text() == fileio.dumps_realization(realization_from_ordering(g, o))
+        else:
+            assert code == 1 and not codes.exists() and not real.exists()
+            assert (tmp_path / "g.witness").read_text() == (
+                f"violation {want.x} {want.u} {want.v} {want.y}\n"
+            )
+
     def test_ordering_must_cover_graph(self, tmp_path, capsys):
         gp = write_graph(tmp_path / "paw.and", make_paw())
         op = tmp_path / "short.ord"
@@ -497,7 +538,8 @@ class TestConversions:
         code, _, _ = run(capsys, "to-boxes", rp)
         assert code == 0
         loaded = fileio.load_corner_boxes(str(tmp_path / "c4.boxes"))
-        assert loaded == to_corner_boxes(r)
+        assert loaded == r
+        assert (tmp_path / "c4.boxes").read_text() == fileio.dumps_corner_boxes(r)
 
     def test_realized_cycle_boxes_keep_its_points(self, tmp_path, capsys):
         real, boxes = tmp_path / "c5.real", tmp_path / "c5.boxes"
@@ -523,7 +565,9 @@ class TestConversions:
         code, _, _ = run(capsys, "to-triangles", rp)
         assert code == 0
         loaded = fileio.load_semisquares(str(tmp_path / "c5.tri"))
-        assert loaded == to_semisquares(r)
+        assert loaded == r
+        assert (tmp_path / "c5.tri").read_text() == fileio.dumps_semisquares(r)
+        assert semisquare_intersection_graph(loaded) == cycle_graph(5)
 
     def test_to_triangles_rejects_non_central(self, tmp_path, capsys):
         g = make_paw()

@@ -587,6 +587,37 @@ class TestOuterplanar:
             chords = sorted((u - 1, v - 1) for u, v in b.aux.chords)
             assert _dissection_faces(k, chords) == reference_dissection_faces(k, chords)
 
+    def test_fan_walk_bisects_chord_ends(self):
+        # a fan of chords from position 0: every face starts at 0, so a
+        # scan of 0's chord ends on each step makes about 2k^2 = 8,000,000
+        # comparisons here; bisecting them makes about 13k
+        compared = [0]
+
+        class Pos(int):
+            def __lt__(self, other):
+                compared[0] += 1
+                return int.__lt__(self, other)
+
+            def __le__(self, other):
+                compared[0] += 1
+                return int.__le__(self, other)
+
+            def __gt__(self, other):
+                compared[0] += 1
+                return int.__gt__(self, other)
+
+            def __ge__(self, other):
+                compared[0] += 1
+                return int.__ge__(self, other)
+
+        k = 2000
+        chords = [(0, Pos(t)) for t in range(2, k - 1)]
+        faces = _dissection_faces(k, chords)
+        assert len(faces) == len(chords) + 1
+        assert faces[0] == ([0, k - 2, k - 1], None)
+        assert faces[-1] == ([0, 1, 2], (0, 2))
+        assert compared[0] < 20 * k
+
     def test_deeply_nested_chords(self):
         # chords (i, k - 1 - i) nest 1,198 faces deep: past Python's
         # recursion limit for a recursive walk

@@ -21,6 +21,7 @@ from andbox.families import (
     random_interval,
     random_rooted_path,
 )
+from andbox.constructors import rdp_ordering
 from andbox.graphs import GraphError, block_decomposition
 
 from conftest import edge_set, oracle_interval_overlap_edges, reference_rooted_path_edges
@@ -181,6 +182,41 @@ class TestIntersectionGraphs:
                 paths[v] = tuple(chain)
             model = RootedPathModel(parent, paths)
             assert edge_set(model.intersection_graph()) == reference_rooted_path_edges(model)
+
+    def test_deep_chain_is_validated_once_in_linear_time(self):
+        # walking every node of a k-node chain up to the root reads k^2/2
+        # = 8,000,000 parent links; one walk down the child lists reads
+        # none, so what is left is one membership test per parent link
+        # and two reads per path node, once per model
+        reads = [0]
+
+        class CountedParent(dict):
+            def __getitem__(self, key):
+                reads[0] += 1
+                return dict.__getitem__(self, key)
+
+            def __contains__(self, key):
+                reads[0] += 1
+                return dict.__contains__(self, key)
+
+        k = 4000
+        parent = CountedParent({1: 0, **{u: u - 1 for u in range(2, k + 1)}})
+        paths = {1: (1, 2, 3), 2: (2000,), 3: (k - 1, k)}
+        model = RootedPathModel(parent, paths)
+        validated = reads[0]
+        assert validated <= k + 2 * 6
+        assert edge_set(model.intersection_graph()) == set()
+        assert rdp_ordering(model).order == (3, 2, 1)
+        assert reads[0] == validated
+
+    def test_cyclic_parent_links_are_rejected(self):
+        # nodes 2 and 3 point at each other, out of the root's reach
+        with pytest.raises(GraphError, match="^parent links contain a cycle$"):
+            RootedPathModel({1: 0, 2: 3, 3: 2}, {1: (1,)})
+        with pytest.raises(GraphError, match="^parent 9 of node 2 is not a node$"):
+            RootedPathModel({1: 0, 2: 9}, {1: (1,)})
+        with pytest.raises(GraphError, match="^tree must have exactly one root$"):
+            RootedPathModel({1: 0, 2: 0}, {1: (1,)})
 
     def test_rooted_paths_meeting_only_at_a_top(self):
         # tree 1 -> 2 -> 3, 1 -> 4; 2 -> 5

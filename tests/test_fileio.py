@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from andbox import fileio
-from andbox.boxes import CornerBox, SemiSquare, to_corner_boxes
 from andbox.constructors import cycle_cand1
 from andbox.families import (
     IntervalModel,
@@ -278,6 +277,17 @@ class TestOuterplanarFormat:
         assert str(err.value).startswith(f"m.op:{line}:")
 
     @pytest.mark.parametrize("text, line", [
+        ("outer 1 1 2 3\n", 1),
+        ("chord 1 3\nouter 1 2 3 1\n", 2),
+    ], ids=["repeat", "wrap"])
+    def test_walk_repeating_a_vertex_fails_at_its_line(self, text, line):
+        # a consecutive repeat, or the walk closing on its first vertex,
+        # would be a loop edge
+        with pytest.raises(FileFormatError, match="repeats a vertex consecutively") as err:
+            fileio.loads_outerplanar_model(text, "m.op")
+        assert str(err.value).startswith(f"m.op:{line}:")
+
+    @pytest.mark.parametrize("text, line", [
         ("outer 1 2 4\n", 1),
         ("chord 1 3\nc the walk comes last\nouter 1 2 3 5\n", 3),
     ], ids=["walk-skips-3", "chords-first"])
@@ -318,8 +328,8 @@ class TestRootedPathFormat:
 
 class TestCornerBoxFormat:
     def test_literal(self):
-        boxes = fileio.loads_corner_boxes("b 1 1 1 2 -1 0\n")
-        assert boxes == (CornerBox(1, (((F(1), F(2)), (F(-1), F(0))),)),)
+        r = fileio.loads_corner_boxes("b 1 1 1 2 -1 0\n")
+        assert r == Realization.build(1, {1: ((F(0), F(2)), F(1))})
 
     def test_round_trip_is_identity(self):
         rng = random.Random(3217)
@@ -328,13 +338,30 @@ class TestCornerBoxFormat:
             for _ in range(40):
                 r = random_realization(rng, rng.randint(1, 8), d=d)
                 negative += any(lo < 0 for box in r.boxes for lo, _ in box)
-                boxes = to_corner_boxes(r)
-                assert fileio.loads_corner_boxes(fileio.dumps_corner_boxes(boxes)) == boxes
+                assert fileio.loads_corner_boxes(fileio.dumps_corner_boxes(r)) == r
         assert negative > 40
+
+    def test_two_dimensional_file_round_trips(self, tmp_path):
+        text = "b 1 1 1 2 -1 0\nb 1 2 2 3 -2 -1\nb 2 1 2 4 -2 -1\nb 2 2 1 5 -1 0\n"
+        r = fileio.loads_corner_boxes(text)
+        assert r.d == 2 and r.box(2) == ((F(1), F(4)), (F(0), F(5))) and r.point(2) == (F(2), F(1))
+        fileio.save_corner_boxes(str(tmp_path / "x.boxes"), r)
+        assert (tmp_path / "x.boxes").read_text() == text
+        assert fileio.load_corner_boxes(str(tmp_path / "x.boxes")) == r
 
     def test_off_diagonal_corner_rejected(self):
         with pytest.raises(FileFormatError):
             fileio.loads_corner_boxes("b 1 1 1 2 0 1\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("b 1 1 1 2 -1 0\nb 2 1 2 3 -1 0\n", 2),   # corner (2, -1) off the diagonal
+        ("c header\nb 1 1 3 2 -3 0\n", 2),         # x_lo above x_hi
+        ("b 1 1 1 2 -1 -2\n", 1),                 # y_lo above y_hi
+    ])
+    def test_bad_factor_fails_at_its_line(self, text, line):
+        with pytest.raises(FileFormatError) as err:
+            fileio.loads_corner_boxes(text, "m.boxes")
+        assert str(err.value).startswith(f"m.boxes:{line}: vertex ")
 
     @pytest.mark.parametrize("text", [
         "b 1 1 1 2 -1\n",                       # wrong arity
@@ -349,12 +376,23 @@ class TestCornerBoxFormat:
 
 class TestSemiSquareFormat:
     def test_literal(self):
-        squares = fileio.loads_semisquares("s 1 1 2\ns 2 3/2 1\n")
-        assert squares == (SemiSquare(1, F(1), F(2)), SemiSquare(2, F(3, 2), F(1)))
+        r = fileio.loads_semisquares("s 1 1 2\ns 2 3/2 1\n")
+        assert r == Realization.build(1, {
+            1: ((F(-1), F(3)), F(1)),
+            2: ((F(1, 2), F(5, 2)), F(3, 2)),
+        })
 
     def test_round_trip(self):
-        squares = (SemiSquare(1, F(5, 2), F(1, 4)), SemiSquare(2, F(3), F(0)))
-        assert fileio.loads_semisquares(fileio.dumps_semisquares(squares)) == squares
+        text = "s 1 5/2 1/4\ns 2 3 0\n"
+        r = fileio.loads_semisquares(text)
+        assert r == Realization.build(1, {1: ((F(9, 4), F(11, 4)), F(5, 2)), 2: ((F(3), F(3)), F(3))})
+        assert fileio.dumps_semisquares(r) == text
+        assert fileio.loads_semisquares(fileio.dumps_semisquares(r)) == r
+
+    def test_negative_leg_fails_at_its_line(self):
+        with pytest.raises(FileFormatError) as err:
+            fileio.loads_semisquares("s 1 1 1\nc next\ns 2 1 -1\n", "m.tri")
+        assert str(err.value).startswith("m.tri:3:")
 
     @pytest.mark.parametrize("text", [
         "s 1 1 -1\n",          # negative leg
