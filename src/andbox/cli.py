@@ -7,11 +7,15 @@ Exit codes: 0 success or membership YES; 1 membership NO (a witness file
 is written); 2 usage or format error; 3 search budget exhausted.  On
 every non-error run stdout carries one line "verdict=<yes|no|exhausted>
 time_ms=<t>".
+
+main() builds its parser once per process, on its first call, and reuses
+it for every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -215,7 +219,11 @@ def _cmd_render(args) -> str:
     return "yes"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by every later one: parsing never changes it, and each handler looks
+    its library functions up when it runs."""
     parser = argparse.ArgumentParser(
         prog="andbox",
         description="box-and-representative-point graph model toolkit",

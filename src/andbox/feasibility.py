@@ -28,7 +28,8 @@ iff a strict zero row appears (Gordan's theorem for the all-strict gap
 systems, which are cones already).  The core is internal: it takes only
 integer cone rows, and the gap search hands it its rows as they are.
 Witnesses come from back-substitution, taking midpoints of residual
-intervals.  No floats, no tolerances.
+intervals; it runs in integers, keeping the witness as x / scale with a
+running integer scale.  No floats, no tolerances.
 """
 
 from __future__ import annotations
@@ -108,23 +109,46 @@ def _eliminate(rows, nvars, cap=inf):
 def _back_substitute(layers):
     """A witness from the layers of a feasible elimination: each variable
     takes the midpoint of its residual interval, bound -/+ 1 when only one
-    side is bounded, 0 when unconstrained."""
-    witness = [Fraction(0)] * len(layers)
+    side is bounded, 0 when unconstrained.
+
+    The witness is kept in integers as x / scale.  A row a*v + c . x <= 0
+    bounds v by -(c . x) / a in units of 1 / scale: above when a > 0.
+    Each bound is a pair (num, den) with den > 0, compared by
+    cross-multiplication; a value with a new denominator multiplies x and
+    scale by it, and the gcd of scale and x is divided out after each
+    variable."""
+    x = [0] * len(layers)
+    scale = 1
     for var, pos, neg in reversed(layers):
-        # a row a*x + rest <= 0 bounds x by -rest / a: above when a > 0
-        bound = [
-            -sum(map(mul, coeffs[:var], witness), Fraction(0)) / coeffs[var]
-            for coeffs, _ in pos + neg
-        ]
-        hi = min(bound[: len(pos)], default=None)
-        lo = max(bound[len(pos) :], default=None)
+        head = x[:var]  # the variables set so far; the rest are still 0
+        hi = lo = None
+        for coeffs, _ in pos:
+            num, den = -sum(map(mul, coeffs, head)), coeffs[var]
+            if hi is None or num * hi[1] < hi[0] * den:
+                hi = (num, den)
+        for coeffs, _ in neg:
+            num, den = sum(map(mul, coeffs, head)), -coeffs[var]
+            if lo is None or num * lo[1] > lo[0] * den:
+                lo = (num, den)
         if lo is not None and hi is not None:
-            witness[var] = (lo + hi) / 2
+            num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
         elif lo is not None:
-            witness[var] = lo + 1
+            num, den = lo[0] + scale * lo[1], lo[1]
         elif hi is not None:
-            witness[var] = hi - 1
-    return witness
+            num, den = hi[0] - scale * hi[1], hi[1]
+        else:
+            continue
+        d = gcd(num, den)
+        if den != d:
+            den //= d
+            x = [v * den for v in x]
+            scale *= den
+        x[var] = num // d
+        d = gcd(scale, *x)
+        if d != 1:
+            x = [v // d for v in x]
+            scale //= d
+    return [Fraction(v, scale) for v in x]
 
 
 @dataclass(frozen=True)

@@ -684,6 +684,29 @@ def cone_witness(rows, nvars):
     return None if layers is None else _back_substitute(layers)
 
 
+def reference_back_substitute(layers):
+    """The witness of a feasible elimination's layers, back-substituted in
+    Fractions: each variable takes the midpoint of its residual interval,
+    bound -/+ 1 when only one side is bounded, 0 when unconstrained.  The
+    rule the integer back-substitution must reproduce value for value."""
+    witness = [Fraction(0)] * len(layers)
+    for var, pos, neg in reversed(layers):
+        # a row a*x + rest <= 0 bounds x by -rest / a: above when a > 0
+        bound = [
+            -sum((c * w for c, w in zip(coeffs[:var], witness)), Fraction(0)) / coeffs[var]
+            for coeffs, _ in pos + neg
+        ]
+        hi = min(bound[: len(pos)], default=None)
+        lo = max(bound[len(pos) :], default=None)
+        if lo is not None and hi is not None:
+            witness[var] = (lo + hi) / 2
+        elif lo is not None:
+            witness[var] = lo + 1
+        elif hi is not None:
+            witness[var] = hi - 1
+    return witness
+
+
 def random_cone_system(rng: random.Random, max_vars: int = 3):
     """Random integer cone rows over k <= `max_vars` variables, with
     coefficients in [-2, 2] and about half the rows strict.

@@ -2,10 +2,12 @@
 
 Runs main(argv) in-process so the verdict line, the exit code, and every
 file the commands drop next to their inputs can be asserted directly.
-Two subprocess tests at the end confirm that `python -m andbox` and the
-installed console script are wired to the same entry point.
+Subprocess tests at the end confirm that `python -m andbox` and the
+installed console script are wired to the same entry point, and that a
+sequence of in-process calls answers as fresh processes do.
 """
 
+import argparse
 import os
 import re
 import shutil
@@ -18,7 +20,7 @@ import pytest
 
 import andbox
 from conftest import edge_set, naive_four_point_scan, reference_glue_at_safe_vertex
-from andbox import families, feasibility, fileio, kernels, orders
+from andbox import cli, families, feasibility, fileio, kernels, orders
 from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
 from andbox.cli import main
 from andbox.constructors import (
@@ -689,19 +691,91 @@ class TestErrorHandling:
         assert code == 2
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
-    gp = write_graph(tmp_path / "k23.and", complete_multipartite_graph([2, 3]))
+SUBCOMMANDS = (
+    "gen", "realize", "verify", "check-order", "recognize-and1",
+    "recognize-cand1", "to-boxes", "to-triangles", "glue", "render",
+)
+
+
+def run_fresh(*argv):
+    """`python -m andbox argv` in a new process: (exit code, stdout, stderr)."""
     src = os.path.dirname(os.path.dirname(andbox.__file__))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-m", "andbox", "recognize-and1", gp],
+        [sys.executable, "-m", "andbox", *argv],
         capture_output=True,
         text=True,
         env=env,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert VERDICT.fullmatch(proc.stdout) and proc.stdout.startswith("verdict=yes ")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestOneParserPerProcess:
+    """main() builds its parser on the first call and reuses it: a later
+    call must answer as a fresh process would."""
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        model = generate("random-interval", (7,), seed=11).aux
+        dirs = {}
+        for side in ("inproc", "fresh"):
+            d = tmp_path / side
+            d.mkdir()
+            write_graph(d / "c5.and", cycle_graph(5))
+            fileio.save_interval_model(str(d / "model.iv"), model)
+            dirs[side] = d
+        steps = [
+            (2, "realize --cycle 5 --bogus"),  # a usage error mid-parse
+            (3, "recognize-cand1 {d}/c5.and --node-budget 0"),
+            (0, "recognize-cand1 {d}/c5.and"),  # the default budget is back
+            (0, "realize --cycle 5 -o {d}/cycle.real"),
+            (0, "realize {d}/model.iv"),  # --cycle is back to None
+        ]
+        for k, (expected, cmd) in enumerate(steps):
+            code, out, err = run(capsys, *cmd.format(d=dirs["inproc"]).split())
+            fresh = run_fresh(*cmd.format(d=dirs["fresh"]).split())
+            assert code == fresh[0] == expected, cmd
+            assert out.split(" ")[0] == fresh[1].split(" ")[0], cmd
+            assert err == fresh[2], cmd
+            if k == 0:
+                assert len(built) > 1  # the parser and its subparsers
+                built.clear()
+        assert built == []
+        names = sorted(p.name for p in dirs["inproc"].iterdir())
+        assert names == sorted(p.name for p in dirs["fresh"].iterdir())
+        assert {"c5.real", "cycle.real", "model.real"} <= set(names)
+        for name in names:
+            assert (dirs["inproc"] / name).read_bytes() == (
+                dirs["fresh"] / name
+            ).read_bytes(), name
+
+    def test_help(self, capsys):
+        texts = []
+        for _ in range(2):
+            code, out, err = run(capsys, "--help")
+            assert code == 0 and err == ""
+            texts.append(out)
+        assert texts[0] == texts[1]
+        code, out, _ = run_fresh("--help")
+        assert code == 0
+        listed = re.search(r"\{([a-z0-9,-]+)\}", out).group(1).split(",")
+        assert listed == list(SUBCOMMANDS)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    gp = write_graph(tmp_path / "k23.and", complete_multipartite_graph([2, 3]))
+    code, out, err = run_fresh("recognize-and1", gp)
+    assert code == 0, err
+    assert VERDICT.fullmatch(out) and out.startswith("verdict=yes ")
     assert fileio.load_ordering(str(tmp_path / "k23.order")).order == (1, 2, 3, 4, 5)
 
 

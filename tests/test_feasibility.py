@@ -20,6 +20,7 @@ from conftest import (
     grid_feasible,
     random_cone_system,
     random_connected_graph,
+    reference_back_substitute,
     reference_cand1_for_ordering,
     reference_cand1_recognize,
     satisfies_all,
@@ -134,6 +135,44 @@ class TestEliminateFeasible:
                 assert w is not None
             if w is None:
                 assert not grid_feasible(rows, k)
+
+
+class TestBackSubstitute:
+    """The integer back-substitution against the Fraction oracle: the same
+    witness, value for value, so every realization file stays the same."""
+
+    def test_matches_reference_on_check_11_systems(self):
+        # the 1,000 systems of acceptance check 11; a variable bounded on
+        # one side only moves one unit past its bound, a free one stays 0
+        rng = random.Random(11)
+        kinds = {"both": 0, "above": 0, "below": 0, "free": 0}
+        for _ in range(1000):
+            rows, k, _ = random_cone_system(rng)
+            layers, _ = feasibility._eliminate(rows, k)
+            if layers is None:
+                continue
+            assert feasibility._back_substitute(layers) == reference_back_substitute(layers), rows
+            for _, pos, neg in layers:
+                kinds[("free", "below", "above", "both")[2 * bool(pos) + bool(neg)]] += 1
+        assert min(kinds.values()) > 0, kinds
+
+    def test_matches_reference_on_found_cases(self, connected_atlas, monkeypatch):
+        # every case the central search back-substitutes on the atlas, and
+        # on three interval graphs whose systems reach 135-791 rows
+        seen = []
+        integer = feasibility._back_substitute
+
+        def record(layers):
+            seen.append(layers)
+            return integer(layers)
+
+        monkeypatch.setattr(feasibility, "_back_substitute", record)
+        graphs = connected_atlas + [families.random_interval(9, s).graph for s in (36, 45, 55)]
+        for g in graphs:
+            cand1_recognize(g)
+        assert len(seen) == 787 + 3  # one found case per central graph
+        for layers in seen:
+            assert integer(layers) == reference_back_substitute(layers)
 
 
 class TestCandForOrdering:
