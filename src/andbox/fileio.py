@@ -1,7 +1,9 @@
 """Plain-text file formats and atomic writers.
 
 All formats share the same conventions: UTF-8 text, one record per line,
-blank lines and comment lines ("c" alone or "c " prefix) ignored,
+blank lines and comment lines ("c" alone or "c " prefix) ignored, tokens
+separated by any run of whitespace, integers written canonically (no
+"-0", sign or leading zero; every field has a minimum of 0 or 1), and
 rationals written as "<num>" or "<num>/<den>" in lowest terms with a
 positive denominator.
 
@@ -24,10 +26,12 @@ line by line, and their writers take one.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 import tempfile
 from fractions import Fraction
+from math import gcd
 
 from .boxes import require_semisquares
 from .families import IntervalModel, OuterplanarModel, RootedPathModel
@@ -41,7 +45,7 @@ class FileFormatError(ValueError):
 
 
 _RATIONAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
-_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def parse_rational(token: str) -> Fraction:
@@ -71,12 +75,55 @@ def _parse_int(token: str, minimum=None) -> int:
     return value
 
 
+def _tokens(raw: str):
+    """The tokens of one line, or None for a blank or comment line."""
+    line = raw.strip()
+    if not line or line == "c" or line.startswith("c "):
+        return None
+    return line.split()
+
+
 def _content_lines(text: str):
     for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
+        toks = _tokens(raw)
+        if toks is not None:
+            yield no, toks
+
+
+# The loaders of the large files (graphs, realizations, corner boxes and
+# semi-squares) read each data line with one match of its whole record:
+# ids in the _INT syntax above 0, rationals in the _RATIONAL syntax less
+# "-0", and any run of whitespace (the set str.split uses) between them.
+# A line the match rejects, or one failing a check after it (a duplicate,
+# a fraction not in lowest terms, ...), goes to the token checks, which
+# alone write the error; a valid line never reaches them.
+
+@functools.cache
+def _record(tag: str, ids: int, rationals: int):
+    """fullmatch of a whole `tag` line with `ids` ids, then `rationals`
+    rationals as (numerator, denominator or None) group pairs.  Compiled
+    on first use, so importing the module compiles none of them."""
+    fields = [tag] + [r"([1-9][0-9]*)"] * ids
+    fields += [r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?"] * rationals
+    return re.compile(r"\s*" + r"\s+".join(fields) + r"\s*").fullmatch
+
+
+def _rationals(groups):
+    """The Fractions of matched (numerator, denominator) group pairs, or
+    None when one is not in lowest terms.  Each denominator is read before
+    its numerator, as in parse_rational."""
+    out = []
+    pairs = iter(groups)
+    for num, den in zip(pairs, pairs):
+        if den is None:
+            out.append(Fraction(int(num)))
             continue
-        yield no, line.split()
+        d = int(den)
+        n = int(num)
+        if d == 1 or gcd(n, d) != 1:
+            return None
+        out.append(Fraction(n, d))
+    return out
 
 
 def _read(path: str) -> str:
@@ -125,7 +172,16 @@ def _rat_at(path, no, token) -> Fraction:
 def loads_graph(text: str, path: str = "<graph>") -> Graph:
     n = m = None
     edges = {}  # insertion-ordered set of (u, v)
-    for no, toks in _content_lines(text):
+    edge = _record("e", 2, 0)
+    for no, raw in enumerate(text.splitlines(), start=1):
+        if n is not None and (match := edge(raw)) is not None:
+            u, v = int(match[1]), int(match[2])
+            if u < v <= n and (u, v) not in edges:
+                edges[u, v] = None
+                continue
+        toks = _tokens(raw)
+        if toks is None:
+            continue
         if toks[0] == "p":
             if n is not None:
                 _fail(path, no, "duplicate header")
@@ -177,7 +233,17 @@ def loads_realization(text: str, path: str = "<realization>") -> Realization:
     header = None
     central_flag = False
     rows = {}
-    for no, toks in _content_lines(text):
+    vertex = _record("v", 2, 3)
+    for no, raw in enumerate(text.splitlines(), start=1):
+        if header is not None and (match := vertex(raw)) is not None:
+            vid, dim, *q = match.groups()
+            key = (int(vid), int(dim))
+            if key[1] <= header[1] and (q := _rationals(q)) is not None and key not in rows:
+                rows[key] = ((q[0], q[1]), q[2])
+                continue
+        toks = _tokens(raw)
+        if toks is None:
+            continue
         if toks[0] == "r":
             if header is not None:
                 _fail(path, no, "duplicate header")
@@ -217,20 +283,22 @@ def loads_realization(text: str, path: str = "<realization>") -> Realization:
 
 
 def _assemble(path, d, rows) -> Realization:
-    """Realization of rows {(vid, dim): ((L, R), p)}, in which every
-    vertex has each dimension 1..d."""
-    items = {}
-    for vid in sorted({vid for vid, _ in rows}):
-        box = []
-        point = []
+    """Realization of rows {(vid, dim): ((L, R), p)} of Fractions, in
+    which every vertex has each dimension 1..d."""
+    ids = sorted({vid for vid, _ in rows})
+    boxes = []
+    points = []
+    for vid in ids:
+        factors = []
         for dim in range(1, d + 1):
-            if (vid, dim) not in rows:
+            factor = rows.get((vid, dim))
+            if factor is None:
                 _fail(path, 0, f"vertex {vid} missing dimension {dim}")
-            side, p = rows[(vid, dim)]
-            box.append(side)
-            point.append(p)
-        items[vid] = (tuple(box), tuple(point))
-    return Realization.build(d, items)
+            factors.append(factor)
+        box, point = zip(*factors)
+        boxes.append(box)
+        points.append(point)
+    return Realization._checked(d, tuple(ids), tuple(boxes), tuple(points))
 
 
 def dumps_realization(r: Realization) -> str:
@@ -461,7 +529,19 @@ def loads_corner_boxes(text: str, path: str = "<boxes>") -> Realization:
     """The realization the corner boxes encode: factor ((x_lo, x_hi),
     (y_lo, y_hi)) of a vertex is its point x_lo in box [-y_hi, x_hi]."""
     rows = {}
-    for no, toks in _content_lines(text):
+    factor = _record("b", 2, 4)
+    for no, raw in enumerate(text.splitlines(), start=1):
+        if (match := factor(raw)) is not None:
+            vid, dim, *q = match.groups()
+            key = (int(vid), int(dim))
+            if (q := _rationals(q)) is not None and key not in rows:
+                xl, xh, yl, yh = q
+                if xl <= xh and yl <= yh and yl == -xl:
+                    rows[key] = ((-yh, xh), xl)
+                    continue
+        toks = _tokens(raw)
+        if toks is None:
+            continue
         if toks[0] != "b" or len(toks) != 7:
             _fail(path, no, "lines must be 'b <id> <dim> <x_lo> <x_hi> <y_lo> <y_hi>'")
         vid = _int_at(path, no, toks[1], 1)
@@ -503,19 +583,30 @@ def loads_semisquares(text: str, path: str = "<semisquares>") -> Realization:
     """The central one-dimensional realization the semi-squares encode:
     (p, r) is point p in box [p - r, p + r]."""
     rows = {}
-    for no, toks in _content_lines(text):
+    square = _record("s", 1, 2)
+    for no, raw in enumerate(text.splitlines(), start=1):
+        if (match := square(raw)) is not None:
+            vid, *q = match.groups()
+            key = (int(vid), 1)
+            if (q := _rationals(q)) is not None and q[1] >= 0 and key not in rows:
+                corner, leg = q
+                rows[key] = ((corner - leg, corner + leg), corner)
+                continue
+        toks = _tokens(raw)
+        if toks is None:
+            continue
         if toks[0] != "s" or len(toks) != 4:
             _fail(path, no, "lines must be 's <id> <corner> <leg>'")
         vid = _int_at(path, no, toks[1], 1)
         corner, leg = _rat_at(path, no, toks[2]), _rat_at(path, no, toks[3])
         if leg < 0:
             _fail(path, no, "leg length must be nonnegative")
-        if vid in rows:
+        if (vid, 1) in rows:
             _fail(path, no, f"duplicate semi-square for vertex {vid}")
-        rows[vid] = ((corner - leg, corner + leg), corner)
+        rows[vid, 1] = ((corner - leg, corner + leg), corner)
     if not rows:
         _fail(path, 0, "no semi-squares")
-    return Realization.build(1, rows)
+    return _assemble(path, 1, rows)
 
 
 def dumps_semisquares(r: Realization) -> str:

@@ -29,6 +29,9 @@ class TiedPointsError(RealizationError):
     pass
 
 
+_SEQ = (tuple, list)
+
+
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -60,34 +63,37 @@ class Realization:
         if d < 1:
             raise RealizationError("dimension must be >= 1")
         ids = tuple(sorted(items))
-        if any(not isinstance(v, int) or v < 1 for v in ids):
+        # bool is an int subclass, but True would be written as "True"
+        if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in ids):
             raise RealizationError("vertex ids must be positive integers")
         boxes = []
         points = []
         for v in ids:
             box, point = items[v]
-            if (
-                d == 1
-                and isinstance(box, (tuple, list))
-                and box
-                and not isinstance(box[0], (tuple, list))
-            ):
-                box = (box,)
-            if d == 1 and not isinstance(point, (tuple, list)):
-                point = (point,)
-            if (
-                not isinstance(box, (tuple, list))
-                or not isinstance(point, (tuple, list))
-                or len(box) != d
-                or len(point) != d
-                or any(
-                    not isinstance(side, (tuple, list)) or len(side) != 2
-                    for side in box
-                )
+            if d == 1:
+                if isinstance(box, _SEQ) and box and not isinstance(box[0], _SEQ):
+                    box = (box,)
+                if not isinstance(point, _SEQ):
+                    point = (point,)
+            if not (
+                isinstance(box, _SEQ)
+                and isinstance(point, _SEQ)
+                and len(box) == d == len(point)
+                and all(isinstance(side, _SEQ) and len(side) == 2 for side in box)
             ):
                 raise RealizationError(f"vertex {v}: wrong arity for d={d}")
-            box = tuple((_frac(lo), _frac(hi)) for lo, hi in box)
-            point = tuple(_frac(p) for p in point)
+            boxes.append(tuple([(_frac(lo), _frac(hi)) for lo, hi in box]))
+            points.append(tuple([_frac(p) for p in point]))
+        return Realization._checked(d, ids, tuple(boxes), tuple(points))
+
+    @staticmethod
+    def _checked(d: int, ids: tuple, boxes: tuple, points: tuple) -> "Realization":
+        """The realization of these fields once every point lies in its
+        box.  The caller has met the rest of build's contract: ids sorted
+        positive ints, each box a tuple of d (L, R) pairs and each point a
+        tuple of d coordinates, all Fractions.  build and the file loaders
+        both end here, so each coordinate is checked once."""
+        for v, box, point in zip(ids, boxes, points):
             for (lo, hi), p in zip(box, point):
                 # lo <= p <= hi over positive denominators
                 pn, pd = p.numerator, p.denominator
@@ -98,9 +104,7 @@ class Realization:
                     raise RealizationError(
                         f"vertex {v}: point {p} outside box [{lo},{hi}]"
                     )
-            boxes.append(box)
-            points.append(point)
-        return Realization(d, ids, tuple(boxes), tuple(points))
+        return Realization(d, ids, boxes, points)
 
     @property
     def n(self) -> int:
@@ -166,12 +170,16 @@ def adjacency_pairs(r: Realization):
     """Set of (u, v) pairs (u < v) adjacent by mutual containment.
     Works for any id set; induced_graph adds the 1..n contract.  A line sweep
     gives the pairs of dimension 1 (exact, as every point lies in its own
-    box), and the other dimensions are tested per pair: O(n log n + pairs)."""
+    box), which are the answer when d = 1; other dimensions are tested per
+    pair: O(n log n + pairs)."""
     pairs = line_pairs(
         [p[0] for p in r.points], [b[0][1] for b in r.boxes], [b[0][0] for b in r.boxes]
     )
+    ids = r.ids
+    if r.d == 1:
+        return {(ids[i], ids[j]) if i < j else (ids[j], ids[i]) for i, j in pairs}
     return {
-        (r.ids[min(i, j)], r.ids[max(i, j)])
+        (ids[min(i, j)], ids[max(i, j)])
         for i, j in pairs
         if _contains(r.boxes[i][1:], r.points[j][1:])
         and _contains(r.boxes[j][1:], r.points[i][1:])

@@ -458,6 +458,154 @@ def read_semisquares(text: str) -> list:
     return out
 
 
+
+# ---------------------------------------------------------------------------
+# token-by-token file readers: the loaders as they were before each data
+# line was read with one match of its whole record.  Every line goes
+# through fileio's token checks, and realizations through
+# Realization.build, so the line-match readers must give equal values or
+# the identical error.
+
+
+def reference_loads_graph(text: str, path: str = "<graph>") -> Graph:
+    from andbox.fileio import _content_lines, _fail, _int_at
+
+    n = m = None
+    edges = {}
+    for no, toks in _content_lines(text):
+        if toks[0] == "p":
+            if n is not None:
+                _fail(path, no, "duplicate header")
+            if len(toks) != 4 or toks[1] != "and":
+                _fail(path, no, "header must be 'p and <n> <m>'")
+            n = _int_at(path, no, toks[2], 1)
+            m = _int_at(path, no, toks[3], 0)
+        elif toks[0] == "e":
+            if n is None:
+                _fail(path, no, "edge before header")
+            if len(toks) != 3:
+                _fail(path, no, "edge line must be 'e <u> <v>'")
+            u = _int_at(path, no, toks[1], 1)
+            v = _int_at(path, no, toks[2], 1)
+            if not (u < v):
+                _fail(path, no, f"edges need u < v, got {u} {v}")
+            if v > n:
+                _fail(path, no, f"vertex {v} above n={n}")
+            if (u, v) in edges:
+                _fail(path, no, f"duplicate edge {u} {v}")
+            edges[u, v] = None
+        else:
+            _fail(path, no, f"unknown record {toks[0]!r}")
+    if n is None:
+        _fail(path, 0, "missing 'p and <n> <m>' header")
+    if len(edges) != m:
+        _fail(path, 0, f"header says {m} edges, file has {len(edges)}")
+    return Graph.from_edges(n, edges)
+
+
+def _reference_assemble(path, d, rows) -> Realization:
+    from andbox.fileio import _fail
+
+    items = {}
+    for vid in sorted({vid for vid, _ in rows}):
+        box = []
+        point = []
+        for dim in range(1, d + 1):
+            if (vid, dim) not in rows:
+                _fail(path, 0, f"vertex {vid} missing dimension {dim}")
+            side, p = rows[(vid, dim)]
+            box.append(side)
+            point.append(p)
+        items[vid] = (tuple(box), tuple(point))
+    return Realization.build(d, items)
+
+
+def reference_loads_realization(text: str, path: str = "<realization>") -> Realization:
+    from andbox.fileio import _content_lines, _fail, _int_at, _rat_at
+    from andbox.realization import is_central
+
+    header = None
+    central_flag = False
+    rows = {}
+    for no, toks in _content_lines(text):
+        if toks[0] == "r":
+            if header is not None:
+                _fail(path, no, "duplicate header")
+            if len(toks) != 4 or toks[1] != "and":
+                _fail(path, no, "header must be 'r and <n> <d>'")
+            header = (_int_at(path, no, toks[2], 1), _int_at(path, no, toks[3], 1))
+        elif toks[0] == "central":
+            if central_flag:
+                _fail(path, no, "duplicate 'central' line")
+            if len(toks) != 1:
+                _fail(path, no, "flag line must be 'central' alone")
+            central_flag = True
+        elif toks[0] == "v":
+            if header is None:
+                _fail(path, no, "vertex line before header")
+            if len(toks) != 6:
+                _fail(path, no, "vertex line must be 'v <id> <dim> <L> <R> <p>'")
+            vid = _int_at(path, no, toks[1], 1)
+            dim = _int_at(path, no, toks[2], 1)
+            if dim > header[1]:
+                _fail(path, no, f"dimension {dim} above d={header[1]}")
+            lo, hi, p = (_rat_at(path, no, t) for t in toks[3:6])
+            if (vid, dim) in rows:
+                _fail(path, no, f"duplicate vertex/dimension {vid} {dim}")
+            rows[(vid, dim)] = ((lo, hi), p)
+        else:
+            _fail(path, no, f"unknown record {toks[0]!r}")
+    if header is None:
+        _fail(path, 0, "missing 'r and <n> <d>' header")
+    n, d = header
+    r = _reference_assemble(path, d, rows)
+    if r.n != n:
+        _fail(path, 0, f"header says {n} vertices, file has {r.n}")
+    if central_flag and not is_central(r):
+        _fail(path, 0, "file claims 'central' but the realization is not")
+    return r
+
+
+def reference_loads_corner_boxes(text: str, path: str = "<boxes>") -> Realization:
+    from andbox.fileio import _content_lines, _fail, _int_at, _rat_at
+
+    rows = {}
+    for no, toks in _content_lines(text):
+        if toks[0] != "b" or len(toks) != 7:
+            _fail(path, no, "lines must be 'b <id> <dim> <x_lo> <x_hi> <y_lo> <y_hi>'")
+        vid = _int_at(path, no, toks[1], 1)
+        dim = _int_at(path, no, toks[2], 1)
+        xl, xh, yl, yh = (_rat_at(path, no, t) for t in toks[3:7])
+        if (vid, dim) in rows:
+            _fail(path, no, f"duplicate box factor {vid} {dim}")
+        if xl > xh or yl > yh:
+            _fail(path, no, f"vertex {vid}: empty planar factor")
+        if xl + yl != 0:
+            _fail(path, no, f"vertex {vid}: corner ({xl},{yl}) off the diagonal")
+        rows[(vid, dim)] = ((-yh, xh), xl)
+    if not rows:
+        _fail(path, 0, "no corner boxes")
+    return _reference_assemble(path, max(dim for _, dim in rows), rows)
+
+
+def reference_loads_semisquares(text: str, path: str = "<semisquares>") -> Realization:
+    from andbox.fileio import _content_lines, _fail, _int_at, _rat_at
+
+    rows = {}
+    for no, toks in _content_lines(text):
+        if toks[0] != "s" or len(toks) != 4:
+            _fail(path, no, "lines must be 's <id> <corner> <leg>'")
+        vid = _int_at(path, no, toks[1], 1)
+        corner, leg = _rat_at(path, no, toks[2]), _rat_at(path, no, toks[3])
+        if leg < 0:
+            _fail(path, no, "leg length must be nonnegative")
+        if vid in rows:
+            _fail(path, no, f"duplicate semi-square for vertex {vid}")
+        rows[vid] = ((corner - leg, corner + leg), corner)
+    if not rows:
+        _fail(path, 0, "no semi-squares")
+    return Realization.build(1, rows)
+
 def reference_corner_box_edges(boxes) -> set:
     """All-pairs closed-rectangle test on every planar factor of
     (vertex, factors) pairs: the scan the sweep in

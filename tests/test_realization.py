@@ -154,6 +154,11 @@ class TestBuild:
         with pytest.raises(RealizationError):
             Realization.build(1, {0: ((0, 1), 0)})
 
+    def test_bool_ids_rejected(self):
+        # True is an int, but would be written as "v True ..." and not load
+        with pytest.raises(RealizationError, match="positive integers"):
+            Realization.build(1, {True: ((0, 2), 1), 2: ((1, 3), 2)})
+
     def test_unknown_vertex_lookup(self):
         r = Realization.build(1, {1: ((0, 1), 0)})
         with pytest.raises(RealizationError):
