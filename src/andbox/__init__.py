@@ -21,7 +21,6 @@ from .constructors import (
     clique_cand1,
     cycle_cand1,
     glue_at_safe_vertex,
-    glue_cycles_on_edge,
     h_graph_ordering,
     interval_to_cand1,
     outerplanar_cand1,

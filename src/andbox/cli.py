@@ -4,9 +4,9 @@ Subcommands: gen, realize, verify, check-order, recognize-and1,
 recognize-cand1, to-boxes, to-triangles, glue, render.
 
 Exit codes: 0 success or membership YES; 1 membership NO (a witness file
-is written); 2 usage or format error; 3 search budget exhausted.  On
-every non-error run stdout carries one line "verdict=<yes|no|exhausted>
-time_ms=<t>".
+is written); 2 usage or format error, an input too large to allocate
+included; 3 search budget exhausted.  On every non-error run stdout
+carries one line "verdict=<yes|no|exhausted> time_ms=<t>".
 
 main() builds its parser once per process, on its first call, and reuses
 it for every later call.
@@ -25,7 +25,6 @@ from .constructors import (
     block_graph_cand1,
     cycle_cand1,
     glue_at_safe_vertex,
-    glue_cycles_on_edge,
     interval_to_cand1,
     outerplanar_cand1,
     rdp_ordering,
@@ -82,23 +81,13 @@ def _cmd_gen(args) -> str:
 
 
 def _cmd_realize(args) -> str:
-    sources = sum(
-        1 for s in (args.input, args.cycle, args.glued_cycles) if s is not None
-    )
-    if sources != 1:
-        raise UsageError(
-            "give exactly one of: an input model file, --cycle, --glued-cycles"
-        )
-    if args.input is None and not args.output:
-        raise UsageError("-o is required when no input file names a default")
-
+    if (args.input is None) == (args.cycle is None):
+        raise UsageError("give exactly one of: an input model file, --cycle")
     if args.cycle is not None:
+        if not args.output:
+            raise UsageError("-o is required with --cycle")
         eps = fileio.parse_rational(args.eps)
         r = cycle_cand1(args.cycle, eps, anchor=args.anchor)
-        out = args.output
-    elif args.glued_cycles is not None:
-        n, m = args.glued_cycles
-        r = glue_cycles_on_edge(n, m, shared=tuple(args.shared))
         out = args.output
     else:
         text = fileio._read(args.input)
@@ -248,21 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", type=int, help="realize a cycle of this size")
     p.add_argument("--eps", default="1/2", help="cycle slack, rational in (0,1)")
     p.add_argument("--anchor", type=int, default=1)
-    p.add_argument(
-        "--glued-cycles",
-        nargs=2,
-        type=int,
-        metavar=("N", "M"),
-        help="realize an n-cycle and an m-cycle sharing one edge",
-    )
-    p.add_argument(
-        "--shared",
-        nargs=2,
-        type=int,
-        default=(1, 2),
-        metavar=("U", "V"),
-        help="shared edge on the m-cycle (consecutive pair)",
-    )
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("verify", help="check a realization against a graph")
@@ -338,8 +312,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         verdict = args.func(args)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, ValueError, OverflowError, MemoryError) as e:
+        # a graph too large to allocate is bad input, not a "no" verdict
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     print(f"verdict={verdict} time_ms={elapsed_ms}")

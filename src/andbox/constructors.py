@@ -2,9 +2,17 @@
 
 Covers the families with known constructions: interval models (one gap
 sweep), cycles (closed form), gluing at safe vertices, block trees,
-two cycles sharing an edge, outerplanar graphs (polygon dissections per
-block), rooted-directed-path models (ordering), and the three-path H
-family (orderings for the short-path cases).
+outerplanar graphs (polygon dissections per block), rooted-directed-path
+models (ordering), and the three-path H family (orderings for the
+short-path cases).
+
+Two cycles sharing an edge are a polygon with one chord, which
+outerplanar_cand1 realizes: the 5-cycle 1..5 and a 4-cycle sharing its
+edge (1, 2), with fresh vertices 6, 7 running from 1 to 2, are the
+outerplanar model file
+
+    outer 2 3 4 5 1 6 7
+    chord 1 2
 """
 
 from __future__ import annotations
@@ -238,23 +246,21 @@ def block_graph_cand1(g: Graph) -> Realization:
 
 
 # ---------------------------------------------------------------------------
-# cycles sharing an edge, and polygon dissections
+# polygon dissections
 
 def _insert_cycle_into_gap(items: dict, pts: list, x: int, y: int, new_ids):
     """Insert the internals of a cycle of size len(new_ids)+2 between the
-    points of x and y, which must be adjacent, consecutive in point order,
-    and have boxes covering the whole [p_x, p_y] stretch.  new_ids lists
-    the fresh vertices from the x side to the y side.  pts holds every
-    point of items, sorted; both are mutated.  Only the neighbours of the
-    gap in pts are read, so an insertion costs O(log n) comparisons.
+    points of x and y, which must be adjacent, consecutive in point order
+    with p_x < p_y, and have boxes covering the whole [p_x, p_y] stretch.
+    new_ids lists the fresh vertices from the x side to the y side.  pts
+    holds every point of items, sorted; both are mutated.  Only the
+    neighbours of the gap in pts are read, so an insertion costs O(log n)
+    comparisons.
     """
     (px, py) = items[x][1], items[y][1]
-    if px > py:
-        x, y, px, py = y, x, py, px
-        new_ids = list(reversed(new_ids))
     gap = py - px
     if gap <= 0:
-        raise GraphError("gap endpoints must have distinct points")
+        raise GraphError("gap endpoints must have ascending points")
     lo_i = bisect_left(pts, px)  # pts[lo_i - 1] is the nearest point below px
     at = bisect_right(pts, px)  # the first point above px must be py
     if pts[at] != py:
@@ -280,35 +286,6 @@ def _insert_cycle_into_gap(items: dict, pts: list, x: int, y: int, new_ids):
     for v, q in zip(new_ids, inserted):
         items[v] = ((q - r, q + r), q)
     pts[at:at] = inserted  # ascending, strictly inside (px, py)
-
-
-def glue_cycles_on_edge(n: int, m: int, shared=(1, 2)) -> Realization:
-    """Central realization of an n-cycle and an m-cycle identified along
-    one edge of the m-cycle 1-2-...-m-1 (the `shared` pair, which must be
-    consecutive on that cycle).  The n-cycle contributes fresh vertices
-    m+1 .. m+n-2 forming a path between the shared endpoints.
-
-    The m-cycle is realized so the shared endpoints take consecutive
-    points; the n-cycle's realization is built with those endpoints as its
-    two wide extremes, squeezed into the unit gap between them, and its
-    extreme pair dropped in favor of the originals.
-    """
-    if n < 3 or m < 3:
-        raise GraphError("both cycles need at least 3 vertices")
-    u, v = shared
-    if not (1 <= u <= m and 1 <= v <= m):
-        raise GraphError("shared edge must use vertices of the second cycle")
-    if (v - u) % m == m - 1:
-        u, v = v, u
-    if (v - u) % m != 1:
-        raise GraphError("shared pair must be consecutive on the cycle")
-
-    # label the m-cycle so u,v take labels (i, i+1): internal where possible
-    i = 2 if m >= 4 else 1
-    anchor = (u - i) % m + 1
-    items, pts = _host(cycle_cand1(m, anchor=anchor))
-    _insert_cycle_into_gap(items, pts, u, v, list(range(m + 1, m + n - 1)))
-    return Realization.build(1, items)
 
 
 def _noncrossing(chords) -> bool:
@@ -446,9 +423,6 @@ def outerplanar_cand1(m: OuterplanarModel) -> Realization:
         ring = block_ring[bi]
         if len(ring) != len(blk):
             raise GraphError("outer walk must visit every block vertex")
-        if len(blk) == 1:
-            only = next(iter(blk))
-            return Realization.build(1, {only: ((-1, 1), 0)})
         if len(blk) == 2:
             return clique_cand1(blk)
         edges = outer_edges(bi)

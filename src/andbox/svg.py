@@ -105,20 +105,18 @@ def render_realization_svg(r: Realization) -> str:
     for i, (v, a, b, p) in enumerate(zip(r.ids, los, his, pts)):
         y = _TOP + (i + 0.5) * _ROW
         xa, xb = _fmt(sx(a)), _fmt(sx(b))
+        ym, yu, yd = _fmt(y), _fmt(y - 4), _fmt(y + 4)
         out.append(
-            f'<line x1="{xa}" y1="{_fmt(y)}" x2="{xb}"'
-            f' y2="{_fmt(y)}" stroke="#1f77b4" stroke-width="2"/>'
+            f'<line x1="{xa}" y1="{ym}" x2="{xb}"'
+            f' y2="{ym}" stroke="#1f77b4" stroke-width="2"/>'
         )
         for x in (xa, xb):
             out.append(
-                f'<line x1="{x}" y1="{_fmt(y - 4)}"'
-                f' x2="{x}" y2="{_fmt(y + 4)}"'
+                f'<line x1="{x}" y1="{yu}" x2="{x}" y2="{yd}"'
                 f' stroke="#1f77b4" stroke-width="2"/>'
             )
-        out.append(
-            f'<circle cx="{_fmt(sx(p))}" cy="{_fmt(y)}" r="3" fill="#d62728"/>'
-        )
-        out.append(f'<text x="4" y="{_fmt(y + 4)}">{_esc(str(v))}</text>')
+        out.append(f'<circle cx="{_fmt(sx(p))}" cy="{ym}" r="3" fill="#d62728"/>')
+        out.append(f'<text x="4" y="{yd}">{_esc(str(v))}</text>')
 
     out.append(
         f'<line x1="{_fmt(bx(least) - pad * scale)}" y1="{_fmt(by(least) - pad * scale)}"'
@@ -126,16 +124,14 @@ def render_realization_svg(r: Realization) -> str:
         ' stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
     )
     for v, a, b, p in zip(r.ids, los, his, pts):
-        x, ytop = bx(p), by(a)
+        x, ytop = _fmt(bx(p)), by(a)
         out.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(ytop)}"'
+            f'<rect x="{x}" y="{_fmt(ytop)}"'
             f' width="{_fmt(_diff(b, p) * scale)}"'
             f' height="{_fmt(_diff(p, a) * scale)}"'
             ' fill="#1f77b4" fill-opacity="0.12" stroke="#1f77b4"/>'
         )
-        out.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(by(p))}" r="3" fill="#d62728"/>'
-        )
+        out.append(f'<circle cx="{x}" cy="{_fmt(by(p))}" r="3" fill="#d62728"/>')
         out.append(
             f'<text x="{_fmt(bx(b) - 12)}" y="{_fmt(ytop + 13)}">'
             f'{_esc(str(v))}</text>'

@@ -16,6 +16,7 @@ from itertools import combinations, permutations
 import pytest
 
 from andbox.constructors import cycle_cand1
+from andbox.families import OuterplanarModel
 from andbox.graphs import Graph
 from andbox.realization import Realization, is_safe
 
@@ -915,6 +916,20 @@ def satisfies_all(rows, witness) -> bool:
 
 # ---------------------------------------------------------------------------
 # worked objects shared across files
+
+
+def one_chord_polygon(n: int, m: int, shared) -> OuterplanarModel:
+    """An n-cycle and the m-cycle 1..m sharing the edge `shared`, as the
+    polygon with one chord: fresh vertices m+1 .. m+n-2 run from u to v,
+    where (u, v) is `shared` ordered so that v follows u on the m-cycle."""
+    u, v = shared
+    if (v - u) % m == m - 1:
+        u, v = v, u
+    assert n >= 3 and (v - u) % m == 1 and 1 <= u <= m and 1 <= v <= m
+    # v, v+1, ..., u around the m-cycle, then back to v along the fresh path
+    ring = tuple((v - 1 + i) % m + 1 for i in range(m))
+    fresh = tuple(range(m + 1, m + n - 1))
+    return OuterplanarModel(ring + fresh, ((min(u, v), max(u, v)),))
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from conftest import (
     edge_set,
     grid_feasible,
     naive_accepts_some_ordering,
+    one_chord_polygon,
     random_cone_system,
     read_corner_boxes,
     read_semisquares,
@@ -29,7 +30,6 @@ from andbox.constructors import (
     block_graph_cand1,
     clique_cand1,
     cycle_cand1,
-    glue_cycles_on_edge,
     h_graph_ordering,
     interval_to_cand1,
     outerplanar_cand1,
@@ -408,7 +408,8 @@ def test_check_12_triangle_model_equivalence(acceptance_record, central_pool):
     regenerated = [cycle_cand1(n, F(1, 2)) for n in range(3, 13)]
     regenerated += [clique_cand1(list(range(1, k + 1))) for k in range(1, 7)]
     regenerated += [
-        glue_cycles_on_edge(n, m) for n, m in ((3, 3), (3, 4), (4, 4), (6, 5))
+        outerplanar_cand1(one_chord_polygon(n, m, (1, 2)))
+        for n, m in ((3, 3), (3, 4), (4, 4), (6, 5))
     ]
     for s in range(5):
         regenerated.append(interval_to_cand1(random_interval(12, seed=s).aux))

@@ -19,7 +19,12 @@ from fractions import Fraction as F
 import pytest
 
 import andbox
-from conftest import edge_set, naive_four_point_scan, reference_glue_at_safe_vertex
+from conftest import (
+    edge_set,
+    naive_four_point_scan,
+    one_chord_polygon,
+    reference_glue_at_safe_vertex,
+)
 from andbox import cli, families, feasibility, fileio, kernels, orders
 from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
 from andbox.cli import main
@@ -28,7 +33,6 @@ from andbox.constructors import (
     cycle_cand1,
     clique_cand1,
     glue_at_safe_vertex,
-    glue_cycles_on_edge,
     interval_to_cand1,
     outerplanar_cand1,
     rdp_ordering,
@@ -175,15 +179,22 @@ class TestRealize:
         assert err.startswith("error:")
 
     def test_glued_cycles(self, tmp_path, capsys):
-        out = tmp_path / "fused.real"
-        code, _, _ = run(
-            capsys,
-            "realize", "--glued-cycles", "4", "5",
-            "--shared", "2", "3", "-o", str(out),
-        )
+        # a 4-cycle fused onto the edge 2-3 of the 5-cycle 1..5
+        src = tmp_path / "fused.op"
+        src.write_text("outer 3 4 5 1 2 6 7\nchord 2 3\n")
+        model = fileio.load_outerplanar_model(str(src))
+        assert model == one_chord_polygon(4, 5, (2, 3))
+        code, _, _ = run(capsys, "realize", str(src))
         assert code == 0
-        expected = glue_cycles_on_edge(4, 5, (2, 3))
-        assert fileio.load_realization(str(out)) == expected
+        r = fileio.load_realization(str(tmp_path / "fused.real"))
+        assert r == outerplanar_cand1(model)
+        assert verify(r, model.graph()).ok and is_central(r)
+
+    def test_glued_cycles_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "x.real"
+        code, text, _ = run(capsys, "realize", "--glued-cycles", "4", "5", "-o", str(out))
+        assert code == 2 and text == ""
+        assert not out.exists()
 
     def test_interval_file_default_output_name(self, tmp_path, capsys):
         model = generate("random-interval", (7,), seed=11).aux
@@ -690,11 +701,66 @@ class TestErrorHandling:
         code, _, _ = run(capsys, "render", "--bogus")
         assert code == 2
 
+    def test_vertex_count_too_large_to_index_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "huge.and"
+        src.write_text("p and 99999999999999999999 0\n")
+        code, out, err = run(capsys, "recognize-and1", str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["huge.and"]
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_memory(path):
+            raise MemoryError
+
+        monkeypatch.setattr(fileio, "load_graph", no_memory)
+        src = write_graph(tmp_path / "paw.and", make_paw())
+        code, out, err = run(capsys, "recognize-and1", src)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["paw.and"]
+
 
 SUBCOMMANDS = (
     "gen", "realize", "verify", "check-order", "recognize-and1",
     "recognize-cand1", "to-boxes", "to-triangles", "glue", "render",
 )
+
+
+README = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md"
+)
+
+
+def readme_cli_rows():
+    """(subcommand, options) for each row of the README's CLI table, both
+    read from the row's command column."""
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    start = lines.index("| command | does | default output |")
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        command = line.split("|")[1].strip().strip("`")
+        options = re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", command)
+        rows.append((command.split()[0], options))
+    return rows
+
+
+class TestReadmeCliTable:
+    def test_every_documented_option_is_parsed(self):
+        actions = cli.build_parser()._actions
+        (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        rows = readme_cli_rows()
+        assert [name for name, _ in rows] == list(SUBCOMMANDS)
+        for name, flags in rows:
+            assert set(flags) <= set(sub.choices[name]._option_string_actions), name
+
+    def test_rows_name_their_options(self):
+        rows = dict(readme_cli_rows())
+        assert rows["realize"] == ["--cycle", "--eps", "--anchor", "-o"]
+        assert rows["check-order"] == ["--codes-out", "--realize-out"]
 
 
 def run_fresh(*argv):

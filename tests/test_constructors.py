@@ -1,7 +1,7 @@
 """Constructions that output central realizations or membership orderings:
 single cycles, interval models via the one gap sweep, cliques and block
-assemblies, two cycles fused on an edge, polygon dissections, rooted-path
-models, and the two-hub three-path family.
+assemblies, polygon dissections (two cycles fused on an edge among them),
+rooted-path models, and the two-hub three-path family.
 """
 
 import random
@@ -19,7 +19,6 @@ from andbox.constructors import (
     clique_cand1,
     cycle_cand1,
     glue_at_safe_vertex,
-    glue_cycles_on_edge,
     h_graph_ordering,
     interval_to_cand1,
     outerplanar_cand1,
@@ -53,6 +52,7 @@ from conftest import (
     oracle_central_edges,
     oracle_induced_edges,
     oracle_interval_overlap_edges,
+    one_chord_polygon,
     reference_assemble_block_tree,
     reference_dissection_faces,
     reference_insert_cycle_into_gap,
@@ -509,13 +509,14 @@ class TestGlueCyclesOnEdge:
 
     def test_frozen_edge_lists(self):
         for (n, m, shared), edges in self.FROZEN.items():
-            r = glue_cycles_on_edge(n, m, shared)
+            r = outerplanar_cand1(one_chord_polygon(n, m, shared))
             assert sorted(adjacency_pairs(r)) == edges
             assert {fz(*e) for e in edges} == fused_cycle_edges(n, m, shared)
 
     def test_shared_pair_orientation_is_normalized(self):
-        a = glue_cycles_on_edge(5, 4, (1, 2))
-        b = glue_cycles_on_edge(5, 4, (2, 1))
+        a = outerplanar_cand1(one_chord_polygon(5, 4, (1, 2)))
+        b = outerplanar_cand1(one_chord_polygon(5, 4, (2, 1)))
+        assert one_chord_polygon(5, 4, (1, 2)) == one_chord_polygon(5, 4, (2, 1))
         assert oracle_induced_edges(a) == oracle_induced_edges(b)
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
@@ -524,20 +525,10 @@ class TestGlueCyclesOnEdge:
         for u in range(1, m + 1):
             v = u % m + 1
             expected = fused_cycle_edges(n, m, (u, v))
-            r = glue_cycles_on_edge(n, m, (u, v))
+            r = outerplanar_cand1(one_chord_polygon(n, m, (u, v)))
             g = Graph.from_edges(m + n - 2, [tuple(sorted(e)) for e in expected])
             assert verify(r, g).ok
             assert is_central(r)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(GraphError):
-            glue_cycles_on_edge(2, 4)
-        with pytest.raises(GraphError):
-            glue_cycles_on_edge(4, 2)
-        with pytest.raises(GraphError):
-            glue_cycles_on_edge(4, 5, (1, 3))
-        with pytest.raises(GraphError):
-            glue_cycles_on_edge(4, 4, (1, 5))
 
 
 class TestOuterplanar:
