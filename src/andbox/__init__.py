@@ -18,13 +18,16 @@ from .boxes import (
 from .constructors import (
     assemble_block_tree,
     block_graph_cand1,
+    blockwise_cand1,
     clique_cand1,
     cycle_cand1,
     glue_at_safe_vertex,
     h_graph_ordering,
     interval_to_cand1,
+    outer_ring,
     outerplanar_cand1,
     rdp_ordering,
+    umbrella_free_cand1,
 )
 from .families import (
     GraphBundle,

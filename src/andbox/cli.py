@@ -103,6 +103,8 @@ def _cmd_realize(args) -> str:
             order = rdp_ordering(model)
             r = realization_from_ordering(model.intersection_graph(), order)
         elif kind == "graph":
+            # block graphs only, as ever: recognize-cand1 is the command
+            # that tries every construction and then searches
             r = block_graph_cand1(fileio.loads_graph(text, args.input))
         else:
             raise UsageError(f"cannot realize a {kind} file")

@@ -4,7 +4,11 @@ Covers the families with known constructions: interval models (one gap
 sweep), cycles (closed form), gluing at safe vertices, block trees,
 outerplanar graphs (polygon dissections per block), rooted-directed-path
 models (ordering), and the three-path H family (orderings for the
-short-path cases).
+short-path cases).  Graphs without a model file are realized too when
+the model can be recovered: umbrella_free_cand1 runs the interval gap
+sweep on an umbrella-free order of a graph, and blockwise_cand1 builds
+every clique or outerplanar block, the outer ring of the latter found by
+outer_ring.
 
 Two cycles sharing an edge are a polygon with one chord, which
 outerplanar_cand1 realizes: the 5-cycle 1..5 and a 4-cycle sharing its
@@ -22,11 +26,10 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 
-from .feasibility import central_realization
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
 from .orders import Ordering, rank_bounds
-from .realization import Realization, RealizationError, _frac, is_safe
+from .realization import Realization, RealizationError, _frac, central_realization, is_safe
 
 HALF = Fraction(1, 2)
 
@@ -35,26 +38,32 @@ HALF = Fraction(1, 2)
 # interval models -> central realization (one sweep over the gaps)
 
 def interval_to_cand1(m: IntervalModel) -> Realization:
-    """Central realization inducing the interval model's graph.
-
-    Vertices are ranked by (span, id), a left-endpoint order, in which the
-    later neighbours of rank k are exactly ranks k+1..hi_k.  With every
-    radius at its farthest-neighbour distance, all non-edges therefore
-    hold once p_k - p_{lo_k} < p_{hi_k+1} - p_k for each k with hi_k < n.
-    That row closes at the gap g_{hi_k} and reads only earlier points, so
-    one left-to-right sweep gives each gap the least positive integer
-    meeting every row that closes at it.
-    """
+    """Central realization inducing the interval model's graph: the gap
+    sweep of umbrella_free_cand1 over the vertices ranked by (span, id), a
+    left-endpoint order."""
     if m.n == 0:
         raise GraphError("interval model must have at least one vertex")
     g = m.intersection_graph()
-    o = Ordering(sorted(g.vertices(), key=lambda v: (m.span(v), v)))
+    return umbrella_free_cand1(g, Ordering(sorted(g.vertices(), key=lambda v: (m.span(v), v))))
+
+
+def umbrella_free_cand1(g: Graph, o: Ordering) -> Realization:
+    """Central realization of g with point order o, in which the later
+    neighbours of rank k are exactly ranks k+1..hi_k (an umbrella-free
+    order, such as an interval model's left-endpoint order).
+
+    With every radius at its farthest-neighbour distance, all non-edges
+    therefore hold once p_k - p_{lo_k} < p_{hi_k+1} - p_k for each k with
+    hi_k < n.  That row closes at the gap g_{hi_k} and reads only earlier
+    points, so one left-to-right sweep gives each gap the least positive
+    integer meeting every row that closes at it.
+    """
     lo, hi = rank_bounds(g, o)
-    closing = [[] for _ in range(m.n + 1)]  # closing[t]: (k, lo_k) with hi_k = t
+    closing = [[] for _ in range(g.n + 1)]  # closing[t]: (k, lo_k) with hi_k = t
     for k, v in enumerate(o.order, 1):
         closing[hi[v]].append((k, lo[v]))
     p = [0]  # p[k - 1] is the point of rank k
-    for t in range(1, m.n):
+    for t in range(1, g.n):
         p.append(max([p[t - 1]] + [2 * p[k - 1] - p[l - 1] for k, l in closing[t]]) + 1)
     gaps = [b - a for a, b in zip(p, p[1:])]
     return central_realization(o.order, lo, hi, gaps)
@@ -386,6 +395,42 @@ def _realize_dissection_block(
     return items
 
 
+def _block_edges(g: Graph, bd: BlockDecomposition):
+    """Each block's edges: every edge lies in exactly one block, the one
+    its endpoints share."""
+    out = [[] for _ in bd.blocks]
+    for u, v in g.edge_list():
+        (bi,) = set(bd.blocks_at(u)).intersection(bd.blocks_at(v))
+        out[bi].append((u, v))
+    return out
+
+
+def _ring_block_cand1(g: Graph, ring, edges, cut) -> Realization:
+    """Central realization of one block of g: ring lists its vertices in
+    outer cyclic order and edges are its edges; every edge off the ring is
+    a chord.  The block is anchored on an outer edge at the parent cut
+    vertex cut, which ends up safe, or on its least outer edge when cut is
+    None."""
+    if len(ring) == 2:
+        return clique_cand1(ring)
+    outer = sorted({(min(u, v), max(u, v)) for u, v in zip(ring, ring[1:] + ring[:1])})
+    for u, v in outer:
+        if not g.has_edge(u, v):
+            raise GraphError("outer walk uses a missing edge")
+    ring_edges = set(outer)
+    chords = [e for e in edges if e not in ring_edges]
+    if cut is None:
+        anchor, mate = outer[0]
+    else:
+        incident = [e for e in outer if cut in e]
+        if not incident:
+            raise GraphError("cut vertex must lie on the block's outer cycle")
+        a, b = incident[0]
+        anchor, mate = cut, (b if a == cut else a)
+    items = _realize_dissection_block(ring, sorted(chords), anchor, mate)
+    return Realization.build(1, items)
+
+
 def outerplanar_cand1(m: OuterplanarModel) -> Realization:
     """Central realization of an outerplanar graph given its outer walk
     and chords.  Every 2-connected block is a polygon dissection realized
@@ -393,55 +438,97 @@ def outerplanar_cand1(m: OuterplanarModel) -> Realization:
     anchored so its parent cut vertex is safe."""
     g = m.graph()
     bd = block_decomposition(g)
-
     # cyclic outer order per block: first occurrences along the walk
     first = {}
     for i, v in enumerate(m.outer):
         first.setdefault(v, i)
-    block_ring = [
+    rings = [
         tuple(sorted((v for v in blk if v in first), key=first.__getitem__))
         for blk in bd.blocks
     ]
-
-    # every edge lies in exactly one block: the one its endpoints share
-    block_edges = [[] for _ in bd.blocks]
-    for u, v in g.edge_list():
-        (bi,) = set(bd.blocks_at(u)).intersection(bd.blocks_at(v))
-        block_edges[bi].append((u, v))
-
-    def outer_edges(bi):
-        ring = block_ring[bi]
-        k = len(ring)
-        out = []
-        for i in range(k):
-            u, v = ring[i], ring[(i + 1) % k]
-            out.append((min(u, v), max(u, v)))
-        return sorted(set(out))
+    edges = _block_edges(g, bd)
 
     def build(bi, cut):
-        blk = bd.blocks[bi]
-        ring = block_ring[bi]
-        if len(ring) != len(blk):
+        if len(rings[bi]) != len(bd.blocks[bi]):
             raise GraphError("outer walk must visit every block vertex")
-        if len(blk) == 2:
-            return clique_cand1(blk)
-        edges = outer_edges(bi)
-        for u, v in edges:
-            if not g.has_edge(u, v):
-                raise GraphError("outer walk uses a missing edge")
-        ring_edges = set(edges)
-        chords = [e for e in block_edges[bi] if e not in ring_edges]
-        if cut is None:
-            a, b = edges[0]
-            anchor, mate = a, b
-        else:
-            incident = [e for e in edges if cut in e]
-            if not incident:
-                raise GraphError("cut vertex must lie on the block's outer cycle")
-            a, b = incident[0]
-            anchor, mate = cut, (b if a == cut else a)
-        items = _realize_dissection_block(ring, sorted(chords), anchor, mate)
-        return Realization.build(1, items)
+        return _ring_block_cand1(g, rings[bi], edges[bi], cut)
+
+    return assemble_block_tree(build, bd)
+
+
+def outer_ring(block, edges):
+    """The outer cycle of a 2-connected block with at least three
+    vertices, as a tuple of its vertices in cyclic order, or None when
+    the block is not outerplanar (degree-2 reduction, Mitchell 1979).
+
+    A degree-2 vertex v of a 2-connected outerplanar graph lies on the
+    outer cycle between its two neighbours a and b, so deleting v and
+    joining a and b leaves a smaller such graph whose outer cycle runs
+    through the edge ab.  The reduction ends at a triangle; putting the
+    vertices back in reverse, each between its two neighbours, rebuilds
+    the cycle, which is the block's only Hamiltonian one.  Any other
+    block stalls with no degree-2 vertex, or ends on three vertices that
+    are not a triangle, or puts some v back between an a and b that are
+    not consecutive on the cycle rebuilt so far.  The ring answered is
+    therefore a Hamiltonian cycle whose chords do not cross: each
+    reinsertion subdivides a ring edge and adds no chord.
+    """
+    nbrs = {v: set() for v in block}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    stack = [v for v in sorted(block) if len(nbrs[v]) == 2]
+    removed = []
+    while len(nbrs) > 3:
+        if not stack:
+            return None
+        v = stack.pop()
+        if v not in nbrs or len(nbrs[v]) != 2:
+            continue  # gone, or its degree fell since it was stacked
+        a, b = nbrs.pop(v)
+        for x, y in ((a, b), (b, a)):
+            nbrs[x].discard(v)
+            nbrs[x].add(y)
+            if len(nbrs[x]) == 2:
+                stack.append(x)
+        removed.append((v, a, b))
+    if len(nbrs) < 3 or any(len(s) != 2 for s in nbrs.values()):
+        return None
+    x, y, z = sorted(nbrs)
+    after = {x: y, y: z, z: x}  # the ring, as each vertex's successor
+    for v, a, b in reversed(removed):
+        if after[b] == a:
+            a, b = b, a
+        elif after[a] != b:
+            return None
+        after[a], after[v] = v, b
+    ring = [x]
+    for _ in range(len(block) - 1):
+        ring.append(after[ring[-1]])
+    return tuple(ring)
+
+
+def blockwise_cand1(g: Graph):
+    """Central realization of a connected graph each of whose blocks is
+    a clique or outerplanar, or None when some block is neither.  Clique
+    blocks are built as in block_graph_cand1, outerplanar ones from the
+    outer ring that outer_ring finds, as in outerplanar_cand1, and the
+    blocks are glued along the block tree."""
+    bd = block_decomposition(g)
+    edges = _block_edges(g, bd)
+    rings = []  # None for a clique block
+    for blk, es in zip(bd.blocks, edges):
+        ring = None
+        if 2 * len(es) != len(blk) * (len(blk) - 1):
+            ring = outer_ring(blk, es)
+            if ring is None:
+                return None
+        rings.append(ring)
+
+    def build(bi, cut):
+        if rings[bi] is None:
+            return clique_cand1(bd.blocks[bi])
+        return _ring_block_cand1(g, rings[bi], edges[bi], cut)
 
     return assemble_block_tree(build, bd)
 

@@ -30,6 +30,11 @@ integer cone rows, and the gap search hands it its rows as they are.
 Witnesses come from back-substitution, taking midpoints of residual
 intervals; it runs in integers, keeping the witness as x / scale with a
 running integer scale.  No floats, no tolerances.
+
+cand1_recognize searches only components that the constructions of
+andbox.constructors cannot realize: interval graphs (read off a LexBFS
+sweep) and graphs whose blocks are cliques or outerplanar are central by
+construction.
 """
 
 from __future__ import annotations
@@ -40,12 +45,19 @@ from math import gcd, inf
 from operator import mul
 
 from . import kernels
+from .constructors import blockwise_cand1, umbrella_free_cand1
 from .graphs import Graph
-from .orders import DEFAULT_NODE_BUDGET, Ordering, _require_nonnegative, rank_bounds
+from .orders import (
+    DEFAULT_NODE_BUDGET,
+    Ordering,
+    _require_nonnegative,
+    _sweep_orders,
+    rank_bounds,
+)
 # four_point_check is no longer called here but stays importable from this
 # module: perfbench/tests/test_tracing.py checks that tracing rebinds it.
 from .orders import four_point_check  # noqa: F401
-from .realization import Realization, is_central, verify
+from .realization import Realization, central_realization, is_central, r_order, verify
 
 
 def _add_rows(rows, into) -> bool:
@@ -211,25 +223,6 @@ def _gap_cases(g: Graph, order, lo, hi):
     return base, split
 
 
-def central_realization(order, lo, hi, gaps) -> Realization:
-    """The central realization with point order `order`, first point 0 and
-    gaps[t - 1] = p_{t+1} - p_t.  Each radius is its vertex's
-    farthest-neighbour distance, read off the closed-neighbourhood rank
-    bounds lo and hi; an isolated vertex gets half the distance to its
-    nearest point, or 1 when it is alone."""
-    p = [Fraction(0)]
-    for x in gaps:
-        p.append(p[-1] + x)
-    items = {}
-    for k, v in enumerate(order, 1):
-        pk = p[k - 1]
-        r = max(pk - p[lo[v] - 1], p[hi[v] - 1] - pk)
-        if not r:
-            r = Fraction(min(gaps[max(k - 2, 0):k], default=2), 2)
-        items[v] = ((pk - r, pk + r), pk)
-    return Realization.build(1, items)
-
-
 def cand1_for_ordering(
     g: Graph, o: Ordering, budget: int = DEFAULT_NODE_BUDGET
 ) -> CentralSearchResult:
@@ -283,6 +276,37 @@ def cand1_for_ordering(
     return CentralSearchResult("found", r, solved, work)
 
 
+def _interval_certificate(g: Graph):
+    """The interval construction's realization of the connected graph g,
+    or None.
+
+    A candidate of _sweep_orders is umbrella-free when each vertex's
+    later neighbours are exactly the ranks right after it; the spans
+    [rank v, rank of v's last neighbour] are then an interval model of g
+    (Olariu 1991) in that order, and umbrella_free_cand1 runs
+    interval_to_cand1's gap sweep on it.  An interval graph the sweeps
+    miss, like any other graph, gets None."""
+    for cand in _sweep_orders(g):
+        rank = [0] * g.n
+        for k, v in enumerate(cand, 1):
+            rank[v] = k
+        for v, k in enumerate(rank, 1):
+            later = [rank[u - 1] for u in g.neighbors(v) if rank[u - 1] > k]
+            if later and max(later) - k != len(later):
+                break
+        else:
+            return umbrella_free_cand1(g, Ordering(tuple(v + 1 for v in cand)))
+    return None
+
+
+def _certificate(g: Graph):
+    """A central realization of the connected graph g from the paper's
+    constructions, or None: the interval model a LexBFS sweep reads off,
+    else the block-wise one when every block is a clique or outerplanar."""
+    r = _interval_certificate(g)
+    return blockwise_cand1(g) if r is None else r
+
+
 @dataclass(frozen=True)
 class CAndRecognitionResult:
     status: str  # "found" | "not_member" | "exhausted"
@@ -297,31 +321,43 @@ class CAndRecognitionResult:
 
 
 def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognitionResult:
-    """Central recognition: decide with cand1_for_ordering each point order
-    the ordering kernel yields (lexicographically, each {order, reversal}
-    pair once).  Orders failing the four point check (every central model
-    is in particular a box-and-point model) are never generated, nor are
-    orders with twins (equal open or closed neighbourhoods) out of id
-    order: swapping twins maps a central model to one, so the first
-    central order found is the same as over all orders.
+    """Central recognition, certificate first: each component is first
+    offered to the paper's constructions (_certificate), and only a
+    component none of them realizes is searched.
+
+    The certificates, in this order: an umbrella-free LexBFS sweep read as
+    an interval model and realized by interval_to_cand1's gap sweep; else
+    blockwise_cand1, when every block is a clique or outerplanar.  A
+    certified component costs no order and no solve, and its ordering is
+    its realization's point order.  The search decides with
+    cand1_for_ordering each point order the ordering kernel yields
+    (lexicographically, each {order, reversal} pair once).  Orders failing
+    the four point check (every central model is in particular a
+    box-and-point model) are never generated, nor are orders with twins
+    (equal open or closed neighbourhoods) out of id order: swapping twins
+    maps a central model to one, so the first central order found is the
+    same as over all orders.
 
     A graph is central iff every component is, so components are decided
     one by one in ascending order of their smallest vertex; the found
     realizations are laid side by side, each to the right of the previous
     one, and the orderings concatenated.  An isolated vertex of a larger
     graph is central alone and costs no order and no solve.  The merged
-    realization is re-checked exactly before it is returned.
+    realization, certified parts included, is re-checked exactly
+    (is_central and verify) before it is returned.
 
-    The budget bounds two counts, each across all components: the
-    kernel's placements tried, as for and1_recognize, and the
-    Fourier-Motzkin work of cand1_for_ordering, one unit per solve plus
-    its pair products.  A run therefore does at most twice the budget in
-    units of work.  Every order the kernel yields passes the four point
-    check, so each order decided costs at least one solve.  NotMember
-    requires one component's search to complete within both.  Verdicts
-    are exact but exponential; complete answers are practical for
-    components of up to about 7 vertices.  A negative budget raises
-    OrderingError.
+    The certificates are polynomial and not charged to the budget, so
+    budget 0 can still answer found.  The budget bounds two counts of the
+    search, each across all components: the kernel's placements tried, as
+    for and1_recognize, and the Fourier-Motzkin work of
+    cand1_for_ordering, one unit per solve plus its pair products.  A run
+    therefore does at most twice the budget in units of work.  Every order
+    the kernel yields passes the four point check, so each order decided
+    costs at least one solve.  not_member and exhausted come only from the
+    search; not_member requires one component's search to complete within
+    both counts.  Search verdicts are exact but exponential; complete
+    answers are practical for components of up to about 7 vertices.  A
+    negative budget raises OrderingError.
     """
     _require_nonnegative(budget)
     tried = solved = work = nodes = 0
@@ -334,6 +370,8 @@ def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognit
         r = None
         if sub.n == 1 and len(comps) > 1:  # alone on its stretch: no search
             o, r = Ordering((1,)), Realization.build(1, {1: ((-1, 1), 0)})
+        elif (r := _certificate(sub)) is not None:
+            o = Ordering(r_order(r))
         else:
             # only the last item is not FOUND; any other break is a budget running out
             for status, order, used in kernels.orderings(sub.masks, budget - nodes):

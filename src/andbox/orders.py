@@ -210,29 +210,35 @@ def lexbfs(masks, prior):
     return order
 
 
-def _sweep_certificate(g: Graph):
-    """A 4PC-free ordering of the connected graph g (0-indexed) found by
-    up to SWEEPS LexBFS sweeps, or None.
+def _sweep_orders(g: Graph):
+    """Candidate orders of the connected graph g (0-indexed) from up to
+    SWEEPS LexBFS sweeps, each sweep yielded before its reversal.
 
-    The first sweep breaks ties by ascending id, each later one is a
-    LexBFS+ sweep of the one before, and each sweep is tried before its
-    reversal.  On interval graphs LexBFS+ sweeps converge to an interval
-    model's order (Corneil, Olariu & Stewart 2009), which passes the four
-    point condition; SWEEPS bounds the work, and a miss only leaves the
-    component to the kernel.  A sweep equal to its prior ends the search:
-    it is the reversal of the sweep before it, and every later sweep
-    repeats those two (a LexBFS ordering is its own LexBFS+ sweep of its
-    reversal).
+    The first sweep breaks ties by ascending id and each later one is a
+    LexBFS+ sweep of the one before.  On interval graphs LexBFS+ sweeps
+    converge to an interval model's order (Corneil, Olariu & Stewart
+    2009); SWEEPS bounds the work.  A sweep equal to its prior ends the
+    candidates: it is the reversal of the sweep before it, and every
+    later sweep repeats those two (a LexBFS ordering is its own LexBFS+
+    sweep of its reversal).
     """
     prior = list(range(g.n))
     for sweep in range(SWEEPS):
         order = lexbfs(g.masks, prior)
         if sweep and order == prior:
-            return None
-        for cand in (order, order[::-1]):
-            if four_point_check(g, Ordering(tuple(v + 1 for v in cand))) is None:
-                return cand
+            return
+        yield order
+        yield order[::-1]
         prior = order[::-1]
+
+
+def _sweep_certificate(g: Graph):
+    """The first candidate of _sweep_orders that passes the four point
+    condition, or None.  An interval model's order passes it, and a miss
+    only leaves the component to the kernel."""
+    for cand in _sweep_orders(g):
+        if four_point_check(g, Ordering(tuple(v + 1 for v in cand))) is None:
+            return cand
     return None
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from .graphs import Graph
 
@@ -220,6 +222,35 @@ def is_central(r: Realization) -> bool:
             if (lo.numerator * b + hi.numerator * a) * d != 2 * p.numerator * a * b:
                 return False
     return True
+
+
+def central_realization(order, lo, hi, gaps) -> Realization:
+    """The central realization with point order `order` (positive ids),
+    first point 0 and gaps[t - 1] = p_{t+1} - p_t (ints or Fractions).
+    Each radius is its vertex's farthest-neighbour distance, read off the
+    closed-neighbourhood rank bounds lo and hi; an isolated vertex gets
+    half the distance to its nearest point, or 1 when it is alone.
+
+    The sums run in integers over den, twice the gaps' least common
+    denominator, so every half gap is whole too; each coordinate becomes a
+    Fraction once, at the end."""
+    den = 2 * lcm(*(x.denominator for x in gaps))
+    steps = [x.numerator * (den // x.denominator) for x in gaps]
+    p = [0, *accumulate(steps)]
+    spans = {}
+    for k, v in enumerate(order, 1):
+        pk = p[k - 1]
+        r = max(pk - p[lo[v] - 1], p[hi[v] - 1] - pk)
+        if not r:
+            r = min(steps[max(k - 2, 0):k], default=2 * den) // 2
+        spans[v] = (pk, r)
+    ids = tuple(sorted(spans))
+    boxes, points = [], []
+    for v in ids:
+        pk, r = spans[v]
+        boxes.append(((Fraction(pk - r, den), Fraction(pk + r, den)),))
+        points.append((Fraction(pk, den),))
+    return Realization._checked(1, ids, tuple(boxes), tuple(points))
 
 
 def r_order(r: Realization):

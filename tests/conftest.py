@@ -363,6 +363,15 @@ def reference_noncrossing(chords) -> bool:
     return True
 
 
+def reference_is_outerplanar(vertices, edges) -> bool:
+    """Outerplanarity by networkx: G is outerplanar iff G plus one apex
+    vertex joined to every vertex is planar."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(list(edges))
+    h.add_edges_from(("apex", v) for v in vertices)
+    return nx.check_planarity(h)[0]
+
+
 def reference_glue_at_safe_vertex(r1: Realization, w1: int, r2: Realization, w2: int) -> Realization:
     """Glue r2 onto r1 by rebuilding the whole host: delta is the minimum
     over every other host point, and the result is a fresh Realization.

@@ -14,7 +14,8 @@ from collections import Counter
 import pytest
 
 from andbox.families import h_graph
-from andbox.feasibility import cand1_recognize
+from andbox.constructors import blockwise_cand1
+from andbox.feasibility import _interval_certificate, cand1_recognize
 from andbox.orders import and1_recognize
 from andbox.realization import is_central, r_order, verify
 
@@ -54,6 +55,24 @@ def test_and1_cand1_census(census):
             assert verify(r, g).ok and is_central(r), g.edge_list()
             assert r_order(r) == c.ordering.order, g.edge_list()
     assert dict(counts) == CENSUS
+
+
+def test_certificates_split_the_central_graphs(census):
+    # A component the constructions realize costs no order and no solve;
+    # the interval model is tried first, then the block-wise build.  Every
+    # certified realization passed cand1_recognize's exact re-check.
+    split = Counter()
+    for g, _, c in census:
+        if _interval_certificate(g) is not None:
+            kind = "interval"
+        elif blockwise_cand1(g) is not None:
+            kind = "block-wise"
+        else:
+            kind = c.status
+        certified = (c.status, c.orderings_tried, c.cases_solved) == ("found", 0, 0)
+        assert certified == (kind != c.status), g.edge_list()
+        split[kind] += 1
+    assert split == {"interval": 330, "block-wise": 106, "found": 351, "not_member": 209}
 
 
 def test_minimal_cand1_obstructions_among_and1_graphs(census):

@@ -496,6 +496,16 @@ class TestRecognizeCand1:
             "exhaustive orderings 0 cases 0\n"
         )
 
+    def test_zero_budget_still_certifies(self, tmp_path, capsys):
+        # the cycle's outer ring gives its realization with no search
+        gp = write_graph(tmp_path / "c2000.and", cycle_graph(2000))
+        code, out, _ = run(capsys, "recognize-cand1", gp, "--node-budget", "0")
+        assert code == 0 and out.startswith("verdict=yes ")
+        real = str(tmp_path / "c2000.real")
+        assert is_central(fileio.load_realization(real))
+        code, out, _ = run(capsys, "verify", real, gp)
+        assert code == 0 and out.startswith("verdict=yes ")
+
     def test_exhausted_kernel_enumeration_exits_3(self, tmp_path, capsys, monkeypatch):
         def cut_short(masks, budget):
             yield (kernels.EXHAUSTED, [], budget)
@@ -796,13 +806,13 @@ class TestOneParserPerProcess:
         for side in ("inproc", "fresh"):
             d = tmp_path / side
             d.mkdir()
-            write_graph(d / "c5.and", cycle_graph(5))
+            write_graph(d / "k23.and", complete_multipartite_graph([2, 3]))
             fileio.save_interval_model(str(d / "model.iv"), model)
             dirs[side] = d
         steps = [
             (2, "realize --cycle 5 --bogus"),  # a usage error mid-parse
-            (3, "recognize-cand1 {d}/c5.and --node-budget 0"),
-            (0, "recognize-cand1 {d}/c5.and"),  # the default budget is back
+            (3, "recognize-cand1 {d}/k23.and --node-budget 0"),
+            (1, "recognize-cand1 {d}/k23.and"),  # the default budget is back
             (0, "realize --cycle 5 -o {d}/cycle.real"),
             (0, "realize {d}/model.iv"),  # --cycle is back to None
         ]
@@ -818,7 +828,7 @@ class TestOneParserPerProcess:
         assert built == []
         names = sorted(p.name for p in dirs["inproc"].iterdir())
         assert names == sorted(p.name for p in dirs["fresh"].iterdir())
-        assert {"c5.real", "cycle.real", "model.real"} <= set(names)
+        assert {"k23.witness", "cycle.real", "model.real"} <= set(names)
         for name in names:
             assert (dirs["inproc"] / name).read_bytes() == (
                 dirs["fresh"] / name

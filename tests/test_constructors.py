@@ -1,7 +1,8 @@
 """Constructions that output central realizations or membership orderings:
 single cycles, interval models via the one gap sweep, cliques and block
 assemblies, polygon dissections (two cycles fused on an edge among them),
-rooted-path models, and the two-hub three-path family.
+outer rings of outerplanar blocks and the block-wise build of a plain
+graph, rooted-path models, and the two-hub three-path family.
 """
 
 import random
@@ -14,13 +15,16 @@ from andbox.constructors import (
     _dissection_faces,
     _glue_scale,
     _host,
+    _block_edges,
     assemble_block_tree,
     block_graph_cand1,
+    blockwise_cand1,
     clique_cand1,
     cycle_cand1,
     glue_at_safe_vertex,
     h_graph_ordering,
     interval_to_cand1,
+    outer_ring,
     outerplanar_cand1,
     rdp_ordering,
 )
@@ -56,6 +60,7 @@ from conftest import (
     reference_assemble_block_tree,
     reference_dissection_faces,
     reference_insert_cycle_into_gap,
+    reference_is_outerplanar,
     reference_noncrossing,
 )
 
@@ -692,6 +697,89 @@ class TestOuterplanar:
             assert ok == reference_noncrossing(chords), chords
             verdicts.add(ok)
         assert verdicts == {True, False}
+
+
+def blocks_of(g):
+    """(vertices, edges) of every block with at least three vertices, over
+    the components of g."""
+    out = []
+    for comp in g.connected_components():
+        sub, back = g.subgraph(comp)
+        bd = block_decomposition(sub)
+        for blk, es in zip(bd.blocks, _block_edges(sub, bd)):
+            if len(blk) >= 3:
+                out.append(({back[v] for v in blk}, [(back[u], back[v]) for u, v in es]))
+    return out
+
+
+class TestOuterRing:
+    @staticmethod
+    def check(blk, es):
+        """outer_ring answers a ring iff networkx finds the block
+        outerplanar, and the ring is a Hamiltonian cycle of the block whose
+        chords do not cross."""
+        ring = outer_ring(frozenset(blk), es)
+        assert (ring is not None) == reference_is_outerplanar(blk, es), (sorted(blk), es)
+        if ring is None:
+            return False
+        assert sorted(ring) == sorted(blk)
+        outer = ring_edges(ring)
+        assert outer <= {fz(u, v) for u, v in es}
+        pos = {v: i for i, v in enumerate(ring)}
+        chords = [tuple(sorted((pos[u], pos[v]))) for u, v in es if fz(u, v) not in outer]
+        assert reference_noncrossing(chords)
+        return True
+
+    def test_atlas_blocks_match_networkx(self, connected_atlas):
+        blocks = [b for g in connected_atlas for b in blocks_of(g)]
+        outer = sum(self.check(blk, es) for blk, es in blocks)
+        assert (len(blocks), outer) == (1044, 287)
+
+    def test_random_blocks_match_networkx(self):
+        rng = random.Random(24)
+        blocks = []
+        while len(blocks) < 2000:
+            n = rng.randint(3, 12)
+            p = rng.choice((0.25, 0.35, 0.5))
+            edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+            blocks += blocks_of(Graph.from_edges(n, edges))
+        outer = sum(self.check(blk, es) for blk, es in blocks)
+        assert (len(blocks), outer) == (2000, 759)
+
+    def test_polygons_and_dissections_keep_their_ring(self):
+        for seed in range(10):
+            m = random_dissection(5 + 3 * seed, seed).aux
+            g = m.graph()
+            ring = outer_ring(frozenset(g.vertices()), g.edge_list())
+            k = ring.index(1)
+            assert ring[k:] + ring[:k] in (m.outer, (1,) + tuple(reversed(m.outer[1:])))
+
+
+class TestBlockwiseCand1:
+    def test_matches_the_model_constructions(self):
+        # the clique blocks as block_graph_cand1 builds them, the outerplanar
+        # block from the ring outer_ring finds as outerplanar_cand1 builds it
+        for seed in range(6):
+            g = random_block_graph(8 + 5 * seed, seed).graph
+            assert blockwise_cand1(g) == block_graph_cand1(g)
+        g = cycle_graph(9)
+        assert blockwise_cand1(g) == outerplanar_cand1(OuterplanarModel(tuple(range(1, 10)), ()))
+
+    def test_cliques_and_dissections_glued(self):
+        for seed in range(10):
+            m = random_outerplanar_walk(seed)
+            g = m.graph()
+            # hang a K5 off vertex 1: not outerplanar, but a clique block
+            n = g.n
+            k5 = [(u, v) for u in [1] + list(range(n + 1, n + 5)) for v in range(n + 1, n + 5) if u < v]
+            h = Graph.from_edges(n + 4, g.edge_list() + k5)
+            for graph in (g, h):
+                r = blockwise_cand1(graph)
+                assert verify(r, graph).ok and is_central(r)
+
+    def test_a_block_neither_clique_nor_outerplanar_gives_none(self):
+        g = Graph.from_edges(6, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5), (5, 6)])
+        assert blockwise_cand1(g) is None
 
 
 class TestRdpOrdering:

@@ -46,6 +46,13 @@ def assert_closed_form_radii(r, g):
             assert (hi - lo) / 2 == (min(dist) / 2 if dist else 1)
 
 
+@pytest.fixture
+def search_only(monkeypatch):
+    """Send every component to the ordering search: the tests that pin its
+    witnesses, counts and budgets run with the certificate step off."""
+    monkeypatch.setattr(feasibility, "_certificate", lambda g: None)
+
+
 def positive(nvars):
     """The cone row -t < 0 over (t, x_1, ..., x_{nvars-1})."""
     return ((-1,) + (0,) * (nvars - 1), True)
@@ -156,6 +163,7 @@ class TestBackSubstitute:
                 kinds[("free", "below", "above", "both")[2 * bool(pos) + bool(neg)]] += 1
         assert min(kinds.values()) > 0, kinds
 
+    @pytest.mark.usefixtures("search_only")
     def test_matches_reference_on_found_cases(self, connected_atlas, monkeypatch):
         # every case the central search back-substitutes on the atlas, and
         # on three interval graphs whose systems reach 135-791 rows
@@ -253,6 +261,7 @@ class TestCandForOrdering:
                 expected = "infeasible" if four_point_check(g, o) is not None else "exhausted"
                 assert res.status == expected, (g.edge_list(), perm)
 
+    @pytest.mark.usefixtures("search_only")
     def test_radii_are_farthest_neighbour_distances(self):
         rng = random.Random(34)
         found = 0
@@ -301,6 +310,7 @@ class TestCandForOrdering:
 
 
 class TestCandRecognize:
+    @pytest.mark.usefixtures("search_only")
     @pytest.mark.parametrize(
         "g, cases, points, radii",
         [
@@ -328,6 +338,7 @@ class TestCandRecognize:
             assert (r.interval(v), r.point(v)) == ((p - rad, p + rad), (p,))
 
     @pytest.mark.parametrize("seed, cases", [(36, 1), (45, 2), (55, 1)])
+    @pytest.mark.usefixtures("search_only")
     def test_random_interval_n9_seeds_with_large_eliminations(self, seed, cases):
         # each seed has a solve whose FM system grows to 135-791 rows (16 at seed 0)
         g = families.random_interval(9, seed).graph
@@ -370,6 +381,7 @@ class TestCandRecognize:
         # them keep the false twins {1, 2, 3} and {4, 5, 6} in increasing id
         assert res.orderings_tried == 2
 
+    @pytest.mark.usefixtures("search_only")
     def test_star_and_cycle_found(self):
         star = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
         for g in (star, cycle_graph(5)):
@@ -379,6 +391,7 @@ class TestCandRecognize:
             assert is_central(res.realization)
             assert r_order(res.realization) == res.ordering.order
 
+    @pytest.mark.usefixtures("search_only")
     def test_found_implies_interval_search_found(self):
         rng = random.Random(33)
         for _ in range(25):
@@ -418,6 +431,7 @@ class TestCandRecognize:
         res = cand1_recognize(complete_multipartite_graph([2, 3]), budget=12)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 2, 2)
 
+    @pytest.mark.usefixtures("search_only")
     def test_budget_bounds_the_pairs_of_one_solve(self, monkeypatch):
         # random_interval(9, 55) is decided in one solve that derives 6,719
         # rows; under a budget of 1,000 the solve stops before the variable
@@ -449,6 +463,7 @@ class TestCandRecognize:
         assert res.status == "exhausted"
         assert (res.orderings_tried, res.cases_solved) == (1, 1)
 
+    @pytest.mark.usefixtures("search_only")
     def test_matches_reference_recognition(self, connected_atlas):
         # The kernel skips only orders failing the four point check, which
         # the reference decides in no solve, and both skip orders with a
@@ -467,6 +482,7 @@ class TestCandRecognize:
             ), g.edge_list()
             assert res.orderings_tried <= ref.orderings_tried
 
+    @pytest.mark.usefixtures("search_only")
     def test_twin_rule_keeps_verdict_ordering_and_witness(self, connected_atlas):
         # The first central-feasible order has its twins in increasing id:
         # swapping an out-of-order twin pair is an automorphism and gives a
@@ -482,6 +498,7 @@ class TestCandRecognize:
             assert res.cases_solved <= ref.cases_solved, g.edge_list()
             assert res.orderings_tried <= ref.orderings_tried, g.edge_list()
 
+    @pytest.mark.usefixtures("search_only")
     @pytest.mark.parametrize(
         "g, status, solves",
         [(cycle_graph(8), "found", 11), (complete_multipartite_graph([2, 3]), "not_member", 2)],
@@ -500,6 +517,7 @@ class TestCandRecognize:
         assert (res.status, res.cases_solved) == (status, solves)
         assert calls == {"_eliminate": solves, "_back_substitute": int(status == "found")}
 
+    @pytest.mark.usefixtures("search_only")
     def test_edge_with_isolated_false_twins(self):
         # N(3) = N(4) = N(5) = {} and N[1] = N[2]: both classes are placed
         # in increasing id, and the first order the kernel yields is central
@@ -520,6 +538,7 @@ class TestCandRecognize:
         return Graph.from_edges(k, edges)
 
     @pytest.mark.parametrize("p6_first", [False, True], ids=["K23+P6", "P6+K23"])
+    @pytest.mark.usefixtures("search_only")
     def test_components_are_decided_one_by_one(self, p6_first):
         # interleaving the points of K(2,3) and P6 gives far more than 10^3
         # orders to decide; per component, K(2,3) needs its 2 orders (one
@@ -530,6 +549,7 @@ class TestCandRecognize:
         assert (res.status, res.realization, res.ordering) == ("not_member", None, None)
         assert (res.orderings_tried, res.cases_solved) == ((3, 6) if p6_first else (2, 2))
 
+    @pytest.mark.usefixtures("search_only")
     def test_components_sit_side_by_side(self):
         parts = (cycle_graph(5), path_graph(1), path_graph(2), path_graph(1), cycle_graph(4))
         g = self.disjoint_union(*parts)
@@ -549,6 +569,7 @@ class TestCandRecognize:
         # C5, K2 and C4 decide one order each; the isolated vertices none
         assert res.orderings_tried == 3
 
+    @pytest.mark.usefixtures("search_only")
     def test_budgets_are_charged_across_components(self):
         # P3 takes 3 placements and 1 unit of work; K(2,3) 22 placements and
         # 11 + 8 units for its two orders
@@ -559,3 +580,67 @@ class TestCandRecognize:
         assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 3, 3)
         res = cand1_recognize(g, budget=12)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 2, 2)
+
+
+class TestCertificates:
+    """Components the paper's constructions realize are decided before the
+    ordering search: no kernel node, no solve, nothing charged."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran on a certified component")
+
+        monkeypatch.setattr(kernels, "orderings", refuse)
+        monkeypatch.setattr(feasibility, "_eliminate", refuse)
+
+    @pytest.mark.parametrize(
+        "make, budget",
+        [
+            pytest.param(lambda: families.random_interval(12, 0).graph, 10**6, id="interval12"),
+            pytest.param(lambda: families.random_interval(16, 0).graph, 10**7, id="interval16"),
+            pytest.param(lambda: families.random_dissection(14, 0).graph, 10**7, id="dissection14"),
+            pytest.param(lambda: families.random_interval(300, 1).graph, 0, id="interval300"),
+            pytest.param(lambda: families.random_block_graph(200, 1).graph, 0, id="block200"),
+            pytest.param(lambda: cycle_graph(2000), 0, id="C2000"),
+            pytest.param(lambda: path_graph(5000), 0, id="P5000"),
+        ],
+    )
+    def test_certified_without_search(self, no_search, make, budget):
+        g = make()
+        res = cand1_recognize(g, budget)
+        assert (res.status, res.orderings_tried, res.cases_solved) == ("found", 0, 0)
+        assert verify(res.realization, g).ok and is_central(res.realization)
+        assert r_order(res.realization) == res.ordering.order
+
+    def test_interval_first(self):
+        # P5000 is outerplanar too, but glued block by block its nested
+        # denominators grow with the path; the interval model has integer points
+        res = cand1_recognize(path_graph(5000), 0)
+        assert all(p[0].denominator == 1 for p in res.realization.points)
+        assert feasibility._interval_certificate(cycle_graph(4)) is None
+
+    def test_components_certified_one_by_one(self, no_search):
+        # a cycle, a clique-block graph and a path beside an isolated vertex
+        parts = (cycle_graph(6), families.random_block_graph(9, 3).graph, path_graph(1), path_graph(4))
+        g = TestCandRecognize.disjoint_union(*parts)
+        res = cand1_recognize(g, 0)
+        assert (res.status, res.orderings_tried, res.cases_solved) == ("found", 0, 0)
+        assert verify(res.realization, g).ok and is_central(res.realization)
+        assert r_order(res.realization) == res.ordering.order
+
+    def test_theta_graph_reaches_the_search(self, monkeypatch):
+        # h(2,4,4) is three paths between two hubs: neither interval nor
+        # outerplanar, so only the search can decide it
+        calls = []
+        orderings = kernels.orderings
+
+        def counted(masks, budget):
+            calls.append(budget)
+            return orderings(masks, budget)
+
+        monkeypatch.setattr(kernels, "orderings", counted)
+        res = cand1_recognize(families.h_graph(2, 4, 4).graph, budget=1000)
+        assert calls == [1000] and res.status == "exhausted" and res.orderings_tried > 0
+        res = cand1_recognize(complete_multipartite_graph([2, 3]), budget=0)
+        assert (res.status, res.orderings_tried) == ("exhausted", 0)
