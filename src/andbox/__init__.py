@@ -17,7 +17,6 @@ from .boxes import (
 )
 from .constructors import (
     assemble_block_tree,
-    block_graph_cand1,
     blockwise_cand1,
     clique_cand1,
     cycle_cand1,

@@ -22,7 +22,7 @@ import time
 
 from . import fileio
 from .constructors import (
-    block_graph_cand1,
+    blockwise_cand1,
     cycle_cand1,
     glue_at_safe_vertex,
     interval_to_cand1,
@@ -86,10 +86,13 @@ def _cmd_realize(args) -> str:
     if args.cycle is not None:
         if not args.output:
             raise UsageError("-o is required with --cycle")
-        eps = fileio.parse_rational(args.eps)
-        r = cycle_cand1(args.cycle, eps, anchor=args.anchor)
+        eps = fileio.parse_rational("1/2" if args.eps is None else args.eps)
+        anchor = 1 if args.anchor is None else args.anchor
+        r = cycle_cand1(args.cycle, eps, anchor=anchor)
         out = args.output
     else:
+        if args.eps is not None or args.anchor is not None:
+            raise UsageError("--eps and --anchor apply only with --cycle")
         text = fileio._read(args.input)
         kind = fileio.sniff_format(text)
         if kind == "interval":
@@ -103,9 +106,13 @@ def _cmd_realize(args) -> str:
             order = rdp_ordering(model)
             r = realization_from_ordering(model.intersection_graph(), order)
         elif kind == "graph":
-            # block graphs only, as ever: recognize-cand1 is the command
-            # that tries every construction and then searches
-            r = block_graph_cand1(fileio.loads_graph(text, args.input))
+            # the one block-tree construction; recognize-cand1 is the
+            # command that tries every construction and then searches
+            r = blockwise_cand1(fileio.loads_graph(text, args.input))
+            if r is None:
+                raise UsageError(
+                    f"{args.input}: a block is neither a clique nor outerplanar"
+                )
         else:
             raise UsageError(f"cannot realize a {kind} file")
         out = _out(args, _stem(args.input) + ".real")
@@ -231,14 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "realize",
-        help="build a realization from a model file: central, except the"
+        help="build a realization from a model file, a graph file whose"
+        " blocks are cliques or outerplanar, or --cycle: central, except the"
         " ordering's integer realization for a rooted-path model",
     )
     p.add_argument("input", nargs="?")
     p.add_argument("-o", "--output")
     p.add_argument("--cycle", type=int, help="realize a cycle of this size")
-    p.add_argument("--eps", default="1/2", help="cycle slack, rational in (0,1)")
-    p.add_argument("--anchor", type=int, default=1)
+    p.add_argument(
+        "--eps", help="cycle slack, rational in (0,1); 1/2 when not given"
+    )
+    p.add_argument(
+        "--anchor", type=int, help="cycle vertex left safe; 1 when not given"
+    )
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("verify", help="check a realization against a graph")

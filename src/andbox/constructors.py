@@ -1,14 +1,15 @@
 """Constructive central realizations and membership orderings.
 
 Covers the families with known constructions: interval models (one gap
-sweep), cycles (closed form), gluing at safe vertices, block trees,
-outerplanar graphs (polygon dissections per block), rooted-directed-path
-models (ordering), and the three-path H family (orderings for the
-short-path cases).  Graphs without a model file are realized too when
-the model can be recovered: umbrella_free_cand1 runs the interval gap
-sweep on an umbrella-free order of a graph, and blockwise_cand1 builds
-every clique or outerplanar block, the outer ring of the latter found by
-outer_ring.
+sweep), cycles (closed form), gluing at safe vertices, graphs whose
+blocks are cliques or outerplanar (one block-tree construction,
+blockwise_cand1: a polygon dissection for each outerplanar block, its
+outer ring found by outer_ring), rooted-directed-path models (ordering),
+and the three-path H family (orderings for the short-path cases).
+umbrella_free_cand1 realizes a graph without a model file too, by the
+interval gap sweep on an umbrella-free order of it.  An outerplanar
+model file defines its graph only: outerplanar_cand1 is blockwise_cand1
+of that graph.
 
 Two cycles sharing an edge are a polygon with one chord, which
 outerplanar_cand1 realizes: the 5-cycle 1..5 and a 4-cycle sharing its
@@ -21,7 +22,6 @@ outerplanar model file
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
@@ -88,17 +88,24 @@ def cycle_cand1(n: int, eps=HALF, anchor: int = 1) -> Realization:
         raise GraphError("eps must lie strictly between 0 and 1")
     if not (1 <= anchor <= n):
         raise GraphError("anchor must be a vertex of the cycle")
+    ids = list(range(anchor, n + 1)) + list(range(1, anchor))
+    return Realization.build(1, _cycle_items(ids, eps))
+
+
+def _cycle_items(ids, eps) -> dict:
+    """cycle_cand1's boxes as {id: (interval, point)}, ids[i - 1] taking
+    label i."""
+    n = len(ids)
     items = {}
-    for label in range(1, n + 1):
-        v = (label - 1 + anchor - 1) % n + 1
+    for label, v in enumerate(ids, start=1):
         if label == 1:
             box = (2 - n - eps, n + eps)
         elif label == n:
             box = (1 - eps, 2 * n - 1 + eps)
         else:
             box = (label - (1 + eps), label + (1 + eps))
-        items[v] = (tuple(_frac(c) for c in box), Fraction(label))
-    return Realization.build(1, items)
+        items[v] = (box, Fraction(label))
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +249,6 @@ def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
     return Realization.build(1, items)
 
 
-def block_graph_cand1(g: Graph) -> Realization:
-    """Central realization of a connected graph whose blocks are cliques."""
-    bd = block_decomposition(g)
-    for blk in bd.blocks:
-        for u, v in itertools.combinations(sorted(blk), 2):
-            if not g.has_edge(u, v):
-                raise GraphError("every block must induce a clique")
-    return assemble_block_tree(
-        lambda bi, cut: clique_cand1(bd.blocks[bi]), bd
-    )
-
-
 # ---------------------------------------------------------------------------
 # polygon dissections
 
@@ -297,19 +292,6 @@ def _insert_cycle_into_gap(items: dict, pts: list, x: int, y: int, new_ids):
     pts[at:at] = inserted  # ascending, strictly inside (px, py)
 
 
-def _noncrossing(chords) -> bool:
-    # sorted by (a, -b), a chord (a, b) must end inside every chord still
-    # open at a; their ends form a stack, innermost on top
-    ends = []
-    for a, b in sorted(chords, key=lambda ab: (ab[0], -ab[1])):
-        while ends and ends[-1] <= a:
-            ends.pop()
-        if ends and ends[-1] < b:
-            return False
-        ends.append(b)
-    return True
-
-
 def _dissection_faces(k: int, chords):
     """Faces of a convex polygon (positions 0..k-1) dissected by
     non-crossing chords.  Returns (face, closing) pairs in discovery
@@ -344,57 +326,6 @@ def _dissection_faces(k: int, chords):
     return out
 
 
-def _realize_dissection_block(
-    cycle_vs, chords, anchor: int, anchor_mate: int
-) -> dict:
-    """Realize one 2-connected outerplanar block given its outer cycle
-    order (vertex ids) and chord edges.  The block is rotated so the
-    outer edge (anchor, anchor_mate) becomes the wrap side; the face
-    along it is realized first and the others are folded into the gaps
-    of their closing chords.  Returns {vertex: (interval, point)}; the
-    anchor ends up safe."""
-    k = len(cycle_vs)
-    idx = cycle_vs.index(anchor)
-    before = cycle_vs[(idx - 1) % k]
-    after = cycle_vs[(idx + 1) % k]
-    if before == anchor_mate:
-        ring = cycle_vs[idx:] + cycle_vs[:idx]
-    elif after == anchor_mate:
-        rolled = cycle_vs[idx + 1 :] + cycle_vs[: idx + 1]
-        ring = tuple(reversed(rolled))
-    else:
-        raise GraphError("anchor edge must lie on the outer cycle")
-
-    pos = {v: i for i, v in enumerate(ring)}
-    chord_pos = []
-    for a, b in chords:
-        if a not in pos or b not in pos:
-            raise GraphError("chord endpoints must lie on the outer cycle")
-        pa, pb = sorted((pos[a], pos[b]))
-        if pb - pa < 2 or (pa == 0 and pb == k - 1):
-            raise GraphError("chords must skip at least one outer vertex")
-        chord_pos.append((pa, pb))
-    chord_pos = sorted(set(chord_pos))
-    if len(chord_pos) != len(chords):
-        raise GraphError("duplicate chords")
-    if not _noncrossing(chord_pos):
-        raise GraphError("chords must not cross")
-
-    faces = _dissection_faces(k, chord_pos)
-    root_face, _ = faces[0]
-    items = {}
-    root = cycle_cand1(len(root_face), HALF)
-    for label, p in enumerate(root_face, start=1):
-        v = ring[p]
-        items[v] = (root.box(label)[0], root.coordinate(label))
-    pts = sorted(pt for _, pt in items.values())
-    for face, closing in faces[1:]:
-        a, b = closing
-        internal = [ring[p] for p in face[1:-1]]
-        _insert_cycle_into_gap(items, pts, ring[a], ring[b], internal)
-    return items
-
-
 def _block_edges(g: Graph, bd: BlockDecomposition):
     """Each block's edges: every edge lies in exactly one block, the one
     its endpoints share."""
@@ -405,55 +336,30 @@ def _block_edges(g: Graph, bd: BlockDecomposition):
     return out
 
 
-def _ring_block_cand1(g: Graph, ring, edges, cut) -> Realization:
-    """Central realization of one block of g: ring lists its vertices in
-    outer cyclic order and edges are its edges; every edge off the ring is
-    a chord.  The block is anchored on an outer edge at the parent cut
-    vertex cut, which ends up safe, or on its least outer edge when cut is
-    None."""
-    if len(ring) == 2:
-        return clique_cand1(ring)
-    outer = sorted({(min(u, v), max(u, v)) for u, v in zip(ring, ring[1:] + ring[:1])})
-    for u, v in outer:
-        if not g.has_edge(u, v):
-            raise GraphError("outer walk uses a missing edge")
-    ring_edges = set(outer)
-    chords = [e for e in edges if e not in ring_edges]
-    if cut is None:
-        anchor, mate = outer[0]
+def _ring_block_cand1(ring, edges, cut) -> Realization:
+    """Central realization of one outerplanar block that is not a clique:
+    ring lists its vertices in outer cyclic order, as outer_ring finds
+    them, and edges are its edges.  The anchor is the parent cut vertex
+    cut, or the least vertex when cut is None.  The ring is rotated so the
+    outer edge from the anchor to its lesser ring neighbour becomes the
+    wrap side; the face along it is realized as a cycle and every other
+    face is folded into the gap of its closing chord.  The anchor ends up
+    safe."""
+    i = ring.index(min(ring) if cut is None else cut)
+    if ring[i - 1] < ring[(i + 1) % len(ring)]:
+        ring = ring[i:] + ring[:i]
     else:
-        incident = [e for e in outer if cut in e]
-        if not incident:
-            raise GraphError("cut vertex must lie on the block's outer cycle")
-        a, b = incident[0]
-        anchor, mate = cut, (b if a == cut else a)
-    items = _realize_dissection_block(ring, sorted(chords), anchor, mate)
+        ring = ring[i::-1] + ring[:i:-1]
+    k = len(ring)
+    pos = {v: p for p, v in enumerate(ring)}
+    spans = [sorted((pos[u], pos[v])) for u, v in edges]
+    # a ring edge spans 1 or k - 1 positions, a chord anything between
+    faces = _dissection_faces(k, [(a, b) for a, b in spans if 1 < b - a < k - 1])
+    items = _cycle_items([ring[p] for p in faces[0][0]], HALF)
+    pts = sorted(pt for _, pt in items.values())
+    for face, (a, b) in faces[1:]:
+        _insert_cycle_into_gap(items, pts, ring[a], ring[b], [ring[p] for p in face[1:-1]])
     return Realization.build(1, items)
-
-
-def outerplanar_cand1(m: OuterplanarModel) -> Realization:
-    """Central realization of an outerplanar graph given its outer walk
-    and chords.  Every 2-connected block is a polygon dissection realized
-    face by face; blocks are then glued along the block tree, each block
-    anchored so its parent cut vertex is safe."""
-    g = m.graph()
-    bd = block_decomposition(g)
-    # cyclic outer order per block: first occurrences along the walk
-    first = {}
-    for i, v in enumerate(m.outer):
-        first.setdefault(v, i)
-    rings = [
-        tuple(sorted((v for v in blk if v in first), key=first.__getitem__))
-        for blk in bd.blocks
-    ]
-    edges = _block_edges(g, bd)
-
-    def build(bi, cut):
-        if len(rings[bi]) != len(bd.blocks[bi]):
-            raise GraphError("outer walk must visit every block vertex")
-        return _ring_block_cand1(g, rings[bi], edges[bi], cut)
-
-    return assemble_block_tree(build, bd)
 
 
 def outer_ring(block, edges):
@@ -511,9 +417,9 @@ def outer_ring(block, edges):
 def blockwise_cand1(g: Graph):
     """Central realization of a connected graph each of whose blocks is
     a clique or outerplanar, or None when some block is neither.  Clique
-    blocks are built as in block_graph_cand1, outerplanar ones from the
-    outer ring that outer_ring finds, as in outerplanar_cand1, and the
-    blocks are glued along the block tree."""
+    blocks are built by clique_cand1, outerplanar ones from the outer
+    ring that outer_ring finds, and the blocks are glued along the block
+    tree, each anchored so that its parent cut vertex is safe."""
     bd = block_decomposition(g)
     edges = _block_edges(g, bd)
     rings = []  # None for a clique block
@@ -528,9 +434,20 @@ def blockwise_cand1(g: Graph):
     def build(bi, cut):
         if rings[bi] is None:
             return clique_cand1(bd.blocks[bi])
-        return _ring_block_cand1(g, rings[bi], edges[bi], cut)
+        return _ring_block_cand1(rings[bi], edges[bi], cut)
 
     return assemble_block_tree(build, bd)
+
+
+def outerplanar_cand1(m: OuterplanarModel) -> Realization:
+    """Central realization of an outerplanar model's graph: blockwise_cand1
+    of m.graph(), which finds every outer ring itself, so the walk serves
+    only to define the graph.  Raises GraphError when the graph is not
+    outerplanar."""
+    r = blockwise_cand1(m.graph())
+    if r is None:
+        raise GraphError("the outerplanar model's graph is not outerplanar")
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -355,8 +355,8 @@ def reference_dissection_faces(k: int, chords):
 
 
 def reference_noncrossing(chords) -> bool:
-    """The all-pairs crossing test that the sort and stack sweep in
-    constructors._noncrossing replaced."""
+    """True when no two chords (position pairs a < b on a ring) cross,
+    by the all-pairs test."""
     for (a, b), (c, d) in combinations(chords, 2):
         if a < c < b < d or c < a < d < b:
             return False

@@ -27,7 +27,7 @@ from conftest import (
 from andbox import fileio
 from andbox.boxes import semisquare_intersection_graph
 from andbox.constructors import (
-    block_graph_cand1,
+    blockwise_cand1,
     clique_cand1,
     cycle_cand1,
     h_graph_ordering,
@@ -320,7 +320,7 @@ def test_check_09_dissections_and_block_graphs(acceptance_record, central_pool):
         central_pool.append(r)
     for i in range(100):
         bundle = random_block_graph(rng.randint(1, 30), seed=rng.randrange(2**30))
-        r = block_graph_cand1(bundle.graph)
+        r = blockwise_cand1(bundle.graph)
         if not (verify(r, bundle.graph).ok and is_central(r)):
             bad.append(("block", i))
             continue
@@ -415,7 +415,7 @@ def test_check_12_triangle_model_equivalence(acceptance_record, central_pool):
         regenerated.append(interval_to_cand1(random_interval(12, seed=s).aux))
         regenerated.append(outerplanar_cand1(random_dissection(10, seed=s).aux))
         regenerated.append(
-            block_graph_cand1(random_block_graph(15, seed=s).graph)
+            blockwise_cand1(random_block_graph(15, seed=s).graph)
         )
     t0 = time.perf_counter()
     bad = 0

@@ -29,7 +29,7 @@ from andbox import cli, families, feasibility, fileio, kernels, orders
 from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
 from andbox.cli import main
 from andbox.constructors import (
-    block_graph_cand1,
+    blockwise_cand1,
     cycle_cand1,
     clique_cand1,
     glue_at_safe_vertex,
@@ -241,8 +241,35 @@ class TestRealize:
         code, _, _ = run(capsys, "realize", src)
         assert code == 0
         r = fileio.load_realization(str(tmp_path / "blocks.real"))
-        assert r == block_graph_cand1(g)
+        assert r == blockwise_cand1(g)
         assert verify(r, g).ok and is_central(r)
+
+    def test_graph_file_with_an_outerplanar_block(self, tmp_path, capsys):
+        g = cycle_graph(7)
+        src = write_graph(tmp_path / "c7.and", g)
+        code, _, _ = run(capsys, "realize", src)
+        assert code == 0
+        r = fileio.load_realization(str(tmp_path / "c7.real"))
+        assert r == blockwise_cand1(g)
+        assert verify(r, g).ok and is_central(r)
+
+    def test_graph_file_with_neither_block_exits_2(self, tmp_path, capsys):
+        src = write_graph(tmp_path / "k23.and", complete_multipartite_graph([2, 3]))
+        code, out, err = run(capsys, "realize", src)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "neither a clique nor outerplanar" in err
+        assert not (tmp_path / "k23.real").exists()
+
+    @pytest.mark.parametrize("flags", [["--eps", "7/3"], ["--anchor", "99"], ["--eps", "1/2"]])
+    def test_cycle_flags_rejected_with_a_model_file(self, tmp_path, capsys, flags):
+        model = generate("random-interval", (7,), seed=11).aux
+        src = tmp_path / "m.iv"
+        fileio.save_interval_model(str(src), model)
+        code, out, err = run(capsys, "realize", str(src), *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--cycle" in err
+        assert not (tmp_path / "m.real").exists()
 
     def test_wrong_input_kind_exits_2(self, tmp_path, capsys):
         src = tmp_path / "o.ord"
@@ -853,6 +880,28 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert code == 0, err
     assert VERDICT.fullmatch(out) and out.startswith("verdict=yes ")
     assert fileio.load_ordering(str(tmp_path / "k23.order")).order == (1, 2, 3, 4, 5)
+
+
+def test_loads_only_the_standard_library():
+    # pyproject.toml declares no dependencies: importing andbox and running
+    # the CLI in a fresh interpreter may load standard-library modules and
+    # andbox's own, besides what the interpreter loaded at start-up
+    src = os.path.dirname(os.path.dirname(andbox.__file__))
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "before = set(sys.modules)",
+        f"sys.path.insert(0, {src!r})",
+        "import andbox",
+        "from andbox import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['--help']) == 0",
+        "for name in sorted(set(sys.modules) - before):",
+        "    if name.split('.')[0] not in sys.stdlib_module_names | {'andbox'}:",
+        "        print(name)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.skipif(

@@ -17,7 +17,6 @@ from andbox.constructors import (
     _host,
     _block_edges,
     assemble_block_tree,
-    block_graph_cand1,
     blockwise_cand1,
     clique_cand1,
     cycle_cand1,
@@ -400,16 +399,12 @@ class TestBlockAssembly:
     def test_block_graphs_random(self):
         for seed in range(8):
             b = random_block_graph(6 + 2 * seed, seed)
-            r = block_graph_cand1(b.graph)
+            r = blockwise_cand1(b.graph)
             assert verify(r, b.graph).ok
             assert is_central(r)
 
-    def test_non_clique_block_rejected(self):
-        with pytest.raises(GraphError):
-            block_graph_cand1(cycle_graph(4))
-
     def test_single_vertex_graph(self):
-        r = block_graph_cand1(Graph.from_edges(1, []))
+        r = blockwise_cand1(Graph.from_edges(1, []))
         assert r.n == 1
         assert is_central(r)
 
@@ -418,7 +413,7 @@ class TestBlockAssembly:
             g = random_block_graph(6 + 7 * seed, seed).graph
             bd = block_decomposition(g)
             expected = reference_assemble_block_tree(lambda bi, cut: clique_cand1(bd.blocks[bi]), bd)
-            assert block_graph_cand1(g) == expected
+            assert blockwise_cand1(g) == expected
 
     def test_outerplanar_models_match_sequential_fold(self, monkeypatch):
         models = [random_dissection(4 + 3 * seed, seed).aux for seed in range(10)]
@@ -455,7 +450,7 @@ class TestBlockAssembly:
             return build(d, items)
 
         monkeypatch.setattr(Realization, "build", staticmethod(counted))
-        r = block_graph_cand1(Graph.from_edges(n, [(1, v) for v in range(2, n + 1)]))
+        r = blockwise_cand1(Graph.from_edges(n, [(1, v) for v in range(2, n + 1)]))
         assert r.n == n
         assert passed <= 3 * n
 
@@ -627,8 +622,7 @@ class TestOuterplanar:
     def test_nested_polygon_reads_block_edges(self, monkeypatch):
         # nested chords (i, k + 1 - i) in one block: testing every vertex
         # pair of the block for an edge would make k(k - 1)/2 = 79,800
-        # has_edge calls; reading the block's edges leaves the k checks of
-        # the outer edges
+        # has_edge calls; the block's edges are read from its edge list
         k = 400
         m = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
         calls = 0
@@ -684,19 +678,6 @@ class TestOuterplanar:
         m = OuterplanarModel((1, 2, 3, 4, 5, 6), ((1, 3), (2, 4)))
         with pytest.raises(GraphError):
             outerplanar_cand1(m)
-
-    def test_noncrossing_sweep_matches_pairwise_reference(self):
-        # random chord sets in random order, shared endpoints included
-        rng = random.Random(11)
-        verdicts = set()
-        for _ in range(3000):
-            k = rng.randint(4, 12)
-            pairs = [(a, b) for a in range(k) for b in range(a + 2, k)]
-            chords = rng.sample(pairs, rng.randint(0, min(len(pairs), 6)))
-            ok = constructors._noncrossing(chords)
-            assert ok == reference_noncrossing(chords), chords
-            verdicts.add(ok)
-        assert verdicts == {True, False}
 
 
 def blocks_of(g):
@@ -757,13 +738,28 @@ class TestOuterRing:
 
 class TestBlockwiseCand1:
     def test_matches_the_model_constructions(self):
-        # the clique blocks as block_graph_cand1 builds them, the outerplanar
-        # block from the ring outer_ring finds as outerplanar_cand1 builds it
-        for seed in range(6):
-            g = random_block_graph(8 + 5 * seed, seed).graph
-            assert blockwise_cand1(g) == block_graph_cand1(g)
-        g = cycle_graph(9)
-        assert blockwise_cand1(g) == outerplanar_cand1(OuterplanarModel(tuple(range(1, 10)), ()))
+        # a model's walk defines its graph only: triangle blocks come out
+        # as clique_cand1 builds them, not as 3-gons
+        for seed in range(20):
+            m = random_outerplanar_walk(seed)
+            assert outerplanar_cand1(m) == blockwise_cand1(m.graph())
+
+    def test_one_block_is_built_twice(self, monkeypatch):
+        # the root face's boxes go straight into the block's items, so C8
+        # is built once as a block and once as the glued whole
+        builds = 0
+        build = Realization.build
+
+        def counted(d, items):
+            nonlocal builds
+            builds += 1
+            return build(d, items)
+
+        monkeypatch.setattr(Realization, "build", staticmethod(counted))
+        r = blockwise_cand1(cycle_graph(8))
+        assert builds == 2
+        monkeypatch.undo()
+        assert verify(r, cycle_graph(8)).ok and is_central(r)
 
     def test_cliques_and_dissections_glued(self):
         for seed in range(10):

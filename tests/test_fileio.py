@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from andbox import fileio
 from andbox.constructors import (
-    block_graph_cand1,
+    blockwise_cand1,
     cycle_cand1,
     interval_to_cand1,
     outerplanar_cand1,
@@ -507,7 +507,7 @@ def _family_files():
         reals += [
             interval_to_cand1(iv.aux),
             outerplanar_cand1(dis.aux),
-            block_graph_cand1(block.graph),
+            blockwise_cand1(block.graph),
             realization_from_ordering(rp.graph, rdp_ordering(rp.aux)),
         ]
     rng = random.Random(2203)

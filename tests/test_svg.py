@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from andbox.constructors import block_graph_cand1, cycle_cand1
+from andbox.constructors import blockwise_cand1, cycle_cand1
 from andbox.families import random_block_graph
 from andbox.realization import Realization, RealizationError
 from andbox.svg import render_realization_svg
@@ -43,7 +43,7 @@ def test_matches_golden_bytes():
 
 def test_matches_golden_bytes_with_long_denominators():
     # block graph: denominators of up to 16 digits and negative coordinates
-    r = block_graph_cand1(random_block_graph(40, 108).graph)
+    r = blockwise_cand1(random_block_graph(40, 108).graph)
     coords = [x for box, point in zip(r.boxes, r.points) for x in box[0] + point]
     assert max(len(str(x.denominator)) for x in coords) == 16
     assert min(coords) < 0
