@@ -29,7 +29,7 @@ from fractions import Fraction
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
 from .orders import Ordering, rank_bounds
-from .realization import Realization, RealizationError, _frac, central_realization, is_safe
+from .realization import Realization, RealizationError, _frac, central_realization, safe_in
 
 HALF = Fraction(1, 2)
 
@@ -111,24 +111,15 @@ def _cycle_items(ids, eps) -> dict:
 # ---------------------------------------------------------------------------
 # gluing two realizations at a safe vertex
 
-def _distinct_points(r: Realization) -> list:
-    """The sorted points of a host or guest (d = 1), which must differ."""
-    if r.d != 1:
-        raise GraphError("gluing is defined for one-dimensional realizations")
-    pts = sorted(pt[0] for pt in r.points)
+def _distinct_points(items: dict) -> list:
+    """The sorted points of a host or guest, which must differ."""
+    pts = sorted(p for _, p in items.values())
     if any(a == b for a, b in zip(pts, pts[1:])):
         raise GraphError("gluing requires distinct points in each input")
     return pts
 
 
-def _host(r: Realization):
-    """Seed a gluing host: items {id: (interval, point)} plus its points
-    sorted, the two pieces of state that every later glue updates."""
-    pts = _distinct_points(r)
-    return {v: (box[0], pt[0]) for v, box, pt in r.items()}, pts
-
-
-def _glue_scale(items: dict, pts: list, w1: int, r2: Realization) -> Fraction:
+def _glue_scale(items: dict, pts: list, w1: int, guest: dict) -> Fraction:
     """delta / (2 * span): delta is the distance from the hosting point to
     the nearest other point of the host, span the length of an interval
     containing every guest box.  delta is 1 when the host has no other
@@ -144,39 +135,37 @@ def _glue_scale(items: dict, pts: list, w1: int, r2: Realization) -> Fraction:
     if i + 1 < len(pts):
         deltas.append(pts[i + 1] - p1)
     delta = min(deltas) if deltas else Fraction(1)
-    coords = [c for box in r2.boxes for c in box[0]]
+    coords = [c for box, _ in guest.values() for c in box]
     span = max(coords) - min(coords)
     if span == 0:
         span = Fraction(1)
     return delta / (2 * span)
 
 
-def _glue_into(items: dict, pts: list, w1: int, r2: Realization, w2: int) -> None:
+def _glue_into(items: dict, pts: list, w1: int, guest: dict, w2: int) -> None:
     """One glue: identify w1 of the host (items, pts) with the safe
-    vertex w2 of r2.  Only r2's vertices are written into items and only
-    its points are inserted into pts, so a glue costs O(|r2| log n) plus
-    the list insertions, not a pass over the host."""
-    _distinct_points(r2)
-    if not is_safe(r2, w2):
+    vertex w2 of the guest items.  Only the guest's vertices are written
+    into items and only its points are inserted into pts, so a glue costs
+    O(|guest| log n) plus the list insertions, not a pass over the host."""
+    _distinct_points(guest)
+    if not safe_in(guest, w2):
         raise GraphError(f"vertex {w2} is not safe in the second realization")
-    overlap = sorted(v for v in r2.ids if v != w2 and v in items)
+    overlap = sorted(v for v in guest if v != w2 and v in items)
     if overlap:
         raise GraphError(f"vertex ids collide outside the glued pair: {overlap}")
 
-    s = _glue_scale(items, pts, w1, r2)
+    s = _glue_scale(items, pts, w1, guest)
     (l1, h1), p1 = items[w1]
-    p2 = r2.coordinate(w2)
+    (l2, h2), p2 = guest[w2]
 
     def shift(x):
         return s * (x - p2) + p1
 
-    (l2, h2) = r2.interval(w2)
     items[w1] = ((min(l1, shift(l2)), max(h1, shift(h2))), p1)
-    for v, box, pt in r2.items():
+    for v, ((lo, hi), q) in guest.items():
         if v == w2:
             continue
-        (lo, hi) = box[0]
-        q = shift(pt[0])
+        q = shift(q)
         items[v] = ((shift(lo), shift(hi)), q)
         i = bisect_left(pts, q)
         if i < len(pts) and pts[i] == q:
@@ -195,8 +184,10 @@ def glue_at_safe_vertex(
     the hull of its two boxes.  Vertex ids must not collide outside the
     identified pair.
     """
-    items, pts = _host(r1)
-    _glue_into(items, pts, w1, r2, w2)
+    if r1.d != 1 or r2.d != 1:
+        raise GraphError("gluing is defined for one-dimensional realizations")
+    items = r1.line_items()
+    _glue_into(items, _distinct_points(items), w1, r2.line_items(), w2)
     return Realization.build(1, items)
 
 
@@ -207,24 +198,29 @@ def clique_cand1(vertices) -> Realization:
     """Central clique realization over the given ids: the i-th vertex gets
     point i and box [i-k, i+k], so every point lies in every box and every
     vertex is safe."""
+    return Realization.build(1, _clique_items(vertices))
+
+
+def _clique_items(vertices) -> dict:
+    """clique_cand1's boxes as items {id: ((L, R), p)}."""
     vs = sorted(vertices)
     if not vs:
         raise GraphError("clique needs at least one vertex")
     k = len(vs)
-    items = {
+    return {
         v: ((Fraction(i - k), Fraction(i + k)), Fraction(i))
         for i, v in enumerate(vs, start=1)
     }
-    return Realization.build(1, items)
 
 
 def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
     """Glue per-block realizations into one, walking the block tree
     breadth-first from the first block.
 
-    build(block_index, parent_cut_vertex_or_None) -> Realization is called
-    once per block when it is about to be glued.  Every non-root block's
-    realization must have the parent cut vertex safe.
+    build(block_index, parent_cut_vertex_or_None) is called once per
+    block, when it is about to be glued, and returns a fresh dict of the
+    block's items {id: ((L, R), p)}, with distinct points p.  Every
+    non-root block's items must have the parent cut vertex safe.
 
     The whole assembly keeps one items dict and one sorted point list:
     each glue touches only its guest, and the realization is built once.
@@ -232,7 +228,8 @@ def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
     blocks = bd.blocks
     if not blocks:
         raise GraphError("no blocks to assemble")
-    items, pts = _host(build(0, None))
+    items = build(0, None)
+    pts = _distinct_points(items)
     seen_blocks = {0}
     queue = deque([0])
     while queue:
@@ -326,25 +323,15 @@ def _dissection_faces(k: int, chords):
     return out
 
 
-def _block_edges(g: Graph, bd: BlockDecomposition):
-    """Each block's edges: every edge lies in exactly one block, the one
-    its endpoints share."""
-    out = [[] for _ in bd.blocks]
-    for u, v in g.edge_list():
-        (bi,) = set(bd.blocks_at(u)).intersection(bd.blocks_at(v))
-        out[bi].append((u, v))
-    return out
-
-
-def _ring_block_cand1(ring, edges, cut) -> Realization:
-    """Central realization of one outerplanar block that is not a clique:
-    ring lists its vertices in outer cyclic order, as outer_ring finds
-    them, and edges are its edges.  The anchor is the parent cut vertex
-    cut, or the least vertex when cut is None.  The ring is rotated so the
-    outer edge from the anchor to its lesser ring neighbour becomes the
-    wrap side; the face along it is realized as a cycle and every other
-    face is folded into the gap of its closing chord.  The anchor ends up
-    safe."""
+def _ring_block_cand1(ring, edges, cut) -> dict:
+    """Items {id: ((L, R), p)} of a central realization of one outerplanar
+    block that is not a clique: ring lists its vertices in outer cyclic
+    order, as outer_ring finds them, and edges are its edges.  The anchor
+    is the parent cut vertex cut, or the least vertex when cut is None.
+    The ring is rotated so the outer edge from the anchor to its lesser
+    ring neighbour becomes the wrap side; the face along it is realized as
+    a cycle and every other face is folded into the gap of its closing
+    chord.  The anchor ends up safe."""
     i = ring.index(min(ring) if cut is None else cut)
     if ring[i - 1] < ring[(i + 1) % len(ring)]:
         ring = ring[i:] + ring[:i]
@@ -359,7 +346,7 @@ def _ring_block_cand1(ring, edges, cut) -> Realization:
     pts = sorted(pt for _, pt in items.values())
     for face, (a, b) in faces[1:]:
         _insert_cycle_into_gap(items, pts, ring[a], ring[b], [ring[p] for p in face[1:-1]])
-    return Realization.build(1, items)
+    return items
 
 
 def outer_ring(block, edges):
@@ -417,13 +404,12 @@ def outer_ring(block, edges):
 def blockwise_cand1(g: Graph):
     """Central realization of a connected graph each of whose blocks is
     a clique or outerplanar, or None when some block is neither.  Clique
-    blocks are built by clique_cand1, outerplanar ones from the outer
-    ring that outer_ring finds, and the blocks are glued along the block
-    tree, each anchored so that its parent cut vertex is safe."""
+    blocks get clique_cand1's boxes, outerplanar ones are built from the
+    outer ring that outer_ring finds, and the blocks are glued along the
+    block tree, each anchored so that its parent cut vertex is safe."""
     bd = block_decomposition(g)
-    edges = _block_edges(g, bd)
     rings = []  # None for a clique block
-    for blk, es in zip(bd.blocks, edges):
+    for blk, es in zip(bd.blocks, bd.edges):
         ring = None
         if 2 * len(es) != len(blk) * (len(blk) - 1):
             ring = outer_ring(blk, es)
@@ -433,8 +419,8 @@ def blockwise_cand1(g: Graph):
 
     def build(bi, cut):
         if rings[bi] is None:
-            return clique_cand1(bd.blocks[bi])
-        return _ring_block_cand1(rings[bi], edges[bi], cut)
+            return _clique_items(bd.blocks[bi])
+        return _ring_block_cand1(rings[bi], bd.edges[bi], cut)
 
     return assemble_block_tree(build, bd)
 

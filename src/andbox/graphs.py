@@ -17,11 +17,11 @@ class GraphError(ValueError):
 @dataclass(frozen=True)
 class Graph:
     """Vertices 1..n; bit u-1 of masks[v-1] is set iff u ~ v, the
-    adjacency format kernels.search_order takes."""
+    adjacency format kernels.search_order takes.  The masks are the only
+    representation: neighbours, degrees and edges are read off them."""
 
     n: int
     masks: tuple
-    _adj: dict = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -40,18 +40,6 @@ class Graph:
             masks[v - 1] |= 1 << (u - 1)
         return Graph(n, tuple(masks))
 
-    def __post_init__(self):
-        adj = {}
-        for v, x in enumerate(self.masks, start=1):
-            nbrs, u = [], 0
-            while x:
-                step = (x & -x).bit_length()
-                u += step
-                nbrs.append(u)
-                x >>= step
-            adj[v] = tuple(nbrs)
-        object.__setattr__(self, "_adj", adj)
-
     @property
     def m(self) -> int:
         return sum(x.bit_count() for x in self.masks) // 2
@@ -59,37 +47,40 @@ class Graph:
     def vertices(self):
         return range(1, self.n + 1)
 
+    def _mask(self, v: int) -> int:
+        if not 0 < v <= self.n:
+            raise GraphError(f"vertex {v} out of range 1..{self.n}")
+        return self.masks[v - 1]
+
     def neighbors(self, v: int):
-        return self._adj[v]
+        return tuple(_bits(self._mask(v)))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._mask(v).bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 < u <= self.n and 0 < v and self.masks[u - 1] >> (v - 1) & 1 == 1
 
     def edge_list(self):
         """Edges as (u, v) pairs with u < v, lexicographic."""
-        return [(u, v) for u, nbrs in self._adj.items() for v in nbrs if v > u]
+        return [(u, v) for u, x in enumerate(self.masks, 1) for v in _bits(x >> u, u)]
 
     def connected_components(self):
         """List of components, each a sorted tuple of vertices."""
-        seen = set()
+        seen = 0
         comps = []
-        for s in self.vertices():
-            if s in seen:
+        for s in range(self.n):
+            if seen >> s & 1:
                 continue
-            stack = [s]
-            comp = []
-            seen.add(s)
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in self._adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
+            comp = frontier = 1 << s
+            while frontier:
+                reach = 0
+                for v in _bits(frontier):
+                    reach |= self.masks[v - 1]
+                frontier = reach & ~comp
+                comp |= frontier
+            seen |= comp
+            comps.append(tuple(_bits(comp)))
         return comps
 
     def is_connected(self) -> bool:
@@ -104,9 +95,20 @@ class Graph:
         vs = sorted(vertices)
         bit_of_old = {v: 1 << i for i, v in enumerate(vs)}
         masks = tuple(
-            sum(bit_of_old.get(u, 0) for u in self._adj[v]) for v in vs
+            sum(bit_of_old.get(u, 0) for u in _bits(self.masks[v - 1])) for v in vs
         )
         return Graph(len(vs), masks), {i + 1: v for i, v in enumerate(vs)}
+
+
+def _bits(x: int, offset: int = 0) -> list:
+    """offset plus the 1-based position of each set bit of x, ascending."""
+    out = []
+    while x:
+        step = (x & -x).bit_length()
+        offset += step
+        out.append(offset)
+        x >>= step
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,12 @@ class BlockDecomposition:
 
     blocks: tuple of frozensets of vertices, ordered by (min vertex, sorted
     tuple); every edge lies in exactly one block; bridges give 2-sets.
+    edges[i]: the edges (u, v), u < v, of blocks[i], lexicographic.
     """
 
     blocks: tuple
     cut_vertices: frozenset
+    edges: tuple
     _at: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -144,7 +148,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     parent = {}
     cut = set()
     estack = []
-    blocks = []
+    found = []  # (block, its edges)
     timer = itertools.count(1)
 
     root = 1
@@ -176,43 +180,35 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
             u = stack[-1][0]
             low[u] = min(low[u], low[v])
             if low[v] >= disc[u]:
-                # u separates: pop the block's edges
-                block = set()
-                while estack:
-                    a, b = estack[-1]
-                    if disc[a] >= disc[v]:
-                        estack.pop()
-                        block.update((a, b))
-                    else:
-                        break
-                if estack and estack[-1] == (u, v):
-                    estack.pop()
-                block.update((u, v))
-                blocks.append(frozenset(block))
+                # u separates: pop the block's edges, down to the tree
+                # edge (u, v), which every edge of v's subtree sits above
+                es = []
+                while disc[estack[-1][0]] >= disc[v]:
+                    es.append(estack.pop())
+                es.append(estack.pop())
+                es = sorted((a, b) if a < b else (b, a) for a, b in es)
+                found.append((frozenset(x for e in es for x in e), tuple(es)))
                 if u != root or root_children > 1:
                     cut.add(u)
     if len(disc) < g.n:
         raise GraphError("block_decomposition assumes a connected graph")
     if g.n == 1:
-        blocks.append(frozenset({root}))
-    blocks.sort(key=lambda b: (min(b), tuple(sorted(b))))
-    return BlockDecomposition(tuple(blocks), frozenset(cut))
+        found.append((frozenset({root}), ()))
+    blocks, edges = zip(*sorted(found, key=lambda f: (min(f[0]), tuple(sorted(f[0])))))
+    return BlockDecomposition(blocks, frozenset(cut), edges)
 
 
 def has_double_nonadjacent_common_neighbors(g: Graph) -> bool:
-    """True iff every vertex pair has two common neighbors that are
-    themselves non-adjacent.  Such graphs admit no single-interval
-    box-and-point realization."""
-    for u, v in itertools.combinations(g.vertices(), 2):
-        common = set(g.neighbors(u)) & set(g.neighbors(v))
-        ok = False
-        for a, b in itertools.combinations(sorted(common), 2):
-            if not g.has_edge(a, b):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    """True iff g has at least two vertices and every vertex pair has two
+    common neighbors that are themselves non-adjacent.  Such graphs admit
+    no single-interval box-and-point realization."""
+    masks = g.masks
+    pairs = itertools.combinations(range(g.n), 2)
+    # in each pair's common neighbourhood c, some a misses another member
+    return g.n > 1 and all(
+        any(c & ~(masks[a - 1] | 1 << (a - 1)) for a in _bits(c))
+        for c in (masks[u] & masks[v] for u, v in pairs)
+    )
 
 
 # small named graphs used in several places

@@ -132,6 +132,10 @@ class Realization:
         """d = 1 convenience: the representative point."""
         return self.point(v)[0]
 
+    def line_items(self) -> dict:
+        """d = 1 convenience: items {id: ((L, R), p)}, which build takes back."""
+        return {v: (box[0], pt[0]) for v, box, pt in self.items()}
+
     def items(self):
         for i, v in enumerate(self.ids):
             yield v, self.boxes[i], self.points[i]
@@ -208,10 +212,11 @@ def verify(r: Realization, g: Graph) -> VerifyReport:
     if set(r.ids) != set(g.vertices()):
         raise RealizationError("realization and graph vertex sets differ")
     induced = adjacency_pairs(r)
-    target = set(g.edge_list())
-    return VerifyReport(
-        tuple(sorted(target - induced)), tuple(sorted(induced - target))
-    )
+    extra = tuple(sorted(e for e in induced if not g.has_edge(*e)))
+    missing = ()
+    if len(induced) - len(extra) < g.m:  # some edge of g is not induced
+        missing = tuple(e for e in g.edge_list() if e not in induced)
+    return VerifyReport(missing, extra)
 
 
 def is_central(r: Realization) -> bool:
@@ -324,12 +329,18 @@ def is_safe(r: Realization, v: int) -> bool:
     the induced graph (d = 1)."""
     if r.d != 1:
         raise RealizationError("is_safe is defined for d = 1")
-    iv = r.index(v)
-    box, pv = r.boxes[iv], r.points[iv]
+    return safe_in(r.line_items(), v)
+
+
+def safe_in(items: dict, v: int) -> bool:
+    """is_safe over items {id: ((L, R), p)}, the form Realization.build
+    takes for d = 1."""
+    if v not in items:
+        raise RealizationError(f"unknown vertex {v}")
+    (lo, hi), p = items[v]
     # a box holding p_v belongs to a neighbour iff v's box holds its point
     return all(
-        i == iv or not _contains(r.boxes[i], pv) or _contains(box, r.points[i])
-        for i in range(r.n)
+        u == v or not l <= p <= h or lo <= q <= hi for u, ((l, h), q) in items.items()
     )
 
 

@@ -404,8 +404,9 @@ def reference_glue_at_safe_vertex(r1: Realization, w1: int, r2: Realization, w2:
 def reference_assemble_block_tree(build, bd) -> Realization:
     """The sequential fold acc = glue(acc, c, build(bj, c), c) in BFS
     order, scanning every block for each cut vertex: the O(blocks * n)
-    assembly that the one-pass constructors.assemble_block_tree replaced."""
-    acc = build(0, None)
+    assembly that the one-pass constructors.assemble_block_tree replaced.
+    build returns items {id: ((L, R), p)}, each built into a realization."""
+    acc = Realization.build(1, build(0, None))
     seen = {0}
     queue = deque([0])
     while queue:
@@ -414,7 +415,8 @@ def reference_assemble_block_tree(build, bd) -> Realization:
             for bj, blk in enumerate(bd.blocks):
                 if bj not in seen and c in blk:
                     seen.add(bj)
-                    acc = reference_glue_at_safe_vertex(acc, c, build(bj, c), c)
+                    guest = Realization.build(1, build(bj, c))
+                    acc = reference_glue_at_safe_vertex(acc, c, guest, c)
                     queue.append(bj)
     assert len(seen) == len(bd.blocks)
     return acc

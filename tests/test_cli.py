@@ -656,6 +656,13 @@ class TestConversions:
         assert code == 2
         assert err == "error: unknown vertex 7\n"
 
+    def test_glue_rejects_unknown_guest_vertex(self, tmp_path, capsys):
+        hp = write_real(tmp_path / "a.real", clique_cand1([1, 2, 3]))
+        gp = write_real(tmp_path / "b.real", clique_cand1([1, 11]))
+        code, _, err = run(capsys, "glue", hp, "1", gp, "5")
+        assert code == 2
+        assert err == "error: unknown vertex 5\n"
+
     def test_render_default_name(self, tmp_path, capsys):
         r = cycle_cand1(4, F(1, 2))
         rp = write_real(tmp_path / "c4.real", r)

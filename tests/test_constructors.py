@@ -12,10 +12,10 @@ import pytest
 
 from andbox import constructors
 from andbox.constructors import (
+    _clique_items,
     _dissection_faces,
+    _distinct_points,
     _glue_scale,
-    _host,
-    _block_edges,
     assemble_block_tree,
     blockwise_cand1,
     clique_cand1,
@@ -301,7 +301,8 @@ class TestGlueAtSafeVertex:
         assert oracle_induced_edges(host) == {fz(1, 2)}
         guest = Realization.build(1, {1: ((F(-1), F(1)), F(0)), 4: ((F(0), F(2)), F(1))})
         # delta = 1/2 (p_3), span = 3: the guest shrinks by 1/12
-        assert _glue_scale(*_host(host), 1, guest) == F(1, 12)
+        items = host.line_items()
+        assert _glue_scale(items, _distinct_points(items), 1, guest.line_items()) == F(1, 12)
         glued = glue_at_safe_vertex(host, 1, guest, 1)
         assert oracle_induced_edges(glued) == {fz(1, 2), fz(1, 4)}
 
@@ -309,7 +310,8 @@ class TestGlueAtSafeVertex:
         host = Realization.build(1, {7: ((F(-1), F(1)), F(0))})
         guest = Realization.build(1, {7: ((F(2), F(2)), F(2))})
         # no other host point and a zero-length guest: delta = span = 1
-        assert _glue_scale(*_host(host), 7, guest) == F(1, 2)
+        items = host.line_items()
+        assert _glue_scale(items, _distinct_points(items), 7, guest.line_items()) == F(1, 2)
 
     def test_unsafe_guest_vertex_rejected(self):
         guest = Realization.build(1, {
@@ -379,7 +381,7 @@ class TestBlockAssembly:
 
     def test_dict_components(self):
         bd = block_decomposition(self.BOWTIE)
-        parts = {i: clique_cand1(blk) for i, blk in enumerate(bd.blocks)}
+        parts = {i: _clique_items(blk) for i, blk in enumerate(bd.blocks)}
         r = assemble_block_tree(lambda bi, cut: parts[bi], bd)
         assert verify(r, self.BOWTIE).ok
         assert is_central(r)
@@ -390,7 +392,7 @@ class TestBlockAssembly:
 
         def build(bi, cut):
             calls.append((bi, cut))
-            return clique_cand1(bd.blocks[bi])
+            return _clique_items(bd.blocks[bi])
 
         r = assemble_block_tree(build, bd)
         assert calls == [(0, None), (1, 3)]
@@ -412,7 +414,7 @@ class TestBlockAssembly:
         for seed in range(20):
             g = random_block_graph(6 + 7 * seed, seed).graph
             bd = block_decomposition(g)
-            expected = reference_assemble_block_tree(lambda bi, cut: clique_cand1(bd.blocks[bi]), bd)
+            expected = reference_assemble_block_tree(lambda bi, cut: _clique_items(bd.blocks[bi]), bd)
             assert blockwise_cand1(g) == expected
 
     def test_outerplanar_models_match_sequential_fold(self, monkeypatch):
@@ -471,18 +473,18 @@ class TestBlockAssembly:
         guest, message = self.TRIANGLE_GUESTS[kind]
         bd = block_decomposition(self.BOWTIE)
         with pytest.raises(GraphError, match=message):
-            assemble_block_tree(lambda bi, cut: clique_cand1(bd.blocks[0]) if cut is None else guest, bd)
+            assemble_block_tree(lambda bi, cut: _clique_items(bd.blocks[0]) if cut is None else guest.line_items(), bd)
 
     def test_tied_root_rejected(self):
         bd = block_decomposition(self.BOWTIE)
         tied = relabel(self.TRIANGLE_GUESTS["tied"][0], {3: 1, 4: 2})
         with pytest.raises(GraphError, match="distinct points"):
-            assemble_block_tree(lambda bi, cut: tied if cut is None else clique_cand1(bd.blocks[bi]), bd)
+            assemble_block_tree(lambda bi, cut: tied.line_items() if cut is None else _clique_items(bd.blocks[bi]), bd)
 
     def test_disconnected_blocks_rejected(self):
-        bd = BlockDecomposition((frozenset({1, 2}), frozenset({3, 4})), frozenset())
+        bd = BlockDecomposition((frozenset({1, 2}), frozenset({3, 4})), frozenset(), (((1, 2),), ((3, 4),)))
         with pytest.raises(GraphError, match="block tree is not connected"):
-            assemble_block_tree(lambda bi, cut: clique_cand1(bd.blocks[bi]), bd)
+            assemble_block_tree(lambda bi, cut: _clique_items(bd.blocks[bi]), bd)
 
 
 def fused_cycle_edges(n, m, shared):
@@ -687,7 +689,7 @@ def blocks_of(g):
     for comp in g.connected_components():
         sub, back = g.subgraph(comp)
         bd = block_decomposition(sub)
-        for blk, es in zip(bd.blocks, _block_edges(sub, bd)):
+        for blk, es in zip(bd.blocks, bd.edges):
             if len(blk) >= 3:
                 out.append(({back[v] for v in blk}, [(back[u], back[v]) for u, v in es]))
     return out
@@ -744,22 +746,26 @@ class TestBlockwiseCand1:
             m = random_outerplanar_walk(seed)
             assert outerplanar_cand1(m) == blockwise_cand1(m.graph())
 
-    def test_one_block_is_built_twice(self, monkeypatch):
-        # the root face's boxes go straight into the block's items, so C8
-        # is built once as a block and once as the glued whole
-        builds = 0
+    def test_certificate_is_built_once(self, monkeypatch):
+        # each block hands its items to the assembly, which builds the
+        # glued whole once: C8 alone, and C8 with a triangle hung off 8
+        c8 = cycle_graph(8)
+        c8_triangle = Graph.from_edges(10, c8.edge_list() + [(8, 9), (8, 10), (9, 10)])
         build = Realization.build
+        for g, blocks in ((c8, 1), (c8_triangle, 2)):
+            builds = 0
 
-        def counted(d, items):
-            nonlocal builds
-            builds += 1
-            return build(d, items)
+            def counted(d, items):
+                nonlocal builds
+                builds += 1
+                return build(d, items)
 
-        monkeypatch.setattr(Realization, "build", staticmethod(counted))
-        r = blockwise_cand1(cycle_graph(8))
-        assert builds == 2
-        monkeypatch.undo()
-        assert verify(r, cycle_graph(8)).ok and is_central(r)
+            monkeypatch.setattr(Realization, "build", staticmethod(counted))
+            r = blockwise_cand1(g)
+            assert builds == 1
+            monkeypatch.undo()
+            assert len(block_decomposition(g).blocks) == blocks
+            assert verify(r, g).ok and is_central(r)
 
     def test_cliques_and_dissections_glued(self):
         for seed in range(10):

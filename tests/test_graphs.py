@@ -99,6 +99,14 @@ class TestGraphRepresentation:
         assert g.m == 900
         assert g.edge_list() == sorted(edges)
 
+    def test_neighbors_and_degree_reject_vertices_outside_the_range(self):
+        g = path_graph(4)
+        for bad in (0, -1, 5):
+            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 1\.\.4$"):
+                g.neighbors(bad)
+            with pytest.raises(GraphError):
+                g.degree(bad)
+
     def test_subgraph_of_non_contiguous_vertices(self):
         rng = random.Random(12)
         for _ in range(40):
@@ -191,7 +199,7 @@ class TestBlockDecomposition:
                 scan = tuple(i for i, b in enumerate(bd.blocks) if v in b)
                 assert bd.blocks_at(v) == scan
         # the index is derived state: built from blocks, ignored by ==
-        built = BlockDecomposition(bd.blocks, bd.cut_vertices)
+        built = BlockDecomposition(bd.blocks, bd.cut_vertices, bd.edges)
         assert built == bd and built.blocks_at(1) == bd.blocks_at(1)
 
     def test_path_blocks_are_bridges(self):
@@ -208,6 +216,27 @@ class TestBlockDecomposition:
         bd = block_decomposition(Graph.from_edges(1, []))
         assert bd.blocks == (frozenset({1}),)
         assert bd.cut_vertices == frozenset()
+        assert bd.edges == ((),)
+
+    @staticmethod
+    def check_edges(g):
+        """bd.edges partitions g's edges, each list sorted, each edge
+        inside its own block."""
+        bd = block_decomposition(g)
+        assert len(bd.edges) == len(bd.blocks)
+        for blk, es in zip(bd.blocks, bd.edges):
+            assert list(es) == sorted(es)
+            assert all(u < v and u in blk and v in blk for u, v in es)
+        assert sorted(e for es in bd.edges for e in es) == g.edge_list()
+
+    def test_block_edges_partition_the_edges(self):
+        rng = random.Random(26)
+        for _ in range(200):
+            self.check_edges(random_connected_graph(rng, rng.randint(1, 30), rng.choice((0.05, 0.2, 0.5))))
+
+    def test_block_edges_partition_the_atlas_edges(self, connected_atlas):
+        for g in connected_atlas:
+            self.check_edges(g)
 
     def test_requires_connected(self):
         with pytest.raises(GraphError):
@@ -233,6 +262,7 @@ class TestDoubleNonadjacentCommonNeighbors:
         )
 
     def test_small_graphs_lack_property(self):
+        assert not has_double_nonadjacent_common_neighbors(Graph.from_edges(1, []))
         assert not has_double_nonadjacent_common_neighbors(cycle_graph(4))
         assert not has_double_nonadjacent_common_neighbors(complete_graph(4))
         assert not has_double_nonadjacent_common_neighbors(path_graph(3))
