@@ -108,7 +108,13 @@ def _cmd_realize(args) -> str:
         elif kind == "graph":
             # the one block-tree construction; recognize-cand1 is the
             # command that tries every construction and then searches
-            r = blockwise_cand1(fileio.loads_graph(text, args.input))
+            g = fileio.loads_graph(text, args.input)
+            if not g.is_connected():
+                raise UsageError(
+                    f"{args.input}: the graph is not connected; "
+                    "recognize-cand1 realizes each component"
+                )
+            r = blockwise_cand1(g)
             if r is None:
                 raise UsageError(
                     f"{args.input}: a block is neither a clique nor outerplanar"

@@ -44,13 +44,16 @@ def interval_to_cand1(m: IntervalModel) -> Realization:
     if m.n == 0:
         raise GraphError("interval model must have at least one vertex")
     g = m.intersection_graph()
-    return umbrella_free_cand1(g, Ordering(sorted(g.vertices(), key=lambda v: (m.span(v), v))))
+    o = Ordering(sorted(g.vertices(), key=lambda v: (m.span(v), v)))
+    _, lo, hi = rank_bounds(g, o)
+    return umbrella_free_cand1(o.order, lo, hi)
 
 
-def umbrella_free_cand1(g: Graph, o: Ordering) -> Realization:
-    """Central realization of g with point order o, in which the later
-    neighbours of rank k are exactly ranks k+1..hi_k (an umbrella-free
-    order, such as an interval model's left-endpoint order).
+def umbrella_free_cand1(order, lo, hi) -> Realization:
+    """Central realization with point order `order` and rank bounds lo, hi
+    (rank_bounds), in which the later neighbours of rank k are exactly
+    ranks k+1..hi_k (an umbrella-free order, such as an interval model's
+    left-endpoint order).
 
     With every radius at its farthest-neighbour distance, all non-edges
     therefore hold once p_k - p_{lo_k} < p_{hi_k+1} - p_k for each k with
@@ -58,15 +61,15 @@ def umbrella_free_cand1(g: Graph, o: Ordering) -> Realization:
     points, so one left-to-right sweep gives each gap the least positive
     integer meeting every row that closes at it.
     """
-    lo, hi = rank_bounds(g, o)
-    closing = [[] for _ in range(g.n + 1)]  # closing[t]: (k, lo_k) with hi_k = t
-    for k, v in enumerate(o.order, 1):
-        closing[hi[v]].append((k, lo[v]))
+    n = len(order)
+    closing = [[] for _ in range(n + 1)]  # closing[t]: (k, lo_k) with hi_k = t
+    for k, (l, h) in enumerate(zip(lo, hi), 1):
+        closing[h].append((k, l))
     p = [0]  # p[k - 1] is the point of rank k
-    for t in range(1, g.n):
+    for t in range(1, n):
         p.append(max([p[t - 1]] + [2 * p[k - 1] - p[l - 1] for k, l in closing[t]]) + 1)
     gaps = [b - a for a, b in zip(p, p[1:])]
-    return central_realization(o.order, lo, hi, gaps)
+    return central_realization(order, lo, hi, gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -187,33 +187,33 @@ def _shorter_than(n, inner, outer):
     return (tuple(c), True)
 
 
-def _gap_cases(g: Graph, order, lo, hi):
-    """(base, split) cone rows over the gaps of the order, or None when a
-    non-edge has both sides blocked (the order fails the four point check).
+def _gap_cases(rows, lo, hi):
+    """(base, split) cone rows over the gaps of an order with rank view
+    rows, lo, hi, or None when a non-edge has both sides blocked (the
+    order fails the four point check).
 
     base holds g_t > 0 and the row of every non-edge with one possible
     side; split lists, in order of increasing rank distance, the two side
     rows of every remaining non-edge.  A non-edge with a side that needs
     no constraint is dropped.
     """
-    n = g.n
+    n = len(rows)
     base = [_shorter_than(n, (t, t), (t, t + 1)) for t in range(1, n)]  # 0 < g_t
     split = []
     for d in range(1, n):
         for i in range(1, n - d + 1):
             j = i + d
-            u, v = order[i - 1], order[j - 1]
-            if g.has_edge(u, v):
+            if rows[i - 1] >> (j - 1) & 1:
                 continue
             sides = []
-            if hi[u] < j:  # side i open: no neighbour of u at or past rank j
-                if lo[u] == i:  # nor before rank i: side i is free
+            if hi[i - 1] < j:  # side i open: no neighbour of i at or past rank j
+                if lo[i - 1] == i:  # nor before rank i: side i is free
                     continue
-                sides.append(_shorter_than(n, (lo[u], i), (i, j)))
-            if lo[v] > i:  # side j open: no neighbour of v at or before rank i
-                if hi[v] == j:  # nor after rank j: side j is free
+                sides.append(_shorter_than(n, (lo[i - 1], i), (i, j)))
+            if lo[j - 1] > i:  # side j open: no neighbour of j at or before rank i
+                if hi[j - 1] == j:  # nor after rank j: side j is free
                     continue
-                sides.append(_shorter_than(n, (j, hi[v]), (i, j)))
+                sides.append(_shorter_than(n, (j, hi[j - 1]), (i, j)))
             if not sides:
                 return None
             if len(sides) == 1:
@@ -244,11 +244,9 @@ def cand1_for_ordering(
     OrderingError.
     """
     _require_nonnegative(budget)
-    o.check_covers(g)
     n = g.n
-    order = o.order
-    lo, hi = rank_bounds(g, o)
-    cases = _gap_cases(g, order, lo, hi)
+    _, lo, hi = view = rank_bounds(g, o)
+    cases = _gap_cases(*view)
     if cases is None:
         return CentralSearchResult("infeasible", None, 0, 0)
     base, split = cases
@@ -272,7 +270,7 @@ def cand1_for_ordering(
         stack.extend((k + 1, rows + [side]) for side in reversed(split[k]))
     else:  # the stack ran dry: no full case is feasible
         return CentralSearchResult("infeasible", None, solved, work)
-    r = central_realization(order, lo, hi, _back_substitute(layers))
+    r = central_realization(o.order, lo, hi, _back_substitute(layers))
     return CentralSearchResult("found", r, solved, work)
 
 
@@ -280,22 +278,17 @@ def _interval_certificate(g: Graph):
     """The interval construction's realization of the connected graph g,
     or None.
 
-    A candidate of _sweep_orders is umbrella-free when each vertex's
-    later neighbours are exactly the ranks right after it; the spans
-    [rank v, rank of v's last neighbour] are then an interval model of g
-    (Olariu 1991) in that order, and umbrella_free_cand1 runs
-    interval_to_cand1's gap sweep on it.  An interval graph the sweeps
-    miss, like any other graph, gets None."""
+    A candidate of _sweep_orders is umbrella-free when each rank's later
+    neighbours are exactly the ranks right after it, that is when its row
+    above its own bit is a block of low bits; the spans [rank k, hi_k] are
+    then an interval model of g (Olariu 1991) in that order, and
+    umbrella_free_cand1 runs interval_to_cand1's gap sweep on it.  An
+    interval graph the sweeps miss, like any other graph, gets None."""
     for cand in _sweep_orders(g):
-        rank = [0] * g.n
-        for k, v in enumerate(cand, 1):
-            rank[v] = k
-        for v, k in enumerate(rank, 1):
-            later = [rank[u - 1] for u in g.neighbors(v) if rank[u - 1] > k]
-            if later and max(later) - k != len(later):
-                break
-        else:
-            return umbrella_free_cand1(g, Ordering(tuple(v + 1 for v in cand)))
+        o = Ordering(tuple(v + 1 for v in cand))
+        rows, lo, hi = rank_bounds(g, o)
+        if all((x := row >> k) & (x + 1) == 0 for k, row in enumerate(rows, 1)):
+            return umbrella_free_cand1(o.order, lo, hi)
     return None
 
 
@@ -399,7 +392,7 @@ def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognit
         # the same closed-form radii over the merged order: only an isolated
         # vertex's radius changes, to half the distance to its nearest point
         o = Ordering(tuple(merged))
-        lo, hi = rank_bounds(g, o)
+        _, lo, hi = rank_bounds(g, o)
         r = central_realization(o.order, lo, hi, [b - a for a, b in zip(points, points[1:])])
     if not is_central(r) or not verify(r, g).ok:
         raise AssertionError("central search produced a bad witness")

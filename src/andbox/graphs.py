@@ -93,11 +93,28 @@ class Graph:
         new ids follow ascending old ids.
         """
         vs = sorted(vertices)
-        bit_of_old = {v: 1 << i for i, v in enumerate(vs)}
-        masks = tuple(
-            sum(bit_of_old.get(u, 0) for u in _bits(self.masks[v - 1])) for v in vs
-        )
-        return Graph(len(vs), masks), {i + 1: v for i, v in enumerate(vs)}
+        masks = relabel_masks(self.masks, [v - 1 for v in vs])
+        return Graph(len(vs), tuple(masks)), {i + 1: v for i, v in enumerate(vs)}
+
+
+def relabel_masks(masks, order) -> list:
+    """0-indexed adjacency bitmasks relabelled onto positions: bit i of
+    row k is set iff order[k] ~ order[i].  order lists distinct 0-indexed
+    vertices; neighbours outside it are dropped."""
+    bit = {}  # v + 1, the bit length of v's own bit -> v's position bit
+    keep = 0
+    for i, v in enumerate(order):
+        bit[v + 1] = 1 << i
+        keep |= 1 << v
+    rows = []
+    for v in order:
+        x, row = masks[v] & keep, 0
+        while x:
+            low = x & -x
+            row |= bit[low.bit_length()]
+            x ^= low
+        rows.append(row)
+    return rows
 
 
 def _bits(x: int, offset: int = 0) -> list:

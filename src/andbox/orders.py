@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .graphs import Graph
+from .graphs import Graph, relabel_masks
 from .realization import Realization, induced_graph, r_order
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -35,17 +35,6 @@ class Ordering:
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
 
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-    def ranks(self) -> dict:
-        return {v: i + 1 for i, v in enumerate(self.order)}
-
-    def check_covers(self, g: Graph) -> None:
-        if sorted(self.order) != list(g.vertices()):
-            raise OrderingError("ordering does not cover the vertex set")
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -58,46 +47,48 @@ class Violation:
 
 
 def rank_bounds(g: Graph, o: Ordering):
-    """Per vertex, min and max rank over its closed neighborhood."""
-    rank = o.ranks()
-    lo = {}
-    hi = {}
-    for v in g.vertices():
-        rs = [rank[v]] + [rank[u] for u in g.neighbors(v)]
-        lo[v] = min(rs)
-        hi[v] = max(rs)
-    return lo, hi
+    """The graph in rank space: (rows, lo, hi), each indexed by rank - 1.
+    Bit i of rows[k - 1] is set iff ranks k and i + 1 are adjacent; lo and
+    hi are the least and greatest rank of each rank's closed
+    neighbourhood."""
+    if sorted(o.order) != list(g.vertices()):
+        raise OrderingError("ordering does not cover the vertex set")
+    rows = relabel_masks(g.masks, [v - 1 for v in o.order])
+    closed = [row | 1 << k for k, row in enumerate(rows)]
+    return rows, [(x & -x).bit_length() for x in closed], [x.bit_length() for x in closed]
 
 
 def four_point_check(g: Graph, o: Ordering):
-    """None when the ordering is 4PC-free, else the first violation.
+    """None when the ordering is 4PC-free, else the first violation."""
+    return _violation(o.order, *rank_bounds(g, o))
 
-    Pair scan: ranks j < k over a non-adjacent pair (u, v) violate iff
-    some neighbor of v sits before rank j and some neighbor of u after
-    rank k, so k runs only up to u's last neighbor rank hi[u].  The
-    reported quadruple is the one the exhaustive rank-lexicographic scan
-    would find first.
+
+def _violation(order, rows, lo, hi):
+    """The first violation of order, from its rank view rank_bounds.
+
+    Pair scan: ranks j < k of a non-adjacent pair violate iff rank k has a
+    neighbour before rank j and rank j one after rank k, so k runs only up
+    to hi of rank j, over the clear bits of its row.  The reported
+    quadruple is the one the exhaustive rank-lexicographic scan would find
+    first.
     """
-    o.check_covers(g)
-    n = g.n
-    rank = o.ranks()
-    order = o.order
-    lo, hi = rank_bounds(g, o)
     best = None
-    for j in range(2, n):  # rank of u
-        u = order[j - 1]
-        for k in range(j + 1, hi[u]):
-            v = order[k - 1]
-            if g.has_edge(u, v):
-                continue
+    for j in range(2, len(order)):
+        row = rows[j - 1]
+        # bit k - 1 for each non-neighbour rank k with j < k < hi of rank j
+        gaps = ~row & (1 << max(hi[j - 1] - 1, j)) - (1 << j)
+        while gaps:
+            low = gaps & -gaps
+            gaps ^= low
+            k = low.bit_length()
             # (j, k) only grows, so a later pair wins only with a smaller i
-            if lo[v] < j and (best is None or lo[v] < best[0]):
-                l = min(rank[w] for w in g.neighbors(u) if rank[w] > k)
-                best = (lo[v], j, k, l)
+            i = lo[k - 1]
+            if i < j and (best is None or i < best[0]):
+                later = row >> k
+                best = (i, j, k, k + (later & -later).bit_length())
     if best is None:
         return None
-    i, j, k, l = best
-    return Violation(order[i - 1], order[j - 1], order[k - 1], order[l - 1])
+    return Violation(*(order[r - 1] for r in best))
 
 
 class FourPointViolationError(OrderingError):
@@ -108,8 +99,7 @@ class FourPointViolationError(OrderingError):
         self.violation = violation
 
 
-def _require_pass(g: Graph, o: Ordering) -> None:
-    violation = four_point_check(g, o)
+def _require_pass(violation) -> None:
     if violation is not None:
         raise FourPointViolationError(violation)
 
@@ -126,12 +116,10 @@ class ImplicitCode:
 
 def implicit_encode(g: Graph, o: Ordering):
     """Codes listed by vertex id (entry i belongs to vertex i+1)."""
-    _require_pass(g, o)
-    rank = o.ranks()
-    lo, hi = rank_bounds(g, o)
-    return tuple(
-        ImplicitCode(lo[v], hi[v], rank[v]) for v in g.vertices()
-    )
+    rows, lo, hi = rank_bounds(g, o)
+    _require_pass(_violation(o.order, rows, lo, hi))
+    by_id = sorted(range(g.n), key=o.order.__getitem__)  # ranks - 1, by vertex id
+    return tuple(ImplicitCode(lo[k], hi[k], k + 1) for k in by_id)
 
 
 def realization_from_codes(codes) -> Realization:
@@ -180,27 +168,16 @@ def lexbfs(masks, prior):
     positions in prior; visiting v splits every class into its
     neighbours of v, then the rest.
     """
-    n = len(prior)
-    at = [0] * n  # at[v]: v's position in prior
-    for i, v in enumerate(prior):
-        at[v] = i
-    near = []  # near[v]: v's neighbours as a bitmask over positions
-    for x in masks:
-        m = 0
-        while x:
-            low = x & -x
-            m |= 1 << at[low.bit_length() - 1]
-            x ^= low
-        near.append(m)
+    near = relabel_masks(masks, prior)  # near[i]: prior[i]'s neighbours
     order = []
-    classes = [(1 << n) - 1]
+    classes = [(1 << len(prior)) - 1]
     while classes:
         first = classes[0]
         low = first & -first
-        v = prior[low.bit_length() - 1]
-        order.append(v)
+        i = low.bit_length() - 1
+        order.append(prior[i])
         classes[0] = first ^ low
-        nb = near[v]
+        nb = near[i]
         split = []
         for c in classes:
             for part in (c & nb, c & ~nb):
@@ -280,7 +257,7 @@ def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionRe
                 return RecognitionResult("not_member", None, nodes)
         merged.extend(back[i + 1] for i in order0)
     ordering = Ordering(tuple(merged))
-    _require_pass(g, ordering)
+    _require_pass(four_point_check(g, ordering))
     return RecognitionResult("found", ordering, nodes)
 
 

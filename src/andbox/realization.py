@@ -233,7 +233,7 @@ def central_realization(order, lo, hi, gaps) -> Realization:
     """The central realization with point order `order` (positive ids),
     first point 0 and gaps[t - 1] = p_{t+1} - p_t (ints or Fractions).
     Each radius is its vertex's farthest-neighbour distance, read off the
-    closed-neighbourhood rank bounds lo and hi; an isolated vertex gets
+    rank bounds lo and hi of orders.rank_bounds; an isolated vertex gets
     half the distance to its nearest point, or 1 when it is alone.
 
     The sums run in integers over den, twice the gaps' least common
@@ -243,9 +243,9 @@ def central_realization(order, lo, hi, gaps) -> Realization:
     steps = [x.numerator * (den // x.denominator) for x in gaps]
     p = [0, *accumulate(steps)]
     spans = {}
-    for k, v in enumerate(order, 1):
+    for k, (v, l, h) in enumerate(zip(order, lo, hi), 1):
         pk = p[k - 1]
-        r = max(pk - p[lo[v] - 1], p[hi[v] - 1] - pk)
+        r = max(pk - p[l - 1], p[h - 1] - pk)
         if not r:
             r = min(steps[max(k - 2, 0):k], default=2 * den) // 2
         spans[v] = (pk, r)

@@ -83,6 +83,25 @@ def naive_four_point_scan(g: Graph, order):
     return None
 
 
+def reference_rank_bounds(nbrs, order):
+    """Vertex-keyed rank bounds from neighbour sets nbrs[v]: per vertex of
+    order, the min and max rank over its closed neighbourhood (the former
+    form of orders.rank_bounds, which now returns lists indexed by rank)."""
+    rank = {v: i + 1 for i, v in enumerate(order)}
+    lo = {v: min(rank[u] for u in nbrs[v] | {v}) for v in order}
+    hi = {v: max(rank[u] for u in nbrs[v] | {v}) for v in order}
+    return lo, hi
+
+
+def neighbour_sets(n: int, edges) -> dict:
+    """Vertex -> set of neighbours, straight from an edge list."""
+    nbrs = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 def twin_pairs(g: Graph) -> list:
     """Pairs (u, v) with u < v and N(u) = N(v) or N[u] = N[v], by pairwise
     comparison of neighbour sets."""

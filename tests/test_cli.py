@@ -261,6 +261,13 @@ class TestRealize:
         assert "neither a clique nor outerplanar" in err
         assert not (tmp_path / "k23.real").exists()
 
+    def test_disconnected_graph_file_exits_2(self, tmp_path, capsys):
+        src = write_graph(tmp_path / "four.and", Graph.from_edges(4, []))
+        code, out, err = run(capsys, "realize", src)
+        assert code == 2 and out == ""
+        assert err == f"error: {src}: the graph is not connected; recognize-cand1 realizes each component\n"
+        assert not (tmp_path / "four.real").exists()
+
     @pytest.mark.parametrize("flags", [["--eps", "7/3"], ["--anchor", "99"], ["--eps", "1/2"]])
     def test_cycle_flags_rejected_with_a_model_file(self, tmp_path, capsys, flags):
         model = generate("random-interval", (7,), seed=11).aux
@@ -356,7 +363,7 @@ class TestCheckOrder:
     @pytest.mark.parametrize("member", [True, False])
     def test_decides_the_four_point_condition_once(self, tmp_path, capsys, monkeypatch, member):
         # with both side outputs the codes, the realization and the
-        # witness all come from one check
+        # witness all come from one check over one rank view
         if member:
             b = families.random_interval(30, 1)
             g, spans = b.graph, b.aux.spans
@@ -369,20 +376,24 @@ class TestCheckOrder:
         gp = write_graph(tmp_path / "g.and", g)
         op = tmp_path / "g.ord"
         fileio.save_ordering(str(op), o)
-        calls = 0
-        check = orders.four_point_check
+        calls = {"_violation": 0, "rank_bounds": 0}
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return check(*args)
+        def counted(name):
+            fn = getattr(orders, name)
 
-        monkeypatch.setattr(orders, "four_point_check", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(orders, name, wrapper)
+
+        for name in calls:
+            counted(name)
         codes, real = tmp_path / "g.ic", tmp_path / "g.oreal"
         code, _, _ = run(
             capsys, "check-order", gp, str(op), "--codes-out", str(codes), "--realize-out", str(real)
         )
-        assert calls == 1
+        assert calls == {"_violation": 1, "rank_bounds": 1}
         monkeypatch.undo()
         if member:
             assert code == 0

@@ -15,9 +15,11 @@ from andbox.graphs import (
     cycle_graph,
     has_double_nonadjacent_common_neighbors,
     path_graph,
+    relabel_masks,
 )
+from andbox.orders import Ordering, rank_bounds
 
-from conftest import edge_set, random_connected_graph
+from conftest import edge_set, neighbour_sets, random_connected_graph, reference_rank_bounds
 
 
 def fz(u, v):
@@ -122,6 +124,36 @@ class TestGraphRepresentation:
             }
             assert set(sub.edge_list()) == expected
             assert sub == Graph.from_edges(sub.n, expected)
+
+    def test_relabelling_matches_neighbour_sets(self):
+        # relabel_masks, rank_bounds and subgraph against neighbour sets
+        # read off the edge list; random subsets drop outside neighbours
+        rng = random.Random(27)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            p = rng.random()
+            edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
+            nbrs = neighbour_sets(n, edges)
+            g = Graph.from_edges(n, edges)
+            keep = rng.sample(range(1, n + 1), rng.randint(0, n))
+            rows = relabel_masks(g.masks, [v - 1 for v in keep])
+            assert rows == [
+                sum(1 << i for i, u in enumerate(keep) if u in nbrs[v]) for v in keep
+            ]
+            order = rng.sample(range(1, n + 1), n)
+            rows, lo, hi = rank_bounds(g, Ordering(order))
+            assert rows == [
+                sum(1 << i for i, u in enumerate(order) if u in nbrs[v]) for v in order
+            ]
+            ref_lo, ref_hi = reference_rank_bounds(nbrs, order)
+            assert lo == [ref_lo[v] for v in order]
+            assert hi == [ref_hi[v] for v in order]
+            if keep:
+                sub, old_of_new = g.subgraph(keep)
+                kept = sorted(keep)
+                assert [old_of_new[i] for i in sub.vertices()] == kept
+                for a, u in enumerate(kept, 1):
+                    assert set(sub.neighbors(a)) == {kept.index(w) + 1 for w in nbrs[u] if w in keep}
 
     def test_edgeless(self):
         g = Graph.from_edges(5, [])
