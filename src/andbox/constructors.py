@@ -29,9 +29,13 @@ from fractions import Fraction
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
 from .orders import Ordering, rank_bounds
-from .realization import Realization, RealizationError, _frac, central_realization, safe_in
+from .realization import Realization, RealizationError, central_realization, safe_in
 
 HALF = Fraction(1, 2)
+
+
+def _frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------

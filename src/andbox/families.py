@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .graphs import (
     Graph,
@@ -40,7 +41,12 @@ class IntervalModel:
         """Intervals meet iff the later-starting one starts by the other's
         right end; an empty span (lo > hi) meets none and stays out."""
         kept = [(v, lo, hi) for v, (lo, hi) in enumerate(self.spans, 1) if lo <= hi]
-        pairs = line_pairs([k[1] for k in kept], [k[2] for k in kept])
+        # the sweep compares the ends as ints over their least common denominator
+        den = lcm(*(x.denominator for _, lo, hi in kept for x in (lo, hi)))
+        pairs = line_pairs(
+            [lo.numerator * (den // lo.denominator) for _, lo, _ in kept],
+            [hi.numerator * (den // hi.denominator) for _, _, hi in kept],
+        )
         return Graph.from_edges(self.n, [(kept[i][0], kept[j][0]) for i, j in pairs])
 
 

@@ -384,10 +384,11 @@ def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognit
         if r is None:
             verdict = "not_member" if status == kernels.NOT_MEMBER else "exhausted"
             return CAndRecognitionResult(verdict, None, None, tried, solved)
-        shift = 0 if right is None else right + 1 - min(box[0][0] for box in r.boxes)
+        least = Fraction(min(box[0][0] for box in r.boxes), r.den)
+        shift = 0 if right is None else right + 1 - least
         merged.extend(back[v] for v in o.order)
         points.extend(r.coordinate(v) + shift for v in o.order)
-        right = shift + max(box[0][1] for box in r.boxes)
+        right = shift + Fraction(max(box[0][1] for box in r.boxes), r.den)
     if len(comps) > 1:
         # the same closed-form radii over the merged order: only an isolated
         # vertex's radius changes, to half the distance to its nearest point

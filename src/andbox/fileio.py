@@ -31,7 +31,7 @@ import os
 import re
 import tempfile
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .boxes import require_semisquares
 from .families import IntervalModel, OuterplanarModel, RootedPathModel
@@ -109,21 +109,38 @@ def _record(tag: str, ids: int, rationals: int):
 
 
 def _rationals(groups):
-    """The Fractions of matched (numerator, denominator) group pairs, or
-    None when one is not in lowest terms.  Each denominator is read before
-    its numerator, as in parse_rational."""
+    """The rationals of matched (numerator, denominator) group pairs as one
+    flat list of ints, each numerator followed by its denominator, or None
+    when one is not in lowest terms.  Each denominator is read before its
+    numerator, as in parse_rational."""
     out = []
     pairs = iter(groups)
     for num, den in zip(pairs, pairs):
         if den is None:
-            out.append(Fraction(int(num)))
-            continue
-        d = int(den)
-        n = int(num)
-        if d == 1 or gcd(n, d) != 1:
+            out += int(num), 1
+        elif den == "1" or gcd(d := int(den), n := int(num)) != 1:
             return None
-        out.append(Fraction(n, d))
+        else:
+            out += n, d
     return out
+
+
+def _flat(*fractions) -> tuple:
+    """The numerators and denominators of Fractions, in _rationals' form."""
+    return tuple(x for f in fractions for x in (f.numerator, f.denominator))
+
+
+def _over(den: int):
+    """The writer of numerators over den: x/den in lowest terms, spelled
+    as str(Fraction(x, den)) spells it, with one gcd."""
+    if den == 1:
+        return str
+
+    def fmt(x: int) -> str:
+        g = gcd(x, den)
+        return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+    return fmt
 
 
 def _read(path: str) -> str:
@@ -239,7 +256,7 @@ def loads_realization(text: str, path: str = "<realization>") -> Realization:
             vid, dim, *q = match.groups()
             key = (int(vid), int(dim))
             if key[1] <= header[1] and (q := _rationals(q)) is not None and key not in rows:
-                rows[key] = ((q[0], q[1]), q[2])
+                rows[key] = q
                 continue
         toks = _tokens(raw)
         if toks is None:
@@ -268,7 +285,7 @@ def loads_realization(text: str, path: str = "<realization>") -> Realization:
             lo, hi, p = (_rat_at(path, no, t) for t in toks[3:6])
             if (vid, dim) in rows:
                 _fail(path, no, f"duplicate vertex/dimension {vid} {dim}")
-            rows[(vid, dim)] = ((lo, hi), p)
+            rows[(vid, dim)] = _flat(lo, hi, p)
         else:
             _fail(path, no, f"unknown record {toks[0]!r}")
     if header is None:
@@ -283,34 +300,40 @@ def loads_realization(text: str, path: str = "<realization>") -> Realization:
 
 
 def _assemble(path, d, rows) -> Realization:
-    """Realization of rows {(vid, dim): ((L, R), p)} of Fractions, in
-    which every vertex has each dimension 1..d."""
+    """Realization of rows {(vid, dim): (L_num, L_den, R_num, R_den, p_num,
+    p_den)} of ints, in which every vertex has each dimension 1..d.  The
+    lattice's den is the lcm of the rows' denominators, the least one for
+    the rows the loaders read."""
     ids = sorted({vid for vid, _ in rows})
+    dens = set()
+    for q in rows.values():
+        dens.update(q[1::2])
+    den = lcm(*dens)
+    scale = {x: den // x for x in dens}
     boxes = []
     points = []
     for vid in ids:
-        factors = []
+        box = []
+        point = []
         for dim in range(1, d + 1):
-            factor = rows.get((vid, dim))
-            if factor is None:
+            q = rows.get((vid, dim))
+            if q is None:
                 _fail(path, 0, f"vertex {vid} missing dimension {dim}")
-            factors.append(factor)
-        box, point = zip(*factors)
-        boxes.append(box)
-        points.append(point)
-    return Realization._checked(d, tuple(ids), tuple(boxes), tuple(points))
+            box.append((q[0] * scale[q[1]], q[2] * scale[q[3]]))
+            point.append(q[4] * scale[q[5]])
+        boxes.append(tuple(box))
+        points.append(tuple(point))
+    return Realization._checked(d, tuple(ids), den, tuple(boxes), tuple(points))
 
 
 def dumps_realization(r: Realization) -> str:
+    fmt = _over(r.den)
     lines = [f"r and {r.n} {r.d}"]
     if is_central(r):
         lines.append("central")
-    for v, box, point in r.items():
+    for v, box, point in zip(r.ids, r.boxes, r.points):
         for dim, ((lo, hi), p) in enumerate(zip(box, point), start=1):
-            lines.append(
-                f"v {v} {dim} {format_rational(lo)} {format_rational(hi)}"
-                f" {format_rational(p)}"
-            )
+            lines.append(f"v {v} {dim} {fmt(lo)} {fmt(hi)} {fmt(p)}")
     return "\n".join(lines) + "\n"
 
 
@@ -535,9 +558,11 @@ def loads_corner_boxes(text: str, path: str = "<boxes>") -> Realization:
             vid, dim, *q = match.groups()
             key = (int(vid), int(dim))
             if (q := _rationals(q)) is not None and key not in rows:
-                xl, xh, yl, yh = q
-                if xl <= xh and yl <= yh and yl == -xl:
-                    rows[key] = ((-yh, xh), xl)
+                xl, xld, xh, xhd, yl, yld, yh, yhd = q
+                # x_lo <= x_hi, y_lo <= y_hi and y_lo == -x_lo over positive
+                # denominators in lowest terms
+                if xl * xhd <= xh * xld and yl * yhd <= yh * yld and (yl, yld) == (-xl, xld):
+                    rows[key] = (-yh, yhd, xh, xhd, xl, xld)
                     continue
         toks = _tokens(raw)
         if toks is None:
@@ -553,7 +578,7 @@ def loads_corner_boxes(text: str, path: str = "<boxes>") -> Realization:
             _fail(path, no, f"vertex {vid}: empty planar factor")
         if xl + yl != 0:
             _fail(path, no, f"vertex {vid}: corner ({xl},{yl}) off the diagonal")
-        rows[(vid, dim)] = ((-yh, xh), xl)
+        rows[(vid, dim)] = _flat(-yh, xh, xl)
     if not rows:
         _fail(path, 0, "no corner boxes")
     return _assemble(path, max(dim for _, dim in rows), rows)
@@ -561,13 +586,11 @@ def loads_corner_boxes(text: str, path: str = "<boxes>") -> Realization:
 
 def dumps_corner_boxes(r: Realization) -> str:
     """Factor k of vertex v is [p_k, R_k] x [-p_k, -L_k]."""
+    fmt = _over(r.den)
     lines = []
-    for v, box, point in r.items():
+    for v, box, point in zip(r.ids, r.boxes, r.points):
         for dim, ((lo, hi), p) in enumerate(zip(box, point), start=1):
-            lines.append(
-                f"b {v} {dim} {format_rational(p)} {format_rational(hi)}"
-                f" {format_rational(-p)} {format_rational(-lo)}"
-            )
+            lines.append(f"b {v} {dim} {fmt(p)} {fmt(hi)} {fmt(-p)} {fmt(-lo)}")
     return "\n".join(lines) + "\n"
 
 
@@ -588,9 +611,11 @@ def loads_semisquares(text: str, path: str = "<semisquares>") -> Realization:
         if (match := square(raw)) is not None:
             vid, *q = match.groups()
             key = (int(vid), 1)
-            if (q := _rationals(q)) is not None and q[1] >= 0 and key not in rows:
-                corner, leg = q
-                rows[key] = ((corner - leg, corner + leg), corner)
+            if (q := _rationals(q)) is not None and q[2] >= 0 and key not in rows:
+                c, cd, leg, legd = q
+                m = lcm(cd, legd)
+                c, leg = c * (m // cd), leg * (m // legd)
+                rows[key] = (c - leg, m, c + leg, m, q[0], cd)
                 continue
         toks = _tokens(raw)
         if toks is None:
@@ -603,7 +628,7 @@ def loads_semisquares(text: str, path: str = "<semisquares>") -> Realization:
             _fail(path, no, "leg length must be nonnegative")
         if (vid, 1) in rows:
             _fail(path, no, f"duplicate semi-square for vertex {vid}")
-        rows[vid, 1] = ((corner - leg, corner + leg), corner)
+        rows[vid, 1] = _flat(corner - leg, corner + leg, corner)
     if not rows:
         _fail(path, 0, "no semi-squares")
     return _assemble(path, 1, rows)
@@ -613,9 +638,10 @@ def dumps_semisquares(r: Realization) -> str:
     """Vertex v gets corner p_v and leg R_v - p_v; r must be central and
     one-dimensional."""
     require_semisquares(r)
+    fmt = _over(r.den)
     lines = [
-        f"s {v} {format_rational(point[0])} {format_rational(box[0][1] - point[0])}"
-        for v, box, point in r.items()
+        f"s {v} {fmt(point[0])} {fmt(box[0][1] - point[0])}"
+        for v, box, point in zip(r.ids, r.boxes, r.points)
     ]
     return "\n".join(lines) + "\n"
 

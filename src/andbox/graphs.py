@@ -160,54 +160,57 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     Requires a connected input: one depth-first search from vertex 1 must
     reach every vertex.
     """
-    disc = {}
-    low = {}
-    parent = {}
+    masks = g.masks
+    disc = [0] * (g.n + 1)  # discovery time, 0 until visited
+    low = [0] * (g.n + 1)
+    parent = [0] * (g.n + 1)
     cut = set()
     estack = []
     found = []  # (block, its edges)
-    timer = itertools.count(1)
 
     root = 1
-    disc[root] = low[root] = next(timer)
-    parent[root] = None
+    disc[root] = low[root] = timer = 1
     root_children = 0
-    # stack entries: (v, iterator over neighbors)
-    stack = [(root, iter(g.neighbors(root)))]
+    # stack entries: [v, the neighbours of v not yet walked, as a mask],
+    # walked lowest bit first, so neighbours in ascending order
+    stack = [[root, masks[root - 1]]]
     while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w not in disc:
+        top = stack[-1]
+        v, rest = top
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length()
+            if not disc[w]:
+                top[1] = rest
                 estack.append((v, w))
-                disc[w] = low[w] = next(timer)
+                timer += 1
+                disc[w] = low[w] = timer
                 parent[w] = v
                 if v == root:
                     root_children += 1
-                stack.append((w, iter(g.neighbors(w))))
-                advanced = True
+                stack.append([w, masks[w - 1]])
                 break
             elif w != parent[v] and disc[w] < disc[v]:
                 estack.append((v, w))
                 low[v] = min(low[v], disc[w])
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            u = stack[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                # u separates: pop the block's edges, down to the tree
-                # edge (u, v), which every edge of v's subtree sits above
-                es = []
-                while disc[estack[-1][0]] >= disc[v]:
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    # u separates: pop the block's edges, down to the tree
+                    # edge (u, v), which every edge of v's subtree sits above
+                    es = []
+                    while disc[estack[-1][0]] >= disc[v]:
+                        es.append(estack.pop())
                     es.append(estack.pop())
-                es.append(estack.pop())
-                es = sorted((a, b) if a < b else (b, a) for a, b in es)
-                found.append((frozenset(x for e in es for x in e), tuple(es)))
-                if u != root or root_children > 1:
-                    cut.add(u)
-    if len(disc) < g.n:
+                    es = sorted((a, b) if a < b else (b, a) for a, b in es)
+                    found.append((frozenset(x for e in es for x in e), tuple(es)))
+                    if u != root or root_children > 1:
+                        cut.add(u)
+    if timer < g.n:
         raise GraphError("block_decomposition assumes a connected graph")
     if g.n == 1:
         found.append((frozenset({root}), ()))

@@ -125,8 +125,12 @@ def implicit_encode(g: Graph, o: Ordering):
 def realization_from_codes(codes) -> Realization:
     """The integer realization the codes describe: vertex i+1 gets point
     pos and box [lo, hi] of entry i."""
-    return Realization.build(
-        1, {v: ((c.lo, c.hi), c.pos) for v, c in enumerate(codes, start=1)}
+    return Realization._checked(
+        1,
+        tuple(range(1, len(codes) + 1)),
+        1,
+        tuple(((c.lo, c.hi),) for c in codes),
+        tuple((c.pos,) for c in codes),
     )
 
 

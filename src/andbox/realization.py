@@ -1,15 +1,18 @@
-"""Box-and-representative-point realizations with exact rational coordinates.
+"""Box-and-representative-point realizations on one integer lattice.
 
 A realization assigns every vertex a d-dimensional closed box (product of
 closed intervals) plus a representative point inside it.  Two vertices are
 adjacent in the induced graph iff each box contains the other vertex's
 point.  "Central" means every point is exactly its box's center.
 
-Coordinates are Fractions and every decision is exact, with no floats
-anywhere.  Comparisons avoid the Fraction operators: containment and
-centrality are integer cross-products of numerators and denominators,
-and sorts and sweeps compare exact_key tuples, whose leading int decides
-all but near-ties.
+Only whether points lie in boxes matters, and any positive scaling keeps
+that, so a realization holds every coordinate as an int numerator over
+one shared denominator den: the least positive integer that makes every
+coordinate whole.  That den is canonical, so equal realizations compare
+equal.  Every decision (containment, centrality, the sweeps) compares
+ints, exactly and with no floats anywhere.  The accessors box, point,
+interval, coordinate, items and line_items hand out exact Fractions for
+the constructors' arithmetic, and build takes ints and Fractions back.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 class RealizationError(ValueError):
@@ -34,42 +37,32 @@ class TiedPointsError(RealizationError):
 _SEQ = (tuple, list)
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def exact_key(x):
-    """Sort key ordered exactly like the rational x: floor(x * 2**64), an
-    int compared in C, then x itself, compared only when the ints tie (the
-    values differ by less than 2**-64).  Unlike float(x) it never
-    overflows or rounds two values together."""
-    return ((x.numerator << 64) // x.denominator, x)
-
-
 @dataclass(frozen=True)
 class Realization:
     """dimension d; per vertex: box = tuple of (L, R) per dimension,
-    point = tuple of rationals per dimension.  Vertex ids are positive
-    integers, not necessarily contiguous (constructors relabel as needed)."""
+    point = tuple of coordinates per dimension, every coordinate an int
+    numerator over den.  Vertex ids are positive integers, not necessarily
+    contiguous (constructors relabel as needed)."""
 
     d: int
     ids: tuple  # sorted vertex ids
-    boxes: tuple  # boxes[i][k] = (L, R) for ids[i], dimension k
-    points: tuple  # points[i][k]
+    den: int  # the least positive common denominator of every coordinate
+    boxes: tuple  # boxes[i][k] = (L, R) numerators for ids[i], dimension k
+    points: tuple  # points[i][k], numerators
 
     @staticmethod
     def build(d: int, items: dict) -> "Realization":
         """items: id -> (box, point) with box a sequence of (L, R) pairs and
-        point a sequence of coordinates; for d = 1 the box may be a bare
-        (L, R) pair and the point a bare number."""
+        point a sequence of coordinates, each an int or a Fraction; for
+        d = 1 the box may be a bare (L, R) pair and the point a bare
+        number."""
         if d < 1:
             raise RealizationError("dimension must be >= 1")
         ids = tuple(sorted(items))
         # bool is an int subclass, but True would be written as "True"
         if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in ids):
             raise RealizationError("vertex ids must be positive integers")
-        boxes = []
-        points = []
+        flat = []  # per vertex: L and R of each dimension, then the point
         for v in ids:
             box, point = items[v]
             if d == 1:
@@ -84,29 +77,45 @@ class Realization:
                 and all(isinstance(side, _SEQ) and len(side) == 2 for side in box)
             ):
                 raise RealizationError(f"vertex {v}: wrong arity for d={d}")
-            boxes.append(tuple([(_frac(lo), _frac(hi)) for lo, hi in box]))
-            points.append(tuple([_frac(p) for p in point]))
-        return Realization._checked(d, ids, tuple(boxes), tuple(points))
+            for side in box:
+                flat += side
+            flat += point
+        for t in set(map(type, flat)) - {int, Fraction}:
+            # a float or bool would enter the lattice as a silent binary
+            # fraction or as "True"
+            if issubclass(t, bool) or not issubclass(t, (int, Fraction)):
+                i = next(i for i, c in enumerate(flat) if type(c) is t)
+                raise RealizationError(
+                    f"vertex {ids[i // (3 * d)]}: coordinate {flat[i]!r}"
+                    " is not an int or a Fraction"
+                )
+        ratios = [c.as_integer_ratio() for c in flat]
+        dens = {q for _, q in ratios}
+        den = lcm(*dens)
+        scale = {q: den // q for q in dens}
+        whole = [p * scale[q] for p, q in ratios]
+        # dimension k of every vertex: L, R and the point, a stride apart
+        step = 3 * d
+        boxes = zip(*(zip(whole[2 * k :: step], whole[2 * k + 1 :: step]) for k in range(d)))
+        points = zip(*(whole[2 * d + k :: step] for k in range(d)))
+        return Realization._checked(d, ids, den, tuple(boxes), tuple(points))
 
     @staticmethod
-    def _checked(d: int, ids: tuple, boxes: tuple, points: tuple) -> "Realization":
+    def _checked(d: int, ids: tuple, den: int, boxes: tuple, points: tuple) -> "Realization":
         """The realization of these fields once every point lies in its
         box.  The caller has met the rest of build's contract: ids sorted
-        positive ints, each box a tuple of d (L, R) pairs and each point a
-        tuple of d coordinates, all Fractions.  build and the file loaders
-        both end here, so each coordinate is checked once."""
+        positive ints, den the least positive common denominator, each box
+        a tuple of d (L, R) pairs and each point a tuple of d coordinates,
+        all int numerators over den.  build and the file loaders both end
+        here, so each coordinate is checked once."""
         for v, box, point in zip(ids, boxes, points):
             for (lo, hi), p in zip(box, point):
-                # lo <= p <= hi over positive denominators
-                pn, pd = p.numerator, p.denominator
-                if not (
-                    lo.numerator * pd <= pn * lo.denominator
-                    and pn * hi.denominator <= hi.numerator * pd
-                ):
+                if not lo <= p <= hi:
                     raise RealizationError(
-                        f"vertex {v}: point {p} outside box [{lo},{hi}]"
+                        f"vertex {v}: point {Fraction(p, den)} outside box"
+                        f" [{Fraction(lo, den)},{Fraction(hi, den)}]"
                     )
-        return Realization(d, ids, boxes, points)
+        return Realization(d, ids, den, boxes, points)
 
     @property
     def n(self) -> int:
@@ -119,10 +128,12 @@ class Realization:
         return i
 
     def box(self, v: int):
-        return self.boxes[self.index(v)]
+        den = self.den
+        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in self.boxes[self.index(v)])
 
     def point(self, v: int):
-        return self.points[self.index(v)]
+        den = self.den
+        return tuple(Fraction(p, den) for p in self.points[self.index(v)])
 
     def interval(self, v: int):
         """d = 1 convenience: the (L, R) pair."""
@@ -137,8 +148,24 @@ class Realization:
         return {v: (box[0], pt[0]) for v, box, pt in self.items()}
 
     def items(self):
-        for i, v in enumerate(self.ids):
-            yield v, self.boxes[i], self.points[i]
+        den = self.den
+        for v, box, point in zip(self.ids, self.boxes, self.points):
+            yield (
+                v,
+                tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in box),
+                tuple(Fraction(p, den) for p in point),
+            )
+
+
+def _lowest(d: int, ids: tuple, den: int, boxes: tuple, points: tuple) -> Realization:
+    """_checked of these fields after den and every numerator are divided
+    by their greatest common divisor, which makes den the least one."""
+    g = gcd(den, *(c for box in boxes for side in box for c in side), *(c for pt in points for c in pt))
+    if g > 1:
+        den //= g
+        boxes = tuple(tuple((lo // g, hi // g) for lo, hi in box) for box in boxes)
+        points = tuple(tuple(p // g for p in pt) for pt in points)
+    return Realization._checked(d, ids, den, boxes, points)
 
 
 def _contains(box, point) -> bool:
@@ -150,11 +177,7 @@ def line_pairs(keys, right, left=None):
     and, when left is given, left[j] <= keys[i].  One sweep in key order, O(n log n
     + pairs): from bisect(left[j]) on, each live earlier rank pairs with j or, as
     keys[j] has passed its right end, dies; a path-halved next-live array skips it.
-    Every value is mapped through exact_key once, so the sweep compares ints."""
-    keys = [exact_key(x) for x in keys]
-    right = [exact_key(x) for x in right]
-    if left is not None:
-        left = [exact_key(x) for x in left]
+    The values are compared as given; realizations pass their int numerators."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ks = [keys[i] for i in order]
     nxt = list(range(len(ks) + 1))  # nxt[s] == s iff rank s is live
@@ -172,30 +195,45 @@ def line_pairs(keys, right, left=None):
             s += 1
 
 
-def adjacency_pairs(r: Realization):
-    """Set of (u, v) pairs (u < v) adjacent by mutual containment.
-    Works for any id set; induced_graph adds the 1..n contract.  A line sweep
-    gives the pairs of dimension 1 (exact, as every point lies in its own
-    box), which are the answer when d = 1; other dimensions are tested per
-    pair: O(n log n + pairs)."""
+def _index_pairs(r: Realization):
+    """Index pairs (i, j), each adjacent pair once in one of its orders.
+    A line sweep gives the pairs of dimension 1 (exact, as every point lies
+    in its own box), which are the answer when d = 1; other dimensions are
+    tested per pair: O(n log n + pairs)."""
     pairs = line_pairs(
         [p[0] for p in r.points], [b[0][1] for b in r.boxes], [b[0][0] for b in r.boxes]
     )
-    ids = r.ids
     if r.d == 1:
-        return {(ids[i], ids[j]) if i < j else (ids[j], ids[i]) for i, j in pairs}
-    return {
-        (ids[min(i, j)], ids[max(i, j)])
+        return pairs
+    return (
+        (i, j)
         for i, j in pairs
         if _contains(r.boxes[i][1:], r.points[j][1:])
         and _contains(r.boxes[j][1:], r.points[i][1:])
-    }
+    )
+
+
+def adjacency_pairs(r: Realization):
+    """Set of (u, v) pairs (u < v) adjacent by mutual containment.
+    Works for any id set; induced_graph adds the 1..n contract."""
+    ids = r.ids
+    return {(ids[i], ids[j]) if i < j else (ids[j], ids[i]) for i, j in _index_pairs(r)}
+
+
+def _induced_masks(r: Realization) -> list:
+    """The induced graph's adjacency bitmasks in Graph's format, read as
+    row i for ids[i] and bit j for ids[j]."""
+    masks = [0] * r.n
+    for i, j in _index_pairs(r):
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
 
 
 def induced_graph(r: Realization) -> Graph:
     if r.ids != tuple(range(1, r.n + 1)):
         raise RealizationError("induced_graph expects vertex ids 1..n")
-    return Graph.from_edges(r.n, sorted(adjacency_pairs(r)))
+    return Graph(r.n, tuple(_induced_masks(r)))
 
 
 @dataclass(frozen=True)
@@ -209,24 +247,25 @@ class VerifyReport:
 
 
 def verify(r: Realization, g: Graph) -> VerifyReport:
-    if set(r.ids) != set(g.vertices()):
+    """The edges of g the realization misses and those it adds, each
+    sorted: row u of the induced masks XOR g's row u, read above bit u."""
+    if r.ids != tuple(g.vertices()):
         raise RealizationError("realization and graph vertex sets differ")
-    induced = adjacency_pairs(r)
-    extra = tuple(sorted(e for e in induced if not g.has_edge(*e)))
-    missing = ()
-    if len(induced) - len(extra) < g.m:  # some edge of g is not induced
-        missing = tuple(e for e in g.edge_list() if e not in induced)
-    return VerifyReport(missing, extra)
+    missing, extra = [], []
+    for u, (row, mask) in enumerate(zip(_induced_masks(r), g.masks), 1):
+        diff = (row ^ mask) >> u
+        if diff:
+            missing += [(u, v) for v in _bits(diff & mask >> u, u)]
+            extra += [(u, v) for v in _bits(diff & row >> u, u)]
+    return VerifyReport(tuple(missing), tuple(extra))
 
 
 def is_central(r: Realization) -> bool:
-    for box, point in zip(r.boxes, r.points):
-        for (lo, hi), p in zip(box, point):
-            # lo + hi == 2p over the positive denominators a, b and d
-            a, b, d = lo.denominator, hi.denominator, p.denominator
-            if (lo.numerator * b + hi.numerator * a) * d != 2 * p.numerator * a * b:
-                return False
-    return True
+    return all(
+        lo + hi == 2 * p
+        for box, point in zip(r.boxes, r.points)
+        for (lo, hi), p in zip(box, point)
+    )
 
 
 def central_realization(order, lo, hi, gaps) -> Realization:
@@ -237,8 +276,8 @@ def central_realization(order, lo, hi, gaps) -> Realization:
     half the distance to its nearest point, or 1 when it is alone.
 
     The sums run in integers over den, twice the gaps' least common
-    denominator, so every half gap is whole too; each coordinate becomes a
-    Fraction once, at the end."""
+    denominator, so every half gap is whole too, and the lattice is then
+    reduced to its least den."""
     den = 2 * lcm(*(x.denominator for x in gaps))
     steps = [x.numerator * (den // x.denominator) for x in gaps]
     p = [0, *accumulate(steps)]
@@ -250,12 +289,9 @@ def central_realization(order, lo, hi, gaps) -> Realization:
             r = min(steps[max(k - 2, 0):k], default=2 * den) // 2
         spans[v] = (pk, r)
     ids = tuple(sorted(spans))
-    boxes, points = [], []
-    for v in ids:
-        pk, r = spans[v]
-        boxes.append(((Fraction(pk - r, den), Fraction(pk + r, den)),))
-        points.append((Fraction(pk, den),))
-    return Realization._checked(1, ids, tuple(boxes), tuple(points))
+    boxes = tuple(((spans[v][0] - spans[v][1], spans[v][0] + spans[v][1]),) for v in ids)
+    points = tuple((spans[v][0],) for v in ids)
+    return _lowest(1, ids, den, boxes, points)
 
 
 def r_order(r: Realization):
@@ -263,11 +299,11 @@ def r_order(r: Realization):
     if r.d != 1:
         raise RealizationError("r_order is defined for d = 1")
     pts = {}
-    for v, _, point in r.items():
+    for v, point in zip(r.ids, r.points):
         p = point[0]
         if p in pts:
             raise TiedPointsError(
-                f"vertices {pts[p]} and {v} share point {p}; "
+                f"vertices {pts[p]} and {v} share point {Fraction(p, r.den)}; "
                 "apply make_points_distinct first"
             )
         pts[p] = v
@@ -284,7 +320,8 @@ def make_points_distinct(r: Realization) -> Realization:
     every edge's containments slack without creating containments, and then
     the k-th member of each tie group (ascending id) is shifted rigidly by
     k * gap / (8 * (n + 1)).  Widening is symmetric and shifts are rigid, so
-    a central input stays central.
+    a central input stays central.  Both moves are whole on the lattice
+    refined 8 (n + 1) times.
     """
     if r.d != 1:
         raise RealizationError("make_points_distinct is defined for d = 1")
@@ -292,36 +329,25 @@ def make_points_distinct(r: Realization) -> Realization:
     if len(set(values)) == len(values):
         return r
 
-    coords = sorted(
-        {c for box in r.boxes for c in box[0]} | {p[0] for p in r.points}
-    )
-    gap = None
-    for a, b in zip(coords, coords[1:]):
-        if b - a > 0 and (gap is None or b - a < gap):
-            gap = b - a
-    if gap is None:
-        gap = Fraction(1)  # all coordinates equal; nothing to collide with
-
-    widen = gap / 4
-    step = gap / (8 * (r.n + 1))
+    coords = sorted({c for box in r.boxes for c in box[0]} | set(values))
+    # all coordinates equal: nothing to collide with, and gap is 1
+    gap = min((b - a for a, b in zip(coords, coords[1:])), default=r.den)
+    fine = 8 * (r.n + 1)
+    widen = 2 * (r.n + 1) * gap  # gap / 4 on the refined lattice
     groups = {}
-    for i, v in enumerate(r.ids):
-        groups.setdefault(r.points[i][0], []).append(v)
+    for v, p in zip(r.ids, values):
+        groups.setdefault(p, []).append(v)
     shift = {}
-    for p in groups:
-        members = sorted(groups[p])
-        if len(members) == 1:
-            shift[members[0]] = Fraction(0)
-        else:
-            for k, v in enumerate(members):
-                shift[v] = k * step
-
-    items = {}
-    for v, box, point in r.items():
-        (lo, hi) = box[0]
+    for members in groups.values():
+        for k, v in enumerate(members):  # ids ascend within each group
+            shift[v] = k * gap
+    boxes, points = [], []
+    for v, box, p in zip(r.ids, r.boxes, values):
+        lo, hi = box[0]
         s = shift[v]
-        items[v] = ((lo - widen + s, hi + widen + s), point[0] + s)
-    return Realization.build(1, items)
+        boxes.append(((lo * fine - widen + s, hi * fine + widen + s),))
+        points.append((p * fine + s,))
+    return _lowest(1, r.ids, r.den * fine, tuple(boxes), tuple(points))
 
 
 def is_safe(r: Realization, v: int) -> bool:
@@ -329,12 +355,12 @@ def is_safe(r: Realization, v: int) -> bool:
     the induced graph (d = 1)."""
     if r.d != 1:
         raise RealizationError("is_safe is defined for d = 1")
-    return safe_in(r.line_items(), v)
+    return safe_in({u: (box[0], p[0]) for u, box, p in zip(r.ids, r.boxes, r.points)}, v)
 
 
 def safe_in(items: dict, v: int) -> bool:
     """is_safe over items {id: ((L, R), p)}, the form Realization.build
-    takes for d = 1."""
+    takes for d = 1, or the same over a realization's numerators."""
     if v not in items:
         raise RealizationError(f"unknown vertex {v}")
     (lo, hi), p = items[v]

@@ -5,16 +5,16 @@ horizontal bar and the representative point as a dot; on the right, the
 planar corner boxes with their lower-left corners on the dashed diagonal
 x + y = 0.  All geometry is scaled deterministically and numbers are
 printed with two decimals, so repeated renders are byte-identical.
-Extremes are found with exact_key, and floats come only from int
-true divisions of numerators and denominators, which round correctly:
-each drawn number equals float() of the exact Fraction it stands for.
+Extremes are found among the realization's int numerators, and floats
+come only from int true divisions of those, which round correctly: each
+drawn number equals float() of the exact rational it stands for.
 """
 
 from __future__ import annotations
 
 import math
 
-from .realization import Realization, RealizationError, exact_key
+from .realization import Realization, RealizationError
 
 _PLOT = 320.0
 _MARGIN = 20.0
@@ -32,32 +32,22 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _diff(s, t) -> float:
-    """float(s - t) for rationals s and t: one int division, which rounds
-    correctly, as float() of the reduced Fraction does."""
-    return (s.numerator * t.denominator - t.numerator * s.denominator) / (
-        s.denominator * t.denominator
-    )
-
-
 def render_realization_svg(r: Realization) -> str:
     if r.d != 1:
         raise RealizationError("SVG rendering handles d = 1 realizations")
 
+    # every coordinate below is a numerator over den
+    den = r.den
     los = [box[0][0] for box in r.boxes]
     his = [box[0][1] for box in r.boxes]
     pts = [point[0] for point in r.points]
-    least, hi = min(los, key=exact_key), max(his, key=exact_key)
+    least, hi = min(los), max(his)
     lo, span = least, hi - least
     if span == 0:
-        lo, span = lo - 1, 2
-    c, d = lo.numerator, lo.denominator
-    e, f = span.numerator, span.denominator
+        lo, span = lo - den, 2 * den
 
     def sx(t) -> float:
-        # (t - lo) / span for t = a/b, lo = c/d and span = e/f
-        a, b = t.numerator, t.denominator
-        return _MARGIN + (a * d - c * b) * f / (b * d * e) * _PLOT
+        return _MARGIN + (t - lo) / span * _PLOT
 
     n = r.n
     left_h = n * _ROW
@@ -65,16 +55,16 @@ def render_realization_svg(r: Realization) -> str:
     # from the least point to the greatest R and y from minus the greatest
     # point to minus the least L; the drawing is relative to the least x
     # and the greatest y.
-    xmin = min(pts, key=exact_key)
-    wide = max(hi - xmin, max(pts, key=exact_key) - least, key=exact_key)
+    xmin = min(pts)
+    wide = max(hi - xmin, max(pts) - least)
     if wide == 0:
-        wide = 2
-        xmin -= 1
-        least -= 1
+        wide = 2 * den
+        xmin -= den
+        least -= den
     try:
         # the diagonal runs from L to R, the widest difference drawn
-        pad = _diff(hi, least) * 0.05
-        wide_f = wide.numerator / wide.denominator
+        pad = (hi - least) / den * 0.05
+        wide_f = wide / den
     except OverflowError:
         raise RealizationError("coordinates too large to draw") from None
     scale = _PLOT / wide_f if wide_f else math.inf
@@ -84,11 +74,11 @@ def render_realization_svg(r: Realization) -> str:
 
     def bx(t) -> float:
         # x of the corner-box coordinate t
-        return bx0 + _diff(t, xmin) * scale
+        return bx0 + (t - xmin) / den * scale
 
     def by(t) -> float:
         # y of the corner-box coordinate -t
-        return _TOP + _diff(t, least) * scale
+        return _TOP + (t - least) / den * scale
 
     width = _MARGIN * 2 + _PLOT * 2 + _GAP
     height = _TOP + max(left_h, _PLOT) + _MARGIN
@@ -127,8 +117,8 @@ def render_realization_svg(r: Realization) -> str:
         x, ytop = _fmt(bx(p)), by(a)
         out.append(
             f'<rect x="{x}" y="{_fmt(ytop)}"'
-            f' width="{_fmt(_diff(b, p) * scale)}"'
-            f' height="{_fmt(_diff(p, a) * scale)}"'
+            f' width="{_fmt((b - p) / den * scale)}"'
+            f' height="{_fmt((p - a) / den * scale)}"'
             ' fill="#1f77b4" fill-opacity="0.12" stroke="#1f77b4"/>'
         )
         out.append(f'<circle cx="{x}" cy="{_fmt(by(p))}" r="3" fill="#d62728"/>')

@@ -637,6 +637,66 @@ def reference_loads_semisquares(text: str, path: str = "<semisquares>") -> Reali
         _fail(path, 0, "no semi-squares")
     return Realization.build(1, rows)
 
+def reference_dumps_realization(r: Realization) -> str:
+    """The realization writer on Fractions, each written by str()."""
+    from andbox.realization import is_central
+
+    lines = [f"r and {r.n} {r.d}"]
+    if is_central(r):
+        lines.append("central")
+    for v, box, point in r.items():
+        for dim, ((lo, hi), p) in enumerate(zip(box, point), start=1):
+            lines.append(f"v {v} {dim} {lo} {hi} {p}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dumps_corner_boxes(r: Realization) -> str:
+    """The corner-box writer on Fractions: factor [p, R] x [-p, -L]."""
+    lines = []
+    for v, box, point in r.items():
+        for dim, ((lo, hi), p) in enumerate(zip(box, point), start=1):
+            lines.append(f"b {v} {dim} {p} {hi} {-p} {-lo}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dumps_semisquares(r: Realization) -> str:
+    """The semi-square writer on Fractions: corner p and leg R - p."""
+    lines = [f"s {v} {point[0]} {box[0][1] - point[0]}" for v, box, point in r.items()]
+    return "\n".join(lines) + "\n"
+
+
+def glued_four_cycle_chain(k: int) -> Graph:
+    """k 4-cycles in a chain, the last vertex of each being the first of
+    the next: n = 3k + 1."""
+    edges = []
+    for i in range(k):
+        a, b, c, d = 3 * i + 1, 3 * i + 2, 3 * i + 3, 3 * i + 4
+        edges += [(a, b), (b, d), (a, c), (c, d)]
+    return Graph.from_edges(3 * k + 1, edges)
+
+
+def lattice_reference_instances():
+    """(name, realization) pairs for the Fraction references: random
+    d = 1 and d = 2 realizations, and the constructions with the longest
+    denominators: the nested 400-gon, a chain of 200 glued 4-cycles, the
+    star with 400 leaves and random block graphs with n = 220."""
+    from andbox.constructors import blockwise_cand1, outerplanar_cand1
+    from andbox.families import random_block_graph
+
+    rng = random.Random(2828)
+    out = [(f"random-d{d}-{i}", random_realization(rng, rng.randint(1, 30), d)) for d in (1, 2) for i in range(5)]
+    out += [(f"tied-d{d}", random_tied_realization(rng, 25, d)) for d in (1, 2)]
+    out.append(("prime-denominators", random_prime_denominator_realization(rng, 60)))
+    out.append(("central", random_central_realization(rng, 30)))
+    k = 400
+    nested = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
+    out.append(("nested-400-gon", outerplanar_cand1(nested)))
+    out.append(("four-cycle-chain-200", blockwise_cand1(glued_four_cycle_chain(200))))
+    out.append(("star-401", blockwise_cand1(Graph.from_edges(401, [(1, v) for v in range(2, 402)]))))
+    out += [(f"block-220-s{s}", blockwise_cand1(random_block_graph(220, s).graph)) for s in range(1, 8)]
+    return out
+
+
 def reference_corner_box_edges(boxes) -> set:
     """All-pairs closed-rectangle test on every planar factor of
     (vertex, factors) pairs: the scan the sweep in
@@ -1026,6 +1086,11 @@ def acceptance_record():
         assert elapsed_s < budget_s, f"check {num} over budget: {elapsed_s:.3f}s >= {budget_s}s"
 
     return record
+
+
+@pytest.fixture(scope="session")
+def lattice_instances():
+    return lattice_reference_instances()
 
 
 @pytest.fixture(scope="session")

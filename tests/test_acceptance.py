@@ -292,7 +292,7 @@ def test_check_08_interval_models(acceptance_record, central_pool):
         if not (rep.ok and is_central(r)):
             bad.append((i, n, "verify"))
             continue
-        if any(c.denominator != 1 for box in r.boxes for c in box[0]):
+        if r.den != 1:
             bad.append((i, n, "integer"))
             continue
         central_pool.append(r)

@@ -5,6 +5,7 @@ record kind, error positions as path:line, atomic writes, format sniffing.
 import os
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -36,15 +37,21 @@ from andbox.fileio import (
     sniff_format,
 )
 from andbox.orders import Ordering, implicit_encode, realization_from_ordering
-from andbox.realization import Realization, is_central
+from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
+from andbox.realization import Realization, is_central, verify
+from andbox.svg import render_realization_svg
 
 from conftest import (
     random_connected_graph,
     random_realization,
+    reference_dumps_corner_boxes,
+    reference_dumps_realization,
+    reference_dumps_semisquares,
     reference_loads_corner_boxes,
     reference_loads_graph,
     reference_loads_realization,
     reference_loads_semisquares,
+    reference_render_svg,
 )
 
 
@@ -582,8 +589,11 @@ class TestLineReadersMatchTokenReaders:
             assert status == "ok"
             assert value == reference(text)
             if kind != "graph":
+                # the lattice invariant: plain int numerators over the least den
                 coords = [c for box in value.boxes for side in box for c in side]
-                assert all(type(c) is F for c in coords + [c for pt in value.points for c in pt])
+                coords += [c for pt in value.points for c in pt]
+                assert all(type(c) is int for c in coords + [value.den])
+                assert value.den >= 1 and gcd(value.den, *coords) == 1
         if kind in ("realization", "corner"):
             assert {load(text).d for text in files[kind]} == {1, 2}
 
@@ -612,3 +622,57 @@ class TestLineReadersMatchTokenReaders:
             got = _outcome(fileio.loads_corner_boxes, mutant)
             assert got == _outcome(reference_loads_corner_boxes, mutant)
             assert "off the diagonal" in got[1] or "empty planar factor" in got[1]
+
+
+class TestLatticeMatchesFractionReferences:
+    """The lattice writers, loaders and renderer against the Fraction
+    ones kept in conftest, byte for byte, on files with long
+    denominators."""
+
+    def test_writers_and_loaders(self, lattice_instances):
+        assert {r.d for _, r in lattice_instances} == {1, 2}
+        for name, r in lattice_instances:
+            text = fileio.dumps_realization(r)
+            assert text == reference_dumps_realization(r), name
+            assert fileio.loads_realization(text) == reference_loads_realization(text) == r
+            text = fileio.dumps_corner_boxes(r)
+            assert text == reference_dumps_corner_boxes(r), name
+            assert fileio.loads_corner_boxes(text) == reference_loads_corner_boxes(text) == r
+            if r.d == 1 and is_central(r):
+                text = fileio.dumps_semisquares(r)
+                assert text == reference_dumps_semisquares(r), name
+                assert fileio.loads_semisquares(text) == reference_loads_semisquares(text) == r
+
+    def test_renderer(self, lattice_instances):
+        for name, r in lattice_instances:
+            if r.d == 1:
+                assert render_realization_svg(r) == reference_render_svg(r), name
+
+
+class TestNoFractionsOnTheGeometryPath:
+    def test_load_verify_render_convert_and_intersect(self, tmp_path, monkeypatch):
+        # long denominators, negative coordinates, central and d = 1
+        g = random_block_graph(40, 108).graph
+        r = blockwise_cand1(g)
+        real, boxes, tri = (str(tmp_path / f"b.{ext}") for ext in ("real", "boxes", "tri"))
+        fileio.save_realization(real, r)
+        fileio.save_corner_boxes(boxes, r)
+        fileio.save_semisquares(tri, r)
+        made = []
+        new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted)
+        loaded = fileio.load_realization(real)
+        assert verify(loaded, g).ok
+        render_realization_svg(loaded)
+        fileio.dumps_corner_boxes(loaded)
+        fileio.dumps_semisquares(loaded)
+        assert corner_box_intersection_graph(fileio.load_corner_boxes(boxes)) == g
+        assert semisquare_intersection_graph(fileio.load_semisquares(tri)) == g
+        assert made == []
+        loaded.coordinate(1)  # the counter sees a Fraction made
+        assert made

@@ -44,7 +44,7 @@ def test_matches_golden_bytes():
 def test_matches_golden_bytes_with_long_denominators():
     # block graph: denominators of up to 16 digits and negative coordinates
     r = blockwise_cand1(random_block_graph(40, 108).graph)
-    coords = [x for box, point in zip(r.boxes, r.points) for x in box[0] + point]
+    coords = [x for _, box, point in r.items() for x in box[0] + point]
     assert max(len(str(x.denominator)) for x in coords) == 16
     assert min(coords) < 0
     assert render_realization_svg(r) == golden("block-graph-40.svg")
