@@ -89,11 +89,10 @@ class Realization:
                     f"vertex {ids[i // (3 * d)]}: coordinate {flat[i]!r}"
                     " is not an int or a Fraction"
                 )
-        ratios = [c.as_integer_ratio() for c in flat]
-        dens = {q for _, q in ratios}
+        dens = {c.denominator for c in flat}
         den = lcm(*dens)
         scale = {q: den // q for q in dens}
-        whole = [p * scale[q] for p, q in ratios]
+        whole = [c.numerator * scale[c.denominator] for c in flat]
         # dimension k of every vertex: L, R and the point, a stride apart
         step = 3 * d
         boxes = zip(*(zip(whole[2 * k :: step], whole[2 * k + 1 :: step]) for k in range(d)))
@@ -289,9 +288,12 @@ def central_realization(order, lo, hi, gaps) -> Realization:
             r = min(steps[max(k - 2, 0):k], default=2 * den) // 2
         spans[v] = (pk, r)
     ids = tuple(sorted(spans))
-    boxes = tuple(((spans[v][0] - spans[v][1], spans[v][0] + spans[v][1]),) for v in ids)
-    points = tuple((spans[v][0],) for v in ids)
-    return _lowest(1, ids, den, boxes, points)
+    boxes, points = [], []
+    for v in ids:
+        pk, r = spans[v]
+        boxes.append(((pk - r, pk + r),))
+        points.append((pk,))
+    return _lowest(1, ids, den, tuple(boxes), tuple(points))
 
 
 def r_order(r: Realization):

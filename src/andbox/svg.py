@@ -126,5 +126,5 @@ def render_realization_svg(r: Realization) -> str:
             f'<text x="{_fmt(bx(b) - 12)}" y="{_fmt(ytop + 13)}">'
             f'{_esc(str(v))}</text>'
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")  # the final newline, without a copy of the whole text
+    return "\n".join(out)
