@@ -105,8 +105,9 @@ class Realization:
         box.  The caller has met the rest of build's contract: ids sorted
         positive ints, den the least positive common denominator, each box
         a tuple of d (L, R) pairs and each point a tuple of d coordinates,
-        all int numerators over den.  build and the file loaders both end
-        here, so each coordinate is checked once."""
+        all int numerators over den.  build, the file loaders and the
+        integer constructions all end here, so each coordinate is checked
+        once."""
         for v, box, point in zip(ids, boxes, points):
             for (lo, hi), p in zip(box, point):
                 if not lo <= p <= hi:
