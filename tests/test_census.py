@@ -6,16 +6,23 @@ independently: the ordering by the naive quadruple scan, the
 realization by verify, is_central and its point order.  This runs the
 twin rule of the ordering kernel through both recognizers at n = 7.
 The minimal CAND1 obstructions among the AND1 graphs are then read off
-the same verdicts.
+the same verdicts.  Digests pin every result byte for byte: the AND1 and
+CAND1 answers on the atlas, and both on seeded disconnected graphs with
+isolated vertices.
 """
 
+import hashlib
+import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from andbox.families import h_graph
 from andbox.constructors import blockwise_cand1
 from andbox.feasibility import _interval_certificate, cand1_recognize
+from andbox.fileio import dumps_realization
+from andbox.graphs import Graph
 from andbox.orders import and1_recognize
 from andbox.realization import is_central, r_order, verify
 
@@ -55,6 +62,54 @@ def test_and1_cand1_census(census):
             assert verify(r, g).ok and is_central(r), g.edge_list()
             assert r_order(r) == c.ordering.order, g.edge_list()
     assert dict(counts) == CENSUS
+
+
+def _ids(ordering) -> str:
+    return "-" if ordering is None else " ".join(map(str, ordering.order))
+
+
+def and1_text(a) -> str:
+    return f"{a.status} {_ids(a.ordering)} {a.nodes}\n"
+
+
+def cand1_text(c) -> str:
+    text = f"{c.status} {_ids(c.ordering)} {c.orderings_tried} {c.cases_solved}\n"
+    return text + (dumps_realization(c.realization) if c.found else "")
+
+
+def digest(texts) -> str:
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+def disconnected_with_isolated(rng: random.Random) -> Graph:
+    """n = 3..9 vertices: random edges on 2..7 of them, so at least one
+    vertex is isolated and the graph is disconnected."""
+    n = rng.randint(3, 9)
+    rest = rng.sample(range(1, n + 1), rng.randint(2, min(7, n - 1)))
+    p = rng.choice((0.4, 0.6, 0.8))
+    return Graph.from_edges(n, [e for e in combinations(rest, 2) if rng.random() < p])
+
+
+def test_and1_census_digest(census):
+    # status, ordering and nodes of every atlas graph
+    assert digest(and1_text(a) for _, a, _ in census) == (
+        "2bfd2e739d88d8b4b7a1e952cfe9603cf729d600dbee5cadd3c923bbca79c18d"
+    )
+
+
+def test_cand1_census_digest(census):
+    # status, ordering, orderings_tried, cases_solved and the .real text
+    assert digest(cand1_text(c) for _, _, c in census) == (
+        "37cf6499385177ad65335e08505701dad057d6997a4ae514702afc87f6c761d8"
+    )
+
+
+def test_disconnected_isolated_vertices_digest():
+    rng = random.Random(29)
+    graphs = [disconnected_with_isolated(rng) for _ in range(200)]
+    assert all(not g.is_connected() and min(map(g.degree, g.vertices())) == 0 for g in graphs)
+    texts = (and1_text(and1_recognize(g)) + cand1_text(cand1_recognize(g)) for g in graphs)
+    assert digest(texts) == "8a8b49ab6b07789e8d35872831e98b584011786a3f7f16e1c985a55928726521"
 
 
 def test_certificates_split_the_central_graphs(census):
