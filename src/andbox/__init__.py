@@ -60,7 +60,6 @@ from .graphs import (
     path_graph,
 )
 from .orders import (
-    Ordering,
     OrderingError,
     RecognitionResult,
     Violation,

@@ -143,9 +143,9 @@ def _cmd_verify(args) -> str:
 
 def _cmd_check_order(args) -> str:
     g = fileio.load_graph(args.graph)
-    o = fileio.load_ordering(args.ordering)
+    order = fileio.load_ordering(args.ordering)
     try:
-        codes = implicit_encode(g, o)  # the one four point check
+        codes = implicit_encode(g, order)  # the one four point check
     except FourPointViolationError as e:
         w = e.violation
         fileio.atomic_write_text(

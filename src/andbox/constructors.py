@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
-from .orders import Ordering, rank_bounds
+from .orders import rank_bounds
 from .realization import Realization, RealizationError, central_realization, safe_in
 
 HALF = Fraction(1, 2)
@@ -48,9 +48,9 @@ def interval_to_cand1(m: IntervalModel) -> Realization:
     if m.n == 0:
         raise GraphError("interval model must have at least one vertex")
     g = m.intersection_graph()
-    o = Ordering(sorted(g.vertices(), key=lambda v: (m.span(v), v)))
-    _, lo, hi = rank_bounds(g, o)
-    return umbrella_free_cand1(o.order, lo, hi)
+    order = sorted(g.vertices(), key=lambda v: (m.span(v), v))
+    _, lo, hi = rank_bounds(g, order)
+    return umbrella_free_cand1(order, lo, hi)
 
 
 def umbrella_free_cand1(order, lo, hi) -> Realization:
@@ -446,7 +446,7 @@ def outerplanar_cand1(m: OuterplanarModel) -> Realization:
 # ---------------------------------------------------------------------------
 # orderings for rooted-directed-path models and the H family
 
-def rdp_ordering(m: RootedPathModel) -> Ordering:
+def rdp_ordering(m: RootedPathModel) -> tuple:
     """Order graph vertices by the smallest reverse-preorder rank of their
     tree path, breaking ties by vertex id.
 
@@ -464,12 +464,10 @@ def rdp_ordering(m: RootedPathModel) -> Ordering:
         stack.extend(reversed(children[u]))
     total = len(visit)
     node_rank = {u: total - i for i, u in enumerate(visit)}
-    verts = sorted(m.paths)
-    verts.sort(key=lambda v: (min(node_rank[u] for u in m.paths[v]), v))
-    return Ordering(tuple(verts))
+    return tuple(sorted(m.paths, key=lambda v: (min(node_rank[u] for u in m.paths[v]), v)))
 
 
-def h_graph_ordering(spec: HGraphSpec) -> Ordering:
+def h_graph_ordering(spec: HGraphSpec) -> tuple:
     """Membership ordering for the three-path graphs with shortest path
     of length 2 or 3 (the known positive cases)."""
     if spec.lx not in (2, 3):
@@ -479,7 +477,5 @@ def h_graph_ordering(spec: HGraphSpec) -> Ordering:
     a, b = spec.a, spec.b
     x, y, z = spec.x, spec.y, spec.z
     if spec.lx == 2:
-        seq = (a,) + z + (b,) + x + tuple(reversed(y))
-    else:
-        seq = (y[0], x[0], a) + z + (b, x[1]) + tuple(reversed(y[1:]))
-    return Ordering(seq)
+        return (a,) + z + (b,) + x + tuple(reversed(y))
+    return (y[0], x[0], a) + z + (b, x[1]) + tuple(reversed(y[1:]))

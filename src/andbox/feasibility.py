@@ -49,7 +49,6 @@ from .constructors import blockwise_cand1, umbrella_free_cand1
 from .graphs import Graph
 from .orders import (
     DEFAULT_NODE_BUDGET,
-    Ordering,
     _require_nonnegative,
     _sweep_orders,
     rank_bounds,
@@ -57,7 +56,7 @@ from .orders import (
 # four_point_check is no longer called here but stays importable from this
 # module: perfbench/tests/test_tracing.py checks that tracing rebinds it.
 from .orders import four_point_check  # noqa: F401
-from .realization import Realization, central_realization, is_central, r_order, verify
+from .realization import central_realization, is_central, r_order, verify
 
 
 def _add_rows(rows, into) -> bool:
@@ -224,9 +223,10 @@ def _gap_cases(rows, lo, hi):
 
 
 def cand1_for_ordering(
-    g: Graph, o: Ordering, budget: int = DEFAULT_NODE_BUDGET
+    g: Graph, order, budget: int = DEFAULT_NODE_BUDGET
 ) -> CentralSearchResult:
-    """Decide whether a central realization exists whose point order is o.
+    """Decide whether a central realization exists whose point order is
+    order, a sequence of vertex ids.
 
     The system is over the n - 1 gaps between consecutive points, with
     every radius fixed to its vertex's farthest-neighbour distance.  An
@@ -245,7 +245,7 @@ def cand1_for_ordering(
     """
     _require_nonnegative(budget)
     n = g.n
-    _, lo, hi = view = rank_bounds(g, o)
+    _, lo, hi = view = rank_bounds(g, order)
     cases = _gap_cases(*view)
     if cases is None:
         return CentralSearchResult("infeasible", None, 0, 0)
@@ -270,7 +270,7 @@ def cand1_for_ordering(
         stack.extend((k + 1, rows + [side]) for side in reversed(split[k]))
     else:  # the stack ran dry: no full case is feasible
         return CentralSearchResult("infeasible", None, solved, work)
-    r = central_realization(o.order, lo, hi, _back_substitute(layers))
+    r = central_realization(order, lo, hi, _back_substitute(layers))
     return CentralSearchResult("found", r, solved, work)
 
 
@@ -285,10 +285,10 @@ def _interval_certificate(g: Graph):
     umbrella_free_cand1 runs interval_to_cand1's gap sweep on it.  An
     interval graph the sweeps miss, like any other graph, gets None."""
     for cand in _sweep_orders(g):
-        o = Ordering(tuple(v + 1 for v in cand))
-        rows, lo, hi = rank_bounds(g, o)
+        order = [v + 1 for v in cand]
+        rows, lo, hi = rank_bounds(g, order)
         if all((x := row >> k) & (x + 1) == 0 for k, row in enumerate(rows, 1)):
-            return umbrella_free_cand1(o.order, lo, hi)
+            return umbrella_free_cand1(order, lo, hi)
     return None
 
 
@@ -304,7 +304,7 @@ def _certificate(g: Graph):
 class CAndRecognitionResult:
     status: str  # "found" | "not_member" | "exhausted"
     realization: object
-    ordering: object
+    ordering: object  # tuple of vertex ids when found, else None
     orderings_tried: int
     cases_solved: int
 
@@ -334,10 +334,9 @@ def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognit
     A graph is central iff every component is, so components are decided
     one by one in ascending order of their smallest vertex; the found
     realizations are laid side by side, each to the right of the previous
-    one, and the orderings concatenated.  An isolated vertex of a larger
-    graph is central alone and costs no order and no solve.  The merged
-    realization, certified parts included, is re-checked exactly
-    (is_central and verify) before it is returned.
+    one, and the orderings concatenated.  The merged realization,
+    certified parts included, is re-checked exactly (is_central and
+    verify) before it is returned.
 
     The certificates are polynomial and not charged to the budget, so
     budget 0 can still answer found.  The budget bounds two counts of the
@@ -360,19 +359,16 @@ def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognit
     comps = g.connected_components()
     for comp in comps:
         sub, back = g.subgraph(comp)
-        r = None
-        if sub.n == 1 and len(comps) > 1:  # alone on its stretch: no search
-            o, r = Ordering((1,)), Realization.build(1, {1: ((-1, 1), 0)})
-        elif (r := _certificate(sub)) is not None:
-            o = Ordering(r_order(r))
+        if (r := _certificate(sub)) is not None:
+            order = r_order(r)
         else:
             # only the last item is not FOUND; any other break is a budget running out
-            for status, order, used in kernels.orderings(sub.masks, budget - nodes):
+            for status, order0, used in kernels.orderings(sub.masks, budget - nodes):
                 if status != kernels.FOUND or work >= budget:
                     break
                 tried += 1
-                o = Ordering(tuple(v + 1 for v in order))
-                result = cand1_for_ordering(sub, o, budget - work)
+                order = [v + 1 for v in order0]
+                result = cand1_for_ordering(sub, order, budget - work)
                 solved += result.cases_solved
                 work += result.work
                 if result.status == "exhausted":
@@ -386,15 +382,15 @@ def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognit
             return CAndRecognitionResult(verdict, None, None, tried, solved)
         least = Fraction(min(box[0][0] for box in r.boxes), r.den)
         shift = 0 if right is None else right + 1 - least
-        merged.extend(back[v] for v in o.order)
-        points.extend(r.coordinate(v) + shift for v in o.order)
+        merged.extend(back[v] for v in order)
+        points.extend(r.coordinate(v) + shift for v in order)
         right = shift + Fraction(max(box[0][1] for box in r.boxes), r.den)
+    ordering = tuple(merged)
     if len(comps) > 1:
         # the same closed-form radii over the merged order: only an isolated
         # vertex's radius changes, to half the distance to its nearest point
-        o = Ordering(tuple(merged))
-        _, lo, hi = rank_bounds(g, o)
-        r = central_realization(o.order, lo, hi, [b - a for a, b in zip(points, points[1:])])
+        _, lo, hi = rank_bounds(g, ordering)
+        r = central_realization(ordering, lo, hi, [b - a for a, b in zip(points, points[1:])])
     if not is_central(r) or not verify(r, g).ok:
         raise AssertionError("central search produced a bad witness")
-    return CAndRecognitionResult("found", r, o, tried, solved)
+    return CAndRecognitionResult("found", r, ordering, tried, solved)

@@ -36,7 +36,7 @@ from math import gcd, lcm
 from .boxes import require_semisquares
 from .families import IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import Graph, GraphError
-from .orders import ImplicitCode, Ordering
+from .orders import ImplicitCode
 from .realization import Realization, is_central
 
 
@@ -348,7 +348,7 @@ def save_realization(path: str, r: Realization) -> None:
 # ---------------------------------------------------------------------------
 # orderings and implicit codes
 
-def loads_ordering(text: str, path: str = "<ordering>") -> Ordering:
+def loads_ordering(text: str, path: str = "<ordering>") -> tuple:
     seq = None
     for no, toks in _content_lines(text):
         if toks[0] != "o":
@@ -362,19 +362,19 @@ def loads_ordering(text: str, path: str = "<ordering>") -> Ordering:
             _fail(path, no, "ordering repeats a vertex")
     if seq is None:
         _fail(path, 0, "missing 'o <v1> ...' line")
-    return Ordering(seq)
+    return seq
 
 
-def dumps_ordering(o: Ordering) -> str:
-    return "o " + " ".join(str(v) for v in o.order) + "\n"
+def dumps_ordering(order) -> str:
+    return "o " + " ".join(map(str, order)) + "\n"
 
 
-def load_ordering(path: str) -> Ordering:
+def load_ordering(path: str) -> tuple:
     return loads_ordering(_read(path), path)
 
 
-def save_ordering(path: str, o: Ordering) -> None:
-    atomic_write_text(path, dumps_ordering(o))
+def save_ordering(path: str, order) -> None:
+    atomic_write_text(path, dumps_ordering(order))
 
 
 def loads_implicit_codes(text: str, path: str = "<implicit>"):

@@ -38,9 +38,10 @@ reversal-symmetry rule or the twin rule are not tried and not counted.
 
 from __future__ import annotations
 
-FOUND = 0
-NOT_MEMBER = 1
-EXHAUSTED = 2
+# the statuses are the strings the recognizers report
+FOUND = "found"
+NOT_MEMBER = "not_member"
+EXHAUSTED = "exhausted"
 
 
 def backend_name() -> str:

@@ -1,9 +1,13 @@
 """Vertex orderings, the four point condition, and ordering-based tools.
 
-An ordering of G is 4PC-free when no ranks i < j < k < l carry edges
-(i,k) and (j,l) while (j,k) is a non-edge.  A graph has a one-dimensional
-box-and-point realization iff some ordering is 4PC-free; the realization
-can then be read off the ordering with integer coordinates.
+An ordering is a sequence of vertex ids: order[i] is the vertex at rank
+i + 1 (ranks run 1..n).  Functions here take any sequence (a tuple or a
+list) and return tuples; rank_bounds is the one check that an ordering
+covers the vertex set.  An ordering of G is 4PC-free when no ranks
+i < j < k < l carry edges (i,k) and (j,l) while (j,k) is a non-edge.  A
+graph has a one-dimensional box-and-point realization iff some ordering
+is 4PC-free; the realization can then be read off the ordering with
+integer coordinates.
 """
 
 from __future__ import annotations
@@ -27,16 +31,6 @@ def _require_nonnegative(budget) -> None:
 
 
 @dataclass(frozen=True)
-class Ordering:
-    """order[i] is the vertex at rank i+1 (ranks run 1..n)."""
-
-    order: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-
-
-@dataclass(frozen=True)
 class Violation:
     """Ranked quadruple x < u < v < y with edges xv, uy and non-edge uv."""
 
@@ -46,21 +40,21 @@ class Violation:
     y: int
 
 
-def rank_bounds(g: Graph, o: Ordering):
+def rank_bounds(g: Graph, order):
     """The graph in rank space: (rows, lo, hi), each indexed by rank - 1.
     Bit i of rows[k - 1] is set iff ranks k and i + 1 are adjacent; lo and
     hi are the least and greatest rank of each rank's closed
     neighbourhood."""
-    if sorted(o.order) != list(g.vertices()):
+    if sorted(order) != list(g.vertices()):
         raise OrderingError("ordering does not cover the vertex set")
-    rows = relabel_masks(g.masks, [v - 1 for v in o.order])
+    rows = relabel_masks(g.masks, [v - 1 for v in order])
     closed = [row | 1 << k for k, row in enumerate(rows)]
     return rows, [(x & -x).bit_length() for x in closed], [x.bit_length() for x in closed]
 
 
-def four_point_check(g: Graph, o: Ordering):
+def four_point_check(g: Graph, order):
     """None when the ordering is 4PC-free, else the first violation."""
-    return _violation(o.order, *rank_bounds(g, o))
+    return _violation(order, *rank_bounds(g, order))
 
 
 def _violation(order, rows, lo, hi):
@@ -114,11 +108,11 @@ class ImplicitCode:
     pos: int
 
 
-def implicit_encode(g: Graph, o: Ordering):
+def implicit_encode(g: Graph, order):
     """Codes listed by vertex id (entry i belongs to vertex i+1)."""
-    rows, lo, hi = rank_bounds(g, o)
-    _require_pass(_violation(o.order, rows, lo, hi))
-    by_id = sorted(range(g.n), key=o.order.__getitem__)  # ranks - 1, by vertex id
+    rows, lo, hi = rank_bounds(g, order)
+    _require_pass(_violation(order, rows, lo, hi))
+    by_id = sorted(range(g.n), key=order.__getitem__)  # ranks - 1, by vertex id
     return tuple(ImplicitCode(lo[k], hi[k], k + 1) for k in by_id)
 
 
@@ -134,10 +128,10 @@ def realization_from_codes(codes) -> Realization:
     )
 
 
-def realization_from_ordering(g: Graph, o: Ordering) -> Realization:
+def realization_from_ordering(g: Graph, order) -> Realization:
     """Integer realization read off a 4PC-free ordering: vertex v gets
     point rank(v) and box [min, max] of closed-neighborhood ranks."""
-    return realization_from_codes(implicit_encode(g, o))
+    return realization_from_codes(implicit_encode(g, order))
 
 
 def implicit_adjacent(a: ImplicitCode, b: ImplicitCode) -> bool:
@@ -147,7 +141,7 @@ def implicit_adjacent(a: ImplicitCode, b: ImplicitCode) -> bool:
 @dataclass(frozen=True)
 class RecognitionResult:
     status: str  # "found" | "not_member" | "exhausted"
-    ordering: object  # Ordering when found, else None
+    ordering: object  # tuple of vertex ids when found, else None
     nodes: int
 
     @property
@@ -218,7 +212,7 @@ def _sweep_certificate(g: Graph):
     condition, or None.  An interval model's order passes it, and a miss
     only leaves the component to the kernel."""
     for cand in _sweep_orders(g):
-        if four_point_check(g, Ordering(tuple(v + 1 for v in cand))) is None:
+        if four_point_check(g, [v + 1 for v in cand]) is None:
             return cand
     return None
 
@@ -255,12 +249,10 @@ def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionRe
         if order0 is None:
             status, order0, used = kernels.search_order(sub.masks, budget - nodes)
             nodes += used
-            if status == kernels.EXHAUSTED:
-                return RecognitionResult("exhausted", None, nodes)
-            if status == kernels.NOT_MEMBER:
-                return RecognitionResult("not_member", None, nodes)
+            if status != kernels.FOUND:
+                return RecognitionResult(status, None, nodes)
         merged.extend(back[i + 1] for i in order0)
-    ordering = Ordering(tuple(merged))
+    ordering = tuple(merged)
     _require_pass(four_point_check(g, ordering))
     return RecognitionResult("found", ordering, nodes)
 

@@ -191,7 +191,7 @@ class CaseBudgetExceeded(Exception):
     """Raised by the reference central search when its case budget runs out."""
 
 
-def reference_cand1_for_ordering(g: Graph, o, case_budget=10**6):
+def reference_cand1_for_ordering(g: Graph, order, case_budget=10**6):
     """The 2n-variable central search, for verdict checks of the gap one.
 
     Same contract as andbox.feasibility.cand1_for_ordering, except that
@@ -205,7 +205,6 @@ def reference_cand1_for_ordering(g: Graph, o, case_budget=10**6):
     from andbox.feasibility import CentralSearchResult
 
     n = g.n
-    order = o.order
 
     def row(terms, strict):
         c = [0] * (2 * n)
@@ -262,7 +261,6 @@ def reference_cand1_recognize(g: Graph, budget=10**8, twins=True):
     that the budget bounds only the Fourier-Motzkin work: no kernel runs.
     """
     from andbox.feasibility import CAndRecognitionResult, cand1_for_ordering
-    from andbox.orders import Ordering
 
     verts = g.vertices()
     pairs = twin_pairs(g) if twins else []
@@ -275,14 +273,13 @@ def reference_cand1_recognize(g: Graph, budget=10**8, twins=True):
         if work >= budget:
             return CAndRecognitionResult("exhausted", None, None, tried, solved)
         tried += 1
-        o = Ordering(perm)
-        result = cand1_for_ordering(g, o, budget - work)
+        result = cand1_for_ordering(g, perm, budget - work)
         solved += result.cases_solved
         work += result.work
         if result.status == "exhausted":
             return CAndRecognitionResult("exhausted", None, None, tried, solved)
         if result.found:
-            return CAndRecognitionResult("found", result.realization, o, tried, solved)
+            return CAndRecognitionResult("found", result.realization, perm, tried, solved)
     return CAndRecognitionResult("not_member", None, None, tried, solved)
 
 

@@ -56,16 +56,16 @@ def test_and1_cand1_census(census):
     for g, a, c in census:
         counts[g.n, a.status, c.status] += 1
         if a.found:
-            assert naive_four_point_scan(g, a.ordering.order) is None, g.edge_list()
+            assert naive_four_point_scan(g, a.ordering) is None, g.edge_list()
         if c.found:
             r = c.realization
             assert verify(r, g).ok and is_central(r), g.edge_list()
-            assert r_order(r) == c.ordering.order, g.edge_list()
+            assert r_order(r) == c.ordering, g.edge_list()
     assert dict(counts) == CENSUS
 
 
 def _ids(ordering) -> str:
-    return "-" if ordering is None else " ".join(map(str, ordering.order))
+    return "-" if ordering is None else " ".join(map(str, ordering))
 
 
 def and1_text(a) -> str:

@@ -39,7 +39,7 @@ from andbox.constructors import (
 )
 from andbox.families import IntervalModel, generate
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph
-from andbox.orders import Ordering, implicit_encode, realization_from_ordering
+from andbox.orders import implicit_encode, realization_from_ordering
 from andbox.realization import Realization, is_central, relabel, verify
 from andbox.svg import render_realization_svg
 
@@ -367,10 +367,10 @@ class TestCheckOrder:
         if member:
             b = families.random_interval(30, 1)
             g, spans = b.graph, b.aux.spans
-            o = Ordering(tuple(sorted(g.vertices(), key=lambda v: (spans[v - 1], v))))
+            o = tuple(sorted(g.vertices(), key=lambda v: (spans[v - 1], v)))
         else:
             g = Graph.from_edges(4, [(1, 3), (2, 4)])
-            o = Ordering((1, 2, 3, 4))
+            o = (1, 2, 3, 4)
         want = orders.four_point_check(g, o)
         assert (want is None) == member
         gp = write_graph(tmp_path / "g.and", g)
@@ -421,7 +421,7 @@ class TestRecognizeAnd1:
         code, out, _ = run(capsys, "recognize-and1", gp)
         assert code == 0 and out.startswith("verdict=yes ")
         order = fileio.load_ordering(str(tmp_path / "k23.order"))
-        assert order.order == (1, 2, 3, 4, 5)
+        assert order == (1, 2, 3, 4, 5)
 
     def test_non_member_witness(self, tmp_path, capsys):
         gp = write_graph(
@@ -469,7 +469,7 @@ class TestRecognizeAnd1:
         code, out, _ = run(capsys, "recognize-and1", gp, "--node-budget", "0")
         assert code == 0 and out.startswith("verdict=yes ")
         order = fileio.load_ordering(str(tmp_path / "iv.order"))
-        assert naive_four_point_scan(g, order.order) is None
+        assert naive_four_point_scan(g, order) is None
         gp = write_graph(tmp_path / "k222.and", complete_multipartite_graph([2, 2, 2]))
         code, out, _ = run(capsys, "recognize-and1", gp, "--node-budget", "0")
         assert code == 3 and out.startswith("verdict=exhausted ")
@@ -632,7 +632,7 @@ class TestConversions:
 
     def test_to_triangles_rejects_non_central(self, tmp_path, capsys):
         g = make_paw()
-        r = realization_from_ordering(g, Ordering((1, 2, 3, 4)))
+        r = realization_from_ordering(g, (1, 2, 3, 4))
         rp = write_real(tmp_path / "paw.real", r)
         code, _, err = run(capsys, "to-triangles", rp)
         assert code == 2
@@ -897,7 +897,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     code, out, err = run_fresh("recognize-and1", gp)
     assert code == 0, err
     assert VERDICT.fullmatch(out) and out.startswith("verdict=yes ")
-    assert fileio.load_ordering(str(tmp_path / "k23.order")).order == (1, 2, 3, 4, 5)
+    assert fileio.load_ordering(str(tmp_path / "k23.order")) == (1, 2, 3, 4, 5)
 
 
 def test_loads_only_the_standard_library():

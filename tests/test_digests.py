@@ -14,7 +14,6 @@ import os
 from andbox import fileio
 from andbox.cli import main
 from andbox.constructors import rdp_ordering
-from andbox.orders import Ordering
 
 # (name, gen arguments, realize input suffix or None for --cycle, central)
 CHAINS = [
@@ -83,8 +82,7 @@ def _chain(work, name, gen, model, central):
     if model in (".iv", ".rp"):
         if model == ".iv":
             spans = fileio.load_interval_model(stem + model).spans
-            order = sorted(range(1, len(spans) + 1), key=lambda v: (spans[v - 1][0], v))
-            ordering = Ordering(tuple(order))
+            ordering = sorted(range(1, len(spans) + 1), key=lambda v: (spans[v - 1][0], v))
         else:
             ordering = rdp_ordering(fileio.load_rooted_path_model(stem + model))
         fileio.save_ordering(stem + ".ord", ordering)

@@ -206,7 +206,7 @@ class TestIntersectionGraphs:
         validated = reads[0]
         assert validated <= k + 2 * 6
         assert edge_set(model.intersection_graph()) == set()
-        assert rdp_ordering(model).order == (3, 2, 1)
+        assert rdp_ordering(model) == (3, 2, 1)
         assert reads[0] == validated
 
     def test_cyclic_parent_links_are_rejected(self):

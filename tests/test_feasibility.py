@@ -11,7 +11,7 @@ import pytest
 from andbox import families, feasibility, kernels
 from andbox.feasibility import cand1_for_ordering, cand1_recognize
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph, path_graph
-from andbox.orders import Ordering, OrderingError, and1_recognize, four_point_check
+from andbox.orders import OrderingError, and1_recognize, four_point_check
 from andbox.realization import is_central, r_order, verify
 
 from conftest import (
@@ -27,10 +27,10 @@ from conftest import (
 )
 
 
-def assert_central_witness(res, g, o):
+def assert_central_witness(res, g, order):
     r = res.realization
     assert verify(r, g).ok and is_central(r)
-    assert r_order(r) == o.order
+    assert r_order(r) == order
 
 
 def assert_closed_form_radii(r, g):
@@ -185,7 +185,7 @@ class TestBackSubstitute:
 
 class TestCandForOrdering:
     def test_square_identity_ordering(self, square_graph):
-        res = cand1_for_ordering(square_graph, Ordering((1, 2, 3, 4)))
+        res = cand1_for_ordering(square_graph, (1, 2, 3, 4))
         assert res.status == "found"
         r = res.realization
         assert verify(r, square_graph).ok
@@ -194,25 +194,25 @@ class TestCandForOrdering:
 
     def test_single_edge(self):
         g = Graph.from_edges(2, [(1, 2)])
-        res = cand1_for_ordering(g, Ordering((1, 2)))
+        res = cand1_for_ordering(g, (1, 2))
         assert res.status == "found"
         assert verify(res.realization, g).ok and is_central(res.realization)
 
     def test_no_central_model_for_double_star_ordering(self):
         g = complete_multipartite_graph([2, 3])
         for perm in [(1, 2, 3, 4, 5), (3, 1, 4, 2, 5), (1, 3, 2, 4, 5)]:
-            assert cand1_for_ordering(g, Ordering(perm)).status == "infeasible"
+            assert cand1_for_ordering(g, perm).status == "infeasible"
 
     def test_double_star_identity_decided_in_one_solve(self):
         g = complete_multipartite_graph([2, 3])
-        res = cand1_for_ordering(g, Ordering((1, 2, 3, 4, 5)))
+        res = cand1_for_ordering(g, (1, 2, 3, 4, 5))
         assert res.status == "infeasible" and res.cases_solved == 1
 
     def test_case_budget_exhaustion(self):
         # C8 in its identity order takes 11 solves and 489 units of work;
         # the first solve costs 1 + 31 pair products, and with 488 units the
         # last solve stops before its last variable (14 pairs)
-        g, o = cycle_graph(8), Ordering(tuple(range(1, 9)))
+        g, o = cycle_graph(8), tuple(range(1, 9))
         res = cand1_for_ordering(g, o)
         assert (res.status, res.cases_solved, res.work) == ("found", 11, 489)
         for budget, solved, work in [(0, 0, 0), (32, 1, 32), (33, 2, 33), (488, 11, 475)]:
@@ -230,22 +230,20 @@ class TestCandForOrdering:
             for perm in permutations(g.vertices()):
                 if perm[0] > perm[-1]:
                     continue
-                o = Ordering(perm)
-                res = cand1_for_ordering(g, o)
+                res = cand1_for_ordering(g, perm)
                 if res.found:
-                    assert_central_witness(res, g, o)
-                elif four_point_check(g, o) is None:
-                    ref = reference_cand1_for_ordering(g, o)
+                    assert_central_witness(res, g, perm)
+                elif four_point_check(g, perm) is None:
+                    ref = reference_cand1_for_ordering(g, perm)
                     assert ref.status == res.status == "infeasible", (g.edge_list(), perm)
                 else:
                     assert res.status == "infeasible" and res.cases_solved == 0
 
     def test_reference_search_finds_what_the_gap_search_finds(self, square_graph):
         for g, perm in [(square_graph, (1, 2, 3, 4)), (cycle_graph(5), (1, 2, 3, 4, 5))]:
-            o = Ordering(perm)
-            ref = reference_cand1_for_ordering(g, o)
-            assert ref.found and cand1_for_ordering(g, o).found
-            assert_central_witness(ref, g, o)
+            ref = reference_cand1_for_ordering(g, perm)
+            assert ref.found and cand1_for_ordering(g, perm).found
+            assert_central_witness(ref, g, perm)
 
     def test_blocked_sides_are_four_point_violations(self, connected_atlas):
         # A non-edge with both sides blocked makes the order infeasible
@@ -255,10 +253,9 @@ class TestCandForOrdering:
             if g.n > 6:
                 continue
             for perm in permutations(g.vertices()):
-                o = Ordering(perm)
-                res = cand1_for_ordering(g, o, budget=0)
+                res = cand1_for_ordering(g, perm, budget=0)
                 assert res.cases_solved == 0
-                expected = "infeasible" if four_point_check(g, o) is not None else "exhausted"
+                expected = "infeasible" if four_point_check(g, perm) is not None else "exhausted"
                 assert res.status == expected, (g.edge_list(), perm)
 
     @pytest.mark.usefixtures("search_only")
@@ -284,10 +281,9 @@ class TestCandForOrdering:
     def test_isolated_vertices(self, n, edges):
         g = Graph.from_edges(n, edges)
         for perm in permutations(g.vertices()):
-            o = Ordering(perm)
-            res = cand1_for_ordering(g, o)
+            res = cand1_for_ordering(g, perm)
             assert res.status == "found" and res.cases_solved == 1
-            assert_central_witness(res, g, o)
+            assert_central_witness(res, g, perm)
             assert_closed_form_radii(res.realization, g)
 
     def test_long_path_needs_no_recursion(self):
@@ -296,7 +292,7 @@ class TestCandForOrdering:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 40)
         try:
-            res = cand1_for_ordering(path_graph(15), Ordering(tuple(range(1, 16))))
+            res = cand1_for_ordering(path_graph(15), tuple(range(1, 16)))
         finally:
             sys.setrecursionlimit(limit)
         assert (res.status, res.cases_solved) == ("found", 67)
@@ -306,7 +302,7 @@ class TestCandForOrdering:
 
     def test_negative_case_budget_rejected(self):
         with pytest.raises(OrderingError, match="budget must be nonnegative"):
-            cand1_for_ordering(cycle_graph(4), Ordering((1, 2, 3, 4)), budget=-1)
+            cand1_for_ordering(cycle_graph(4), (1, 2, 3, 4), budget=-1)
 
 
 class TestCandRecognize:
@@ -327,7 +323,7 @@ class TestCandRecognize:
     def test_pinned_witnesses(self, g, cases, points, radii):
         # the back-substituted witness is part of the output contract
         res = cand1_recognize(g)
-        assert (res.status, res.ordering.order, res.orderings_tried, res.cases_solved) == (
+        assert (res.status, res.ordering, res.orderings_tried, res.cases_solved) == (
             "found",
             tuple(g.vertices()),
             1,
@@ -389,7 +385,7 @@ class TestCandRecognize:
             assert res.status == "found"
             assert verify(res.realization, g).ok
             assert is_central(res.realization)
-            assert r_order(res.realization) == res.ordering.order
+            assert r_order(res.realization) == res.ordering
 
     @pytest.mark.usefixtures("search_only")
     def test_found_implies_interval_search_found(self):
@@ -520,14 +516,16 @@ class TestCandRecognize:
     @pytest.mark.usefixtures("search_only")
     def test_edge_with_isolated_false_twins(self):
         # N(3) = N(4) = N(5) = {} and N[1] = N[2]: both classes are placed
-        # in increasing id, and the first order the kernel yields is central
+        # in increasing id, and the first order the kernel yields is central;
+        # with the certificates off, K2 and each isolated vertex take one
+        # order and one solve
         g = Graph.from_edges(5, [(1, 2)])
         res = cand1_recognize(g)
         assert res.status == "found"
         assert verify(res.realization, g).ok and is_central(res.realization)
-        assert r_order(res.realization) == res.ordering.order
-        assert res.ordering.order == (1, 2, 3, 4, 5)
-        assert (res.orderings_tried, res.cases_solved) == (1, 1)
+        assert r_order(res.realization) == res.ordering
+        assert res.ordering == (1, 2, 3, 4, 5)
+        assert (res.orderings_tried, res.cases_solved) == (4, 4)
 
     @staticmethod
     def disjoint_union(*graphs):
@@ -560,14 +558,11 @@ class TestCandRecognize:
         # each component's own first central order, in component order
         expected, k = [], 0
         for h in parts:
-            if h.n > 1:
-                expected += [v + k for v in cand1_recognize(h).ordering.order]
-            else:
-                expected.append(k + 1)
+            expected += [v + k for v in cand1_recognize(h).ordering]
             k += h.n
-        assert r_order(res.realization) == res.ordering.order == tuple(expected)
-        # C5, K2 and C4 decide one order each; the isolated vertices none
-        assert res.orderings_tried == 3
+        assert r_order(res.realization) == res.ordering == tuple(expected)
+        # every component, each isolated vertex included, decides one order
+        assert res.orderings_tried == 5
 
     @pytest.mark.usefixtures("search_only")
     def test_budgets_are_charged_across_components(self):
@@ -611,7 +606,7 @@ class TestCertificates:
         res = cand1_recognize(g, budget)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("found", 0, 0)
         assert verify(res.realization, g).ok and is_central(res.realization)
-        assert r_order(res.realization) == res.ordering.order
+        assert r_order(res.realization) == res.ordering
 
     def test_interval_first(self):
         # P5000 is outerplanar too, but glued block by block its nested
@@ -627,7 +622,7 @@ class TestCertificates:
         res = cand1_recognize(g, 0)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("found", 0, 0)
         assert verify(res.realization, g).ok and is_central(res.realization)
-        assert r_order(res.realization) == res.ordering.order
+        assert r_order(res.realization) == res.ordering
 
     def test_theta_graph_reaches_the_search(self, monkeypatch):
         # h(2,4,4) is three paths between two hubs: neither interval nor

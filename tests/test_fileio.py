@@ -36,7 +36,7 @@ from andbox.fileio import (
     parse_rational,
     sniff_format,
 )
-from andbox.orders import Ordering, implicit_encode, realization_from_ordering
+from andbox.orders import implicit_encode, realization_from_ordering
 from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
 from andbox.realization import Realization, is_central, verify
 from andbox.svg import render_realization_svg
@@ -216,10 +216,10 @@ class TestRealizationFormat:
 
 class TestOrderingFormat:
     def test_literal(self):
-        assert fileio.loads_ordering("c tour\no 2 3 1\n") == Ordering((2, 3, 1))
+        assert fileio.loads_ordering("c tour\no 2 3 1\n") == (2, 3, 1)
 
     def test_round_trip(self):
-        o = Ordering((4, 1, 3, 2))
+        o = (4, 1, 3, 2)
         assert fileio.loads_ordering(fileio.dumps_ordering(o)) == o
 
     @pytest.mark.parametrize("text", [
@@ -236,7 +236,7 @@ class TestOrderingFormat:
 
 class TestImplicitCodesFormat:
     def test_round_trip_from_encoder(self, paw_graph):
-        codes = implicit_encode(paw_graph, Ordering((1, 2, 3, 4)))
+        codes = implicit_encode(paw_graph, (1, 2, 3, 4))
         text = fileio.dumps_implicit_codes(codes)
         assert fileio.loads_implicit_codes(text) == tuple(codes)
 
@@ -492,8 +492,8 @@ class TestAtomicWrite:
         fileio.save_realization(str(rp), r)
         assert fileio.load_realization(str(rp)) == r
         op = tmp_path / "o.ord"
-        fileio.save_ordering(str(op), Ordering((2, 1)))
-        assert fileio.load_ordering(str(op)) == Ordering((2, 1))
+        fileio.save_ordering(str(op), (2, 1))
+        assert fileio.load_ordering(str(op)) == (2, 1)
 
 
 def _outcome(load, text):

@@ -17,7 +17,7 @@ from andbox.graphs import (
     path_graph,
     relabel_masks,
 )
-from andbox.orders import Ordering, rank_bounds
+from andbox.orders import rank_bounds
 
 from conftest import edge_set, neighbour_sets, random_connected_graph, reference_rank_bounds
 
@@ -141,7 +141,7 @@ class TestGraphRepresentation:
                 sum(1 << i for i, u in enumerate(keep) if u in nbrs[v]) for v in keep
             ]
             order = rng.sample(range(1, n + 1), n)
-            rows, lo, hi = rank_bounds(g, Ordering(order))
+            rows, lo, hi = rank_bounds(g, order)
             assert rows == [
                 sum(1 << i for i, u in enumerate(order) if u in nbrs[v]) for v in order
             ]

@@ -7,11 +7,13 @@ from itertools import combinations, permutations
 
 import pytest
 
-from andbox import families, kernels, orders
+from andbox import families, fileio, kernels, orders
+from andbox.constructors import h_graph_ordering, rdp_ordering
+from andbox.feasibility import cand1_for_ordering, cand1_recognize
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph, path_graph
 from andbox.orders import (
     FourPointViolationError,
-    Ordering,
+    ImplicitCode,
     OrderingError,
     Violation,
     and1_recognize,
@@ -21,6 +23,7 @@ from andbox.orders import (
     implicit_encode,
     lexbfs,
     rank_bounds,
+    realization_from_codes,
     realization_from_ordering,
 )
 from andbox.realization import induced_graph, r_order, verify
@@ -37,15 +40,15 @@ from conftest import (
 class TestOrdering:
     def test_cover_check(self, paw_graph):
         with pytest.raises(OrderingError):
-            four_point_check(paw_graph, Ordering((1, 2, 3)))
+            four_point_check(paw_graph, (1, 2, 3))
         with pytest.raises(OrderingError):
-            four_point_check(paw_graph, Ordering((1, 2, 3, 3)))
+            four_point_check(paw_graph, (1, 2, 3, 3))
 
 
 class TestRankBounds:
     def test_worked_example(self, paw_graph):
         order = (1, 2, 3, 4)
-        rows, lo, hi = rank_bounds(paw_graph, Ordering(order))
+        rows, lo, hi = rank_bounds(paw_graph, order)
         assert rows == [0b0110, 0b0101, 0b1011, 0b0100]
         assert lo == [1, 1, 1, 3]
         assert hi == [3, 3, 4, 4]
@@ -57,7 +60,7 @@ class TestRankBounds:
 
     def test_non_identity_order(self, paw_graph):
         order = (4, 3, 1, 2)
-        rows, lo, hi = rank_bounds(paw_graph, Ordering(order))
+        rows, lo, hi = rank_bounds(paw_graph, order)
         # ranks: 4->1, 3->2, 1->3, 2->4; entry k - 1 belongs to rank k
         assert rows == [0b0010, 0b1101, 0b1010, 0b0110]
         assert lo == [1, 1, 2, 2]
@@ -71,11 +74,11 @@ class TestRankBounds:
 
 class TestFourPointCheck:
     def test_clean_ordering(self, paw_graph):
-        assert four_point_check(paw_graph, Ordering((1, 2, 3, 4))) is None
+        assert four_point_check(paw_graph, (1, 2, 3, 4)) is None
 
     def test_single_violation(self):
         g = Graph.from_edges(4, [(1, 3), (2, 4)])
-        v = four_point_check(g, Ordering((1, 2, 3, 4)))
+        v = four_point_check(g, (1, 2, 3, 4))
         assert v == Violation(x=1, u=2, v=3, y=4)
 
     def test_agrees_with_exhaustive_scan_on_all_orderings(self):
@@ -89,7 +92,7 @@ class TestFourPointCheck:
         graphs += [random_connected_graph(rng, 6) for _ in range(6)]
         for g in graphs:
             for perm in permutations(g.vertices()):
-                fast = four_point_check(g, Ordering(perm))
+                fast = four_point_check(g, perm)
                 slow = naive_four_point_scan(g, perm)
                 if slow is None:
                     assert fast is None
@@ -103,9 +106,8 @@ class TestFourPointCheck:
             g = random_connected_graph(rng, rng.randint(4, 8))
             perm = list(g.vertices())
             rng.shuffle(perm)
-            o = Ordering(tuple(perm))
-            assert (four_point_check(g, o) is None) == (
-                four_point_check(g, Ordering(o.order[::-1])) is None
+            assert (four_point_check(g, perm) is None) == (
+                four_point_check(g, perm[::-1]) is None
             )
 
 
@@ -117,13 +119,13 @@ class TestFourPointCheck:
         n = 10000
         g = Graph.from_edges(n, [(i, i + 1) for i in range(1, n, 2)])
         t0 = time.perf_counter()
-        assert four_point_check(g, Ordering(tuple(range(1, n + 1)))) is None
+        assert four_point_check(g, tuple(range(1, n + 1))) is None
         assert time.perf_counter() - t0 < 5.0
 
 
 class TestRealizationFromOrdering:
     def test_square_frozen_values(self, square_graph):
-        r = realization_from_ordering(square_graph, Ordering((1, 2, 3, 4)))
+        r = realization_from_ordering(square_graph, (1, 2, 3, 4))
         assert r.interval(1) == (1, 4)
         assert r.interval(2) == (1, 3)
         assert r.interval(3) == (2, 4)
@@ -132,7 +134,7 @@ class TestRealizationFromOrdering:
         assert edge_set(induced_graph(r)) == edge_set(square_graph)
 
     def test_paw_frozen_values(self, paw_graph):
-        r = realization_from_ordering(paw_graph, Ordering((1, 2, 3, 4)))
+        r = realization_from_ordering(paw_graph, (1, 2, 3, 4))
         assert r.interval(1) == (1, 3)
         assert r.interval(2) == (1, 3)
         assert r.interval(3) == (1, 4)
@@ -142,7 +144,7 @@ class TestRealizationFromOrdering:
     def test_rejects_violating_ordering(self):
         g = Graph.from_edges(4, [(1, 3), (2, 4)])
         with pytest.raises(FourPointViolationError) as exc:
-            realization_from_ordering(g, Ordering((1, 2, 3, 4)))
+            realization_from_ordering(g, (1, 2, 3, 4))
         assert exc.value.violation == Violation(1, 2, 3, 4)
 
     def test_verifies_and_preserves_order(self):
@@ -152,18 +154,18 @@ class TestRealizationFromOrdering:
             g = random_connected_graph(rng, rng.randint(2, 8))
             perm = list(g.vertices())
             rng.shuffle(perm)
-            o = Ordering(tuple(perm))
+            o = tuple(perm)
             if four_point_check(g, o) is not None:
                 continue
             produced += 1
             r = realization_from_ordering(g, o)
             assert verify(r, g).ok
-            assert r_order(r) == o.order
+            assert r_order(r) == o
 
 
 class TestImplicitCodes:
     def test_codes_listed_by_vertex_id(self, paw_graph):
-        codes = implicit_encode(paw_graph, Ordering((4, 3, 1, 2)))
+        codes = implicit_encode(paw_graph, (4, 3, 1, 2))
         assert [c.pos for c in codes] == [3, 4, 2, 1]
 
     def test_adjacency_from_codes_alone(self):
@@ -185,7 +187,7 @@ class TestImplicitCodes:
     def test_requires_clean_ordering(self):
         g = Graph.from_edges(4, [(1, 3), (2, 4)])
         with pytest.raises(FourPointViolationError):
-            implicit_encode(g, Ordering((1, 2, 3, 4)))
+            implicit_encode(g, (1, 2, 3, 4))
 
     def test_symmetric(self):
         g = cycle_graph(6)
@@ -202,7 +204,7 @@ class TestRecognizer:
             g = random_connected_graph(rng, rng.randint(1, 8), extra_edge_prob=0.2)
             res = and1_recognize(g)
             if res.found:
-                assert naive_four_point_scan(g, res.ordering.order) is None
+                assert naive_four_point_scan(g, res.ordering) is None
                 r = realization_from_ordering(g, res.ordering)
                 assert verify(r, g).ok
 
@@ -217,7 +219,7 @@ class TestRecognizer:
         res = and1_recognize(g)
         assert res.found
         assert res.nodes == 5
-        assert naive_four_point_scan(g, res.ordering.order) is None
+        assert naive_four_point_scan(g, res.ordering) is None
 
     def test_budget_exhaustion(self):
         res = and1_recognize(complete_multipartite_graph([2, 2, 2]), budget=10)
@@ -245,8 +247,8 @@ class TestRecognizer:
         g = Graph.from_edges(7, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
         res = and1_recognize(g)
         assert res.found
-        assert sorted(res.ordering.order) == list(range(1, 8))
-        assert naive_four_point_scan(g, res.ordering.order) is None
+        assert sorted(res.ordering) == list(range(1, 8))
+        assert naive_four_point_scan(g, res.ordering) is None
 
     def test_components_read_only_their_own_vertices(self, monkeypatch):
         # 2,000 components; building each from the whole edge list made one
@@ -265,7 +267,7 @@ class TestRecognizer:
         res = and1_recognize(g)
         # a LexBFS sweep certifies every 2-vertex component: no kernel nodes
         assert res.found and res.nodes == 0
-        assert res.ordering.order == tuple(range(1, n + 1))
+        assert res.ordering == tuple(range(1, n + 1))
         assert calls == 0
 
     @pytest.mark.parametrize("n", [12, 30, 60])
@@ -276,13 +278,13 @@ class TestRecognizer:
             g = families.random_interval(n, seed).graph
             res = and1_recognize(g, budget=0)
             assert res.found and res.nodes == 0
-            assert naive_four_point_scan(g, res.ordering.order) is None
+            assert naive_four_point_scan(g, res.ordering) is None
 
     def test_long_path_certified_without_recursion(self):
         g = path_graph(5000)
         res = and1_recognize(g, budget=0)
         assert res.found and res.nodes == 0
-        assert res.ordering.order == tuple(g.vertices())
+        assert res.ordering == tuple(g.vertices())
 
     def test_disconnected_graph_with_bad_component(self):
         edges = complete_multipartite_graph([2, 2, 2]).edge_list() + [(7, 8)]
@@ -359,7 +361,7 @@ class TestLexBFS:
 
 class TestCycleLabelAnalysis:
     def test_identity_labeling_for_clean_cycle(self):
-        r = realization_from_ordering(cycle_graph(4), Ordering((1, 2, 3, 4)))
+        r = realization_from_ordering(cycle_graph(4), (1, 2, 3, 4))
         rep = cycle_label_analysis(r)
         assert rep.max_deviation == 0
         assert rep.extremes_adjacent
@@ -393,3 +395,44 @@ class TestCycleLabelAnalysis:
         rep = cycle_label_analysis(cycle_cand1(7))
         assert rep.extremes_adjacent
         assert rep.max_deviation == 0
+
+
+class TestOrderingsAreTuples:
+    """An ordering is a sequence of vertex ids: every consumer takes a
+    tuple or a list, and every producer returns a tuple."""
+
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_consumers_take_any_sequence(self, kind, tmp_path):
+        g, order = path_graph(4), kind((1, 2, 3, 4))
+        _, lo, hi = rank_bounds(g, order)
+        assert (lo, hi) == ([1, 1, 2, 3], [2, 3, 4, 4])
+        assert four_point_check(g, order) is None
+        two_k2 = Graph.from_edges(4, [(1, 3), (2, 4)])
+        assert four_point_check(two_k2, order) == Violation(1, 2, 3, 4)
+        codes = implicit_encode(g, order)
+        assert codes == tuple(ImplicitCode(*c) for c in [(1, 2, 1), (1, 3, 2), (2, 4, 3), (3, 4, 4)])
+        assert realization_from_ordering(g, order) == realization_from_codes(codes)
+        res = cand1_for_ordering(g, order)
+        assert res.found and r_order(res.realization) == (1, 2, 3, 4)
+        assert fileio.dumps_ordering(order) == "o 1 2 3 4\n"
+        fileio.save_ordering(str(tmp_path / "p4.order"), order)
+        assert (tmp_path / "p4.order").read_text() == "o 1 2 3 4\n"
+
+    def test_producers_return_tuples(self, tmp_path):
+        (tmp_path / "g.order").write_text("o 3 1 2\n")
+        graphs = [path_graph(4), cycle_graph(5), Graph.from_edges(5, [(1, 2)])]
+        produced = [
+            fileio.loads_ordering("o 3 1 2\n"),
+            fileio.load_ordering(str(tmp_path / "g.order")),
+            rdp_ordering(families.random_rooted_path(10, 1).aux),
+            h_graph_ordering(families.h_graph(2, 3, 3).aux),
+            h_graph_ordering(families.h_graph(3, 3, 4).aux),
+            *(and1_recognize(g).ordering for g in graphs),
+            *(cand1_recognize(g).ordering for g in graphs),
+        ]
+        assert all(type(o) is tuple for o in produced), [type(o) for o in produced]
+
+    @pytest.mark.parametrize("t", [(1,), (3, 1, 2), tuple(range(12, 0, -1))])
+    def test_text_round_trip(self, t):
+        assert fileio.loads_ordering(fileio.dumps_ordering(t)) == t
+        assert fileio.loads_ordering(fileio.dumps_ordering(list(t))) == t
