@@ -515,10 +515,10 @@ class TestCandRecognize:
 
     @pytest.mark.usefixtures("search_only")
     def test_edge_with_isolated_false_twins(self):
-        # N(3) = N(4) = N(5) = {} and N[1] = N[2]: both classes are placed
-        # in increasing id, and the first order the kernel yields is central;
-        # with the certificates off, K2 and each isolated vertex take one
-        # order and one solve
+        # N(3) = N(4) = N(5) = {} and N[1] = N[2]; the components are
+        # searched one by one, so with the certificates off K2 and each
+        # isolated vertex take one order and one solve, and the first order
+        # the kernel yields for each is central
         g = Graph.from_edges(5, [(1, 2)])
         res = cand1_recognize(g)
         assert res.status == "found"
