@@ -7,19 +7,34 @@ every twin class in increasing index (see the twin rule) and
 search_order() stops at the first.  Vertices are 0-indexed here;
 adjacency comes in as bitmasks (Python ints, so any n).
 
-Violation test: placed rank k *blocks* rank j < k when order[k] is not
-adjacent to order[j] but has a neighbour ranked before j.  Placing a
-vertex adjacent to a blocked rank closes a quadruple, at this rank or any
-later one, so the neighbours of the blocked ranks are *dead*: they can
-never be placed after the prefix.  The ranks a placement blocks are fixed
-once it is placed, so blocked[m + 1] follows from blocked[m], the ranks
-blocked by the first m placements, and backtracking needs no undo.
+Precedence sets: before[k] holds vertices that must be placed before
+the unplaced vertex k.  If placed ranks i < j carry order[i] adjacent to
+k, order[j] not adjacent to k and l adjacent to order[j], then placing k
+before l closes a quadruple (i, j, k, l).  So placing w adds N(w) minus
+the placed vertices to before[k] for every unplaced k that is not
+adjacent to w and already has a placed neighbour (touched[m] holds the
+vertices with a neighbour in order[:m]).
 
-Look-ahead (forward checking): a prefix is kept only while no unplaced
-vertex is dead.  So the next candidate is never dead itself, and every
-vertex killed by earlier placements is already placed: the one test per
-candidate is whether the neighbours of the ranks it newly blocks include
-an unplaced vertex, and no dead mask needs to be stored.
+Look-ahead (forward checking): a candidate w is rejected while before[w]
+holds an unplaced vertex, which would close a quadruple wherever it went
+after w.  This one AND per candidate is the whole violation test: a
+vertex that closes a quadruple at ranks i < j < k < m is in
+before[order[k]] from rank j on, so order[k] is never placed while that
+vertex is unplaced.
+
+Pair rule: a placement is rejected when it leaves two unplaced vertices
+k and l that must each precede the other, since then neither can be
+placed first.  A new pair needs a new entry l in before[k], so l is in
+N(w) and k is one of the vertices the placement updates; those are not
+adjacent to w, so before[l] itself does not grow, and the check is
+whether before[l] meets the updated vertices for some unplaced l in N(w):
+O(|N(w)|) ANDs per placement.  Longer precedence cycles are not sought:
+on the atlas and the h graphs a full cycle check prunes no further node.
+Both rules reject only prefixes that no passing ordering extends.
+
+Backtracking: undo[m] logs (k, old before[k]) for each entry the
+placement at rank m grew, and is replayed when that rank is undone; no
+rank copies the n-entry table.
 
 Twin rule: twins (vertices with equal open or equal closed
 neighbourhoods) are placed in increasing index.  Swapping two twins is a
@@ -31,8 +46,8 @@ N(w)), so one predecessor per vertex suffices: v is a candidate only
 once pred[v], its previous twin, is placed.
 
 Node accounting, shared by both modes: one node = one placement tried
-(the root placement or a prefix extension); it is rejected when it
-leaves an unplaced vertex dead.  Candidates skipped by the
+(the root placement or a prefix extension), whether the look-ahead or
+the pair rule then rejects it or not.  Candidates skipped by the
 reversal-symmetry rule or the twin rule are not tried and not counted.
 """
 
@@ -66,8 +81,8 @@ def orderings(nbr_masks, budget):
     Each {ordering, reversal} pair is met once, and the first passing
     ordering always qualifies (its reversal would otherwise be smaller);
     its twins are in order too, since swapping an out-of-order twin pair
-    gives a smaller passing ordering.  The look-ahead prunes only
-    prefixes that no passing ordering extends.
+    gives a smaller passing ordering.  The look-ahead and the pair rule
+    prune only prefixes that no passing ordering extends.
     """
     n = len(nbr_masks)
     if n == 0:
@@ -84,8 +99,9 @@ def orderings(nbr_masks, budget):
             last[key] = v
 
     order = []
-    rankmask = [0] * n  # rankmask[v]: bit j set iff order[j] is adjacent to v
-    blocked = [0] * n  # blocked[m]: ranks blocked by order[:m]
+    before = [0] * n  # before[k]: vertices that must be placed before k
+    undo = [None] * n  # undo[m]: (k, old before[k]) for each entry rank m grew
+    touched = [0] * n  # touched[m]: vertices with a neighbour in order[:m]
     resume = [0] * n  # resume[m]: next candidate index to try at rank m
     used = 0
     nodes = 0
@@ -94,7 +110,6 @@ def orderings(nbr_masks, budget):
     while True:
         w = resume[m]
         limit = n - 1 if (m == 0 and n > 1) else n
-        B = blocked[m]
         while w < limit:
             if used >> w & 1 or pred[w] & ~used or (m == n - 1 and n > 1 and w < order[0]):
                 w += 1
@@ -103,21 +118,24 @@ def orderings(nbr_masks, budget):
                 yield (EXHAUSTED, [], nodes)
                 return
             nodes += 1
-            W = rankmask[w]
-            if W:
-                # w newly blocks the ranks after its lowest neighbour that it
-                # misses; reject w if one of them has an unplaced neighbour
-                low = (W & -W).bit_length() - 1
-                new = x = ((1 << m) - (2 << low)) & ~W & ~B
-                free = ~(used | 1 << w)
+            free = ~(used | 1 << w)
+            if before[w] & free:
+                w += 1
+                continue
+            nb = nbr_masks[w]
+            grown = nb & free
+            targets = touched[m] & free & ~nb if grown else 0
+            if targets:
+                # a new pair (k, l) has l in grown and k in targets, and k
+                # already in before[l], which this placement leaves alone
+                x = grown
                 while x:
-                    if nbr_masks[order[(x & -x).bit_length() - 1]] & free:
+                    if before[(x & -x).bit_length() - 1] & targets:
                         break
                     x &= x - 1
                 if x:
                     w += 1
                     continue
-                B |= new
             break
         else:
             # no candidate left at rank m: backtrack
@@ -125,14 +143,9 @@ def orderings(nbr_masks, budget):
                 yield (NOT_MEMBER, [], nodes)
                 return
             m -= 1
-            w = order.pop()
-            used ^= 1 << w
-            x = nbr_masks[w]
-            bit = ~(1 << m)
-            while x:
-                v = (x & -x).bit_length() - 1
-                rankmask[v] &= bit
-                x &= x - 1
+            used ^= 1 << order.pop()
+            for k, b in undo[m]:
+                before[k] = b
             continue
 
         resume[m] = w + 1
@@ -141,12 +154,15 @@ def orderings(nbr_masks, budget):
             continue  # with the next candidate for the last rank
         order.append(w)
         used |= 1 << w
-        x = nbr_masks[w]
-        bit = 1 << m
-        while x:
-            v = (x & -x).bit_length() - 1
-            rankmask[v] |= bit
-            x &= x - 1
+        log = []
+        while targets:
+            k = (targets & -targets).bit_length() - 1
+            b = before[k]
+            if grown & ~b:
+                log.append((k, b))
+                before[k] = b | grown
+            targets &= targets - 1
+        undo[m] = log
         m += 1
-        blocked[m] = B
+        touched[m] = touched[m - 1] | nb
         resume[m] = 0

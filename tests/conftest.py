@@ -119,7 +119,7 @@ def twins_in_order(pairs, seq) -> bool:
     return all(pos[u] < pos[v] for u, v in pairs)
 
 
-def reference_search_order(g: Graph, budget, look_ahead=True, twins=True):
+def reference_search_order(g: Graph, budget, look_ahead=True, twins=True, pairs=True):
     """Direct-scan twin of the kernel's traversal, for node-for-node checks.
 
     Same contract as andbox.kernels.search_order on a graph with vertices
@@ -132,8 +132,9 @@ def reference_search_order(g: Graph, budget, look_ahead=True, twins=True):
     one node.  A placement at rank m is checked by scanning the
     quadruples whose last rank is m.  With look_ahead it is also rejected
     when some unplaced vertex would close a quadruple at rank m + 1 (such
-    a vertex closes one at every later rank too); without look_ahead and
-    twins, this is the plain depth-first search.
+    a vertex closes one at every later rank too), and with pairs when two
+    unplaced vertices must each precede the other; without look_ahead,
+    twins and pairs, this is the plain depth-first search.
     """
     n = g.n
     adj = [frozenset(u - 1 for u in g.neighbors(v)) for v in g.vertices()]
@@ -156,6 +157,14 @@ def reference_search_order(g: Graph, budget, look_ahead=True, twins=True):
                     return True
         return False
 
+    def forces(k, l):
+        # placed ranks i < j with order[i] ~ k, order[j] !~ k, order[j] ~ l:
+        # k placed before l closes the quadruple (i, j, k, l)
+        return any(
+            order[j] not in adj[k] and l in adj[order[j]] and any(order[i] in adj[k] for i in range(j))
+            for j in range(len(order))
+        )
+
     def extend():
         nonlocal nodes
         m = len(order)
@@ -175,6 +184,10 @@ def reference_search_order(g: Graph, budget, look_ahead=True, twins=True):
                 continue
             order.append(w)
             if look_ahead and any(closes_quadruple(u) for u in range(n) if u not in order):
+                order.pop()
+                continue
+            unplaced = [u for u in range(n) if u not in order]
+            if pairs and any(forces(k, l) and forces(l, k) for k, l in combinations(unplaced, 2)):
                 order.pop()
                 continue
             status = extend()

@@ -167,7 +167,7 @@ def test_check_04_octahedron_exclusion(acceptance_record):
     acceptance_record(
         4,
         "octahedron meets the exclusion predicate and the search rejects it",
-        predicate_ok and res.status == "not_member" and res.nodes == 114,
+        predicate_ok and res.status == "not_member" and res.nodes == 60,
         elapsed,
         5.0,
         f"nodes {res.nodes}",
@@ -217,7 +217,7 @@ def test_check_06_h444_exclusion_within_budget(acceptance_record):
     t0 = time.perf_counter()
     res = and1_recognize(g)
     if res.status == "not_member":
-        ok = res.nodes == 299_865
+        ok = res.nodes == 34_887
         detail = f"nodes {res.nodes}"
     elif res.status == "exhausted":
         # fallback evidence: a large random sample of orderings, all failing

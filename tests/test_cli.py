@@ -432,7 +432,7 @@ class TestRecognizeAnd1:
         witness = (tmp_path / "oct.witness").read_text()
         assert witness == (
             "c no vertex ordering satisfies the four point condition\n"
-            "exhaustive nodes 114\n"
+            "exhaustive nodes 60\n"
         )
 
     def test_budget_exhaustion_writes_nothing(self, tmp_path, capsys):
@@ -522,12 +522,12 @@ class TestRecognizeCand1:
 
     def test_node_budget_bounds_the_kernel(self, tmp_path, capsys):
         # K(2,2,2) has no four-point-free order; the kernel rejects it in
-        # 114 placements, as recognize-and1 does
+        # 60 placements, as recognize-and1 does
         gp = write_graph(tmp_path / "k222.and", complete_multipartite_graph([2, 2, 2]))
-        code, out, _ = run(capsys, "recognize-cand1", gp, "--node-budget", "113")
+        code, out, _ = run(capsys, "recognize-cand1", gp, "--node-budget", "59")
         assert code == 3 and out.startswith("verdict=exhausted ")
         assert not (tmp_path / "k222.witness").exists()
-        code, out, _ = run(capsys, "recognize-cand1", gp, "--node-budget", "114")
+        code, out, _ = run(capsys, "recognize-cand1", gp, "--node-budget", "60")
         assert code == 1 and out.startswith("verdict=no ")
         assert (tmp_path / "k222.witness").read_text() == (
             "c no point order admits a central realization\n"

@@ -361,13 +361,13 @@ class TestCandRecognize:
 
     def test_zero_ordering_budget_suffices_without_4pc_free_orders(self):
         # the enumeration completes without an ordering to decide, so the
-        # budget needs to cover only the kernel's placements: 114, as for
+        # budget needs to cover only the kernel's placements: 60, as for
         # and1_recognize
         g = complete_multipartite_graph([2, 2, 2])
-        assert and1_recognize(g).nodes == 114
-        res = cand1_recognize(g, budget=114)
+        assert and1_recognize(g).nodes == 60
+        res = cand1_recognize(g, budget=60)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("not_member", 0, 0)
-        res = cand1_recognize(g, budget=113)
+        res = cand1_recognize(g, budget=59)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 0, 0)
 
     def test_complete_bipartite_3_3_decides_only_4pc_free_orders(self):
@@ -566,12 +566,12 @@ class TestCandRecognize:
 
     @pytest.mark.usefixtures("search_only")
     def test_budgets_are_charged_across_components(self):
-        # P3 takes 3 placements and 1 unit of work; K(2,3) 22 placements and
+        # P3 takes 3 placements and 1 unit of work; K(2,3) 20 placements and
         # 11 + 8 units for its two orders
         g = self.disjoint_union(path_graph(3), complete_multipartite_graph([2, 3]))
-        res = cand1_recognize(g, budget=25)
+        res = cand1_recognize(g, budget=23)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("not_member", 3, 3)
-        res = cand1_recognize(g, budget=24)
+        res = cand1_recognize(g, budget=22)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 3, 3)
         res = cand1_recognize(g, budget=12)
         assert (res.status, res.orderings_tried, res.cases_solved) == ("exhausted", 2, 2)

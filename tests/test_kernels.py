@@ -1,8 +1,9 @@
 """The ordering search kernel: frozen instances, budgets, a node-for-node
-match with the direct-scan reference search, whose plain and twin-free
-forms check that the look-ahead and the twin rule prune only subtrees
-without a first passing ordering, and the enumeration of every passing
-ordering with its twins in increasing id against brute force."""
+match with the direct-scan reference search, whose plain, twin-free and
+pair-free forms check that the look-ahead, the twin rule and the pair
+rule prune only subtrees without a first passing ordering, and the
+enumeration of every passing ordering with its twins in increasing id
+against brute force."""
 
 import random
 from itertools import combinations, permutations
@@ -38,7 +39,7 @@ def test_status_constants_distinct():
 
 def test_pure_kernel_frozen_instances():
     status, order, nodes = kernels.search_order(masks(complete_multipartite_graph([2, 2, 2])), 10**8)
-    assert (status, order, nodes) == (kernels.NOT_MEMBER, [], 114)
+    assert (status, order, nodes) == (kernels.NOT_MEMBER, [], 60)
     status, order, nodes = kernels.search_order(masks(complete_multipartite_graph([2, 3])), 10**8)
     assert status == kernels.FOUND and nodes == 5
     assert order == [0, 1, 2, 3, 4]
@@ -47,16 +48,16 @@ def test_pure_kernel_frozen_instances():
 def test_look_ahead_work_counts():
     # plain search: 380,422, 534,906 and 1,928,003 nodes; without the twin
     # rule K(2,2,2,2,2) takes 143,874 and the block graph 34 (h(3,4,4) has
-    # no twins)
+    # no twins); without the pair rule 32,853, 6,850 and 28
     h344 = families.h_graph(3, 4, 4).graph
     status, order, nodes = kernels.search_order(masks(h344), 10**8)
-    assert status == kernels.FOUND and nodes == 32_853
+    assert status == kernels.FOUND and nodes == 4_980
     assert naive_four_point_scan(h344, [i + 1 for i in order]) is None
     k22222 = complete_multipartite_graph([2, 2, 2, 2, 2])
-    assert kernels.search_order(masks(k22222), 10**8) == (kernels.NOT_MEMBER, [], 6_850)
+    assert kernels.search_order(masks(k22222), 10**8) == (kernels.NOT_MEMBER, [], 310)
     block = families.random_block_graph(16, 5).graph
     status, order, nodes = kernels.search_order(masks(block), 10**8)
-    assert status == kernels.FOUND and nodes == 28
+    assert status == kernels.FOUND and nodes == 25
     assert naive_four_point_scan(block, [i + 1 for i in order]) is None
 
 
@@ -73,14 +74,14 @@ def test_found_orders_satisfy_quadruple_scan():
 
 def test_budget_counts_processed_placements():
     g = complete_multipartite_graph([2, 2, 2])
-    for budget in (0, 1, 10, 113):
+    for budget in (0, 1, 10, 59):
         status, order, nodes = kernels.search_order(masks(g), budget)
         assert status == kernels.EXHAUSTED
         assert order == []
         assert nodes == budget
     # one node above the full tree size changes nothing
-    status, _, nodes = kernels.search_order(masks(g), 114)
-    assert status == kernels.NOT_MEMBER and nodes == 114
+    status, _, nodes = kernels.search_order(masks(g), 60)
+    assert status == kernels.NOT_MEMBER and nodes == 60
 
 
 def test_graph_masks_are_the_kernel_input(connected_atlas):
@@ -117,6 +118,24 @@ def test_twin_rule_keeps_verdict_and_ordering(connected_atlas):
         free_status, free_order, free_nodes = reference_search_order(g, 10**9, twins=False)
         assert (status, order) == (free_status, free_order), g.edge_list()
         assert nodes <= free_nodes, g.edge_list()
+
+
+def test_pair_rule_keeps_verdict_and_ordering(connected_atlas):
+    for g in connected_atlas:
+        status, order, nodes = kernels.search_order(masks(g), 10**9)
+        free_status, free_order, free_nodes = reference_search_order(g, 10**9, pairs=False)
+        assert (status, order) == (free_status, free_order), g.edge_list()
+        assert nodes <= free_nodes, g.edge_list()
+
+
+def test_pair_rule_decides_random_interval_graphs():
+    # the look-ahead alone exhausts 10^6 nodes on each (and1_recognize's
+    # sweeps certify them before the kernel runs)
+    for n, seed, expected in ((30, 0, 3_238), (30, 1, 162), (60, 0, 2_277)):
+        g = families.random_interval(n, seed).graph
+        status, order, nodes = kernels.search_order(masks(g), 10**6)
+        assert (status, nodes) == (kernels.FOUND, expected), (n, seed)
+        assert naive_four_point_scan(g, [i + 1 for i in order]) is None
 
 
 def test_no_vertex_has_both_twin_kinds(connected_atlas):

@@ -212,7 +212,13 @@ class TestRecognizer:
         res = and1_recognize(complete_multipartite_graph([2, 2, 2]))
         assert res.status == "not_member"
         assert res.ordering is None
-        assert res.nodes == 114
+        assert res.nodes == 60
+
+    @pytest.mark.parametrize("lengths, nodes", [((4, 5, 5), 290_954), ((5, 5, 5), 844_133)])
+    def test_h_graphs_rejected_within_a_million_nodes(self, lengths, nodes):
+        # the pair rule decides both; the look-ahead alone exhausts 10^6 nodes
+        res = and1_recognize(families.h_graph(*lengths).graph, budget=10**6)
+        assert (res.status, res.ordering, res.nodes) == ("not_member", None, nodes)
 
     def test_k23_found_quickly(self):
         g = complete_multipartite_graph([2, 3])
@@ -272,8 +278,9 @@ class TestRecognizer:
 
     @pytest.mark.parametrize("n", [12, 30, 60])
     def test_interval_graphs_certified_without_the_kernel(self, n):
-        # without the sweeps all 30 are exhausted at budget 0, and n = 30
-        # seeds 0 and 1 and n = 60 seed 0 are exhausted at 10^6 nodes
+        # without the sweeps all 30 are exhausted at budget 0; the kernel
+        # alone finds n = 30 seeds 0 and 1 and n = 60 seed 0 in at most
+        # 3,238 nodes (test_kernels.py)
         for seed in range(10):
             g = families.random_interval(n, seed).graph
             res = and1_recognize(g, budget=0)
