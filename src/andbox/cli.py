@@ -67,16 +67,16 @@ def _witness(args, default: str) -> str:
 
 def _cmd_gen(args) -> str:
     bundle = generate(args.family, args.params, seed=args.seed)
-    save_aux = {
-        IntervalModel: fileio.save_interval_model,
-        OuterplanarModel: fileio.save_outerplanar_model,
-        RootedPathModel: fileio.save_rooted_path_model,
+    aux_kind = {
+        IntervalModel: "interval",
+        OuterplanarModel: "outerplanar",
+        RootedPathModel: "rootedpath",
     }.get(type(bundle.aux))
-    if args.aux_out and save_aux is None:
+    if args.aux_out and aux_kind is None:
         raise UsageError(f"family {args.family} has no writable auxiliary model")
-    fileio.save_graph(args.output, bundle.graph)
+    fileio.save_file(args.output, "graph", bundle.graph)
     if args.aux_out:
-        save_aux(args.aux_out, bundle.aux)
+        fileio.save_file(args.aux_out, aux_kind, bundle.aux)
     return "yes"
 
 
@@ -93,42 +93,38 @@ def _cmd_realize(args) -> str:
     else:
         if args.eps is not None or args.anchor is not None:
             raise UsageError("--eps and --anchor apply only with --cycle")
-        text = fileio._read(args.input)
-        kind = fileio.sniff_format(text)
+        kind = fileio.sniff_file(args.input)
+        if kind not in ("interval", "outerplanar", "rootedpath", "graph"):
+            raise UsageError(f"cannot realize a {kind} file")
+        model = fileio.load_file(args.input, kind)
         if kind == "interval":
-            r = interval_to_cand1(fileio.loads_interval_model(text, args.input))
+            r = interval_to_cand1(model)
         elif kind == "outerplanar":
-            r = outerplanar_cand1(
-                fileio.loads_outerplanar_model(text, args.input)
-            )
+            r = outerplanar_cand1(model)
         elif kind == "rootedpath":
-            model = fileio.loads_rooted_path_model(text, args.input)
             order = rdp_ordering(model)
             r = realization_from_ordering(model.intersection_graph(), order)
-        elif kind == "graph":
+        else:
             # the one block-tree construction; recognize-cand1 is the
             # command that tries every construction and then searches
-            g = fileio.loads_graph(text, args.input)
-            if not g.is_connected():
+            if not model.is_connected():
                 raise UsageError(
                     f"{args.input}: the graph is not connected; "
                     "recognize-cand1 realizes each component"
                 )
-            r = blockwise_cand1(g)
+            r = blockwise_cand1(model)
             if r is None:
                 raise UsageError(
                     f"{args.input}: a block is neither a clique nor outerplanar"
                 )
-        else:
-            raise UsageError(f"cannot realize a {kind} file")
         out = _out(args, _stem(args.input) + ".real")
-    fileio.save_realization(out, r)
+    fileio.save_file(out, "realization", r)
     return "yes"
 
 
 def _cmd_verify(args) -> str:
-    r = fileio.load_realization(args.realization)
-    g = fileio.load_graph(args.graph)
+    r = fileio.load_file(args.realization, "realization")
+    g = fileio.load_file(args.graph, "graph")
     report = verify(r, g)
     if report.ok:
         return "yes"
@@ -142,8 +138,8 @@ def _cmd_verify(args) -> str:
 
 
 def _cmd_check_order(args) -> str:
-    g = fileio.load_graph(args.graph)
-    order = fileio.load_ordering(args.ordering)
+    g = fileio.load_file(args.graph, "graph")
+    order = fileio.load_file(args.ordering, "ordering")
     try:
         codes = implicit_encode(g, order)  # the one four point check
     except FourPointViolationError as e:
@@ -154,17 +150,18 @@ def _cmd_check_order(args) -> str:
         )
         return "no"
     if args.codes_out:
-        fileio.save_implicit_codes(args.codes_out, codes)
+        fileio.save_file(args.codes_out, "implicit", codes)
     if args.realize_out:
-        fileio.save_realization(args.realize_out, realization_from_codes(codes))
+        fileio.save_file(args.realize_out, "realization", realization_from_codes(codes))
     return "yes"
 
 
 def _cmd_recognize_and1(args) -> str:
-    g = fileio.load_graph(args.graph)
+    g = fileio.load_file(args.graph, "graph")
     res = and1_recognize(g, budget=args.node_budget)
     if res.found:
-        fileio.save_ordering(_out(args, _stem(args.graph) + ".order"), res.ordering)
+        out = _out(args, _stem(args.graph) + ".order")
+        fileio.save_file(out, "ordering", res.ordering)
         return "yes"
     if res.status == "not_member":
         fileio.atomic_write_text(
@@ -177,10 +174,11 @@ def _cmd_recognize_and1(args) -> str:
 
 
 def _cmd_recognize_cand1(args) -> str:
-    g = fileio.load_graph(args.graph)
+    g = fileio.load_file(args.graph, "graph")
     res = cand1_recognize(g, budget=args.node_budget)
     if res.found:
-        fileio.save_realization(_out(args, _stem(args.graph) + ".real"), res.realization)
+        out = _out(args, _stem(args.graph) + ".real")
+        fileio.save_file(out, "realization", res.realization)
         return "yes"
     if res.status == "not_member":
         fileio.atomic_write_text(
@@ -194,29 +192,29 @@ def _cmd_recognize_cand1(args) -> str:
 
 
 def _cmd_to_boxes(args) -> str:
-    r = fileio.load_realization(args.realization)
-    fileio.save_corner_boxes(_out(args, _stem(args.realization) + ".boxes"), r)
+    r = fileio.load_file(args.realization, "realization")
+    fileio.save_file(_out(args, _stem(args.realization) + ".boxes"), "corner", r)
     return "yes"
 
 
 def _cmd_to_triangles(args) -> str:
-    r = fileio.load_realization(args.realization)
-    fileio.save_semisquares(_out(args, _stem(args.realization) + ".tri"), r)
+    r = fileio.load_file(args.realization, "realization")
+    fileio.save_file(_out(args, _stem(args.realization) + ".tri"), "semisquare", r)
     return "yes"
 
 
 def _cmd_glue(args) -> str:
-    r1 = fileio.load_realization(args.real1)
-    r2 = fileio.load_realization(args.real2)
+    r1 = fileio.load_file(args.real1, "realization")
+    r2 = fileio.load_file(args.real2, "realization")
     glued = glue_at_safe_vertex(r1, args.w1, r2, args.w2)
-    fileio.save_realization(
-        _out(args, _stem(args.real1) + "-glued.real"), glued
+    fileio.save_file(
+        _out(args, _stem(args.real1) + "-glued.real"), "realization", glued
     )
     return "yes"
 
 
 def _cmd_render(args) -> str:
-    r = fileio.load_realization(args.realization)
+    r = fileio.load_file(args.realization, "realization")
     fileio.atomic_write_text(
         _out(args, _stem(args.realization) + ".svg"), render_realization_svg(r)
     )

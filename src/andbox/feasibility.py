@@ -380,11 +380,12 @@ def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognit
         if r is None:
             verdict = "not_member" if status == kernels.NOT_MEMBER else "exhausted"
             return CAndRecognitionResult(verdict, None, None, tried, solved)
-        least = Fraction(min(box[0][0] for box in r.boxes), r.den)
-        shift = 0 if right is None else right + 1 - least
         merged.extend(back[v] for v in order)
-        points.extend(r.coordinate(v) + shift for v in order)
-        right = shift + Fraction(max(box[0][1] for box in r.boxes), r.den)
+        if len(comps) > 1:  # the side-by-side layout the merge below reads
+            least = Fraction(min(box[0][0] for box in r.boxes), r.den)
+            shift = 0 if right is None else right + 1 - least
+            points.extend(r.coordinate(v) + shift for v in order)
+            right = shift + Fraction(max(box[0][1] for box in r.boxes), r.den)
     ordering = tuple(merged)
     if len(comps) > 1:
         # the same closed-form radii over the merged order: only an isolated

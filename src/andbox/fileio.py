@@ -5,7 +5,7 @@ blank lines and comment lines ("c" alone or "c " prefix) ignored, tokens
 separated by any run of whitespace, integers written canonically (no
 "-0", sign or leading zero; every field has a minimum of 0 or 1), and
 rationals written as "<num>" or "<num>/<den>" in lowest terms with a
-positive denominator.
+positive denominator.  There are nine kinds of file:
 
   graph         "p and <n> <m>" header, then "e <u> <v>" with 1 <= u < v <= n
   realization   "r and <n> <d>" header, optional "central" flag line,
@@ -14,13 +14,22 @@ positive denominator.
   implicit      "ic <id> <l> <rho> <p>" rank triples
   interval      "i <id> <L> <R>"
   outerplanar   "outer <v1> ... <vk>" once, then "chord <u> <v>" lines
-  rooted path   "t <parent> <child>" tree lines (parent 0 marks the root),
+  rootedpath    "t <parent> <child>" tree lines (parent 0 marks the root),
                 then "k <vid> <node> ..." path lines
-  corner boxes  "b <id> <dim> <x_lo> <x_hi> <y_lo> <y_hi>"
-  semi-squares  "s <id> <corner> <leg>"
+  corner        "b <id> <dim> <x_lo> <x_hi> <y_lo> <y_hi>"
+  semisquare    "s <id> <corner> <leg>"
+
+Each kind has a reader loads_*(text, path) and a writer dumps_*(obj)
+of text.  FORMATS maps each kind to its record tags, reader and writer,
+and is the one place that pairs them: load_file(path, kind) and
+save_file(path, kind, obj) read and write a file through it, and
+sniff_format / sniff_file name the kind of a text or file by the tag of
+its first record.  Three loaders of one kind remain, load_graph,
+load_corner_boxes and load_semisquares, because the benchmark calls them
+by name.
 
 Corner boxes and semi-squares are file encodings of a realization (see
-boxes): their loaders return the Realization the file encodes, checked
+boxes): their readers return the Realization the file encodes, checked
 line by line, and their writers take one.
 """
 
@@ -143,11 +152,6 @@ def _over(den: int):
     return fmt
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory plus rename, so readers
     never observe a partial file."""
@@ -233,14 +237,6 @@ def dumps_graph(g: Graph) -> str:
     lines = [f"p and {g.n} {g.m}"]
     lines += [f"e {u} {v}" for u, v in g.edge_list()]
     return "\n".join(lines) + "\n"
-
-
-def load_graph(path: str) -> Graph:
-    return loads_graph(_read(path), path)
-
-
-def save_graph(path: str, g: Graph) -> None:
-    atomic_write_text(path, dumps_graph(g))
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +333,6 @@ def dumps_realization(r: Realization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_realization(path: str) -> Realization:
-    return loads_realization(_read(path), path)
-
-
-def save_realization(path: str, r: Realization) -> None:
-    atomic_write_text(path, dumps_realization(r))
-
-
 # ---------------------------------------------------------------------------
 # orderings and implicit codes
 
@@ -367,14 +355,6 @@ def loads_ordering(text: str, path: str = "<ordering>") -> tuple:
 
 def dumps_ordering(order) -> str:
     return "o " + " ".join(map(str, order)) + "\n"
-
-
-def load_ordering(path: str) -> tuple:
-    return loads_ordering(_read(path), path)
-
-
-def save_ordering(path: str, order) -> None:
-    atomic_write_text(path, dumps_ordering(order))
 
 
 def loads_implicit_codes(text: str, path: str = "<implicit>"):
@@ -400,14 +380,6 @@ def dumps_implicit_codes(codes) -> str:
         for vid, c in enumerate(codes, start=1)
     ]
     return "\n".join(lines) + "\n"
-
-
-def load_implicit_codes(path: str):
-    return loads_implicit_codes(_read(path), path)
-
-
-def save_implicit_codes(path: str, codes) -> None:
-    atomic_write_text(path, dumps_implicit_codes(codes))
 
 
 # ---------------------------------------------------------------------------
@@ -521,30 +493,6 @@ def dumps_rooted_path_model(m: RootedPathModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_interval_model(path: str) -> IntervalModel:
-    return loads_interval_model(_read(path), path)
-
-
-def save_interval_model(path: str, m: IntervalModel) -> None:
-    atomic_write_text(path, dumps_interval_model(m))
-
-
-def load_outerplanar_model(path: str) -> OuterplanarModel:
-    return loads_outerplanar_model(_read(path), path)
-
-
-def save_outerplanar_model(path: str, m: OuterplanarModel) -> None:
-    atomic_write_text(path, dumps_outerplanar_model(m))
-
-
-def load_rooted_path_model(path: str) -> RootedPathModel:
-    return loads_rooted_path_model(_read(path), path)
-
-
-def save_rooted_path_model(path: str, m: RootedPathModel) -> None:
-    atomic_write_text(path, dumps_rooted_path_model(m))
-
-
 # ---------------------------------------------------------------------------
 # corner boxes and semi-squares: encodings of a realization (see boxes)
 
@@ -594,14 +542,6 @@ def dumps_corner_boxes(r: Realization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_corner_boxes(path: str) -> Realization:
-    return loads_corner_boxes(_read(path), path)
-
-
-def save_corner_boxes(path: str, r: Realization) -> None:
-    atomic_write_text(path, dumps_corner_boxes(r))
-
-
 def loads_semisquares(text: str, path: str = "<semisquares>") -> Realization:
     """The central one-dimensional realization the semi-squares encode:
     (p, r) is point p in box [p - r, p + r]."""
@@ -646,40 +586,70 @@ def dumps_semisquares(r: Realization) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_semisquares(path: str) -> Realization:
-    return loads_semisquares(_read(path), path)
-
-
-def save_semisquares(path: str, r: Realization) -> None:
-    atomic_write_text(path, dumps_semisquares(r))
-
-
 # ---------------------------------------------------------------------------
-# format sniffing (used by the CLI)
+# the format table: kind -> (record tags, reader, writer)
 
-_KIND_BY_TOKEN = {
-    "p": "graph",
-    "e": "graph",
-    "r": "realization",
-    "v": "realization",
-    "central": "realization",
-    "o": "ordering",
-    "ic": "implicit",
-    "i": "interval",
-    "outer": "outerplanar",
-    "chord": "outerplanar",
-    "t": "rootedpath",
-    "k": "rootedpath",
-    "b": "corner",
-    "s": "semisquare",
+FORMATS = {
+    "graph": (("p", "e"), loads_graph, dumps_graph),
+    "realization": (("r", "v", "central"), loads_realization, dumps_realization),
+    "ordering": (("o",), loads_ordering, dumps_ordering),
+    "implicit": (("ic",), loads_implicit_codes, dumps_implicit_codes),
+    "interval": (("i",), loads_interval_model, dumps_interval_model),
+    "outerplanar": (
+        ("outer", "chord"), loads_outerplanar_model, dumps_outerplanar_model
+    ),
+    "rootedpath": (("t", "k"), loads_rooted_path_model, dumps_rooted_path_model),
+    "corner": (("b",), loads_corner_boxes, dumps_corner_boxes),
+    "semisquare": (("s",), loads_semisquares, dumps_semisquares),
 }
+
+_KIND_BY_TAG = {tag: kind for kind, (tags, _, _) in FORMATS.items() for tag in tags}
+
+
+# The benchmark's tracer counts a fileio call as file I/O by its load_ or
+# save_ prefix and reads the byte count from its first argument, the path.
+def load_file(path: str, kind: str):
+    """The object the `kind` file at path holds."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return FORMATS[kind][1](text, path)
+
+
+def save_file(path: str, kind: str, obj) -> None:
+    """Write obj as a `kind` file, atomically."""
+    atomic_write_text(path, FORMATS[kind][2](obj))
+
+
+# Kept only because the benchmark (perfbench/run.py, workloads.py) calls
+# them by name; they go when it reads the table instead.
+def load_graph(path: str) -> Graph:
+    return load_file(path, "graph")
+
+
+def load_corner_boxes(path: str) -> Realization:
+    return load_file(path, "corner")
+
+
+def load_semisquares(path: str) -> Realization:
+    return load_file(path, "semisquare")
 
 
 def sniff_format(text: str) -> str:
     """Kind of the first content record; raises on unknown or empty."""
-    for _, toks in _content_lines(text):
-        kind = _KIND_BY_TOKEN.get(toks[0])
-        if kind is None:
-            raise FileFormatError(f"unknown record {toks[0]!r}")
-        return kind
+    return _sniff(text.splitlines())
+
+
+def sniff_file(path: str) -> str:
+    """sniff_format of the file at path, read only up to its first
+    content record (split at every line break str.splitlines knows)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _sniff(raw for line in fh for raw in line.splitlines())
+
+
+def _sniff(lines) -> str:
+    for raw in lines:
+        if (toks := _tokens(raw)) is not None:
+            if toks[0] not in _KIND_BY_TAG:
+                raise FileFormatError(f"unknown record {toks[0]!r}")
+            return _KIND_BY_TAG[toks[0]]
     raise FileFormatError("empty file")

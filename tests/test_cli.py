@@ -57,12 +57,12 @@ def make_paw():
 
 
 def write_graph(path, g):
-    fileio.save_graph(str(path), g)
+    fileio.save_file(str(path), "graph", g)
     return str(path)
 
 
 def write_real(path, r):
-    fileio.save_realization(str(path), r)
+    fileio.save_file(str(path), "realization", r)
     return str(path)
 
 
@@ -90,10 +90,10 @@ class TestVerdictLine:
 
 class TestGen:
     def test_graph_plus_aux_model(self, tmp_path, capsys):
-        for family, load in (
-            ("random-interval", fileio.load_interval_model),
-            ("random-dissection", fileio.load_outerplanar_model),
-            ("random-rooted-path", fileio.load_rooted_path_model),
+        for family, kind in (
+            ("random-interval", "interval"),
+            ("random-dissection", "outerplanar"),
+            ("random-rooted-path", "rootedpath"),
         ):
             out_g = tmp_path / f"{family}.and"
             out_m = tmp_path / f"{family}.aux"
@@ -104,8 +104,8 @@ class TestGen:
             )
             assert code == 0 and out.startswith("verdict=yes "), family
             bundle = generate(family, (6,), seed=3)
-            assert edge_set(fileio.load_graph(str(out_g))) == edge_set(bundle.graph)
-            assert load(str(out_m)) == bundle.aux, family
+            assert edge_set(fileio.load_file(str(out_g), "graph")) == edge_set(bundle.graph)
+            assert fileio.load_file(str(out_m), kind) == bundle.aux, family
 
     def test_h_family_graph(self, tmp_path, capsys):
         out_g = tmp_path / "h.and"
@@ -114,7 +114,7 @@ class TestGen:
         )
         assert code == 0
         expected = generate("h", (2, 3, 4)).graph
-        assert edge_set(fileio.load_graph(str(out_g))) == edge_set(expected)
+        assert edge_set(fileio.load_file(str(out_g), "graph")) == edge_set(expected)
 
     def test_aux_out_rejected_when_family_has_no_model(self, tmp_path, capsys):
         code, out, err = run(
@@ -150,7 +150,7 @@ class TestGen:
                 "--seed", seed, "-o", str(path),
             )
             assert code == 0
-            outs.append(edge_set(fileio.load_graph(str(path))))
+            outs.append(edge_set(fileio.load_file(str(path), "graph")))
         assert outs[0] != outs[1]
 
 
@@ -161,7 +161,7 @@ class TestRealize:
             capsys, "realize", "--cycle", "5", "--eps", "1/4", "-o", str(out)
         )
         assert code == 0 and text.startswith("verdict=yes ")
-        assert fileio.load_realization(str(out)) == cycle_cand1(5, F(1, 4))
+        assert fileio.load_file(str(out), "realization") == cycle_cand1(5, F(1, 4))
 
     def test_cycle_anchor_flag(self, tmp_path, capsys):
         out = tmp_path / "c6.real"
@@ -171,7 +171,7 @@ class TestRealize:
         )
         assert code == 0
         expected = cycle_cand1(6, F(1, 2), anchor=3)
-        assert fileio.load_realization(str(out)) == expected
+        assert fileio.load_file(str(out), "realization") == expected
 
     def test_cycle_requires_explicit_output(self, capsys):
         code, _, err = run(capsys, "realize", "--cycle", "5")
@@ -182,11 +182,11 @@ class TestRealize:
         # a 4-cycle fused onto the edge 2-3 of the 5-cycle 1..5
         src = tmp_path / "fused.op"
         src.write_text("outer 3 4 5 1 2 6 7\nchord 2 3\n")
-        model = fileio.load_outerplanar_model(str(src))
+        model = fileio.load_file(str(src), "outerplanar")
         assert model == one_chord_polygon(4, 5, (2, 3))
         code, _, _ = run(capsys, "realize", str(src))
         assert code == 0
-        r = fileio.load_realization(str(tmp_path / "fused.real"))
+        r = fileio.load_file(str(tmp_path / "fused.real"), "realization")
         assert r == outerplanar_cand1(model)
         assert verify(r, model.graph()).ok and is_central(r)
 
@@ -199,38 +199,38 @@ class TestRealize:
     def test_interval_file_default_output_name(self, tmp_path, capsys):
         model = generate("random-interval", (7,), seed=11).aux
         src = tmp_path / "m.iv"
-        fileio.save_interval_model(str(src), model)
+        fileio.save_file(str(src), "interval", model)
         code, _, _ = run(capsys, "realize", str(src))
         assert code == 0
-        r = fileio.load_realization(str(tmp_path / "m.real"))
+        r = fileio.load_file(str(tmp_path / "m.real"), "realization")
         assert r == interval_to_cand1(model)
 
     def test_disconnected_interval_file(self, tmp_path, capsys):
         model = IntervalModel(((F(0), F(1)), (F(3), F(5)), (F(4), F(6)), (F(9), F(9))))
         src = tmp_path / "split.iv"
-        fileio.save_interval_model(str(src), model)
+        fileio.save_file(str(src), "interval", model)
         code, _, _ = run(capsys, "realize", str(src))
         assert code == 0
-        r = fileio.load_realization(str(tmp_path / "split.real"))
+        r = fileio.load_file(str(tmp_path / "split.real"), "realization")
         assert is_central(r) and verify(r, model.intersection_graph()).ok
 
     def test_outerplanar_file(self, tmp_path, capsys):
         bundle = generate("random-dissection", (8,), seed=4)
         src = tmp_path / "d.outer"
-        fileio.save_outerplanar_model(str(src), bundle.aux)
+        fileio.save_file(str(src), "outerplanar", bundle.aux)
         code, _, _ = run(capsys, "realize", str(src))
         assert code == 0
-        r = fileio.load_realization(str(tmp_path / "d.real"))
+        r = fileio.load_file(str(tmp_path / "d.real"), "realization")
         assert r == outerplanar_cand1(bundle.aux)
         assert verify(r, bundle.graph).ok
 
     def test_rooted_path_file(self, tmp_path, capsys):
         bundle = generate("random-rooted-path", (9,), seed=2)
         src = tmp_path / "t.rp"
-        fileio.save_rooted_path_model(str(src), bundle.aux)
+        fileio.save_file(str(src), "rootedpath", bundle.aux)
         code, _, _ = run(capsys, "realize", str(src))
         assert code == 0
-        r = fileio.load_realization(str(tmp_path / "t.real"))
+        r = fileio.load_file(str(tmp_path / "t.real"), "realization")
         g = bundle.aux.intersection_graph()
         assert r == realization_from_ordering(g, rdp_ordering(bundle.aux))
         assert verify(r, g).ok
@@ -240,7 +240,7 @@ class TestRealize:
         src = write_graph(tmp_path / "blocks.and", g)
         code, _, _ = run(capsys, "realize", src)
         assert code == 0
-        r = fileio.load_realization(str(tmp_path / "blocks.real"))
+        r = fileio.load_file(str(tmp_path / "blocks.real"), "realization")
         assert r == blockwise_cand1(g)
         assert verify(r, g).ok and is_central(r)
 
@@ -249,7 +249,7 @@ class TestRealize:
         src = write_graph(tmp_path / "c7.and", g)
         code, _, _ = run(capsys, "realize", src)
         assert code == 0
-        r = fileio.load_realization(str(tmp_path / "c7.real"))
+        r = fileio.load_file(str(tmp_path / "c7.real"), "realization")
         assert r == blockwise_cand1(g)
         assert verify(r, g).ok and is_central(r)
 
@@ -272,7 +272,7 @@ class TestRealize:
     def test_cycle_flags_rejected_with_a_model_file(self, tmp_path, capsys, flags):
         model = generate("random-interval", (7,), seed=11).aux
         src = tmp_path / "m.iv"
-        fileio.save_interval_model(str(src), model)
+        fileio.save_file(str(src), "interval", model)
         code, out, err = run(capsys, "realize", str(src), *flags)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--cycle" in err
@@ -284,6 +284,26 @@ class TestRealize:
         code, _, err = run(capsys, "realize", str(src))
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("kind, text", [
+        ("realization", "r and 1 1\nv 1 1 0 1\n"),
+        ("ordering", "o 1 2\no 2 1\n"),
+        ("implicit", "ic 1 1 1 1\nic 1 2\n"),
+        ("corner", "b 1 1 0 1 0\n"),
+        ("semisquare", "c a leg below 0\ns 1 0 -1\n"),
+    ])
+    def test_unrealizable_kind_rejected_before_its_records_are_read(
+        self, tmp_path, capsys, kind, text
+    ):
+        # every file is malformed after its first record: reading it would
+        # fail with a path:line error instead
+        src = tmp_path / "x.in"
+        src.write_text(text)
+        with pytest.raises(fileio.FileFormatError):
+            fileio.load_file(str(src), kind)
+        code, out, err = run(capsys, "realize", str(src))
+        assert (code, out, err) == (2, "", f"error: cannot realize a {kind} file\n")
+        assert sorted(os.listdir(tmp_path)) == ["x.in"]
 
     def test_two_sources_exit_2(self, tmp_path, capsys):
         src = write_graph(tmp_path / "g.and", make_paw())
@@ -342,11 +362,11 @@ class TestCheckOrder:
             "--codes-out", str(codes), "--realize-out", str(real),
         )
         assert code == 0 and out.startswith("verdict=yes ")
-        order = fileio.load_ordering(str(op))
-        assert fileio.load_implicit_codes(str(codes)) == implicit_encode(
+        order = fileio.load_file(str(op), "ordering")
+        assert fileio.load_file(str(codes), "implicit") == implicit_encode(
             g, order
         )
-        assert fileio.load_realization(str(real)) == realization_from_ordering(
+        assert fileio.load_file(str(real), "realization") == realization_from_ordering(
             g, order
         )
 
@@ -375,7 +395,7 @@ class TestCheckOrder:
         assert (want is None) == member
         gp = write_graph(tmp_path / "g.and", g)
         op = tmp_path / "g.ord"
-        fileio.save_ordering(str(op), o)
+        fileio.save_file(str(op), "ordering", o)
         calls = {"_violation": 0, "rank_bounds": 0}
 
         def counted(name):
@@ -420,7 +440,7 @@ class TestRecognizeAnd1:
         gp = write_graph(tmp_path / "k23.and", g)
         code, out, _ = run(capsys, "recognize-and1", gp)
         assert code == 0 and out.startswith("verdict=yes ")
-        order = fileio.load_ordering(str(tmp_path / "k23.order"))
+        order = fileio.load_file(str(tmp_path / "k23.order"), "ordering")
         assert order == (1, 2, 3, 4, 5)
 
     def test_non_member_witness(self, tmp_path, capsys):
@@ -468,7 +488,7 @@ class TestRecognizeAnd1:
         gp = write_graph(tmp_path / "iv.and", g)
         code, out, _ = run(capsys, "recognize-and1", gp, "--node-budget", "0")
         assert code == 0 and out.startswith("verdict=yes ")
-        order = fileio.load_ordering(str(tmp_path / "iv.order"))
+        order = fileio.load_file(str(tmp_path / "iv.order"), "ordering")
         assert naive_four_point_scan(g, order) is None
         gp = write_graph(tmp_path / "k222.and", complete_multipartite_graph([2, 2, 2]))
         code, out, _ = run(capsys, "recognize-and1", gp, "--node-budget", "0")
@@ -481,7 +501,7 @@ class TestRecognizeCand1:
         gp = write_graph(tmp_path / "c5.and", g)
         code, out, _ = run(capsys, "recognize-cand1", gp)
         assert code == 0 and out.startswith("verdict=yes ")
-        r = fileio.load_realization(str(tmp_path / "c5.real"))
+        r = fileio.load_file(str(tmp_path / "c5.real"), "realization")
         assert verify(r, g).ok and is_central(r)
 
     def test_non_member_witness(self, tmp_path, capsys):
@@ -540,7 +560,7 @@ class TestRecognizeCand1:
         code, out, _ = run(capsys, "recognize-cand1", gp, "--node-budget", "0")
         assert code == 0 and out.startswith("verdict=yes ")
         real = str(tmp_path / "c2000.real")
-        assert is_central(fileio.load_realization(real))
+        assert is_central(fileio.load_file(real, "realization"))
         code, out, _ = run(capsys, "verify", real, gp)
         assert code == 0 and out.startswith("verdict=yes ")
 
@@ -598,7 +618,7 @@ class TestConversions:
         rp = write_real(tmp_path / "c4.real", r)
         code, _, _ = run(capsys, "to-boxes", rp)
         assert code == 0
-        loaded = fileio.load_corner_boxes(str(tmp_path / "c4.boxes"))
+        loaded = fileio.load_file(str(tmp_path / "c4.boxes"), "corner")
         assert loaded == r
         assert (tmp_path / "c4.boxes").read_text() == fileio.dumps_corner_boxes(r)
 
@@ -617,7 +637,7 @@ class TestConversions:
         assert len(rows) == len(points) == 5
         for toks in rows:
             assert toks[3] == points[(toks[1], toks[2])]
-        g = corner_box_intersection_graph(fileio.load_corner_boxes(str(boxes)))
+        g = corner_box_intersection_graph(fileio.load_file(str(boxes), "corner"))
         assert g == cycle_graph(5)
 
     def test_to_triangles_default_name(self, tmp_path, capsys):
@@ -625,7 +645,7 @@ class TestConversions:
         rp = write_real(tmp_path / "c5.real", r)
         code, _, _ = run(capsys, "to-triangles", rp)
         assert code == 0
-        loaded = fileio.load_semisquares(str(tmp_path / "c5.tri"))
+        loaded = fileio.load_file(str(tmp_path / "c5.tri"), "semisquare")
         assert loaded == r
         assert (tmp_path / "c5.tri").read_text() == fileio.dumps_semisquares(r)
         assert semisquare_intersection_graph(loaded) == cycle_graph(5)
@@ -646,7 +666,7 @@ class TestConversions:
         gp = write_real(tmp_path / "sq.real", guest)
         code, _, _ = run(capsys, "glue", hp, "3", gp, "11")
         assert code == 0
-        merged = fileio.load_realization(str(tmp_path / "tri-glued.real"))
+        merged = fileio.load_file(str(tmp_path / "tri-glued.real"), "realization")
         assert merged == glue_at_safe_vertex(host, 3, guest, 11)
         assert merged == reference_glue_at_safe_vertex(host, 3, guest, 11)
 
@@ -765,10 +785,10 @@ class TestErrorHandling:
         assert sorted(os.listdir(tmp_path)) == ["huge.and"]
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        def no_memory(path):
+        def no_memory(path, kind):
             raise MemoryError
 
-        monkeypatch.setattr(fileio, "load_graph", no_memory)
+        monkeypatch.setattr(fileio, "load_file", no_memory)
         src = write_graph(tmp_path / "paw.and", make_paw())
         code, out, err = run(capsys, "recognize-and1", src)
         assert code == 2 and out == ""
@@ -852,7 +872,7 @@ class TestOneParserPerProcess:
             d = tmp_path / side
             d.mkdir()
             write_graph(d / "k23.and", complete_multipartite_graph([2, 3]))
-            fileio.save_interval_model(str(d / "model.iv"), model)
+            fileio.save_file(str(d / "model.iv"), "interval", model)
             dirs[side] = d
         steps = [
             (2, "realize --cycle 5 --bogus"),  # a usage error mid-parse
@@ -897,7 +917,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     code, out, err = run_fresh("recognize-and1", gp)
     assert code == 0, err
     assert VERDICT.fullmatch(out) and out.startswith("verdict=yes ")
-    assert fileio.load_ordering(str(tmp_path / "k23.order")) == (1, 2, 3, 4, 5)
+    assert fileio.load_file(str(tmp_path / "k23.order"), "ordering") == (1, 2, 3, 4, 5)
 
 
 def test_loads_only_the_standard_library():
@@ -935,6 +955,6 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert VERDICT.fullmatch(proc.stdout)
-        assert edge_set(fileio.load_graph(str(out_g))) == edge_set(
+        assert edge_set(fileio.load_file(str(out_g), "graph")) == edge_set(
             cycle_graph(6)
         )

@@ -81,11 +81,11 @@ def _chain(work, name, gen, model, central):
     _run("render", real, "-o", stem + ".svg")
     if model in (".iv", ".rp"):
         if model == ".iv":
-            spans = fileio.load_interval_model(stem + model).spans
+            spans = fileio.load_file(stem + model, "interval").spans
             ordering = sorted(range(1, len(spans) + 1), key=lambda v: (spans[v - 1][0], v))
         else:
-            ordering = rdp_ordering(fileio.load_rooted_path_model(stem + model))
-        fileio.save_ordering(stem + ".ord", ordering)
+            ordering = rdp_ordering(fileio.load_file(stem + model, "rootedpath"))
+        fileio.save_file(stem + ".ord", "ordering", ordering)
         _run("check-order", stem + ".and", stem + ".ord",
              "--realize-out", stem + ".oreal", "--codes-out", stem + ".codes")
 

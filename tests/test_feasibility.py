@@ -615,6 +615,28 @@ class TestCertificates:
         assert res.realization.den == 1
         assert feasibility._interval_certificate(cycle_graph(4)) is None
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: path_graph(50), id="P50"),
+        pytest.param(lambda: families.random_interval(30, 0).graph, id="interval30"),
+    ])
+    def test_connected_interval_graph_makes_no_fraction(self, monkeypatch, make):
+        # the interval certificate works in ints, and one component needs
+        # no side-by-side layout
+        g = make()
+        made = []
+        new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted)
+        res = cand1_recognize(g, 0)
+        assert res.found and res.realization.den == 1
+        assert made == []
+        res.realization.coordinate(1)  # the counter sees a Fraction made
+        assert made
+
     def test_components_certified_one_by_one(self, no_search):
         # a cycle, a clique-block graph and a path beside an isolated vertex
         parts = (cycle_graph(6), families.random_block_graph(9, 3).graph, path_graph(1), path_graph(4))

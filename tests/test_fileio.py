@@ -36,6 +36,7 @@ from andbox.fileio import (
     parse_rational,
     sniff_format,
 )
+from andbox.graphs import path_graph
 from andbox.orders import implicit_encode, realization_from_ordering
 from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
 from andbox.realization import Realization, is_central, verify
@@ -377,9 +378,9 @@ class TestCornerBoxFormat:
         text = "b 1 1 1 2 -1 0\nb 1 2 2 3 -2 -1\nb 2 1 2 4 -2 -1\nb 2 2 1 5 -1 0\n"
         r = fileio.loads_corner_boxes(text)
         assert r.d == 2 and r.box(2) == ((F(1), F(4)), (F(0), F(5))) and r.point(2) == (F(2), F(1))
-        fileio.save_corner_boxes(str(tmp_path / "x.boxes"), r)
+        fileio.save_file(str(tmp_path / "x.boxes"), "corner", r)
         assert (tmp_path / "x.boxes").read_text() == text
-        assert fileio.load_corner_boxes(str(tmp_path / "x.boxes")) == r
+        assert fileio.load_file(str(tmp_path / "x.boxes"), "corner") == r
 
     def test_off_diagonal_corner_rejected(self):
         with pytest.raises(FileFormatError):
@@ -442,6 +443,7 @@ class TestSniffFormat:
         ("p and 1 0\n", "graph"),
         ("e 1 2\n", "graph"),
         ("r and 1 1\n", "realization"),
+        ("v 1 1 0 1 0\n", "realization"),
         ("central\n", "realization"),
         ("o 1 2\n", "ordering"),
         ("ic 1 1 1 1\n", "implicit"),
@@ -464,6 +466,61 @@ class TestSniffFormat:
         with pytest.raises(FileFormatError):
             sniff_format("c only comments\n\n")
 
+    @pytest.mark.parametrize("text", [
+        "c a\r\nc b\rp and 1 0\n",
+        "c a\x0cp and 1 0\n",
+        "c a o 1\n",
+        "c a\n\nwhat 1\n",
+        "c only comments\n",
+    ])
+    def test_file_sniffs_as_its_text(self, tmp_path, text):
+        path = tmp_path / "x.txt"
+        path.write_bytes(text.encode("utf-8"))
+
+        def outcome(sniff, arg):
+            try:
+                return sniff(arg)
+            except FileFormatError as e:
+                return str(e)
+
+        assert outcome(fileio.sniff_file, str(path)) == outcome(sniff_format, text)
+
+
+def _one_of_each_kind():
+    """kind -> (an object of that kind, its writer)."""
+    r = cycle_cand1(5, F(1, 4))
+    codes = implicit_encode(path_graph(7), tuple(range(1, 8)))
+    return {
+        "graph": (random_connected_graph(random.Random(3), 7), fileio.dumps_graph),
+        "realization": (r, fileio.dumps_realization),
+        "ordering": ((3, 1, 2), fileio.dumps_ordering),
+        "implicit": (codes, fileio.dumps_implicit_codes),
+        "interval": (random_interval(7, 2).aux, fileio.dumps_interval_model),
+        "outerplanar": (random_dissection(8, 4).aux, fileio.dumps_outerplanar_model),
+        "rootedpath": (random_rooted_path(9, 2).aux, fileio.dumps_rooted_path_model),
+        "corner": (random_realization(random.Random(5), 6, d=2), fileio.dumps_corner_boxes),
+        "semisquare": (r, fileio.dumps_semisquares),
+    }
+
+
+class TestFormatTable:
+    def test_every_kind_round_trips_through_a_file(self, tmp_path):
+        samples = _one_of_each_kind()
+        assert set(samples) == set(fileio.FORMATS)
+        for kind, (obj, dumps) in samples.items():
+            path = str(tmp_path / f"x.{kind}")
+            fileio.save_file(path, kind, obj)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            assert text == dumps(obj), kind
+            assert fileio.load_file(path, kind) == obj, kind
+            assert sniff_format(text) == fileio.sniff_file(path) == kind
+        assert sorted(os.listdir(tmp_path)) == sorted(f"x.{kind}" for kind in samples)
+
+    def test_no_tag_names_two_kinds(self):
+        tags = [tag for tags, _, _ in fileio.FORMATS.values() for tag in tags]
+        assert len(tags) == len(set(tags)) == 14
+
 
 class TestAtomicWrite:
     def test_writes_content(self, tmp_path):
@@ -485,15 +542,15 @@ class TestAtomicWrite:
 
     def test_save_load_pairs_hit_disk(self, tmp_path, paw_graph):
         gp = tmp_path / "g.and"
-        fileio.save_graph(str(gp), paw_graph)
-        assert fileio.load_graph(str(gp)) == paw_graph
+        fileio.save_file(str(gp), "graph", paw_graph)
+        assert fileio.load_file(str(gp), "graph") == paw_graph
         r = cycle_cand1(3, F(1, 2))
         rp = tmp_path / "c3.real"
-        fileio.save_realization(str(rp), r)
-        assert fileio.load_realization(str(rp)) == r
+        fileio.save_file(str(rp), "realization", r)
+        assert fileio.load_file(str(rp), "realization") == r
         op = tmp_path / "o.ord"
-        fileio.save_ordering(str(op), (2, 1))
-        assert fileio.load_ordering(str(op)) == (2, 1)
+        fileio.save_file(str(op), "ordering", (2, 1))
+        assert fileio.load_file(str(op), "ordering") == (2, 1)
 
 
 def _outcome(load, text):
@@ -655,9 +712,9 @@ class TestNoFractionsOnTheGeometryPath:
         g = random_block_graph(40, 108).graph
         r = blockwise_cand1(g)
         real, boxes, tri = (str(tmp_path / f"b.{ext}") for ext in ("real", "boxes", "tri"))
-        fileio.save_realization(real, r)
-        fileio.save_corner_boxes(boxes, r)
-        fileio.save_semisquares(tri, r)
+        fileio.save_file(real, "realization", r)
+        fileio.save_file(boxes, "corner", r)
+        fileio.save_file(tri, "semisquare", r)
         made = []
         new = F.__new__
 
@@ -666,13 +723,13 @@ class TestNoFractionsOnTheGeometryPath:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(F, "__new__", counted)
-        loaded = fileio.load_realization(real)
+        loaded = fileio.load_file(real, "realization")
         assert verify(loaded, g).ok
         render_realization_svg(loaded)
         fileio.dumps_corner_boxes(loaded)
         fileio.dumps_semisquares(loaded)
-        assert corner_box_intersection_graph(fileio.load_corner_boxes(boxes)) == g
-        assert semisquare_intersection_graph(fileio.load_semisquares(tri)) == g
+        assert corner_box_intersection_graph(fileio.load_file(boxes, "corner")) == g
+        assert semisquare_intersection_graph(fileio.load_file(tri, "semisquare")) == g
         assert made == []
         loaded.coordinate(1)  # the counter sees a Fraction made
         assert made

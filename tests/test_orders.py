@@ -422,7 +422,7 @@ class TestOrderingsAreTuples:
         res = cand1_for_ordering(g, order)
         assert res.found and r_order(res.realization) == (1, 2, 3, 4)
         assert fileio.dumps_ordering(order) == "o 1 2 3 4\n"
-        fileio.save_ordering(str(tmp_path / "p4.order"), order)
+        fileio.save_file(str(tmp_path / "p4.order"), "ordering", order)
         assert (tmp_path / "p4.order").read_text() == "o 1 2 3 4\n"
 
     def test_producers_return_tuples(self, tmp_path):
@@ -430,7 +430,7 @@ class TestOrderingsAreTuples:
         graphs = [path_graph(4), cycle_graph(5), Graph.from_edges(5, [(1, 2)])]
         produced = [
             fileio.loads_ordering("o 3 1 2\n"),
-            fileio.load_ordering(str(tmp_path / "g.order")),
+            fileio.load_file(str(tmp_path / "g.order"), "ordering"),
             rdp_ordering(families.random_rooted_path(10, 1).aux),
             h_graph_ordering(families.h_graph(2, 3, 3).aux),
             h_graph_ordering(families.h_graph(3, 3, 4).aux),
