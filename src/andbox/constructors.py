@@ -11,6 +11,14 @@ interval gap sweep on an umbrella-free order of it.  An outerplanar
 model file defines its graph only: outerplanar_cand1 is blockwise_cand1
 of that graph.
 
+The constructions compute on int numerators over one den and end in
+realization._lowest, which reduces them to the least den, as
+Realization.build would from Fractions.  Cycles and cliques are written
+on the lattice directly, and the glue at a safe vertex refines the
+host's den by an integer factor so that the shrunk guest stays whole.
+Only the polygon dissection of an outerplanar block folds its faces in
+Fractions; the block tree takes each block's items onto the lattice once.
+
 Two cycles sharing an edge are a polygon with one chord, which
 outerplanar_cand1 realizes: the 5-cycle 1..5 and a 4-cycle sharing its
 edge (1, 2), with fresh vertices 6, 7 running from 1 to 2, are the
@@ -25,17 +33,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
 from .orders import rank_bounds
-from .realization import Realization, RealizationError, central_realization, safe_in
+from .realization import Realization, RealizationError, _lowest, central_realization, safe_in
 
 HALF = Fraction(1, 2)
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +92,11 @@ def cycle_cand1(n: int, eps=HALF, anchor: int = 1) -> Realization:
     and [1-e, 2n-1+e] around point n); every other vertex i gets
     [i-(1+e), i+(1+e)] around point i.  The anchor's point lies only in
     its own and its two cycle neighbors' boxes, so the anchor is safe.
+    eps is an int or a Fraction, so only a Fraction lies in range; a
+    float would enter the lattice as a binary fraction.
     """
-    eps = _frac(eps)
+    if isinstance(eps, bool) or not isinstance(eps, (int, Fraction)):
+        raise GraphError(f"eps must be an int or a Fraction, not {eps!r}")
     if n < 3:
         raise GraphError("cycles need at least 3 vertices")
     if not (0 < eps < 1):
@@ -96,88 +104,148 @@ def cycle_cand1(n: int, eps=HALF, anchor: int = 1) -> Realization:
     if not (1 <= anchor <= n):
         raise GraphError("anchor must be a vertex of the cycle")
     ids = list(range(anchor, n + 1)) + list(range(1, anchor))
-    return Realization.build(1, _cycle_items(ids, eps))
+    return _line(eps.denominator, _cycle_items(ids, eps))
 
 
-def _cycle_items(ids, eps) -> dict:
-    """cycle_cand1's boxes as {id: (interval, point)}, ids[i - 1] taking
-    label i."""
+def _cycle_items(ids, eps: Fraction) -> dict:
+    """cycle_cand1's boxes as items {id: ((L, R), p)} of int numerators
+    over eps.denominator, ids[i - 1] taking label i."""
     n = len(ids)
+    e, q = eps.numerator, eps.denominator
     items = {}
     for label, v in enumerate(ids, start=1):
         if label == 1:
-            box = (2 - n - eps, n + eps)
+            box = ((2 - n) * q - e, n * q + e)
         elif label == n:
-            box = (1 - eps, 2 * n - 1 + eps)
+            box = (q - e, (2 * n - 1) * q + e)
         else:
-            box = (label - (1 + eps), label + (1 + eps))
-        items[v] = (box, Fraction(label))
+            box = ((label - 1) * q - e, (label + 1) * q + e)
+        items[v] = (box, label * q)
     return items
 
 
+def _line(den: int, items: dict) -> Realization:
+    """The d = 1 realization of items {id: ((L, R), p)}, every coordinate
+    an int numerator over den, reduced to its least den."""
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in items):
+        raise RealizationError("vertex ids must be positive integers")
+    ids = tuple(sorted(items))
+    boxes = tuple((items[v][0],) for v in ids)
+    points = tuple((items[v][1],) for v in ids)
+    return _lowest(1, ids, den, boxes, points)
+
+
 # ---------------------------------------------------------------------------
-# gluing two realizations at a safe vertex
+# gluing realizations at safe vertices, on one integer lattice
 
-def _distinct_points(items: dict) -> list:
-    """The sorted points of a host or guest, which must differ."""
-    pts = sorted(p for _, p in items.values())
-    if any(a == b for a, b in zip(pts, pts[1:])):
+def _numerators(items: dict):
+    """(den, items) for d = 1 items {id: ((L, R), p)} of ints and
+    Fractions, as Realization.build takes them: den is their least common
+    denominator and the items returned hold int numerators over it."""
+    flat = [c for (lo, hi), p in items.values() for c in (lo, hi, p)]
+    kinds = {type(c) for c in flat}
+    if kinds <= {int}:
+        return 1, items
+    if not kinds <= {int, Fraction}:
+        bad = next(c for c in flat if type(c) not in (int, Fraction))
+        raise RealizationError(f"coordinate {bad!r} is not an int or a Fraction")
+    den = lcm(*{c.denominator for c in flat})
+
+    def whole(c):
+        return c.numerator * (den // c.denominator)
+
+    return den, {v: ((whole(lo), whole(hi)), whole(p)) for v, ((lo, hi), p) in items.items()}
+
+
+def _point_order(items: dict) -> list:
+    """The vertices of a host or guest sorted by point; the points must
+    differ."""
+    order = sorted(items, key=lambda v: items[v][1])
+    if any(items[u][1] == items[v][1] for u, v in zip(order, order[1:])):
         raise GraphError("gluing requires distinct points in each input")
-    return pts
+    return order
 
 
-def _glue_scale(items: dict, pts: list, w1: int, guest: dict) -> Fraction:
-    """delta / (2 * span): delta is the distance from the hosting point to
-    the nearest other point of the host, span the length of an interval
-    containing every guest box.  delta is 1 when the host has no other
-    point, span is 1 when it is 0."""
-    if w1 not in items:
-        raise RealizationError(f"unknown vertex {w1}")
-    p1 = items[w1][1]
-    # distance to every other point, not just neighbors: a wide host box
-    # of a non-neighbor may reach arbitrarily close to p1; in the sorted
-    # points the nearest one sits right before or after p1
-    i = bisect_left(pts, p1)
-    deltas = [p1 - pts[i - 1]] if i else []
-    if i + 1 < len(pts):
-        deltas.append(pts[i + 1] - p1)
-    delta = min(deltas) if deltas else Fraction(1)
-    coords = [c for box, _ in guest.values() for c in box]
-    span = max(coords) - min(coords)
-    if span == 0:
-        span = Fraction(1)
-    return delta / (2 * span)
+class _Lattice:
+    """A d = 1 realization under assembly, on one integer lattice.
+
+    den is the current denominator.  at[v] = (L, R, p, dv) holds v's
+    numerators over dv, the den when v was last written, which divides
+    den; left and right link the vertices in point order.  A glue refines
+    den by an integer factor but rewrites only its guest and the glued
+    vertex, so it costs O(|guest| log |guest|), and every vertex is
+    brought to the final den once, by realization()."""
+
+    def __init__(self, den: int, items: dict):
+        order = _point_order(items)
+        self.den = den
+        self.at = {v: (lo, hi, p, den) for v, ((lo, hi), p) in items.items()}
+        self.left = dict(zip(order, [None] + order[:-1]))
+        self.right = dict(zip(order, order[1:] + [None]))
+
+    def _now(self, v):
+        """(L, R, p) of v over the current den."""
+        lo, hi, p, dv = self.at[v]
+        k = self.den // dv
+        return lo * k, hi * k, p * k
+
+    def glue(self, w1: int, den: int, guest: dict, w2: int) -> None:
+        """glue_at_safe_vertex's glue of the guest items, int numerators
+        over den, onto this host.  delta is the distance from p_{w1} to the
+        nearest other point (1 when there is none) and span the length of
+        an interval holding every guest box (1 when it is 0), in ints over
+        the host's den D and the guest's den.  With g = gcd(delta, 2*span),
+        a = delta/g and f = 2*span/g, the shrink by delta/(2*span) maps a
+        guest coordinate x to a*(x - p_{w2}) + f*p_{w1} over D*f."""
+        order = _point_order(guest)
+        if not safe_in(guest, w2):
+            raise GraphError(f"vertex {w2} is not safe in the second realization")
+        overlap = sorted(v for v in guest if v != w2 and v in self.at)
+        if overlap:
+            raise GraphError(f"vertex ids collide outside the glued pair: {overlap}")
+        if w1 not in self.at:
+            raise RealizationError(f"unknown vertex {w1}")
+        below, above = self.left[w1], self.right[w1]
+        lo1, hi1, p1 = self._now(w1)
+        # the nearest point of any vertex, not only of w1's graph neighbours:
+        # a wide host box of a non-neighbour may reach arbitrarily close to p1
+        delta = min((abs(self._now(u)[2] - p1) for u in (below, above) if u is not None), default=self.den)
+        coords = [c for box, _ in guest.values() for c in box]
+        span = (max(coords) - min(coords)) or den
+        g = gcd(delta, 2 * span)
+        a, f = delta // g, 2 * span // g
+        self.den *= f
+        p1 *= f
+        (lo2, hi2), p2 = guest[w2]
+
+        def shift(x):
+            return a * (x - p2) + p1
+
+        at, now = self.at, self.den
+        at[w1] = (min(lo1 * f, shift(lo2)), max(hi1 * f, shift(hi2)), p1, now)
+        for v, ((lo, hi), q) in guest.items():
+            if v != w2:
+                at[v] = (shift(lo), shift(hi), shift(q), now)
+        # the shift keeps the guest's point order, and every guest point
+        # lies nearer p1 than the host's neighbours of w1 do
+        i = order.index(w2)
+        chain = [below, *order[:i], w1, *order[i + 1:], above]
+        for u, v in zip(chain, chain[1:]):
+            if u is not None:
+                self.right[u] = v
+            if v is not None:
+                self.left[v] = u
+
+    def realization(self) -> Realization:
+        den, scale, items = self.den, {}, {}
+        for v, (lo, hi, p, dv) in self.at.items():
+            k = scale.get(dv) or scale.setdefault(dv, den // dv)
+            items[v] = ((lo * k, hi * k), p * k)
+        return _line(den, items)
 
 
-def _glue_into(items: dict, pts: list, w1: int, guest: dict, w2: int) -> None:
-    """One glue: identify w1 of the host (items, pts) with the safe
-    vertex w2 of the guest items.  Only the guest's vertices are written
-    into items and only its points are inserted into pts, so a glue costs
-    O(|guest| log n) plus the list insertions, not a pass over the host."""
-    _distinct_points(guest)
-    if not safe_in(guest, w2):
-        raise GraphError(f"vertex {w2} is not safe in the second realization")
-    overlap = sorted(v for v in guest if v != w2 and v in items)
-    if overlap:
-        raise GraphError(f"vertex ids collide outside the glued pair: {overlap}")
-
-    s = _glue_scale(items, pts, w1, guest)
-    (l1, h1), p1 = items[w1]
-    (l2, h2), p2 = guest[w2]
-
-    def shift(x):
-        return s * (x - p2) + p1
-
-    items[w1] = ((min(l1, shift(l2)), max(h1, shift(h2))), p1)
-    for v, ((lo, hi), q) in guest.items():
-        if v == w2:
-            continue
-        q = shift(q)
-        items[v] = ((shift(lo), shift(hi)), q)
-        i = bisect_left(pts, q)
-        if i < len(pts) and pts[i] == q:
-            raise GraphError("gluing requires distinct points in each input")
-        pts.insert(i, q)
+def _numerator_items(r: Realization) -> dict:
+    return {v: (box[0], pt[0]) for v, box, pt in zip(r.ids, r.boxes, r.points)}
 
 
 def glue_at_safe_vertex(
@@ -193,9 +261,9 @@ def glue_at_safe_vertex(
     """
     if r1.d != 1 or r2.d != 1:
         raise GraphError("gluing is defined for one-dimensional realizations")
-    items = r1.line_items()
-    _glue_into(items, _distinct_points(items), w1, r2.line_items(), w2)
-    return Realization.build(1, items)
+    lattice = _Lattice(r1.den, _numerator_items(r1))
+    lattice.glue(w1, r2.den, _numerator_items(r2), w2)
+    return lattice.realization()
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +273,16 @@ def clique_cand1(vertices) -> Realization:
     """Central clique realization over the given ids: the i-th vertex gets
     point i and box [i-k, i+k], so every point lies in every box and every
     vertex is safe."""
-    return Realization.build(1, _clique_items(vertices))
+    return _line(1, _clique_items(vertices))
 
 
 def _clique_items(vertices) -> dict:
-    """clique_cand1's boxes as items {id: ((L, R), p)}."""
+    """clique_cand1's boxes as int items {id: ((L, R), p)}."""
     vs = sorted(vertices)
     if not vs:
         raise GraphError("clique needs at least one vertex")
     k = len(vs)
-    return {
-        v: ((Fraction(i - k), Fraction(i + k)), Fraction(i))
-        for i, v in enumerate(vs, start=1)
-    }
+    return {v: ((i - k, i + k), i) for i, v in enumerate(vs, start=1)}
 
 
 def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
@@ -226,17 +291,17 @@ def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
 
     build(block_index, parent_cut_vertex_or_None) is called once per
     block, when it is about to be glued, and returns a fresh dict of the
-    block's items {id: ((L, R), p)}, with distinct points p.  Every
-    non-root block's items must have the parent cut vertex safe.
+    block's items {id: ((L, R), p)}, ints or Fractions as
+    Realization.build takes them, with distinct points p.  Every non-root
+    block's items must have the parent cut vertex safe.
 
-    The whole assembly keeps one items dict and one sorted point list:
-    each glue touches only its guest, and the realization is built once.
+    The whole assembly is one _Lattice: each glue touches only its guest,
+    and the realization is built once.
     """
     blocks = bd.blocks
     if not blocks:
         raise GraphError("no blocks to assemble")
-    items = build(0, None)
-    pts = _distinct_points(items)
+    lattice = _Lattice(*_numerators(build(0, None)))
     seen_blocks = {0}
     queue = deque([0])
     while queue:
@@ -246,11 +311,11 @@ def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
                 if bj in seen_blocks:
                     continue
                 seen_blocks.add(bj)
-                _glue_into(items, pts, c, build(bj, c), c)
+                lattice.glue(c, *_numerators(build(bj, c)), c)
                 queue.append(bj)
     if len(seen_blocks) != len(blocks):
         raise GraphError("block tree is not connected")
-    return Realization.build(1, items)
+    return lattice.realization()
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +403,8 @@ def _ring_block_cand1(ring, edges, cut) -> dict:
     The ring is rotated so the outer edge from the anchor to its lesser
     ring neighbour becomes the wrap side; the face along it is realized as
     a cycle and every other face is folded into the gap of its closing
-    chord.  The anchor ends up safe."""
+    chord.  The anchor ends up safe.  The faces are folded in Fractions,
+    so the items are Fractions."""
     i = ring.index(min(ring) if cut is None else cut)
     if ring[i - 1] < ring[(i + 1) % len(ring)]:
         ring = ring[i:] + ring[:i]
@@ -349,7 +415,10 @@ def _ring_block_cand1(ring, edges, cut) -> dict:
     spans = [sorted((pos[u], pos[v])) for u, v in edges]
     # a ring edge spans 1 or k - 1 positions, a chord anything between
     faces = _dissection_faces(k, [(a, b) for a, b in spans if 1 < b - a < k - 1])
-    items = _cycle_items([ring[p] for p in faces[0][0]], HALF)
+    items = {
+        v: ((Fraction(lo, 2), Fraction(hi, 2)), Fraction(p, 2))
+        for v, ((lo, hi), p) in _cycle_items([ring[p] for p in faces[0][0]], HALF).items()
+    }
     pts = sorted(pt for _, pt in items.values())
     for face, (a, b) in faces[1:]:
         _insert_cycle_into_gap(items, pts, ring[a], ring[b], [ring[p] for p in face[1:-1]])

@@ -11,8 +11,11 @@ one shared denominator den: the least positive integer that makes every
 coordinate whole.  That den is canonical, so equal realizations compare
 equal.  Every decision (containment, centrality, the sweeps) compares
 ints, exactly and with no floats anywhere.  The accessors box, point,
-interval, coordinate, items and line_items hand out exact Fractions for
-the constructors' arithmetic, and build takes ints and Fractions back.
+interval, coordinate, items and line_items hand out exact Fractions, and
+build takes ints and Fractions back.  Inside the package only
+cand1_recognize's side-by-side layout of components reads them; the
+constructions, the file formats and the SVG work on the numerators, and
+the Fraction form serves callers outside the package and the tests.
 """
 
 from __future__ import annotations
@@ -374,11 +377,21 @@ def safe_in(items: dict, v: int) -> bool:
 
 
 def relabel(r: Realization, mapping: dict) -> Realization:
-    """New realization with ids mapping[v]; mapping must be injective."""
+    """New realization with ids mapping[v]; mapping must be injective.
+    The numerators and den are kept, and the rows are reordered by new id."""
     if len(set(mapping.values())) != len(mapping):
         raise RealizationError("relabel mapping must be injective")
     missing = [v for v in r.ids if v not in mapping]
     if missing:
         raise RealizationError(f"relabel mapping misses vertices {missing}")
-    items = {mapping[v]: (box, point) for v, box, point in r.items()}
-    return Realization.build(r.d, items)
+    new = [mapping[v] for v in r.ids]
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in new):
+        raise RealizationError("vertex ids must be positive integers")
+    rows = sorted(range(r.n), key=new.__getitem__)
+    return Realization._checked(
+        r.d,
+        tuple(new[i] for i in rows),
+        r.den,
+        tuple(r.boxes[i] for i in rows),
+        tuple(r.points[i] for i in rows),
+    )

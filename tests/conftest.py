@@ -15,7 +15,6 @@ from itertools import combinations, permutations
 
 import pytest
 
-from andbox.constructors import cycle_cand1
 from andbox.families import OuterplanarModel
 from andbox.graphs import Graph
 from andbox.realization import Realization, is_safe
@@ -401,6 +400,30 @@ def reference_is_outerplanar(vertices, edges) -> bool:
     return nx.check_planarity(h)[0]
 
 
+def reference_cycle_cand1(n: int, eps=Fraction(1, 2), anchor: int = 1) -> Realization:
+    """constructors.cycle_cand1 in Fraction arithmetic, built by
+    Realization.build: the construction before it moved onto the integer
+    lattice."""
+    eps = Fraction(eps)
+    ids = list(range(anchor, n + 1)) + list(range(1, anchor))
+    items = {}
+    for label, v in enumerate(ids, start=1):
+        if label == 1:
+            box = (2 - n - eps, n + eps)
+        elif label == n:
+            box = (1 - eps, 2 * n - 1 + eps)
+        else:
+            box = (label - (1 + eps), label + (1 + eps))
+        items[v] = (box, Fraction(label))
+    return Realization.build(1, items)
+
+
+def reference_relabel(r: Realization, mapping: dict) -> Realization:
+    """realization.relabel by a round trip through the Fraction items and
+    Realization.build."""
+    return Realization.build(r.d, {mapping[v]: (box, point) for v, box, point in r.items()})
+
+
 def reference_glue_at_safe_vertex(r1: Realization, w1: int, r2: Realization, w2: int) -> Realization:
     """Glue r2 onto r1 by rebuilding the whole host: delta is the minimum
     over every other host point, and the result is a fresh Realization.
@@ -471,7 +494,7 @@ def reference_insert_cycle_into_gap(items: dict, x: int, y: int, new_ids) -> Non
         eps = min(eps, (t - 1) * min(left) / (2 * gap))
     if right:
         eps = min(eps, (t - 1) * min(right) / (2 * gap))
-    guest = cycle_cand1(t, eps)
+    guest = reference_cycle_cand1(t, eps)
     for label, v in enumerate(new_ids, start=2):
         (lo, hi), pt = guest.interval(label), guest.coordinate(label)
         items[v] = ((sigma * (lo - 1) + px, sigma * (hi - 1) + px), sigma * (pt - 1) + px)

@@ -14,8 +14,6 @@ from andbox import constructors
 from andbox.constructors import (
     _clique_items,
     _dissection_faces,
-    _distinct_points,
-    _glue_scale,
     assemble_block_tree,
     blockwise_cand1,
     clique_cand1,
@@ -57,7 +55,9 @@ from conftest import (
     oracle_interval_overlap_edges,
     one_chord_polygon,
     reference_assemble_block_tree,
+    reference_cycle_cand1,
     reference_dissection_faces,
+    reference_glue_at_safe_vertex,
     reference_insert_cycle_into_gap,
     reference_is_outerplanar,
     reference_noncrossing,
@@ -132,6 +132,16 @@ class TestCycleCand1:
         for anchor in (0, 6):
             with pytest.raises(GraphError):
                 cycle_cand1(5, F(1, 2), anchor=anchor)
+        # a float would enter the lattice as a binary fraction
+        for eps in (0.3, 0.5, True):
+            with pytest.raises(GraphError, match="int or a Fraction"):
+                cycle_cand1(5, eps)
+
+    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 4)])
+    def test_matches_fraction_reference(self, eps):
+        for n in range(3, 13):
+            for anchor in range(1, n + 1):
+                assert cycle_cand1(n, eps, anchor) == reference_cycle_cand1(n, eps, anchor)
 
 
 def assert_least_integer_gaps(m, r):
@@ -301,17 +311,22 @@ class TestGlueAtSafeVertex:
         assert oracle_induced_edges(host) == {fz(1, 2)}
         guest = Realization.build(1, {1: ((F(-1), F(1)), F(0)), 4: ((F(0), F(2)), F(1))})
         # delta = 1/2 (p_3), span = 3: the guest shrinks by 1/12
-        items = host.line_items()
-        assert _glue_scale(items, _distinct_points(items), 1, guest.line_items()) == F(1, 12)
         glued = glue_at_safe_vertex(host, 1, guest, 1)
+        assert glued.coordinate(4) == F(1, 12)
+        assert glued.interval(4) == (F(0), F(1, 6))
         assert oracle_induced_edges(glued) == {fz(1, 2), fz(1, 4)}
 
     def test_degenerate_params_fall_back_to_one(self):
         host = Realization.build(1, {7: ((F(-1), F(1)), F(0))})
         guest = Realization.build(1, {7: ((F(2), F(2)), F(2))})
-        # no other host point and a zero-length guest: delta = span = 1
-        items = host.line_items()
-        assert _glue_scale(items, _distinct_points(items), 7, guest.line_items()) == F(1, 2)
+        # no other host point and a zero-length guest: delta = span = 1,
+        # and the guest's one point lands on p_7
+        assert glue_at_safe_vertex(host, 7, guest, 7) == host
+        # no other host point and a guest of span 1: the guest shrinks by 1/2
+        guest = Realization.build(1, {7: ((F(0), F(1)), F(0)), 8: ((F(0), F(1)), F(1))})
+        glued = glue_at_safe_vertex(host, 7, guest, 7)
+        assert glued.coordinate(8) == F(1, 2)
+        assert glued.interval(8) == (F(0), F(1, 2))
 
     def test_unsafe_guest_vertex_rejected(self):
         guest = Realization.build(1, {
@@ -370,7 +385,9 @@ class TestGlueAtSafeVertex:
                     next_id += 1
                     guest = relabel(cycle_cand1(t, F(1, 2)), mapping)
                     added = ring_edges([w] + fresh)
-                acc = glue_at_safe_vertex(acc, w, guest, w)
+                glued = glue_at_safe_vertex(acc, w, guest, w)
+                assert glued == reference_glue_at_safe_vertex(acc, w, guest, w)
+                acc = glued
                 expected |= added
                 assert is_central(acc)
                 assert oracle_induced_edges(acc) == expected
@@ -440,18 +457,18 @@ class TestBlockAssembly:
 
     def test_star_builds_each_vertex_a_bounded_number_of_times(self, monkeypatch):
         # a star with 400 leaves has 400 bridge blocks; rebuilding the
-        # accumulated realization after every glue passes about n^2/2
-        # items to Realization.build, one final build passes n
+        # accumulated realization after every glue hands about n^2/2 rows
+        # to Realization._checked, one final build hands it n
         n = 401
         passed = 0
-        build = Realization.build
+        checked = Realization._checked
 
-        def counted(d, items):
+        def counted(d, ids, den, boxes, points):
             nonlocal passed
-            passed += len(items)
-            return build(d, items)
+            passed += len(ids)
+            return checked(d, ids, den, boxes, points)
 
-        monkeypatch.setattr(Realization, "build", staticmethod(counted))
+        monkeypatch.setattr(Realization, "_checked", staticmethod(counted))
         r = blockwise_cand1(Graph.from_edges(n, [(1, v) for v in range(2, n + 1)]))
         assert r.n == n
         assert passed <= 3 * n
@@ -751,16 +768,16 @@ class TestBlockwiseCand1:
         # glued whole once: C8 alone, and C8 with a triangle hung off 8
         c8 = cycle_graph(8)
         c8_triangle = Graph.from_edges(10, c8.edge_list() + [(8, 9), (8, 10), (9, 10)])
-        build = Realization.build
+        checked = Realization._checked
         for g, blocks in ((c8, 1), (c8_triangle, 2)):
             builds = 0
 
-            def counted(d, items):
+            def counted(d, ids, den, boxes, points):
                 nonlocal builds
                 builds += 1
-                return build(d, items)
+                return checked(d, ids, den, boxes, points)
 
-            monkeypatch.setattr(Realization, "build", staticmethod(counted))
+            monkeypatch.setattr(Realization, "_checked", staticmethod(counted))
             r = blockwise_cand1(g)
             assert builds == 1
             monkeypatch.undo()

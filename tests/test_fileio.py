@@ -39,7 +39,7 @@ from andbox.fileio import (
 from andbox.graphs import path_graph
 from andbox.orders import implicit_encode, realization_from_ordering
 from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
-from andbox.realization import Realization, is_central, verify
+from andbox.realization import Realization, is_central, relabel, verify
 from andbox.svg import render_realization_svg
 
 from conftest import (
@@ -733,3 +733,19 @@ class TestNoFractionsOnTheGeometryPath:
         assert made == []
         loaded.coordinate(1)  # the counter sees a Fraction made
         assert made
+
+    def test_cycle_block_and_relabel(self, monkeypatch):
+        # realize --cycle 700 and realize block build on the lattice, and
+        # relabel permutes the numerators
+        g = random_block_graph(220, 1).graph
+        made = []
+        new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted)
+        for r in (cycle_cand1(700), blockwise_cand1(g)):
+            relabel(r, {v: r.n + 1 - v for v in r.ids})
+        assert made == []

@@ -7,8 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 from andbox import realization
-from andbox.constructors import cycle_cand1, outerplanar_cand1
-from andbox.families import OuterplanarModel
+from andbox.constructors import blockwise_cand1, cycle_cand1, outerplanar_cand1
+from andbox.families import OuterplanarModel, random_block_graph
 from andbox.graphs import cycle_graph
 from andbox.realization import (
     Realization,
@@ -34,6 +34,7 @@ from conftest import (
     random_realization,
     random_tied_realization,
     reference_line_pairs,
+    reference_relabel,
 )
 
 
@@ -386,3 +387,14 @@ class TestRelabel:
     def test_rejects_partial(self, paw_realization):
         with pytest.raises(RealizationError, match=r"misses vertices \[3, 4\]"):
             relabel(paw_realization, {1: 1, 2: 2})
+
+    def test_rejects_non_positive_ids(self, paw_realization):
+        with pytest.raises(RealizationError, match="positive integers"):
+            relabel(paw_realization, {1: 0, 2: 2, 3: 3, 4: 4})
+
+    def test_matches_the_fraction_round_trip(self):
+        # the cycle and block certificates of the geometry workload, their
+        # ids reversed and spread out
+        for r in (cycle_cand1(700), blockwise_cand1(random_block_graph(220, 1).graph)):
+            for mapping in ({v: r.n + 1 - v for v in r.ids}, {v: 3 * v + 7 for v in r.ids}):
+                assert relabel(r, mapping) == reference_relabel(r, mapping)
