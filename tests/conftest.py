@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, cycle, permutations
 
 import pytest
 
@@ -1053,6 +1053,46 @@ def one_chord_polygon(n: int, m: int, shared) -> OuterplanarModel:
     ring = tuple((v - 1 + i) % m + 1 for i in range(m))
     fresh = tuple(range(m + 1, m + n - 1))
     return OuterplanarModel(ring + fresh, ((min(u, v), max(u, v)),))
+
+
+def nested_polygon(k: int) -> OuterplanarModel:
+    """The k-gon 1..k with the nested chords (i, k + 1 - i) for
+    2 <= i < k // 2: each face closes on the chord around it."""
+    return OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
+
+
+def fan_polygon(k: int) -> OuterplanarModel:
+    """The k-gon 1..k with the chords (1, t) for 3 <= t < k: k - 2
+    triangles around vertex 1, each folded into the face before it."""
+    return OuterplanarModel(tuple(range(1, k + 1)), tuple((1, t) for t in range(3, k)))
+
+
+def ear_polygon(k: int, sizes=(3, 4, 5, 6)) -> OuterplanarModel:
+    """The k-gon 1..k with ears cut off along its side from 2: chords
+    (i, i + s - 1) for i = 2, 2 + s_1 - 1, ..., their sizes s taken in
+    turn from sizes.  The ears are sibling faces that all close on the
+    face through the edge (1, 2)."""
+    chords, i = [], 2
+    for s in cycle(sizes):
+        if i + s - 1 > k:
+            break
+        chords.append((i, i + s - 1))
+        i += s - 1
+    return OuterplanarModel(tuple(range(1, k + 1)), tuple(chords))
+
+
+def ear_polygon_chain(count: int, k: int) -> Graph:
+    """count copies of ear_polygon(k) in a chain: vertex k // 3 of each
+    copy after the first is vertex k // 2 of the copy before it, so
+    n = count (k - 1) + 1 and the blocks after the first are anchored
+    away from their vertex 1."""
+    polygon = ear_polygon(k).graph().edge_list()
+    fresh = iter(range(1, count * (k - 1) + 2))
+    edges, label = [], {}
+    for j in range(count):
+        label = {i: label[k // 2] if j and i == k // 3 else next(fresh) for i in range(1, k + 1)}
+        edges += [(label[u], label[v]) for u, v in polygon]
+    return Graph.from_edges(count * (k - 1) + 1, edges)
 
 
 @pytest.fixture

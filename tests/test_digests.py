@@ -5,7 +5,9 @@ converted to corner boxes (and to semi-squares when central), rendered,
 and, for the interval and rooted-path models, passed to check-order with
 its realization and codes written out.  Every file the chain leaves in
 the directory is pinned by its sha256, so any change to a writer, a
-construction or the renderer that moves one byte fails here.
+construction or the renderer that moves one byte fails here.  The
+written realizations of polygons whose faces fold many levels deep or
+side by side, and of a chain of such blocks, are pinned the same way.
 """
 
 import hashlib
@@ -13,7 +15,9 @@ import os
 
 from andbox import fileio
 from andbox.cli import main
-from andbox.constructors import rdp_ordering
+from andbox.constructors import blockwise_cand1, outerplanar_cand1, rdp_ordering
+
+from conftest import ear_polygon, ear_polygon_chain, fan_polygon, nested_polygon
 
 # (name, gen arguments, realize input suffix or None for --cycle, central)
 CHAINS = [
@@ -104,3 +108,23 @@ def test_chain_outputs_keep_their_digests(tmp_path, capsys):
     got = digests(str(tmp_path))
     capsys.readouterr()
     assert got == DIGESTS
+
+
+# sha256 of dumps_realization for face foldings the chains above do not reach
+POLYGON_DIGESTS = {
+    "fan-400": "f9a9b601f5c4ae6aec4c2b4c98f3db26a351aacb45b2595c5167a0c3fab1ac10",
+    "ear-400": "1e1cea5d17aa0e88eeafe74c0f1c8c8bd4d0d6d21dee711419159e063658b369",
+    "nested-400": "688214d189e08bb8256ca857479c03722fba2738e0b76d5fc84ea7dc0672525b",
+    "ear-chain-6x101": "e7ae73c776aa5766148b6b0e1f0ddc17a2c5b6d91d49cb378c1f0bb1e084a788",
+}
+
+
+def test_polygon_realizations_keep_their_digests():
+    realizations = {
+        "fan-400": outerplanar_cand1(fan_polygon(400)),
+        "ear-400": outerplanar_cand1(ear_polygon(400)),
+        "nested-400": outerplanar_cand1(nested_polygon(400)),
+        "ear-chain-6x101": blockwise_cand1(ear_polygon_chain(6, 101)),
+    }
+    got = {name: hashlib.sha256(fileio.dumps_realization(r).encode()).hexdigest() for name, r in realizations.items()}
+    assert got == POLYGON_DIGESTS
