@@ -14,10 +14,10 @@ of that graph.
 The constructions compute on int numerators over one den and end in
 realization._lowest, which reduces them to the least den, as
 Realization.build would from Fractions.  Cycles and cliques are written
-on the lattice directly, and the glue at a safe vertex refines the
-host's den by an integer factor so that the shrunk guest stays whole.
-Only the polygon dissection of an outerplanar block folds its faces in
-Fractions; the block tree takes each block's items onto the lattice once.
+on the lattice directly.  The glue at a safe vertex, and the fold of a
+polygon dissection's face into the gap of its closing chord, refine the
+den by an integer factor so that what they write stays whole; no
+construction makes a Fraction.
 
 Two cycles sharing an edge are a polygon with one chord, which
 outerplanar_cand1 realizes: the 5-cycle 1..5 and a 4-cycle sharing its
@@ -30,10 +30,10 @@ outerplanar model file
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
@@ -136,26 +136,7 @@ def _line(den: int, items: dict) -> Realization:
 
 
 # ---------------------------------------------------------------------------
-# gluing realizations at safe vertices, on one integer lattice
-
-def _numerators(items: dict):
-    """(den, items) for d = 1 items {id: ((L, R), p)} of ints and
-    Fractions, as Realization.build takes them: den is their least common
-    denominator and the items returned hold int numerators over it."""
-    flat = [c for (lo, hi), p in items.values() for c in (lo, hi, p)]
-    kinds = {type(c) for c in flat}
-    if kinds <= {int}:
-        return 1, items
-    if not kinds <= {int, Fraction}:
-        bad = next(c for c in flat if type(c) not in (int, Fraction))
-        raise RealizationError(f"coordinate {bad!r} is not an int or a Fraction")
-    den = lcm(*{c.denominator for c in flat})
-
-    def whole(c):
-        return c.numerator * (den // c.denominator)
-
-    return den, {v: ((whole(lo), whole(hi)), whole(p)) for v, ((lo, hi), p) in items.items()}
-
+# one integer lattice: gluing at safe vertices, folding dissection faces
 
 def _point_order(items: dict) -> list:
     """The vertices of a host or guest sorted by point; the points must
@@ -171,10 +152,11 @@ class _Lattice:
 
     den is the current denominator.  at[v] = (L, R, p, dv) holds v's
     numerators over dv, the den when v was last written, which divides
-    den; left and right link the vertices in point order.  A glue refines
-    den by an integer factor but rewrites only its guest and the glued
-    vertex, so it costs O(|guest| log |guest|), and every vertex is
-    brought to the final den once, by realization()."""
+    den; left and right link the vertices in point order.  A glue or a
+    fold refines den by an integer factor but writes only the vertices it
+    places (and the glued vertex), so a glue costs O(|guest| log |guest|)
+    and a fold O(|new_ids|), and every vertex is brought to the final den
+    once, by items()."""
 
     def __init__(self, den: int, items: dict):
         order = _point_order(items)
@@ -236,12 +218,58 @@ class _Lattice:
             if v is not None:
                 self.left[v] = u
 
-    def realization(self) -> Realization:
+    def fold(self, x: int, y: int, new_ids) -> None:
+        """Fold a face into the gap of its closing chord (x, y): the fresh
+        vertices new_ids, listed from the x side, become labels 2..t-1 of
+        cycle_cand1(t, eps), t = len(new_ids) + 2, mapped onto the gap by
+        l -> p_x + (l - 1) gap / (t - 1).  x and y must be consecutive in
+        point order with p_x < p_y, and their boxes must cover the gap.
+
+        Over den 2(t - 1), point i sits at 2(t - 1) p_x + 2i gap and its
+        box reaches 2 gap + min(gap, (t - 1) d) on each side, d the
+        distance from the gap to the nearest point beyond either end: eps
+        = min(1/2, (t - 1) d / (2 gap)), read from the two points linked
+        next to the gap.  As in glue, den is refined by 2(t - 1) / g, g
+        the gcd of 2(t - 1) with the numerators' steps, and only the fresh
+        vertices are written."""
+        ends = self._now(x), self._now(y)
+        px, py = ends[0][2], ends[1][2]
+        gap = py - px
+        if gap <= 0:
+            raise GraphError("gap endpoints must have ascending points")
+        if self.right[x] != y:
+            raise GraphError("gap must contain no other representative point")
+        if any(not (lo <= px and py <= hi) for lo, hi, _ in ends):
+            raise GraphError("gap endpoint boxes must cover the whole gap")
+        t = len(new_ids) + 2
+        below, above = self.left[x], self.right[y]
+        reach = gap  # min(gap, (t - 1) d)
+        if below is not None:
+            reach = min(reach, (t - 1) * (px - self._now(below)[2]))
+        if above is not None:
+            reach = min(reach, (t - 1) * (self._now(above)[2] - py))
+        g = gcd(2 * (t - 1), 2 * gap, reach)
+        f, step, r = 2 * (t - 1) // g, 2 * gap // g, (2 * gap + reach) // g
+        self.den *= f
+        now, q = self.den, px * f
+        for v in new_ids:
+            q += step
+            self.at[v] = (q - r, q + r, q, now)
+        chain = [x, *new_ids, y]
+        for u, v in zip(chain, chain[1:]):
+            self.right[u], self.left[v] = v, u
+
+    def items(self):
+        """(den, items {id: ((L, R), p)}) with every vertex brought to the
+        current den."""
         den, scale, items = self.den, {}, {}
         for v, (lo, hi, p, dv) in self.at.items():
             k = scale.get(dv) or scale.setdefault(dv, den // dv)
             items[v] = ((lo * k, hi * k), p * k)
-        return _line(den, items)
+        return den, items
+
+    def realization(self) -> Realization:
+        return _line(*self.items())
 
 
 def _numerator_items(r: Realization) -> dict:
@@ -290,10 +318,10 @@ def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
     breadth-first from the first block.
 
     build(block_index, parent_cut_vertex_or_None) is called once per
-    block, when it is about to be glued, and returns a fresh dict of the
-    block's items {id: ((L, R), p)}, ints or Fractions as
-    Realization.build takes them, with distinct points p.  Every non-root
-    block's items must have the parent cut vertex safe.
+    block, when it is about to be glued, and returns (den, items): a
+    fresh dict of the block's items {id: ((L, R), p)}, int numerators
+    over den, with distinct points p.  Every non-root block's items must
+    have the parent cut vertex safe.
 
     The whole assembly is one _Lattice: each glue touches only its guest,
     and the realization is built once.
@@ -301,7 +329,7 @@ def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
     blocks = bd.blocks
     if not blocks:
         raise GraphError("no blocks to assemble")
-    lattice = _Lattice(*_numerators(build(0, None)))
+    lattice = _Lattice(*build(0, None))
     seen_blocks = {0}
     queue = deque([0])
     while queue:
@@ -311,7 +339,7 @@ def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
                 if bj in seen_blocks:
                     continue
                 seen_blocks.add(bj)
-                lattice.glue(c, *_numerators(build(bj, c)), c)
+                lattice.glue(c, *build(bj, c), c)
                 queue.append(bj)
     if len(seen_blocks) != len(blocks):
         raise GraphError("block tree is not connected")
@@ -320,46 +348,6 @@ def assemble_block_tree(build, bd: BlockDecomposition) -> Realization:
 
 # ---------------------------------------------------------------------------
 # polygon dissections
-
-def _insert_cycle_into_gap(items: dict, pts: list, x: int, y: int, new_ids):
-    """Insert the internals of a cycle of size len(new_ids)+2 between the
-    points of x and y, which must be adjacent, consecutive in point order
-    with p_x < p_y, and have boxes covering the whole [p_x, p_y] stretch.
-    new_ids lists the fresh vertices from the x side to the y side.  pts
-    holds every point of items, sorted; both are mutated.  Only the
-    neighbours of the gap in pts are read, so an insertion costs O(log n)
-    comparisons.
-    """
-    (px, py) = items[x][1], items[y][1]
-    gap = py - px
-    if gap <= 0:
-        raise GraphError("gap endpoints must have ascending points")
-    lo_i = bisect_left(pts, px)  # pts[lo_i - 1] is the nearest point below px
-    at = bisect_right(pts, px)  # the first point above px must be py
-    if pts[at] != py:
-        raise GraphError("gap must contain no other representative point")
-    for end in (x, y):
-        lo, hi = items[end][0]
-        if not (lo <= px and py <= hi):
-            raise GraphError("gap endpoint boxes must cover the whole gap")
-
-    t = len(new_ids) + 2
-    sigma = gap / (t - 1)
-    eps = HALF
-    if lo_i:
-        eps = min(eps, (t - 1) * (px - pts[lo_i - 1]) / (2 * gap))
-    hi_i = bisect_right(pts, py)
-    if hi_i < len(pts):
-        eps = min(eps, (t - 1) * (pts[hi_i] - py) / (2 * gap))
-
-    # labels 2..t-1 of cycle_cand1(t, eps), [l - (1+eps), l + (1+eps)]
-    # around point l, mapped by l -> sigma * (l - 1) + p_x
-    r = sigma * (1 + eps)
-    inserted = [sigma * (label - 1) + px for label in range(2, t)]
-    for v, q in zip(new_ids, inserted):
-        items[v] = ((q - r, q + r), q)
-    pts[at:at] = inserted  # ascending, strictly inside (px, py)
-
 
 def _dissection_faces(k: int, chords):
     """Faces of a convex polygon (positions 0..k-1) dissected by
@@ -395,16 +383,16 @@ def _dissection_faces(k: int, chords):
     return out
 
 
-def _ring_block_cand1(ring, edges, cut) -> dict:
-    """Items {id: ((L, R), p)} of a central realization of one outerplanar
-    block that is not a clique: ring lists its vertices in outer cyclic
-    order, as outer_ring finds them, and edges are its edges.  The anchor
-    is the parent cut vertex cut, or the least vertex when cut is None.
-    The ring is rotated so the outer edge from the anchor to its lesser
-    ring neighbour becomes the wrap side; the face along it is realized as
-    a cycle and every other face is folded into the gap of its closing
-    chord.  The anchor ends up safe.  The faces are folded in Fractions,
-    so the items are Fractions."""
+def _ring_block_cand1(ring, edges, cut):
+    """(den, items {id: ((L, R), p)}) of a central realization of one
+    outerplanar block that is not a clique, int numerators over den: ring
+    lists its vertices in outer cyclic order, as outer_ring finds them,
+    and edges are its edges.  The anchor is the parent cut vertex cut, or
+    the least vertex when cut is None.  The ring is rotated so the outer
+    edge from the anchor to its lesser ring neighbour becomes the wrap
+    side; the face along it is realized as a cycle and every other face
+    is folded into the gap of its closing chord (_Lattice.fold).  The
+    anchor ends up safe."""
     i = ring.index(min(ring) if cut is None else cut)
     if ring[i - 1] < ring[(i + 1) % len(ring)]:
         ring = ring[i:] + ring[:i]
@@ -415,14 +403,10 @@ def _ring_block_cand1(ring, edges, cut) -> dict:
     spans = [sorted((pos[u], pos[v])) for u, v in edges]
     # a ring edge spans 1 or k - 1 positions, a chord anything between
     faces = _dissection_faces(k, [(a, b) for a, b in spans if 1 < b - a < k - 1])
-    items = {
-        v: ((Fraction(lo, 2), Fraction(hi, 2)), Fraction(p, 2))
-        for v, ((lo, hi), p) in _cycle_items([ring[p] for p in faces[0][0]], HALF).items()
-    }
-    pts = sorted(pt for _, pt in items.values())
+    lattice = _Lattice(HALF.denominator, _cycle_items([ring[p] for p in faces[0][0]], HALF))
     for face, (a, b) in faces[1:]:
-        _insert_cycle_into_gap(items, pts, ring[a], ring[b], [ring[p] for p in face[1:-1]])
-    return items
+        lattice.fold(ring[a], ring[b], [ring[p] for p in face[1:-1]])
+    return lattice.items()
 
 
 def outer_ring(block, edges):
@@ -495,7 +479,7 @@ def blockwise_cand1(g: Graph):
 
     def build(bi, cut):
         if rings[bi] is None:
-            return _clique_items(bd.blocks[bi])
+            return 1, _clique_items(bd.blocks[bi])
         return _ring_block_cand1(rings[bi], bd.edges[bi], cut)
 
     return assemble_block_tree(build, bd)

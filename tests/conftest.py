@@ -475,9 +475,11 @@ def reference_assemble_block_tree(build, bd) -> Realization:
 
 
 def reference_insert_cycle_into_gap(items: dict, x: int, y: int, new_ids) -> None:
-    """Fold a cycle's internals into the gap between p_x and p_y, finding
-    the gap's neighbours by scanning every placed point: the scan that the
-    bisection in constructors._insert_cycle_into_gap replaced."""
+    """Fold a cycle's internals into the gap between p_x and p_y of items
+    {id: ((L, R), p)} in Fractions, finding the gap's neighbours by
+    scanning every placed point: the fold that constructors._Lattice.fold
+    computes on int numerators, reading the two points linked next to the
+    gap."""
     (px, py) = items[x][1], items[y][1]
     if px > py:
         x, y, px, py = y, x, py, px
@@ -498,6 +500,40 @@ def reference_insert_cycle_into_gap(items: dict, x: int, y: int, new_ids) -> Non
     for label, v in enumerate(new_ids, start=2):
         (lo, hi), pt = guest.interval(label), guest.coordinate(label)
         items[v] = ((sigma * (lo - 1) + px, sigma * (hi - 1) + px), sigma * (pt - 1) + px)
+
+
+def reference_blockwise_cand1(g: Graph) -> Realization:
+    """constructors.blockwise_cand1 in Fraction arithmetic.  Each ring of
+    an outerplanar block is turned to run from its anchor to the anchor's
+    lesser ring neighbour; the face along that wrap side is
+    reference_cycle_cand1 at eps 1/2, every other face of _dissection_faces
+    is folded in by reference_insert_cycle_into_gap, and the blocks are
+    glued by reference_assemble_block_tree."""
+    from andbox.constructors import _clique_items, _dissection_faces, outer_ring
+    from andbox.graphs import block_decomposition
+
+    bd = block_decomposition(g)
+
+    def build(bi, cut):
+        blk, es = bd.blocks[bi], bd.edges[bi]
+        if 2 * len(es) == len(blk) * (len(blk) - 1):
+            return _clique_items(blk)
+        ring = outer_ring(blk, es)
+        k = len(ring)
+        i = ring.index(min(ring) if cut is None else cut)
+        step = 1 if ring[i - 1] < ring[(i + 1) % k] else -1
+        ring = [ring[(i + step * j) % k] for j in range(k)]
+        pos = {v: p for p, v in enumerate(ring)}
+        chords = [tuple(sorted((pos[u], pos[v]))) for u, v in es]
+        faces = _dissection_faces(k, [(a, b) for a, b in chords if 1 < b - a < k - 1])
+        root = [ring[p] for p in faces[0][0]]
+        cycle = reference_cycle_cand1(len(root))
+        items = {v: (cycle.interval(label), cycle.coordinate(label)) for label, v in enumerate(root, start=1)}
+        for face, (a, b) in faces[1:]:
+            reference_insert_cycle_into_gap(items, ring[a], ring[b], [ring[p] for p in face[1:-1]])
+        return items
+
+    return reference_assemble_block_tree(build, bd)
 
 
 def read_corner_boxes(text: str) -> list:
@@ -721,9 +757,7 @@ def lattice_reference_instances():
     out += [(f"tied-d{d}", random_tied_realization(rng, 25, d)) for d in (1, 2)]
     out.append(("prime-denominators", random_prime_denominator_realization(rng, 60)))
     out.append(("central", random_central_realization(rng, 30)))
-    k = 400
-    nested = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
-    out.append(("nested-400-gon", outerplanar_cand1(nested)))
+    out.append(("nested-400-gon", outerplanar_cand1(nested_polygon(400))))
     out.append(("four-cycle-chain-200", blockwise_cand1(glued_four_cycle_chain(200))))
     out.append(("star-401", blockwise_cand1(Graph.from_edges(401, [(1, v) for v in range(2, 402)]))))
     out += [(f"block-220-s{s}", blockwise_cand1(random_block_graph(220, s).graph)) for s in range(1, 8)]

@@ -10,10 +10,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from andbox import constructors
 from andbox.constructors import (
     _clique_items,
     _dissection_faces,
+    _Lattice,
+    _numerator_items,
     assemble_block_tree,
     blockwise_cand1,
     clique_cand1,
@@ -49,12 +50,17 @@ from andbox.realization import (
 )
 
 from conftest import (
+    ear_polygon,
+    ear_polygon_chain,
     edge_set,
+    fan_polygon,
+    nested_polygon,
     oracle_central_edges,
     oracle_induced_edges,
     oracle_interval_overlap_edges,
     one_chord_polygon,
     reference_assemble_block_tree,
+    reference_blockwise_cand1,
     reference_cycle_cand1,
     reference_dissection_faces,
     reference_glue_at_safe_vertex,
@@ -393,12 +399,56 @@ class TestGlueAtSafeVertex:
                 assert oracle_induced_edges(acc) == expected
 
 
+class TestLatticeFold:
+    @staticmethod
+    def random_line(rng, n):
+        """(den, int items, Fraction items) of n distinct random points
+        whose boxes reach at least their neighbours' points, so every two
+        consecutive points can take a fold."""
+        den = rng.randint(1, 12)
+        pts = sorted(rng.sample(range(-50, 50), n))
+        nums, fracs = {}, {}
+        for i, p in enumerate(pts):
+            lo = pts[max(i - 1, 0)] - rng.randint(0, 5)
+            hi = pts[min(i + 1, n - 1)] + rng.randint(0, 5)
+            v = 10 * i + rng.randint(1, 9)
+            nums[v] = ((lo, hi), p)
+            fracs[v] = ((F(lo, den), F(hi, den)), F(p, den))
+        return den, nums, fracs
+
+    def test_matches_the_fraction_fold(self):
+        # random neighbours on both sides of the gap, so either may bound eps
+        rng = random.Random(33)
+        fresh = 10**4
+        for _ in range(300):
+            den, nums, fracs = self.random_line(rng, rng.randint(2, 8))
+            lattice = _Lattice(den, nums)
+            for _ in range(rng.randint(1, 4)):
+                order = sorted(fracs, key=lambda v: fracs[v][1])
+                i = rng.randrange(len(order) - 1)
+                ids = list(range(fresh, fresh + rng.randint(1, 6)))
+                fresh += len(ids)
+                lattice.fold(order[i], order[i + 1], ids)
+                reference_insert_cycle_into_gap(fracs, order[i], order[i + 1], ids)
+            assert lattice.realization() == Realization.build(1, fracs)
+
+    @pytest.mark.parametrize("x,y,message", [
+        (2, 1, "ascending points"),
+        (1, 3, "no other representative point"),
+        (2, 3, "cover the whole gap"),
+    ])
+    def test_bad_gap_rejected(self, x, y, message):
+        lattice = _Lattice(1, {1: ((0, 4), 1), 2: ((1, 4), 2), 3: ((3, 5), 3)})
+        with pytest.raises(GraphError, match=message):
+            lattice.fold(x, y, [4])
+
+
 class TestBlockAssembly:
     BOWTIE = Graph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
 
     def test_dict_components(self):
         bd = block_decomposition(self.BOWTIE)
-        parts = {i: _clique_items(blk) for i, blk in enumerate(bd.blocks)}
+        parts = {i: (1, _clique_items(blk)) for i, blk in enumerate(bd.blocks)}
         r = assemble_block_tree(lambda bi, cut: parts[bi], bd)
         assert verify(r, self.BOWTIE).ok
         assert is_central(r)
@@ -409,7 +459,7 @@ class TestBlockAssembly:
 
         def build(bi, cut):
             calls.append((bi, cut))
-            return _clique_items(bd.blocks[bi])
+            return 1, _clique_items(bd.blocks[bi])
 
         r = assemble_block_tree(build, bd)
         assert calls == [(0, None), (1, 3)]
@@ -437,23 +487,28 @@ class TestBlockAssembly:
     def test_outerplanar_models_match_sequential_fold(self, monkeypatch):
         models = [random_dissection(4 + 3 * seed, seed).aux for seed in range(10)]
         models += [random_outerplanar_walk(seed) for seed in range(20)]
-        insert = constructors._insert_cycle_into_gap
+        # random_dissection often stops at the root face: these fold every
+        # face, nested, fanned or side by side, and glue folded blocks
+        models += [fan_polygon(200), ear_polygon(200), nested_polygon(199)]
+        graphs = [m.graph() for m in models] + [ear_polygon_chain(4, 31)]
+        fold = _Lattice.fold
 
-        def keeps_points_sorted(items, pts, x, y, ids):
-            insert(items, pts, x, y, ids)
-            assert pts == sorted(pt for _, pt in items.values())
+        def keeps_points_linked_in_order(self, x, y, ids):
+            fold(self, x, y, ids)
+            (first,) = [v for v, u in self.left.items() if u is None]
+            walk = [first]
+            while self.right[walk[-1]] is not None:
+                walk.append(self.right[walk[-1]])
+            assert sorted(walk) == sorted(self.at)
+            points = [self._now(v)[2] for v in walk]
+            assert points == sorted(set(points))
 
-        monkeypatch.setattr(constructors, "_insert_cycle_into_gap", keeps_points_sorted)
-        fast = [outerplanar_cand1(m) for m in models]
-        for m, r in zip(models, fast):
-            assert verify(r, m.graph()).ok
-        monkeypatch.setattr(constructors, "assemble_block_tree", reference_assemble_block_tree)
-        monkeypatch.setattr(
-            constructors,
-            "_insert_cycle_into_gap",
-            lambda items, pts, x, y, ids: reference_insert_cycle_into_gap(items, x, y, ids),
-        )
-        assert [outerplanar_cand1(m) for m in models] == fast
+        monkeypatch.setattr(_Lattice, "fold", keeps_points_linked_in_order)
+        fast = [outerplanar_cand1(m) for m in models] + [blockwise_cand1(graphs[-1])]
+        monkeypatch.undo()
+        for g, r in zip(graphs, fast):
+            assert verify(r, g).ok
+            assert r == reference_blockwise_cand1(g)
 
     def test_star_builds_each_vertex_a_bounded_number_of_times(self, monkeypatch):
         # a star with 400 leaves has 400 bridge blocks; rebuilding the
@@ -490,18 +545,24 @@ class TestBlockAssembly:
         guest, message = self.TRIANGLE_GUESTS[kind]
         bd = block_decomposition(self.BOWTIE)
         with pytest.raises(GraphError, match=message):
-            assemble_block_tree(lambda bi, cut: _clique_items(bd.blocks[0]) if cut is None else guest.line_items(), bd)
+            assemble_block_tree(
+                lambda bi, cut: (1, _clique_items(bd.blocks[0])) if cut is None else (guest.den, _numerator_items(guest)),
+                bd,
+            )
 
     def test_tied_root_rejected(self):
         bd = block_decomposition(self.BOWTIE)
         tied = relabel(self.TRIANGLE_GUESTS["tied"][0], {3: 1, 4: 2})
         with pytest.raises(GraphError, match="distinct points"):
-            assemble_block_tree(lambda bi, cut: tied.line_items() if cut is None else _clique_items(bd.blocks[bi]), bd)
+            assemble_block_tree(
+                lambda bi, cut: (tied.den, _numerator_items(tied)) if cut is None else (1, _clique_items(bd.blocks[bi])),
+                bd,
+            )
 
     def test_disconnected_blocks_rejected(self):
         bd = BlockDecomposition((frozenset({1, 2}), frozenset({3, 4})), frozenset(), (((1, 2),), ((3, 4),)))
         with pytest.raises(GraphError, match="block tree is not connected"):
-            assemble_block_tree(lambda bi, cut: _clique_items(bd.blocks[bi]), bd)
+            assemble_block_tree(lambda bi, cut: (1, _clique_items(bd.blocks[bi])), bd)
 
 
 def fused_cycle_edges(n, m, shared):
@@ -643,7 +704,7 @@ class TestOuterplanar:
         # pair of the block for an edge would make k(k - 1)/2 = 79,800
         # has_edge calls; the block's edges are read from its edge list
         k = 400
-        m = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
+        m = nested_polygon(k)
         calls = 0
         has_edge = Graph.has_edge
 
@@ -660,9 +721,9 @@ class TestOuterplanar:
         assert is_central(r)
 
     def test_nested_polygon_reads_only_the_gap_neighbours(self, monkeypatch):
-        # each face is folded into its closing chord's gap from the two
-        # neighbours of the gap in the sorted points; a walk over every
-        # placed vertex per face costs O(faces * n) Fraction comparisons
+        # each face is folded into its closing chord's gap from the points
+        # linked next to the gap; a walk over every placed vertex per face
+        # costs O(faces * n) comparisons
         class OneVertexAtATime:
             def __init__(self, placed):
                 self.placed = placed
@@ -676,22 +737,24 @@ class TestOuterplanar:
             def __iter__(self):
                 raise AssertionError("walked every placed vertex")
 
-            keys = values = items = __len__ = __iter__
+            keys = values = items = __len__ = __contains__ = __iter__
 
-        k = 400
-        m = OuterplanarModel(tuple(range(1, k + 1)), tuple((i, k + 1 - i) for i in range(2, k // 2)))
-        insert = constructors._insert_cycle_into_gap
+        m = nested_polygon(400)
+        fold = _Lattice.fold
         calls = 0
 
-        def guarded(items, pts, x, y, ids):
+        def guarded(self, x, y, ids):
             nonlocal calls
             calls += 1
-            insert(OneVertexAtATime(items), pts, x, y, ids)
+            maps = self.at, self.left, self.right
+            self.at, self.left, self.right = map(OneVertexAtATime, maps)
+            fold(self, x, y, ids)
+            self.at, self.left, self.right = maps
 
-        monkeypatch.setattr(constructors, "_insert_cycle_into_gap", guarded)
+        monkeypatch.setattr(_Lattice, "fold", guarded)
         r = outerplanar_cand1(m)
         assert calls == len(m.chords)
-        assert r.n == k
+        assert r.n == 400
 
     def test_crossing_chords_rejected(self):
         m = OuterplanarModel((1, 2, 3, 4, 5, 6), ((1, 3), (2, 4)))

@@ -36,6 +36,7 @@ from andbox.fileio import (
     parse_rational,
     sniff_format,
 )
+from andbox.feasibility import cand1_recognize
 from andbox.graphs import path_graph
 from andbox.orders import implicit_encode, realization_from_ordering
 from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
@@ -707,14 +708,9 @@ class TestLatticeMatchesFractionReferences:
 
 
 class TestNoFractionsOnTheGeometryPath:
-    def test_load_verify_render_convert_and_intersect(self, tmp_path, monkeypatch):
-        # long denominators, negative coordinates, central and d = 1
-        g = random_block_graph(40, 108).graph
-        r = blockwise_cand1(g)
-        real, boxes, tri = (str(tmp_path / f"b.{ext}") for ext in ("real", "boxes", "tri"))
-        fileio.save_file(real, "realization", r)
-        fileio.save_file(boxes, "corner", r)
-        fileio.save_file(tri, "semisquare", r)
+    @staticmethod
+    def count_fractions(monkeypatch) -> list:
+        """The arguments of every Fraction made from here on."""
         made = []
         new = F.__new__
 
@@ -723,6 +719,17 @@ class TestNoFractionsOnTheGeometryPath:
             return new(cls, *args, **kwargs)
 
         monkeypatch.setattr(F, "__new__", counted)
+        return made
+
+    def test_load_verify_render_convert_and_intersect(self, tmp_path, monkeypatch):
+        # long denominators, negative coordinates, central and d = 1
+        g = random_block_graph(40, 108).graph
+        r = blockwise_cand1(g)
+        real, boxes, tri = (str(tmp_path / f"b.{ext}") for ext in ("real", "boxes", "tri"))
+        fileio.save_file(real, "realization", r)
+        fileio.save_file(boxes, "corner", r)
+        fileio.save_file(tri, "semisquare", r)
+        made = self.count_fractions(monkeypatch)
         loaded = fileio.load_file(real, "realization")
         assert verify(loaded, g).ok
         render_realization_svg(loaded)
@@ -738,14 +745,18 @@ class TestNoFractionsOnTheGeometryPath:
         # realize --cycle 700 and realize block build on the lattice, and
         # relabel permutes the numerators
         g = random_block_graph(220, 1).graph
-        made = []
-        new = F.__new__
-
-        def counted(cls, *args, **kwargs):
-            made.append(args)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(F, "__new__", counted)
+        made = self.count_fractions(monkeypatch)
         for r in (cycle_cand1(700), blockwise_cand1(g)):
             relabel(r, {v: r.n + 1 - v for v in r.ids})
+        assert made == []
+
+    def test_outerplanar_faces_and_cycle_certificate(self, monkeypatch):
+        # the faces of a dissection fold on the lattice, and the certificate
+        # for C8 is one outerplanar block
+        models = [m for m in (random_dissection(110, s).aux for s in range(1, 11)) if m.chords]
+        assert len(models) == 6
+        made = self.count_fractions(monkeypatch)
+        for m in models:
+            outerplanar_cand1(m)
+        assert cand1_recognize(cycle(8).graph, 0).status == "found"
         assert made == []
