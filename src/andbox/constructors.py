@@ -36,8 +36,7 @@ from fractions import Fraction
 from math import gcd
 
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
-from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
-from .orders import rank_bounds
+from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition, rank_bounds
 from .realization import Realization, RealizationError, _lowest, central_realization, safe_in
 
 HALF = Fraction(1, 2)

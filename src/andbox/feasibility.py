@@ -34,7 +34,7 @@ running integer scale.  No floats, no tolerances.
 cand1_recognize searches only components that the constructions of
 andbox.constructors cannot realize: interval graphs (read off a LexBFS
 sweep) and graphs whose blocks are cliques or outerplanar are central by
-construction.
+construction; orders.certificate, which and1_recognize asks too, finds them.
 """
 
 from __future__ import annotations
@@ -45,18 +45,13 @@ from math import gcd, inf
 from operator import mul
 
 from . import kernels
-from .constructors import blockwise_cand1, umbrella_free_cand1
-from .graphs import Graph
-from .orders import (
-    DEFAULT_NODE_BUDGET,
-    _require_nonnegative,
-    _sweep_orders,
-    rank_bounds,
-)
+from .constructors import umbrella_free_cand1
+from .graphs import Graph, rank_bounds
+from .orders import DEFAULT_NODE_BUDGET, _require_nonnegative, certificate
 # four_point_check is no longer called here but stays importable from this
 # module: perfbench/tests/test_tracing.py checks that tracing rebinds it.
 from .orders import four_point_check  # noqa: F401
-from .realization import central_realization, is_central, r_order, verify
+from .realization import central_realization, is_central, verify
 
 
 def _add_rows(rows, into) -> bool:
@@ -274,32 +269,6 @@ def cand1_for_ordering(
     return CentralSearchResult("found", r, solved, work)
 
 
-def _interval_certificate(g: Graph):
-    """The interval construction's realization of the connected graph g,
-    or None.
-
-    A candidate of _sweep_orders is umbrella-free when each rank's later
-    neighbours are exactly the ranks right after it, that is when its row
-    above its own bit is a block of low bits; the spans [rank k, hi_k] are
-    then an interval model of g (Olariu 1991) in that order, and
-    umbrella_free_cand1 runs interval_to_cand1's gap sweep on it.  An
-    interval graph the sweeps miss, like any other graph, gets None."""
-    for cand in _sweep_orders(g):
-        order = [v + 1 for v in cand]
-        rows, lo, hi = rank_bounds(g, order)
-        if all((x := row >> k) & (x + 1) == 0 for k, row in enumerate(rows, 1)):
-            return umbrella_free_cand1(order, lo, hi)
-    return None
-
-
-def _certificate(g: Graph):
-    """A central realization of the connected graph g from the paper's
-    constructions, or None: the interval model a LexBFS sweep reads off,
-    else the block-wise one when every block is a clique or outerplanar."""
-    r = _interval_certificate(g)
-    return blockwise_cand1(g) if r is None else r
-
-
 @dataclass(frozen=True)
 class CAndRecognitionResult:
     status: str  # "found" | "not_member" | "exhausted"
@@ -315,21 +284,21 @@ class CAndRecognitionResult:
 
 def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognitionResult:
     """Central recognition, certificate first: each component is first
-    offered to the paper's constructions (_certificate), and only a
+    offered to the paper's constructions (orders.certificate), and only a
     component none of them realizes is searched.
 
     The certificates, in this order: an umbrella-free LexBFS sweep read as
-    an interval model and realized by interval_to_cand1's gap sweep; else
-    blockwise_cand1, when every block is a clique or outerplanar.  A
-    certified component costs no order and no solve, and its ordering is
-    its realization's point order.  The search decides with
-    cand1_for_ordering each point order the ordering kernel yields
-    (lexicographically, each {order, reversal} pair once).  Orders failing
-    the four point check (every central model is in particular a
-    box-and-point model) are never generated, nor are orders with twins
-    (equal open or closed neighbourhoods) out of id order: swapping twins
-    maps a central model to one, so the first central order found is the
-    same as over all orders.
+    an interval model and realized by umbrella_free_cand1 from the rank
+    bounds the chain passes on; else blockwise_cand1's realization, when
+    every block is a clique or outerplanar.  A certified component costs
+    no order and no solve, and its ordering is its realization's point
+    order.  The search decides with cand1_for_ordering each point order
+    the ordering kernel yields (lexicographically, each {order, reversal}
+    pair once).  Orders failing the four point check (every central model
+    is in particular a box-and-point model) are never generated, nor are
+    orders with twins (equal open or closed neighbourhoods) out of id
+    order: swapping twins maps a central model to one, so the first
+    central order found is the same as over all orders.
 
     A graph is central iff every component is, so components are decided
     one by one in ascending order of their smallest vertex; the found
@@ -359,8 +328,11 @@ def cand1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CAndRecognit
     comps = g.connected_components()
     for comp in comps:
         sub, back = g.subgraph(comp)
-        if (r := _certificate(sub)) is not None:
-            order = r_order(r)
+        r = None
+        if (cert := certificate(sub)) is not None:
+            order, lo, hi, r = cert
+            if r is None:
+                r = umbrella_free_cand1(order, lo, hi)
         else:
             # only the last item is not FOUND; any other break is a budget running out
             for status, order0, used in kernels.orderings(sub.masks, budget - nodes):

@@ -1,5 +1,6 @@
-"""Undirected graphs on vertices 1..n, block decompositions, and the
-double-nonadjacent-common-neighbors obstruction predicate.
+"""Undirected graphs on vertices 1..n, their rank view under a vertex
+ordering, block decompositions, and the double-nonadjacent-common-neighbors
+obstruction predicate.
 
 Graphs are immutable once built. No loops, no parallel edges.
 """
@@ -11,6 +12,10 @@ from dataclasses import dataclass, field
 
 
 class GraphError(ValueError):
+    pass
+
+
+class OrderingError(ValueError):
     pass
 
 
@@ -115,6 +120,18 @@ def relabel_masks(masks, order) -> list:
             x ^= low
         rows.append(row)
     return rows
+
+
+def rank_bounds(g: Graph, order):
+    """The graph in rank space: (rows, lo, hi), each indexed by rank - 1.
+    Bit i of rows[k - 1] is set iff ranks k and i + 1 are adjacent; lo and
+    hi are the least and greatest rank of each rank's closed
+    neighbourhood."""
+    if sorted(order) != list(g.vertices()):
+        raise OrderingError("ordering does not cover the vertex set")
+    rows = relabel_masks(g.masks, [v - 1 for v in order])
+    closed = [row | 1 << k for k, row in enumerate(rows)]
+    return rows, [(x & -x).bit_length() for x in closed], [x.bit_length() for x in closed]
 
 
 def _bits(x: int, offset: int = 0) -> list:

@@ -7,7 +7,9 @@ covers the vertex set.  An ordering of G is 4PC-free when no ranks
 i < j < k < l carry edges (i,k) and (j,l) while (j,k) is a non-edge.  A
 graph has a one-dimensional box-and-point realization iff some ordering
 is 4PC-free; the realization can then be read off the ordering with
-integer coordinates.
+integer coordinates.  Every central realization is a box-and-point model,
+so certificate, the one certificate step of both recognizers, reads
+4PC-free orders off the paper's central constructions.
 """
 
 from __future__ import annotations
@@ -15,14 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .graphs import Graph, relabel_masks
+from .constructors import blockwise_cand1
+from .graphs import Graph, OrderingError, rank_bounds, relabel_masks
 from .realization import Realization, induced_graph, r_order
 
 DEFAULT_NODE_BUDGET = 10**8
-
-
-class OrderingError(ValueError):
-    pass
 
 
 def _require_nonnegative(budget) -> None:
@@ -38,18 +37,6 @@ class Violation:
     u: int
     v: int
     y: int
-
-
-def rank_bounds(g: Graph, order):
-    """The graph in rank space: (rows, lo, hi), each indexed by rank - 1.
-    Bit i of rows[k - 1] is set iff ranks k and i + 1 are adjacent; lo and
-    hi are the least and greatest rank of each rank's closed
-    neighbourhood."""
-    if sorted(order) != list(g.vertices()):
-        raise OrderingError("ordering does not cover the vertex set")
-    rows = relabel_masks(g.masks, [v - 1 for v in order])
-    closed = [row | 1 << k for k, row in enumerate(rows)]
-    return rows, [(x & -x).bit_length() for x in closed], [x.bit_length() for x in closed]
 
 
 def four_point_check(g: Graph, order):
@@ -149,8 +136,8 @@ class RecognitionResult:
         return self.status == "found"
 
 
-# LexBFS sweeps tried per component before the kernel: one LexBFS, then
-# LexBFS+ sweeps, each with its reversal.
+# LexBFS sweeps certificate tries per component: one LexBFS, then LexBFS+
+# sweeps, each with its reversal.
 SWEEPS = 4
 
 
@@ -207,32 +194,41 @@ def _sweep_orders(g: Graph):
         prior = order[::-1]
 
 
-def _sweep_certificate(g: Graph):
-    """The first candidate of _sweep_orders that passes the four point
-    condition, or None.  An interval model's order passes it, and a miss
-    only leaves the component to the kernel."""
+def certificate(g: Graph):
+    """(order, lo, hi, r): the point order of a central construction of
+    the connected graph g, as vertex ids, or None when none applies.
+
+    First, the earliest candidate of _sweep_orders that is umbrella-free:
+    each rank's later neighbours are the ranks right after it, so its row
+    above its own bit is a block of low bits.  The spans [rank k, hi_k]
+    are then an interval model of g (Olariu 1991), which
+    umbrella_free_cand1 realizes from the rank bounds lo, hi; r is None.
+    Else blockwise_cand1's realization r, when every block is a clique or
+    outerplanar, with its point order; lo and hi are None."""
     for cand in _sweep_orders(g):
-        if four_point_check(g, [v + 1 for v in cand]) is None:
-            return cand
-    return None
+        order = [v + 1 for v in cand]
+        rows, lo, hi = rank_bounds(g, order)
+        if all((x := row >> k) & (x + 1) == 0 for k, row in enumerate(rows, 1)):
+            return order, lo, hi, None
+    r = blockwise_cand1(g)
+    return None if r is None else (r_order(r), None, None, r)
 
 
 def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionResult:
-    """A 4PC-free ordering per component: LexBFS sweeps first, then the
-    backtracking search.
+    """A 4PC-free ordering per component: the central certificate first,
+    then the backtracking search.
 
-    Each component first tries the orderings of _sweep_certificate,
-    checked with four_point_check; the first that passes is that
-    component's ordering, found in 0 nodes.  This polynomial work is not
-    charged to the budget, so budget 0 can still find an ordering.  Only
-    a component no sweep certifies goes to the kernel, which is
-    deterministic: vertices are tried in ascending id, each {ordering,
-    reversal} pair is explored once, and twins (equal open or closed
-    neighbourhoods) only in increasing id; its ordering is the
-    component's lexicographically first passing one.  nodes counts the
-    kernel's placements tried across all components; hitting the budget
-    yields "exhausted", and "not_member" comes only from a complete
-    kernel search.
+    Each component first asks certificate, as cand1_recognize does; its
+    order is that component's ordering, found in 0 nodes, and no
+    realization is built for it.  This polynomial work is not charged to
+    the budget, so budget 0 can still find an ordering.  Only a component
+    no certificate covers goes to the kernel, which is deterministic:
+    vertices are tried in ascending id, each {ordering, reversal} pair is
+    explored once, and twins (equal open or closed neighbourhoods) only
+    in increasing id; its ordering is the component's lexicographically
+    first passing one.  nodes counts the kernel's placements tried across
+    all components; hitting the budget yields "exhausted", and
+    "not_member" comes only from a complete kernel search.
     Disconnected graphs are handled per component, in ascending order of
     their smallest vertex (components can be laid out on disjoint
     stretches of the line, so the graph qualifies iff every component
@@ -245,13 +241,15 @@ def and1_recognize(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> RecognitionRe
     nodes = 0
     for comp in g.connected_components():
         sub, back = g.subgraph(comp)
-        order0 = _sweep_certificate(sub)
-        if order0 is None:
+        if (cert := certificate(sub)) is not None:
+            order = cert[0]
+        else:
             status, order0, used = kernels.search_order(sub.masks, budget - nodes)
             nodes += used
             if status != kernels.FOUND:
                 return RecognitionResult(status, None, nodes)
-        merged.extend(back[i + 1] for i in order0)
+            order = [v + 1 for v in order0]
+        merged.extend(back[v] for v in order)
     ordering = tuple(merged)
     _require_pass(four_point_check(g, ordering))
     return RecognitionResult("found", ordering, nodes)

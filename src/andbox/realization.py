@@ -275,7 +275,7 @@ def central_realization(order, lo, hi, gaps) -> Realization:
     """The central realization with point order `order` (positive ids),
     first point 0 and gaps[t - 1] = p_{t+1} - p_t (ints or Fractions).
     Each radius is its vertex's farthest-neighbour distance, read off the
-    rank bounds lo and hi of orders.rank_bounds; an isolated vertex gets
+    rank bounds lo and hi of graphs.rank_bounds; an isolated vertex gets
     half the distance to its nearest point, or 1 when it is alone.
 
     The sums run in integers over den, twice the gaps' least common

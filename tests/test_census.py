@@ -8,7 +8,9 @@ twin rule of the ordering kernel through both recognizers at n = 7.
 The minimal CAND1 obstructions among the AND1 graphs are then read off
 the same verdicts.  Digests pin every result byte for byte: the AND1 and
 CAND1 answers on the atlas, and both on seeded disconnected graphs with
-isolated vertices.
+isolated vertices.  The AND1 verdicts are pinned apart from their
+orderings, so a change of certificate that moves an ordering shows
+whether any verdict moved with it.
 """
 
 import hashlib
@@ -20,10 +22,10 @@ import pytest
 
 from andbox.families import h_graph
 from andbox.constructors import blockwise_cand1
-from andbox.feasibility import _interval_certificate, cand1_recognize
+from andbox.feasibility import cand1_recognize
 from andbox.fileio import dumps_realization
 from andbox.graphs import Graph
-from andbox.orders import and1_recognize
+from andbox.orders import and1_recognize, certificate
 from andbox.realization import is_central, r_order, verify
 
 from conftest import naive_four_point_scan
@@ -93,8 +95,22 @@ def disconnected_with_isolated(rng: random.Random) -> Graph:
 def test_and1_census_digest(census):
     # status, ordering and nodes of every atlas graph
     assert digest(and1_text(a) for _, a, _ in census) == (
-        "5571d950a706dc2be0b2cbc46cd2efc82a00df40246f28b4c68b6bb90cfe1b5e"
+        "170515a9c25178b06d452a56de94ac8a0a440809ada04008113dc5d8d8f44bcc"
     )
+
+
+def test_and1_status_digest(census):
+    # the verdicts alone, which a change of certificate or search order
+    # must keep
+    assert digest(f"{a.status}\n" for _, a, _ in census) == (
+        "1e9d3392dbf804fc6fde671cb23dbf35c5919922e35676397b59e3d2488c958f"
+    )
+
+
+def test_and1_certified_in_zero_nodes(census):
+    # the 330 interval graphs an umbrella-free sweep orders and the 106
+    # graphs of cliques and outerplanar blocks that blockwise_cand1 orders
+    assert sum(a.found and a.nodes == 0 for _, a, _ in census) == 436
 
 
 def test_cand1_census_digest(census):
@@ -109,7 +125,7 @@ def test_disconnected_isolated_vertices_digest():
     graphs = [disconnected_with_isolated(rng) for _ in range(200)]
     assert all(not g.is_connected() and min(map(g.degree, g.vertices())) == 0 for g in graphs)
     texts = (and1_text(and1_recognize(g)) + cand1_text(cand1_recognize(g)) for g in graphs)
-    assert digest(texts) == "76e17e31bbdc10201b2671aca14614a604a9939792a7a420adcc7e68eef7ecf8"
+    assert digest(texts) == "d75d0854afa5f4c1edd1bf1a6769311cbe7053ac1c77838982020dfddd102782"
 
 
 def test_certificates_split_the_central_graphs(census):
@@ -118,7 +134,8 @@ def test_certificates_split_the_central_graphs(census):
     # certified realization passed cand1_recognize's exact re-check.
     split = Counter()
     for g, _, c in census:
-        if _interval_certificate(g) is not None:
+        cert = certificate(g)
+        if cert is not None and cert[3] is None:
             kind = "interval"
         elif blockwise_cand1(g) is not None:
             kind = "block-wise"

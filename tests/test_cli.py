@@ -468,15 +468,25 @@ class TestRecognizeAnd1:
         assert not (tmp_path / "oct.order").exists()
 
     def test_violating_kernel_ordering_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(kernels, "search_order", lambda masks, budget: (kernels.FOUND, [0, 1, 3, 2], 1))
-        gp = write_graph(tmp_path / "sq.and", cycle_graph(4))
+        # no certificate covers K(2,3), so the kernel's ordering is used;
+        # 1, 3, 4, 2, 5 violates the four point condition on it
+        calls = []
+
+        def violating(masks, budget):
+            calls.append(budget)
+            return kernels.FOUND, [0, 2, 3, 1, 4], 1
+
+        monkeypatch.setattr(kernels, "search_order", violating)
+        gp = write_graph(tmp_path / "k23.and", complete_multipartite_graph([2, 3]))
         code, out, err = run(capsys, "recognize-and1", gp)
         assert code == 2
         assert out == "" and err.startswith("error:")
-        assert not (tmp_path / "sq.order").exists()
+        assert not (tmp_path / "k23.order").exists()
+        assert len(calls) == 1
 
     def test_violating_certificate_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(orders, "_sweep_certificate", lambda g: [0, 1, 3, 2])
+        # 1, 2, 4, 3 violates the four point condition on the square
+        monkeypatch.setattr(orders, "certificate", lambda g: ([1, 2, 4, 3], None, None, None))
         gp = write_graph(tmp_path / "sq.and", cycle_graph(4))
         code, out, err = run(capsys, "recognize-and1", gp)
         assert code == 2

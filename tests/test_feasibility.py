@@ -11,7 +11,7 @@ import pytest
 from andbox import families, feasibility, kernels
 from andbox.feasibility import cand1_for_ordering, cand1_recognize
 from andbox.graphs import Graph, complete_multipartite_graph, cycle_graph, path_graph
-from andbox.orders import OrderingError, and1_recognize, four_point_check
+from andbox.orders import OrderingError, and1_recognize, certificate, four_point_check
 from andbox.realization import is_central, r_order, verify
 
 from conftest import (
@@ -50,7 +50,7 @@ def assert_closed_form_radii(r, g):
 def search_only(monkeypatch):
     """Send every component to the ordering search: the tests that pin its
     witnesses, counts and budgets run with the certificate step off."""
-    monkeypatch.setattr(feasibility, "_certificate", lambda g: None)
+    monkeypatch.setattr(feasibility, "certificate", lambda g: None)
 
 
 def positive(nvars):
@@ -613,7 +613,9 @@ class TestCertificates:
         # denominators grow with the path; the interval model has integer points
         res = cand1_recognize(path_graph(5000), 0)
         assert res.realization.den == 1
-        assert feasibility._interval_certificate(cycle_graph(4)) is None
+        # no LexBFS sweep of the square is umbrella-free: it is block-wise
+        order, lo, hi, r = certificate(cycle_graph(4))
+        assert (lo, hi) == (None, None) and r_order(r) == order
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: path_graph(50), id="P50"),

@@ -233,16 +233,36 @@ class TestRecognizer:
         assert res.ordering is None
         assert res.nodes == 10
 
-    def test_found_ordering_is_rechecked(self, monkeypatch, square_graph):
+    def test_found_ordering_is_rechecked(self, monkeypatch):
+        # no certificate covers K(2,3): 2-connected, neither interval nor
+        # outerplanar; 1, 3, 4, 2, 5 violates the four point condition on it
+        g = complete_multipartite_graph([2, 3])
+        assert orders.certificate(g) is None
+        calls = []
+
+        def violating(masks, budget):
+            calls.append(budget)
+            return kernels.FOUND, [0, 2, 3, 1, 4], 1
+
+        monkeypatch.setattr(kernels, "search_order", violating)
+        with pytest.raises(FourPointViolationError):
+            and1_recognize(g)
+        assert calls == [orders.DEFAULT_NODE_BUDGET]
+
+    def test_certified_ordering_is_rechecked(self, monkeypatch, square_graph):
         # 1, 2, 4, 3 violates the four point condition on the square
-        monkeypatch.setattr(kernels, "search_order", lambda masks, budget: (kernels.FOUND, [0, 1, 3, 2], 1))
+        monkeypatch.setattr(orders, "certificate", lambda g: ([1, 2, 4, 3], None, None, None))
         with pytest.raises(FourPointViolationError):
             and1_recognize(square_graph)
 
-    def test_certified_ordering_is_rechecked(self, monkeypatch, square_graph):
-        monkeypatch.setattr(orders, "_sweep_certificate", lambda g: [0, 1, 3, 2])
-        with pytest.raises(FourPointViolationError):
-            and1_recognize(square_graph)
+    @pytest.mark.parametrize("n, seed", [(60, 0), (60, 1), (60, 2), (240, 0)])
+    def test_block_graphs_certified_block_wise(self, n, seed):
+        # blocks that are cliques or outerplanar: the kernel alone exhausts
+        # 10**6 nodes on each, the point order of blockwise_cand1 needs none
+        g = families.random_block_graph(n, seed).graph
+        res = and1_recognize(g, 10**6)
+        assert (res.status, res.nodes) == ("found", 0)
+        assert naive_four_point_scan(g, res.ordering) is None
 
     def test_negative_budget_rejected(self):
         with pytest.raises(OrderingError):
@@ -354,7 +374,7 @@ class TestLexBFS:
             prior = list(range(g.n))
             rng.shuffle(prior)
             sweep = lexbfs(g.masks, prior)
-            # the fixed point that ends _sweep_certificate early
+            # the fixed point that ends _sweep_orders early
             assert lexbfs(g.masks, sweep) == sweep
             plus = lexbfs(g.masks, sweep[::-1])
             where = {v: i for i, v in enumerate(sweep)}
