@@ -39,8 +39,11 @@ import functools
 import os
 import re
 import tempfile
+from contextlib import suppress
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, lt, mul, neg, sub
 
 from .boxes import require_semisquares
 from .families import IntervalModel, OuterplanarModel, RootedPathModel
@@ -100,43 +103,78 @@ def _content_lines(text: str):
 
 
 # The loaders of the large files (graphs, realizations, corner boxes and
-# semi-squares) read each data line with one match of its whole record:
-# ids in the _INT syntax above 0, rationals in the _RATIONAL syntax less
-# "-0", and any run of whitespace (the set str.split uses) between them.
-# A line the match rejects, or one failing a check after it (a duplicate,
-# a fraction not in lowest terms, ...), goes to the token checks, which
-# alone write the error; a valid line never reaches them.
+# semi-squares) first read a file in bulk, as its writer writes it: the
+# header line (and "central" line), then data lines in the writer's order,
+# all matched in one pass by their _record pattern, their tokens then
+# converted a column at a time.  A file the bulk read does not take (a
+# comment or blank line, a duplicate, a fraction not in lowest terms, a
+# line out of order, ...) fails one of its tests or raises ValueError in
+# it, and goes to the token checks, which read every line again and alone
+# write the error.
 
 @functools.cache
 def _record(tag: str, ids: int, rationals: int):
-    """fullmatch of a whole `tag` line with `ids` ids, then `rationals`
-    rationals as (numerator, denominator or None) group pairs.  Compiled
-    on first use, so importing the module compiles none of them."""
-    fields = [tag] + [r"([1-9][0-9]*)"] * ids
-    fields += [r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?"] * rationals
+    """fullmatch of a whole `tag` line with `ids` ids in the _INT syntax
+    above 0, then `rationals` rationals in the _RATIONAL syntax less "-0",
+    split by any run of whitespace (the set str.split uses), so the line
+    holds exactly 1 + ids + rationals tokens.  Compiled on first use, so
+    importing the module compiles none of them."""
+    fields = [tag] + [r"[1-9][0-9]*"] * ids
+    fields += [r"(?:0|-?[1-9][0-9]*)(?:/[1-9][0-9]*)?"] * rationals
     return re.compile(r"\s*" + r"\s+".join(fields) + r"\s*").fullmatch
 
 
-def _rationals(groups):
-    """The rationals of matched (numerator, denominator) group pairs as one
-    flat list of ints, each numerator followed by its denominator, or None
-    when one is not in lowest terms.  Each denominator is read before its
-    numerator, as in parse_rational."""
-    out = []
-    pairs = iter(groups)
-    for num, den in zip(pairs, pairs):
-        if den is None:
-            out += int(num), 1
-        elif den == "1" or gcd(d := int(den), n := int(num)) != 1:
-            return None
-        else:
-            out += n, d
-    return out
+def _header(lines, tag: str, *minima) -> list:
+    """The two integers of a first line 'tag and <a> <b>', each at least
+    its minimum; ValueError for any other first line."""
+    toks = lines[0].split() if lines else []
+    if len(toks) != 4 or toks[:2] != [tag, "and"]:
+        raise ValueError(tag)
+    return [*map(_parse_int, toks[2:], minima)]
 
 
-def _flat(*fractions) -> tuple:
-    """The numerators and denominators of Fractions, in _rationals' form."""
-    return tuple(x for f in fractions for x in (f.numerator, f.denominator))
+def _by_vertex(toks, k: int, d: int) -> list:
+    """The id tokens, one per vertex, of records of k tokens 'tag <id>
+    <dim> ...' in which each vertex lists its dimensions 1..d in turn;
+    ValueError otherwise."""
+    n, rest = divmod(len(toks), k * d)
+    ids = toks[1::k * d]
+    if rest or toks[2::k] != [*map(str, range(1, d + 1))] * n or any(
+        toks[1 + k * j::k * d] != ids for j in range(1, d)
+    ):
+        raise ValueError("records out of order")
+    return ids
+
+
+def _lattice(*columns) -> list:
+    """[den, then one list per column]: columns of rational tokens matched
+    by a _record pattern as int numerators over den, their least common
+    denominator, with one lcm and one scale per distinct denominator.
+    ValueError when a token is not in lowest terms ("2/4", "0/3", "3/1")."""
+    parsed, value = [], {}  # value: denominator token -> int
+    for column in columns:
+        nums, _, dens = zip(*map(str.partition, column, repeat("/")))
+        value.update((x, int(x or 1)) for x in set(dens))
+        nums = [*map(int, nums)]
+        if "1" in value or max(map(gcd, nums, map(value.__getitem__, dens))) > 1:
+            raise ValueError("rational not in lowest terms")
+        parsed.append((nums, dens))
+    den = lcm(*value.values())
+    scale = {x: den // y for x, y in value.items()}
+    return [den] + [[*map(mul, nums, map(scale.__getitem__, dens))] for nums, dens in parsed]
+
+
+def _columns(d: int, ids, den: int, lo, hi, p) -> Realization:
+    """The realization of lattice columns with one row per vertex and
+    dimension, vertex by vertex, and of the id tokens, one per vertex,
+    which must increase (ValueError otherwise)."""
+    ids = tuple(map(int, ids))
+    if not all(map(lt, ids, ids[1:])):
+        raise ValueError("ids out of order")
+    sides = [*zip(lo, hi)]
+    boxes = tuple(zip(*(sides[k::d] for k in range(d))))
+    points = tuple(zip(*(p[k::d] for k in range(d))))
+    return Realization._checked(d, ids, den, boxes, points)
 
 
 def _over(den: int):
@@ -191,15 +229,22 @@ def _rat_at(path, no, token) -> Fraction:
 # graphs
 
 def loads_graph(text: str, path: str = "<graph>") -> Graph:
+    lines = text.splitlines()
+    with suppress(ValueError):
+        n, m = _header(lines, "p", 1, 0)
+        if all(map(_record("e", 2, 0), lines[1:])):
+            toks = text.split()[4:]
+            us, vs = [*map(int, toks[1::3])], [*map(int, toks[2::3])]
+            if len(us) == m and all(map(lt, us, vs)) and max(vs, default=0) <= n:
+                masks = [0] * n
+                for u, v in zip(us, vs):
+                    masks[u - 1] |= 1 << (v - 1)
+                    masks[v - 1] |= 1 << (u - 1)
+                if sum(map(int.bit_count, masks)) == 2 * m:  # no edge listed twice
+                    return Graph(n, tuple(masks))
     n = m = None
     edges = {}  # insertion-ordered set of (u, v)
-    edge = _record("e", 2, 0)
-    for no, raw in enumerate(text.splitlines(), start=1):
-        if n is not None and (match := edge(raw)) is not None:
-            u, v = int(match[1]), int(match[2])
-            if u < v <= n and (u, v) not in edges:
-                edges[u, v] = None
-                continue
+    for no, raw in enumerate(lines, start=1):
         toks = _tokens(raw)
         if toks is None:
             continue
@@ -243,17 +288,21 @@ def dumps_graph(g: Graph) -> str:
 # realizations
 
 def loads_realization(text: str, path: str = "<realization>") -> Realization:
+    lines = text.splitlines()
+    with suppress(ValueError):
+        n, d = _header(lines, "r", 1, 1)
+        central_flag = lines[1:2] == ["central"]
+        data = lines[1 + central_flag:]
+        if len(data) == n * d and all(map(_record("v", 2, 3), data)):
+            toks = text.split()[4 + central_flag:]
+            ids = _by_vertex(toks, 6, d)
+            r = _columns(d, ids, *_lattice(toks[3::6], toks[4::6], toks[5::6]))
+            if not central_flag or is_central(r):
+                return r
     header = None
     central_flag = False
     rows = {}
-    vertex = _record("v", 2, 3)
-    for no, raw in enumerate(text.splitlines(), start=1):
-        if header is not None and (match := vertex(raw)) is not None:
-            vid, dim, *q = match.groups()
-            key = (int(vid), int(dim))
-            if key[1] <= header[1] and (q := _rationals(q)) is not None and key not in rows:
-                rows[key] = q
-                continue
+    for no, raw in enumerate(lines, start=1):
         toks = _tokens(raw)
         if toks is None:
             continue
@@ -281,7 +330,7 @@ def loads_realization(text: str, path: str = "<realization>") -> Realization:
             lo, hi, p = (_rat_at(path, no, t) for t in toks[3:6])
             if (vid, dim) in rows:
                 _fail(path, no, f"duplicate vertex/dimension {vid} {dim}")
-            rows[(vid, dim)] = _flat(lo, hi, p)
+            rows[(vid, dim)] = ((lo, hi), p)
         else:
             _fail(path, no, f"unknown record {toks[0]!r}")
     if header is None:
@@ -296,30 +345,15 @@ def loads_realization(text: str, path: str = "<realization>") -> Realization:
 
 
 def _assemble(path, d, rows) -> Realization:
-    """Realization of rows {(vid, dim): (L_num, L_den, R_num, R_den, p_num,
-    p_den)} of ints, in which every vertex has each dimension 1..d.  The
-    lattice's den is the lcm of the rows' denominators, the least one for
-    the rows the loaders read."""
-    ids = sorted({vid for vid, _ in rows})
-    dens = set()
-    for q in rows.values():
-        dens.update(q[1::2])
-    den = lcm(*dens)
-    scale = {x: den // x for x in dens}
-    boxes = []
-    points = []
-    for vid in ids:
-        box = []
-        point = []
+    """Realization.build of the token checks' rows {(vid, dim): ((L, R),
+    p)} of Fractions, in which every vertex has each dimension 1..d."""
+    items = {}
+    for vid in sorted({vid for vid, _ in rows}):
         for dim in range(1, d + 1):
-            q = rows.get((vid, dim))
-            if q is None:
+            if (vid, dim) not in rows:
                 _fail(path, 0, f"vertex {vid} missing dimension {dim}")
-            box.append((q[0] * scale[q[1]], q[2] * scale[q[3]]))
-            point.append(q[4] * scale[q[5]])
-        boxes.append(tuple(box))
-        points.append(tuple(point))
-    return Realization._checked(d, tuple(ids), den, tuple(boxes), tuple(points))
+        items[vid] = tuple(zip(*(rows[vid, dim] for dim in range(1, d + 1))))
+    return Realization.build(d, items)
 
 
 def dumps_realization(r: Realization) -> str:
@@ -499,19 +533,18 @@ def dumps_rooted_path_model(m: RootedPathModel) -> str:
 def loads_corner_boxes(text: str, path: str = "<boxes>") -> Realization:
     """The realization the corner boxes encode: factor ((x_lo, x_hi),
     (y_lo, y_hi)) of a vertex is its point x_lo in box [-y_hi, x_hi]."""
+    lines = text.splitlines()
+    with suppress(ValueError):
+        if all(map(_record("b", 2, 4), lines)):
+            toks = text.split()
+            d = max(map(int, toks[2::7]))
+            ids = _by_vertex(toks, 7, d)
+            den, xl, xh, yl, yh = _lattice(*(toks[k::7] for k in range(3, 7)))
+            # on the diagonal, _columns checks x_lo <= x_hi and y_lo <= y_hi
+            if yl == [*map(neg, xl)]:
+                return _columns(d, ids, den, [*map(neg, yh)], xh, xl)
     rows = {}
-    factor = _record("b", 2, 4)
-    for no, raw in enumerate(text.splitlines(), start=1):
-        if (match := factor(raw)) is not None:
-            vid, dim, *q = match.groups()
-            key = (int(vid), int(dim))
-            if (q := _rationals(q)) is not None and key not in rows:
-                xl, xld, xh, xhd, yl, yld, yh, yhd = q
-                # x_lo <= x_hi, y_lo <= y_hi and y_lo == -x_lo over positive
-                # denominators in lowest terms
-                if xl * xhd <= xh * xld and yl * yhd <= yh * yld and (yl, yld) == (-xl, xld):
-                    rows[key] = (-yh, yhd, xh, xhd, xl, xld)
-                    continue
+    for no, raw in enumerate(lines, start=1):
         toks = _tokens(raw)
         if toks is None:
             continue
@@ -526,7 +559,7 @@ def loads_corner_boxes(text: str, path: str = "<boxes>") -> Realization:
             _fail(path, no, f"vertex {vid}: empty planar factor")
         if xl + yl != 0:
             _fail(path, no, f"vertex {vid}: corner ({xl},{yl}) off the diagonal")
-        rows[(vid, dim)] = _flat(-yh, xh, xl)
+        rows[(vid, dim)] = ((-yh, xh), xl)
     if not rows:
         _fail(path, 0, "no corner boxes")
     return _assemble(path, max(dim for _, dim in rows), rows)
@@ -545,18 +578,15 @@ def dumps_corner_boxes(r: Realization) -> str:
 def loads_semisquares(text: str, path: str = "<semisquares>") -> Realization:
     """The central one-dimensional realization the semi-squares encode:
     (p, r) is point p in box [p - r, p + r]."""
+    lines = text.splitlines()
+    with suppress(ValueError):
+        if all(map(_record("s", 1, 2), lines)):
+            toks = text.split()
+            den, c, leg = _lattice(toks[2::4], toks[3::4])
+            # _columns raises for a negative leg: the corner is then outside its box
+            return _columns(1, toks[1::4], den, [*map(sub, c, leg)], [*map(add, c, leg)], c)
     rows = {}
-    square = _record("s", 1, 2)
-    for no, raw in enumerate(text.splitlines(), start=1):
-        if (match := square(raw)) is not None:
-            vid, *q = match.groups()
-            key = (int(vid), 1)
-            if (q := _rationals(q)) is not None and q[2] >= 0 and key not in rows:
-                c, cd, leg, legd = q
-                m = lcm(cd, legd)
-                c, leg = c * (m // cd), leg * (m // legd)
-                rows[key] = (c - leg, m, c + leg, m, q[0], cd)
-                continue
+    for no, raw in enumerate(lines, start=1):
         toks = _tokens(raw)
         if toks is None:
             continue
@@ -568,7 +598,7 @@ def loads_semisquares(text: str, path: str = "<semisquares>") -> Realization:
             _fail(path, no, "leg length must be nonnegative")
         if (vid, 1) in rows:
             _fail(path, no, f"duplicate semi-square for vertex {vid}")
-        rows[vid, 1] = _flat(corner - leg, corner + leg, corner)
+        rows[vid, 1] = ((corner - leg, corner + leg), corner)
     if not rows:
         _fail(path, 0, "no semi-squares")
     return _assemble(path, 1, rows)

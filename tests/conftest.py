@@ -563,8 +563,8 @@ def read_semisquares(text: str) -> list:
 # token-by-token file readers: the loaders as they were before each data
 # line was read with one match of its whole record.  Every line goes
 # through fileio's token checks, and realizations through
-# Realization.build, so the line-match readers must give equal values or
-# the identical error.
+# Realization.build, so the loaders, which read a file in bulk when it is
+# laid out as written, must give equal values or the identical error.
 
 
 def reference_loads_graph(text: str, path: str = "<graph>") -> Graph:

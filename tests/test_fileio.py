@@ -4,6 +4,7 @@ record kind, error positions as path:line, atomic writes, format sniffing.
 
 import os
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import gcd
 
@@ -40,7 +41,7 @@ from andbox.feasibility import cand1_recognize
 from andbox.graphs import path_graph
 from andbox.orders import implicit_encode, realization_from_ordering
 from andbox.boxes import corner_box_intersection_graph, semisquare_intersection_graph
-from andbox.realization import Realization, is_central, relabel, verify
+from andbox.realization import Realization, induced_graph, is_central, relabel, verify
 from andbox.svg import render_realization_svg
 
 from conftest import (
@@ -616,16 +617,29 @@ def _mutants(text, rng):
             yield with_line(sep + lines[i] + sep)
         yield with_line(lines[i] + "\nc note")
         yield with_line(lines[i] + "\n" + lines[i])
+        yield with_line(lines[i] + "\n" + " ".join(toks[:-1] + ["1" if toks[-1] != "1" else "2"]))
+        yield with_line(lines[i].replace(" ", "\x0b", 1))
+        yield with_line(lines[i][:-1] + "\x0b" + lines[i][-1:])
         yield with_line("c" + lines[i])
         yield "\n".join([lines[i]] + lines[:i] + lines[i + 1:]) + "\n"
         yield "\n".join(lines[:i] + lines[i + 1:]) + "\n"
+        if 0 < i < len(lines) - 1:
+            yield "\n".join(lines[:i] + lines[i + 1:i + 2] + lines[i:i + 1] + lines[i + 2:]) + "\n"
+    # aimed at the bulk read, which takes only files laid out as written
+    yield text[:-1]
+    yield "\n".join(lines[1:] + lines[:1]) + "\n"
+    second = [i for i, line in enumerate(lines) if line.split()[:1] in (["v"], ["b"]) and line.split()[2] == "2"]
+    if second:
+        i = second[0]
+        yield "\n".join(lines[:i - 1] + [lines[i], lines[i - 1]] + lines[i + 1:]) + "\n"
 
 
 class TestLineReadersMatchTokenReaders:
-    """Each loader reads a valid data line with one match of its whole
-    record; anything else goes to the token checks.  The token-by-token
-    readers in conftest must agree on every file: equal values, or the
-    identical exception and message."""
+    """Each loader first reads a file in bulk, taking only one laid out
+    as its writer writes it, and sends any other file to the token
+    checks.  The token-by-token readers in conftest must agree on every
+    file, either path taken: equal values, or the identical exception
+    and message."""
 
     LOADERS = {
         "graph": (fileio.loads_graph, reference_loads_graph),
@@ -680,6 +694,62 @@ class TestLineReadersMatchTokenReaders:
             got = _outcome(fileio.loads_corner_boxes, mutant)
             assert got == _outcome(reference_loads_corner_boxes, mutant)
             assert "off the diagonal" in got[1] or "empty planar factor" in got[1]
+
+
+class TestBulkRead:
+    """Files laid out as the writers write them are read in bulk: no data
+    line reaches the token checks, and memory stays within a bound."""
+
+    def test_written_files_skip_the_token_checks(self, lattice_instances, monkeypatch):
+        files = [(fileio.loads_graph, text) for text in _family_files()["graph"]]
+        for _, r in lattice_instances:
+            files += [
+                (fileio.loads_realization, fileio.dumps_realization(r)),
+                (fileio.loads_corner_boxes, fileio.dumps_corner_boxes(r)),
+            ]
+            if r.d == 1 and is_central(r):
+                files.append((fileio.loads_semisquares, fileio.dumps_semisquares(r)))
+            if r.ids == tuple(range(1, r.n + 1)):
+                files.append((fileio.loads_graph, fileio.dumps_graph(induced_graph(r))))
+        expected = [load(text) for load, text in files]
+        int_calls = []
+        int_at = fileio._int_at
+
+        def counted(*args):
+            int_calls.append(args)
+            return int_at(*args)
+
+        def no_rationals(*args):
+            raise AssertionError(f"a data line reached the token checks: {args}")
+
+        monkeypatch.setattr(fileio, "_int_at", counted)
+        monkeypatch.setattr(fileio, "_rat_at", no_rationals)
+        loads = {load for load, _ in files}
+        assert len(loads) == 4 and {r.d for _, r in lattice_instances} == {1, 2}
+        assert any(is_central(r) for _, r in lattice_instances)
+        assert any(not is_central(r) for _, r in lattice_instances)
+        for (load, text), value in zip(files, expected):
+            int_calls.clear()
+            assert load(text) == value
+            assert len(int_calls) <= 2, int_calls  # the header's n and m, or n and d
+
+    def test_peak_memory_per_byte_of_text(self):
+        # a whole-text regex with a repeated group keeps a backtracking frame
+        # per repetition: 56 bytes or more per byte of text
+        r = cycle_cand1(20000)
+        for dumps, loads in (
+            (fileio.dumps_realization, fileio.loads_realization),
+            (fileio.dumps_corner_boxes, fileio.loads_corner_boxes),
+        ):
+            text = dumps(r)
+            tracemalloc.start()
+            try:
+                loaded = loads(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert loaded == r
+            assert peak < 40 * len(text), (loads.__name__, peak / len(text))
 
 
 class TestLatticeMatchesFractionReferences:
