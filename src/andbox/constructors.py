@@ -30,13 +30,14 @@ outerplanar model file
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
-from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition, rank_bounds
+from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
 from .realization import Realization, RealizationError, _lowest, central_realization, safe_in
 
 HALF = Fraction(1, 2)
@@ -48,13 +49,25 @@ HALF = Fraction(1, 2)
 def interval_to_cand1(m: IntervalModel) -> Realization:
     """Central realization inducing the interval model's graph: the gap
     sweep of umbrella_free_cand1 over the vertices ranked by (span, id), a
-    left-endpoint order."""
+    left-endpoint order.  The rank bounds come from the sorted ends alone,
+    O(n log n) and no graph: among the non-empty spans, hi_k is the last
+    whose left end is at most R_k (a bisection of their left ends) and lo_k
+    the first whose right end reaches L_k (a bisection of the running
+    maximum of their right ends).  An empty span meets none: lo = hi = k."""
     if m.n == 0:
         raise GraphError("interval model must have at least one vertex")
-    g = m.intersection_graph()
-    order = sorted(g.vertices(), key=lambda v: (m.span(v), v))
-    _, lo, hi = rank_bounds(g, order)
-    return umbrella_free_cand1(order, lo, hi)
+    los, his = m.numerators()
+    ranked = sorted(zip(los, his, range(1, m.n + 1)))
+    kept = [(k, l, r) for k, (l, r, _) in enumerate(ranked, 1) if l <= r]
+    ranks = [k for k, _, _ in kept]
+    lefts = [l for _, l, _ in kept]
+    reach = list(accumulate((r for _, _, r in kept), max))
+    lo = list(range(1, m.n + 1))
+    hi = lo[:]
+    for k, l, r in kept:
+        lo[k - 1] = ranks[bisect_left(reach, l)]
+        hi[k - 1] = ranks[bisect_right(lefts, r) - 1]
+    return umbrella_free_cand1([v for _, _, v in ranked], lo, hi)
 
 
 def umbrella_free_cand1(order, lo, hi) -> Realization:

@@ -37,16 +37,20 @@ class IntervalModel:
     def span(self, v: int):
         return self.spans[v - 1]
 
+    def numerators(self) -> tuple:
+        """(los, his): every end as an int numerator over the least common
+        denominator of all the ends, so ints compare as the ends do."""
+        den = lcm(*(x.denominator for span in self.spans for x in span))
+        return (
+            [lo.numerator * (den // lo.denominator) for lo, _ in self.spans],
+            [hi.numerator * (den // hi.denominator) for _, hi in self.spans],
+        )
+
     def intersection_graph(self) -> Graph:
         """Intervals meet iff the later-starting one starts by the other's
         right end; an empty span (lo > hi) meets none and stays out."""
-        kept = [(v, lo, hi) for v, (lo, hi) in enumerate(self.spans, 1) if lo <= hi]
-        # the sweep compares the ends as ints over their least common denominator
-        den = lcm(*(x.denominator for _, lo, hi in kept for x in (lo, hi)))
-        pairs = line_pairs(
-            [lo.numerator * (den // lo.denominator) for _, lo, _ in kept],
-            [hi.numerator * (den // hi.denominator) for _, _, hi in kept],
-        )
+        kept = [(v, lo, hi) for v, (lo, hi) in enumerate(zip(*self.numerators()), 1) if lo <= hi]
+        pairs = line_pairs([lo for _, lo, _ in kept], [hi for _, _, hi in kept])
         return Graph.from_edges(self.n, [(kept[i][0], kept[j][0]) for i, j in pairs])
 
 

@@ -7,7 +7,11 @@ x + y = 0.  All geometry is scaled deterministically and numbers are
 printed with two decimals, so repeated renders are byte-identical.
 Extremes are found among the realization's int numerators, and floats
 come only from int true divisions of those, which round correctly: each
-drawn number equals float() of the exact rational it stands for.
+drawn number equals float() of the exact rational it stands for.  Each
+vertex's elements in a panel are written by one "%" template: its row
+heights _TOP + (i + 0.5) * _ROW are whole in floating point and are
+written as ints with ".00", and every other number is "%.2f" of its
+float, which is what _fmt writes for a number that is not negative.
 """
 
 from __future__ import annotations
@@ -28,8 +32,22 @@ def _fmt(x: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def _esc(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+# One vertex's elements in each panel.  Their numbers are never negative,
+# so "%.2f" never writes the "-0.00" that _fmt guards against; an x drawn
+# more than once is formatted once and passed as "%s".
+_LEFT_ROW = (
+    '<line x1="%s" y1="%d.00" x2="%s" y2="%d.00" stroke="#1f77b4" stroke-width="2"/>\n'
+    '<line x1="%s" y1="%d.00" x2="%s" y2="%d.00" stroke="#1f77b4" stroke-width="2"/>\n'
+    '<line x1="%s" y1="%d.00" x2="%s" y2="%d.00" stroke="#1f77b4" stroke-width="2"/>\n'
+    '<circle cx="%.2f" cy="%d.00" r="3" fill="#d62728"/>\n'
+    '<text x="4" y="%d.00">%d</text>'
+)
+_RIGHT_ROW = (
+    '<rect x="%s" y="%.2f" width="%.2f" height="%.2f"'
+    ' fill="#1f77b4" fill-opacity="0.12" stroke="#1f77b4"/>\n'
+    '<circle cx="%s" cy="%.2f" r="3" fill="#d62728"/>\n'
+    '<text x="%.2f" y="%.2f">%d</text>'
+)
 
 
 def render_realization_svg(r: Realization) -> str:
@@ -45,9 +63,6 @@ def render_realization_svg(r: Realization) -> str:
     lo, span = least, hi - least
     if span == 0:
         lo, span = lo - den, 2 * den
-
-    def sx(t) -> float:
-        return _MARGIN + (t - lo) / span * _PLOT
 
     n = r.n
     left_h = n * _ROW
@@ -92,39 +107,28 @@ def render_realization_svg(r: Realization) -> str:
         f'<text x="{_fmt(bx0)}" y="18">corner boxes on x+y=0</text>',
     ]
 
-    for i, (v, a, b, p) in enumerate(zip(r.ids, los, his, pts)):
-        y = _TOP + (i + 0.5) * _ROW
-        xa, xb = _fmt(sx(a)), _fmt(sx(b))
-        ym, yu, yd = _fmt(y), _fmt(y - 4), _fmt(y + 4)
-        out.append(
-            f'<line x1="{xa}" y1="{ym}" x2="{xb}"'
-            f' y2="{ym}" stroke="#1f77b4" stroke-width="2"/>'
-        )
-        for x in (xa, xb):
-            out.append(
-                f'<line x1="{x}" y1="{yu}" x2="{x}" y2="{yd}"'
-                f' stroke="#1f77b4" stroke-width="2"/>'
-            )
-        out.append(f'<circle cx="{_fmt(sx(p))}" cy="{ym}" r="3" fill="#d62728"/>')
-        out.append(f'<text x="4" y="{yd}">{_esc(str(v))}</text>')
+    # row i's y is _TOP + (i + 0.5) * _ROW, an int in floating point
+    rows = range(int(_TOP + _ROW / 2), int(_TOP + (n + 0.5) * _ROW), int(_ROW))
+    for y, v, a, b, p in zip(rows, r.ids, los, his, pts):
+        xa = "%.2f" % (_MARGIN + (a - lo) / span * _PLOT)
+        xb = "%.2f" % (_MARGIN + (b - lo) / span * _PLOT)
+        out.append(_LEFT_ROW % (
+            xa, y, xb, y, xa, y - 4, xa, y + 4, xb, y - 4, xb, y + 4,
+            _MARGIN + (p - lo) / span * _PLOT, y, y + 4, v,
+        ))
 
     out.append(
         f'<line x1="{_fmt(bx(least) - pad * scale)}" y1="{_fmt(by(least) - pad * scale)}"'
         f' x2="{_fmt(bx(hi) + pad * scale)}" y2="{_fmt(by(hi) + pad * scale)}"'
         ' stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
     )
+    # bx(p), by(a), by(p) and bx(b), written out
     for v, a, b, p in zip(r.ids, los, his, pts):
-        x, ytop = _fmt(bx(p)), by(a)
-        out.append(
-            f'<rect x="{x}" y="{_fmt(ytop)}"'
-            f' width="{_fmt((b - p) / den * scale)}"'
-            f' height="{_fmt((p - a) / den * scale)}"'
-            ' fill="#1f77b4" fill-opacity="0.12" stroke="#1f77b4"/>'
-        )
-        out.append(f'<circle cx="{x}" cy="{_fmt(by(p))}" r="3" fill="#d62728"/>')
-        out.append(
-            f'<text x="{_fmt(bx(b) - 12)}" y="{_fmt(ytop + 13)}">'
-            f'{_esc(str(v))}</text>'
-        )
+        x, ytop = "%.2f" % (bx0 + (p - xmin) / den * scale), _TOP + (a - least) / den * scale
+        out.append(_RIGHT_ROW % (
+            x, ytop, (b - p) / den * scale, (p - a) / den * scale,
+            x, _TOP + (p - least) / den * scale,
+            bx0 + (b - xmin) / den * scale - 12, ytop + 13, v,
+        ))
     out.append("</svg>\n")  # the final newline, without a copy of the whole text
     return "\n".join(out)

@@ -343,6 +343,18 @@ def oracle_interval_overlap_edges(spans) -> set:
     return out
 
 
+def reference_interval_to_cand1(m) -> Realization:
+    """interval_to_cand1 by way of the intersection graph: all-pairs overlap
+    edges, the vertices ranked by (span, id), and each rank's least and
+    greatest neighbour rank read off its closed neighbourhood."""
+    from andbox.constructors import umbrella_free_cand1
+
+    order = sorted(range(1, m.n + 1), key=lambda v: (m.span(v), v))
+    edges = [tuple(e) for e in oracle_interval_overlap_edges(m.spans)]
+    lo, hi = reference_rank_bounds(neighbour_sets(m.n, edges), order)
+    return umbrella_free_cand1(order, [lo[v] for v in order], [hi[v] for v in order])
+
+
 def reference_rooted_path_edges(model) -> set:
     """Vertices are adjacent iff their tree paths share a node: the
     all-pairs scan that indexing by top node in
@@ -808,8 +820,16 @@ def reference_semisquare_edges(squares) -> set:
 
 def reference_render_svg(r: Realization) -> str:
     """The SVG drawing computed with Fraction operators and float() of each
-    exact value, for byte checks of svg.render_realization_svg."""
-    from andbox.svg import _GAP, _MARGIN, _PLOT, _ROW, _TOP, _esc, _fmt
+    exact value, for byte checks of svg.render_realization_svg.  Only the
+    layout constants come from the library; every number is written here."""
+    from andbox.svg import _GAP, _MARGIN, _PLOT, _ROW, _TOP
+
+    def _fmt(x: float) -> str:
+        s = format(x, ".2f")
+        return "0.00" if s == "-0.00" else s
+
+    def _esc(s: str) -> str:
+        return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
     coords = [c for _, box, _ in r.items() for c in box[0]]
     lo, hi = min(coords), max(coords)

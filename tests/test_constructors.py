@@ -58,6 +58,7 @@ from conftest import (
     oracle_central_edges,
     oracle_induced_edges,
     oracle_interval_overlap_edges,
+    reference_interval_to_cand1,
     one_chord_polygon,
     reference_assemble_block_tree,
     reference_blockwise_cand1,
@@ -272,6 +273,62 @@ class TestIntervalGreedy:
     def test_empty_model_rejected(self):
         with pytest.raises(GraphError):
             interval_to_cand1(IntervalModel(()))
+
+
+def random_interval_model(rng, n: int) -> IntervalModel:
+    """Spans with denominators 1 to 3 on a short range, so ends tie often;
+    some spans are zero-width, some empty (lo > hi), some repeat another."""
+    spans = []
+    for _ in range(n):
+        lo, kind = F(rng.randint(-4, 8), rng.randint(1, 3)), rng.random()
+        if kind < 0.1:
+            hi = lo
+        elif kind < 0.2:
+            hi = lo - F(rng.randint(1, 3), rng.randint(1, 3))
+        elif kind < 0.3 and spans:
+            lo, hi = rng.choice(spans)
+        else:
+            hi = lo + F(rng.randint(0, 9), rng.randint(1, 3))
+        spans.append((lo, hi))
+    return IntervalModel(tuple(spans))
+
+
+class TestIntervalSweep:
+    """interval_to_cand1 reads its rank bounds off the sorted ends; the
+    graph path (all-pairs overlaps, then closed neighbourhoods) must give
+    the same realization."""
+
+    def test_matches_graph_path_on_random_models(self):
+        rng = random.Random(36)
+        for _ in range(4000):
+            m = random_interval_model(rng, rng.randint(1, 12))
+            assert interval_to_cand1(m) == reference_interval_to_cand1(m), m
+
+    def test_matches_graph_path_on_random_interval(self):
+        for n, seeds in ((1, 5), (2, 5), (7, 10), (30, 5), (100, 3), (300, 1)):
+            for seed in range(seeds):
+                m = random_interval(n, seed).aux
+                assert interval_to_cand1(m) == reference_interval_to_cand1(m), (n, seed)
+
+    def test_builds_no_graph(self, monkeypatch):
+        import andbox.constructors
+        import andbox.graphs
+
+        rng = random.Random(2000)
+        starts = [F(rng.randint(0, 4000), rng.randint(1, 3)) for _ in range(2000)]
+        m = IntervalModel(tuple((a, a + F(rng.randint(0, 6), 2)) for a in starts))
+        g = m.intersection_graph()
+
+        def boom(*args):
+            raise AssertionError("interval_to_cand1 built the graph")
+
+        monkeypatch.setattr(IntervalModel, "intersection_graph", boom)
+        monkeypatch.setattr(andbox.graphs, "rank_bounds", boom)
+        # a module that imports the name holds its own binding
+        monkeypatch.setattr(andbox.constructors, "rank_bounds", boom, raising=False)
+        r = interval_to_cand1(m)
+        monkeypatch.undo()
+        assert is_central(r) and verify(r, g).ok
 
 
 class TestCliqueCand1:

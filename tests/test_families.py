@@ -161,6 +161,11 @@ class TestIntersectionGraphs:
         model = IntervalModel(spans)
         assert edge_set(model.intersection_graph()) == oracle_interval_overlap_edges(spans) == {fz(1, 3)}
 
+    def test_interval_numerators_share_the_least_denominator(self):
+        # an empty span's ends count too; int ends have denominator 1
+        spans = ((Fraction(-1, 2), Fraction(2, 3)), (3, Fraction(5, 4)), (0, 0))
+        assert IntervalModel(spans).numerators() == ([-6, 36, 0], [8, 15, 0])
+
     def test_rooted_path_index_matches_all_pairs_reference(self):
         # small trees and short paths: single-node paths, equal tops and paths
         # that meet only at one path's top are common

@@ -11,10 +11,11 @@ import pytest
 
 from andbox.constructors import blockwise_cand1, cycle_cand1
 from andbox.families import random_block_graph
-from andbox.realization import Realization, RealizationError
+from andbox.realization import Realization, RealizationError, relabel
 from andbox.svg import render_realization_svg
 
 from conftest import (
+    glued_four_cycle_chain,
     random_prime_denominator_realization,
     random_realization,
     random_tied_realization,
@@ -70,6 +71,43 @@ def test_matches_fraction_reference(family):
             scale = {"prime": 1, "huge": F(10**300), "tiny": F(1, 10**300)}[family]
             r = random_prime_denominator_realization(rng, n, scale)
         assert render_realization_svg(r) == reference_render_svg(r)
+
+
+def edge_case(name: str) -> Realization:
+    if name == "one-vertex":
+        return Realization.build(1, {7: ((F(1, 3), F(5, 2)), F(1))})
+    if name == "all-points-equal":
+        # zero span on the left and zero width on the right
+        return Realization.build(1, {v: ((F(-2, 3), F(-2, 3)), F(-2, 3)) for v in (1, 4, 9)})
+    if name == "negative":
+        r = Realization.build(1, {
+            1: ((F(-9), F(-5, 2)), F(-4)),
+            2: ((F(-7, 3), F(-1, 5)), F(-2)),
+            3: ((F(-11, 2), F(-3)), F(-3)),
+        })
+        assert max(x for _, box, point in r.items() for x in box[0] + point) < 0
+        return r
+    if name == "four-cycle-chain":
+        r = blockwise_cand1(glued_four_cycle_chain(200))
+        assert len(str(r.den)) > 250
+        return r
+    if name == "large-ids":
+        r = cycle_cand1(9, F(1, 3))
+        return relabel(r, {v: 10**6 + v if v < 5 else 10**(6 * v) for v in r.ids})
+    assert name == "cycle-20000"
+    return cycle_cand1(20000)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["one-vertex", "all-points-equal", "negative", "four-cycle-chain", "large-ids", "cycle-20000"],
+)
+def test_matches_fraction_reference_on_edge_cases(name):
+    r = edge_case(name)
+    got, want = render_realization_svg(r).split("\n"), reference_render_svg(r).split("\n")
+    # the first differing line, not a diff of texts of up to 6 MB
+    mismatch = next(((i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert mismatch is None and len(got) == len(want)
 
 
 def test_repeated_renders_are_identical():
