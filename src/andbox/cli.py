@@ -57,14 +57,6 @@ def _stem(path: str) -> str:
     return os.path.splitext(path)[0]
 
 
-def _out(args, default: str) -> str:
-    return args.output if args.output else default
-
-
-def _witness(args, default: str) -> str:
-    return args.witness_out if args.witness_out else default
-
-
 def _cmd_gen(args) -> str:
     bundle = generate(args.family, args.params, seed=args.seed)
     aux_kind = {
@@ -117,7 +109,7 @@ def _cmd_realize(args) -> str:
                 raise UsageError(
                     f"{args.input}: a block is neither a clique nor outerplanar"
                 )
-        out = _out(args, _stem(args.input) + ".real")
+        out = args.output or _stem(args.input) + ".real"
     fileio.save_file(out, "realization", r)
     return "yes"
 
@@ -131,7 +123,7 @@ def _cmd_verify(args) -> str:
     lines = [f"missing {u} {v}" for u, v in report.missing_edges]
     lines += [f"extra {u} {v}" for u, v in report.extra_edges]
     fileio.atomic_write_text(
-        _witness(args, _stem(args.realization) + ".witness"),
+        args.witness_out or _stem(args.realization) + ".witness",
         "\n".join(lines) + "\n",
     )
     return "no"
@@ -145,7 +137,7 @@ def _cmd_check_order(args) -> str:
     except FourPointViolationError as e:
         w = e.violation
         fileio.atomic_write_text(
-            _witness(args, _stem(args.ordering) + ".witness"),
+            args.witness_out or _stem(args.ordering) + ".witness",
             f"violation {w.x} {w.u} {w.v} {w.y}\n",
         )
         return "no"
@@ -160,12 +152,12 @@ def _cmd_recognize_and1(args) -> str:
     g = fileio.load_file(args.graph, "graph")
     res = and1_recognize(g, budget=args.node_budget)
     if res.found:
-        out = _out(args, _stem(args.graph) + ".order")
+        out = args.output or _stem(args.graph) + ".order"
         fileio.save_file(out, "ordering", res.ordering)
         return "yes"
     if res.status == "not_member":
         fileio.atomic_write_text(
-            _witness(args, _stem(args.graph) + ".witness"),
+            args.witness_out or _stem(args.graph) + ".witness",
             "c no vertex ordering satisfies the four point condition\n"
             f"exhaustive nodes {res.nodes}\n",
         )
@@ -177,12 +169,12 @@ def _cmd_recognize_cand1(args) -> str:
     g = fileio.load_file(args.graph, "graph")
     res = cand1_recognize(g, budget=args.node_budget)
     if res.found:
-        out = _out(args, _stem(args.graph) + ".real")
+        out = args.output or _stem(args.graph) + ".real"
         fileio.save_file(out, "realization", res.realization)
         return "yes"
     if res.status == "not_member":
         fileio.atomic_write_text(
-            _witness(args, _stem(args.graph) + ".witness"),
+            args.witness_out or _stem(args.graph) + ".witness",
             "c no point order admits a central realization\n"
             f"exhaustive orderings {res.orderings_tried}"
             f" cases {res.cases_solved}\n",
@@ -193,13 +185,13 @@ def _cmd_recognize_cand1(args) -> str:
 
 def _cmd_to_boxes(args) -> str:
     r = fileio.load_file(args.realization, "realization")
-    fileio.save_file(_out(args, _stem(args.realization) + ".boxes"), "corner", r)
+    fileio.save_file(args.output or _stem(args.realization) + ".boxes", "corner", r)
     return "yes"
 
 
 def _cmd_to_triangles(args) -> str:
     r = fileio.load_file(args.realization, "realization")
-    fileio.save_file(_out(args, _stem(args.realization) + ".tri"), "semisquare", r)
+    fileio.save_file(args.output or _stem(args.realization) + ".tri", "semisquare", r)
     return "yes"
 
 
@@ -207,16 +199,14 @@ def _cmd_glue(args) -> str:
     r1 = fileio.load_file(args.real1, "realization")
     r2 = fileio.load_file(args.real2, "realization")
     glued = glue_at_safe_vertex(r1, args.w1, r2, args.w2)
-    fileio.save_file(
-        _out(args, _stem(args.real1) + "-glued.real"), "realization", glued
-    )
+    fileio.save_file(args.output or _stem(args.real1) + "-glued.real", "realization", glued)
     return "yes"
 
 
 def _cmd_render(args) -> str:
     r = fileio.load_file(args.realization, "realization")
     fileio.atomic_write_text(
-        _out(args, _stem(args.realization) + ".svg"), render_realization_svg(r)
+        args.output or _stem(args.realization) + ".svg", render_realization_svg(r)
     )
     return "yes"
 

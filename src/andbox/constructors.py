@@ -38,7 +38,15 @@ from math import gcd
 
 from .families import HGraphSpec, IntervalModel, OuterplanarModel, RootedPathModel
 from .graphs import BlockDecomposition, Graph, GraphError, block_decomposition
-from .realization import Realization, RealizationError, _lowest, central_realization, safe_in
+from .realization import (
+    Realization,
+    RealizationError,
+    _lowest,
+    _numerator_items,
+    _require_ids,
+    central_realization,
+    safe_in,
+)
 
 HALF = Fraction(1, 2)
 
@@ -139,9 +147,7 @@ def _cycle_items(ids, eps: Fraction) -> dict:
 def _line(den: int, items: dict) -> Realization:
     """The d = 1 realization of items {id: ((L, R), p)}, every coordinate
     an int numerator over den, reduced to its least den."""
-    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in items):
-        raise RealizationError("vertex ids must be positive integers")
-    ids = tuple(sorted(items))
+    ids = _require_ids(items)
     boxes = tuple((items[v][0],) for v in ids)
     points = tuple((items[v][1],) for v in ids)
     return _lowest(1, ids, den, boxes, points)
@@ -282,10 +288,6 @@ class _Lattice:
 
     def realization(self) -> Realization:
         return _line(*self.items())
-
-
-def _numerator_items(r: Realization) -> dict:
-    return {v: (box[0], pt[0]) for v, box, pt in zip(r.ids, r.boxes, r.points)}
 
 
 def glue_at_safe_vertex(

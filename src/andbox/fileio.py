@@ -244,10 +244,7 @@ def loads_graph(text: str, path: str = "<graph>") -> Graph:
                     return Graph(n, tuple(masks))
     n = m = None
     edges = {}  # insertion-ordered set of (u, v)
-    for no, raw in enumerate(lines, start=1):
-        toks = _tokens(raw)
-        if toks is None:
-            continue
+    for no, toks in _content_lines(text):
         if toks[0] == "p":
             if n is not None:
                 _fail(path, no, "duplicate header")
@@ -302,10 +299,7 @@ def loads_realization(text: str, path: str = "<realization>") -> Realization:
     header = None
     central_flag = False
     rows = {}
-    for no, raw in enumerate(lines, start=1):
-        toks = _tokens(raw)
-        if toks is None:
-            continue
+    for no, toks in _content_lines(text):
         if toks[0] == "r":
             if header is not None:
                 _fail(path, no, "duplicate header")
@@ -544,10 +538,7 @@ def loads_corner_boxes(text: str, path: str = "<boxes>") -> Realization:
             if yl == [*map(neg, xl)]:
                 return _columns(d, ids, den, [*map(neg, yh)], xh, xl)
     rows = {}
-    for no, raw in enumerate(lines, start=1):
-        toks = _tokens(raw)
-        if toks is None:
-            continue
+    for no, toks in _content_lines(text):
         if toks[0] != "b" or len(toks) != 7:
             _fail(path, no, "lines must be 'b <id> <dim> <x_lo> <x_hi> <y_lo> <y_hi>'")
         vid = _int_at(path, no, toks[1], 1)
@@ -586,10 +577,7 @@ def loads_semisquares(text: str, path: str = "<semisquares>") -> Realization:
             # _columns raises for a negative leg: the corner is then outside its box
             return _columns(1, toks[1::4], den, [*map(sub, c, leg)], [*map(add, c, leg)], c)
     rows = {}
-    for no, raw in enumerate(lines, start=1):
-        toks = _tokens(raw)
-        if toks is None:
-            continue
+    for no, toks in _content_lines(text):
         if toks[0] != "s" or len(toks) != 4:
             _fail(path, no, "lines must be 's <id> <corner> <leg>'")
         vid = _int_at(path, no, toks[1], 1)

@@ -272,9 +272,7 @@ def cycle_label_analysis(r: Realization) -> CycleLabelReport:
     """
     g = induced_graph(r)
     n = g.n
-    if n < 3 or any(g.degree(v) != 2 for v in g.vertices()):
-        raise OrderingError("realization does not induce a cycle")
-    if not g.is_connected():
+    if n < 3 or any(g.degree(v) != 2 for v in g.vertices()) or not g.is_connected():
         raise OrderingError("realization does not induce a cycle")
 
     point_order = r_order(r)

@@ -11,11 +11,13 @@ one shared denominator den: the least positive integer that makes every
 coordinate whole.  That den is canonical, so equal realizations compare
 equal.  Every decision (containment, centrality, the sweeps) compares
 ints, exactly and with no floats anywhere.  The accessors box, point,
-interval, coordinate, items and line_items hand out exact Fractions, and
-build takes ints and Fractions back.  Inside the package only
-cand1_recognize's side-by-side layout of components reads them; the
-constructions, the file formats and the SVG work on the numerators, and
-the Fraction form serves callers outside the package and the tests.
+interval, coordinate and items hand out exact Fractions, and build takes
+ints and Fractions back.  Inside the package only cand1_recognize's
+side-by-side layout of components reads them; the constructions, the
+SVG and a file laid out as its writer writes it work on the numerators.
+Any other file (comments, records out of order, a fraction not in lowest
+terms) is read token by token through parse_rational and build, and the
+Fraction form also serves callers outside the package and the tests.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ class RealizationError(ValueError):
 
 class TiedPointsError(RealizationError):
     pass
+
+
+def _require_ids(ids) -> tuple:
+    """ids sorted, once each is a positive int; bool is an int subclass,
+    but True would be written as "True"."""
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in ids):
+        raise RealizationError("vertex ids must be positive integers")
+    return tuple(sorted(ids))
 
 
 _SEQ = (tuple, list)
@@ -61,10 +71,7 @@ class Realization:
         number."""
         if d < 1:
             raise RealizationError("dimension must be >= 1")
-        ids = tuple(sorted(items))
-        # bool is an int subclass, but True would be written as "True"
-        if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in ids):
-            raise RealizationError("vertex ids must be positive integers")
+        ids = _require_ids(items)
         flat = []  # per vertex: L and R of each dimension, then the point
         for v in ids:
             box, point = items[v]
@@ -145,10 +152,6 @@ class Realization:
     def coordinate(self, v: int) -> Fraction:
         """d = 1 convenience: the representative point."""
         return self.point(v)[0]
-
-    def line_items(self) -> dict:
-        """d = 1 convenience: items {id: ((L, R), p)}, which build takes back."""
-        return {v: (box[0], pt[0]) for v, box, pt in self.items()}
 
     def items(self):
         den = self.den
@@ -361,7 +364,13 @@ def is_safe(r: Realization, v: int) -> bool:
     the induced graph (d = 1)."""
     if r.d != 1:
         raise RealizationError("is_safe is defined for d = 1")
-    return safe_in({u: (box[0], p[0]) for u, box, p in zip(r.ids, r.boxes, r.points)}, v)
+    return safe_in(_numerator_items(r), v)
+
+
+def _numerator_items(r: Realization) -> dict:
+    """The items {id: ((L, R), p)} of a d = 1 realization, as int
+    numerators over r.den."""
+    return {v: (box[0], pt[0]) for v, box, pt in zip(r.ids, r.boxes, r.points)}
 
 
 def safe_in(items: dict, v: int) -> bool:
@@ -385,12 +394,11 @@ def relabel(r: Realization, mapping: dict) -> Realization:
     if missing:
         raise RealizationError(f"relabel mapping misses vertices {missing}")
     new = [mapping[v] for v in r.ids]
-    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in new):
-        raise RealizationError("vertex ids must be positive integers")
+    ids = _require_ids(new)
     rows = sorted(range(r.n), key=new.__getitem__)
     return Realization._checked(
         r.d,
-        tuple(new[i] for i in rows),
+        ids,
         r.den,
         tuple(r.boxes[i] for i in rows),
         tuple(r.points[i] for i in rows),

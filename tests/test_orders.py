@@ -416,6 +416,16 @@ class TestCycleLabelAnalysis:
         with pytest.raises(OrderingError):
             cycle_label_analysis(paw_realization)
 
+    def test_rejects_two_disjoint_triangles(self):
+        # 2-regular but not connected
+        from andbox.realization import Realization
+
+        points = (1, 2, 3, 11, 12, 13)
+        r = Realization.build(1, {v: ((p - 3, p + 3), p) for v, p in enumerate(points, 1)})
+        assert {induced_graph(r).degree(v) for v in r.ids} == {2}
+        with pytest.raises(OrderingError, match="^realization does not induce a cycle$"):
+            cycle_label_analysis(r)
+
     def test_extremes_flag(self):
         from andbox.constructors import cycle_cand1
 

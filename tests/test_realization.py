@@ -7,9 +7,16 @@ from fractions import Fraction as F
 import pytest
 
 from andbox import realization
-from andbox.constructors import blockwise_cand1, cycle_cand1, outerplanar_cand1
+from andbox.constructors import (
+    _clique_items,
+    assemble_block_tree,
+    blockwise_cand1,
+    clique_cand1,
+    cycle_cand1,
+    outerplanar_cand1,
+)
 from andbox.families import OuterplanarModel, random_block_graph
-from andbox.graphs import cycle_graph
+from andbox.graphs import block_decomposition, cycle_graph, path_graph
 from andbox.realization import (
     Realization,
     RealizationError,
@@ -398,3 +405,30 @@ class TestRelabel:
         for r in (cycle_cand1(700), blockwise_cand1(random_block_graph(220, 1).graph)):
             for mapping in ({v: r.n + 1 - v for v in r.ids}, {v: 3 * v + 7 for v in r.ids}):
                 assert relabel(r, mapping) == reference_relabel(r, mapping)
+
+
+def _assemble_path_with(bad):
+    """assemble_block_tree of the path 1-2-3, whose build callback hands
+    out vertex 1 as bad."""
+    bd = block_decomposition(path_graph(3))
+
+    def build(bi, cut):
+        return 1, {bad if v == 1 else v: item for v, item in _clique_items(bd.blocks[bi]).items()}
+
+    return assemble_block_tree(build, bd)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 1.0])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda bad: Realization.build(1, {bad: ((0, 2), 1), 2: ((1, 3), 2)}),
+        lambda bad: clique_cand1([bad, 2]),
+        lambda bad: relabel(clique_cand1([1, 2]), {1: bad, 2: 2}),
+        _assemble_path_with,
+    ],
+    ids=["build", "clique_cand1", "relabel", "assemble_block_tree"],
+)
+def test_every_entry_rejects_ids_that_are_not_positive_ints(entry, bad):
+    with pytest.raises(RealizationError, match="^vertex ids must be positive integers$"):
+        entry(bad)
